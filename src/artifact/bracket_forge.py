@@ -57,6 +57,17 @@ class BracketTensor:
 
     def __init__(self, parity: str, k: int, n: int,
                  pi: Dict[PairKey, FormDict], provenance: Optional[dict] = None):
+        if parity not in ("even", "odd"):
+            raise ValueError(f"unknown parity {parity!r}")
+        if n != 2 * k + (parity == "odd"):
+            raise ValueError(f"{parity} tensor at k={k} cannot have n={n}")
+        for (a, b), form in pi.items():
+            if not 0 <= a < b < n:
+                raise ValueError(f"pair ({a}, {b}) is not 0 <= a < b < {n}")
+            for u, v in form:
+                if not 0 <= u <= v < n:
+                    raise ValueError(f"pair ({a}, {b}): monomial ({u}, {v}) "
+                                     f"is not 0 <= u <= v < {n}")
         self.parity = parity
         self.k = k
         self.n = n
@@ -123,12 +134,36 @@ class BracketTensor:
 
     @classmethod
     def from_json(cls, data: dict) -> "BracketTensor":
+        """Inverse of to_json; ValueError on any entry it cannot read."""
         pi: Dict[PairKey, FormDict] = {}
         for entry in data["pi"]:
-            form = {(item["u"], item["v"]): Fraction(item["val"])
-                    for item in entry["q"]}
-            pi[(entry["a"], entry["b"])] = form
-        return cls(data["parity"], data["k"], data["n"], pi, data.get("curve"))
+            pair = (_json_int(entry["a"]), _json_int(entry["b"]))
+            if pair in pi:
+                raise ValueError(f"pair {pair} listed twice")
+            form: FormDict = {}
+            for item in entry["q"]:
+                mono = (_json_int(item["u"]), _json_int(item["v"]))
+                if mono in form:
+                    raise ValueError(f"pair {pair}: monomial {mono} listed twice")
+                form[mono] = _json_rational(item["val"])
+            pi[pair] = form
+        return cls(data["parity"], _json_int(data["k"]), _json_int(data["n"]), pi,
+                   data.get("curve"))
+
+
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"index {value!r} is not an integer")
+    return value
+
+
+def _json_rational(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"coefficient {value!r} is neither an integer nor a rational string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from exc
 
 
 @dataclass(frozen=True)
@@ -165,6 +200,15 @@ class FamilyBasis:
     k: int
     tensors: Tuple[BracketTensor, ...]
     labels: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.tensors) != 9 or len(self.labels) != 9:
+            raise ValueError(f"a family has nine members and nine labels, got "
+                             f"{len(self.tensors)} and {len(self.labels)}")
+        shapes = {(t.parity, t.k, t.n) for t in self.tensors}
+        if len(shapes) != 1 or next(iter(shapes))[:2] != (self.parity, self.k):
+            raise ValueError(f"members do not share the family's shape "
+                             f"({self.parity}, k={self.k}): {sorted(shapes)}")
 
     def to_json(self) -> dict:
         return {"parity": self.parity, "k": self.k,

@@ -1,11 +1,12 @@
 """Command-line driver: builds, verification sweeps, flat artifacts.
 
 Subcommands mirror the library seams.  `bracket build` and `bracket
-family` wrap the tensor constructors, `verify` wraps the chart
-certifications, `rank scan` and `szego check` wrap the samplers, and
-`helix` wraps the integer-lattice bookkeeping.  Output is deterministic
-for a fixed config: orderings are sorted, the seed is explicit, and no
-timing data enters any payload.  Elapsed time is written to stderr only.
+family` wrap the tensor constructors, `verify` wraps the Jacobi,
+compatibility and independence certificates, `rank scan` and `szego
+check` wrap the samplers, and `helix` wraps the integer-lattice
+bookkeeping.  Output is deterministic for a fixed config: orderings are
+sorted, the seed is explicit, and no timing data enters any payload.
+Elapsed time is written to stderr only.
 
 Exit codes: 0 all checks pass, 1 a normative check failed or a build was
 rejected, 2 usage or configuration error.
@@ -20,7 +21,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -277,16 +277,11 @@ def _run_verify_compat(args) -> int:
     cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
     family = _load_family(args.family)
     pairs = list(combinations(range(len(family.tensors)), 2))
-    workers = args.jobs or os.cpu_count() or 1
-
-    def check_pair(pair: Tuple[int, int]) -> Tuple[Tuple[int, int], dict]:
-        i, j = pair
-        return pair, compatibility_check(family.tensors[i], family.tensors[j])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(check_pair, pairs))
-    failures = [{"pair": list(pair), "witness": res["witness"]}
-                for pair, res in results if not res["compatible"]]
+    failures = []
+    for i, j in pairs:
+        res = compatibility_check(family.tensors[i], family.tensors[j])
+        if not res["compatible"]:
+            failures.append({"pair": [i, j], "witness": res["witness"]})
     report = RunReport("verify compat", cfg.digest())
     report.data["pairs"] = len(pairs)
     report.data["passed"] = len(pairs) - len(failures)
@@ -489,14 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="certify stored artifacts")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    jacobi_p = verify_sub.add_parser("jacobi", help="chart Jacobi identity")
+    jacobi_p = verify_sub.add_parser("jacobi", help="projective Jacobi identity")
     jacobi_p.add_argument("--in", dest="source", required=True,
                           help="tensor artifact to check")
     _add_output_options(jacobi_p)
     compat_p = verify_sub.add_parser("compat", help="pairwise compatibility sweep")
     compat_p.add_argument("--family", required=True, help="family artifact")
     compat_p.add_argument("--jobs", type=int, default=0,
-                          help="worker count, 0 means all cores")
+                          help="accepted for config compatibility and recorded "
+                               "in the config digest; the sweep is sequential")
     _add_output_options(compat_p)
     indep_p = verify_sub.add_parser("independence", help="family rank over Q")
     indep_p.add_argument("--family", required=True, help="family artifact")

@@ -1,17 +1,24 @@
-"""Certification of bracket tensors: chart descent, Jacobi, ranks.
+"""Certification of bracket tensors: Jacobi, compatibility, ranks.
 
-All checks run over exact rationals.  The projective content of a tensor
-lives in its affine charts, so the bracket is descended there first; the
-Jacobi identity, compatibility of pairs, and linear independence are all
-statements about the chart structure functions, and modifications of the
-tensor along the radial direction (Euler terms) are invisible to them.
+All checks run over exact rationals or integers.  A quadratic bivector pi
+on the coordinate space descends to a Poisson bivector on projective
+space exactly when the 4-vector E ^ [pi, pi] vanishes, E being the Euler
+field: at a point x != 0, E ^ w = 0 says that w lies in x ^ (bivectors),
+the kernel of the pushforward.  The Jacobi and compatibility certificates
+check that one polynomial identity.  Chart descent and the chart
+Jacobiator remain as the witness builder for a failing certificate and
+as the reference route; the independence rank reads the dense chart 0.
+Modifications of a tensor along the radial direction (Euler terms) are
+invisible to every check.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_core import Poly, RationalLike, rat, rat_str
@@ -159,6 +166,12 @@ def jacobiator(cb: ChartBracket) -> Multivector:
 
 
 def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
+    """First nonzero chart Jacobiator entry, charts in order.
+
+    For a tensor that fails the homogeneous certificate this is found on
+    chart 0: the obstruction is a nonzero polynomial, so it cannot vanish
+    on the dense chart x_0 = 1.
+    """
     for m in range(T.n):
         J = jacobiator(descend_to_chart(T, m))
         for key in J.nonzero_keys():
@@ -166,51 +179,119 @@ def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
     return None
 
 
-def jacobi_check(T: BracketTensor) -> dict:
-    """Chart-by-chart Jacobi verdict with the first failing witness."""
-    witness = _first_jacobi_witness(T)
-    return {"holds": witness is None, "witness": witness}
+# An integer polynomial is a dict from packed monomials to ints: the
+# monomial prod x_i^e_i is keyed by sum e_i * 8**i, so multiplying two
+# monomials adds their keys.  Exponents stay below 8 up to degree 4.
+IntPoly = Dict[int, int]
 
 
-def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
-    """Jacobi check of T1 + T2 on every chart, with the mixed cross-term.
+def _integer_rows(T: BracketTensor) -> List[Dict[int, IntPoly]]:
+    """rows[a][b] is pi^{ab} times the common denominator, both orders."""
+    den = lcm(*(val.denominator for form in T.pi.values() for val in form.values()))
+    rows: List[Dict[int, IntPoly]] = [{} for _ in range(T.n)]
+    for (a, b), form in T.pi.items():
+        poly = {8 ** u + 8 ** v: val.numerator * (den // val.denominator)
+                for (u, v), val in form.items()}
+        rows[a][b] = poly
+        rows[b][a] = {mono: -val for mono, val in poly.items()}
+    return rows
 
-    The sum test is the operative one; the mixed obstruction (bilinear in
-    the two tensors) is reported alongside as a redundancy.
+
+def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
+    """d -> the linear form d poly / d x_d of a quadratic poly."""
+    grad: Dict[int, IntPoly] = {}
+    for mono, val in poly.items():
+        for d in range(n):
+            power = (mono >> (3 * d)) & 7
+            if power:
+                lin = grad.setdefault(d, {})
+                rest = mono - 8 ** d
+                lin[rest] = lin.get(rest, 0) + power * val
+    return grad
+
+
+def schouten_certificate(T1: BracketTensor, T2: BracketTensor) -> bool:
+    """True when E ^ (Jac(pi1, pi2) + Jac(pi2, pi1)) vanishes identically.
+
+    Jac(pi1, pi2)^{abc} = sum_d pi1^{ad} d_d pi2^{bc} + cyclic in (a, b, c)
+    is bilinear, so Jac(pi, pi) is the Jacobiator of pi and the symmetric
+    sum for two tensors is the mixed term of their sum.  The vanishing of
+    E ^ Jac(pi, pi) is the Jacobi identity of the bracket that pi induces
+    on projective space.  Each tensor is scaled by its common denominator,
+    which leaves the zero test unchanged, and the identity is checked over
+    ints on every component a < b < c < d.
     """
     if T1.n != T2.n:
         raise ValueError("tensor sizes differ")
+    n = T1.n
+    rows1 = _integer_rows(T1)
+    if T2 is T1:
+        orders = [(rows1, rows1)]  # Jac(pi, pi) has the zero set of 2 Jac(pi, pi)
+    else:
+        rows2 = _integer_rows(T2)
+        orders = [(rows1, rows2), (rows2, rows1)]
+    jac: Dict[Tuple[int, int, int], IntPoly] = {}
+    for left, right in orders:
+        grads = {(b, c): _gradient(poly, n)
+                 for b in range(n) for c, poly in right[b].items() if b < c}
+        for a, b, c in combinations(range(n), 3):
+            acc = jac.setdefault((a, b, c), {})
+            for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
+                row = left[i]
+                for d, lin in grads.get(pair, {}).items():
+                    quad = row.get(d)
+                    if quad is None:
+                        continue
+                    for m1, v1 in quad.items():
+                        for m2, v2 in lin.items():
+                            key = m1 + m2
+                            acc[key] = acc.get(key, 0) + sign * v1 * v2
+    for quad in combinations(range(n), 4):
+        wedge: IntPoly = {}
+        for pos, a in enumerate(quad):
+            sign = -1 if pos % 2 else 1
+            shift = 8 ** a
+            for mono, val in jac[quad[:pos] + quad[pos + 1:]].items():
+                key = mono + shift
+                wedge[key] = wedge.get(key, 0) + sign * val
+        if any(wedge.values()):
+            return False
+    return True
+
+
+def jacobi_check(T: BracketTensor) -> dict:
+    """Jacobi verdict from E ^ [pi, pi] = 0, with a chart witness on failure."""
+    holds = schouten_certificate(T, T)
+    return {"holds": holds, "witness": None if holds else _first_jacobi_witness(T)}
+
+
+def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
+    """Jacobi certificate of T1 + T2, with the mixed cross-term.
+
+    The sum test is the operative one; the mixed obstruction
+    Jac(pi1, pi2) + Jac(pi2, pi1) is reported alongside as a redundancy.
+    """
     total = T1 + T2
-    witness = _first_jacobi_witness(total)
-    mixed_zero = True
-    for m in range(T1.n):
-        J12 = jacobiator(descend_to_chart(total, m))
-        J1 = jacobiator(descend_to_chart(T1, m))
-        J2 = jacobiator(descend_to_chart(T2, m))
-        for key, poly in J12.coefficients.items():
-            mixed = poly - J1.coefficients[key] - J2.coefficients[key]
-            if not mixed.is_zero:
-                mixed_zero = False
-                break
-        if not mixed_zero:
-            break
-    return {"compatible": witness is None, "witness": witness, "mixed_zero": mixed_zero}
+    compatible = schouten_certificate(total, total)
+    return {"compatible": compatible,
+            "witness": None if compatible else _first_jacobi_witness(total),
+            "mixed_zero": schouten_certificate(T1, T2)}
 
 
 def independence_rank(F: FamilyBasis) -> int:
     """Rank of the family as projective bivectors.
 
-    Stacks every chart structure function of every member into a rational
-    matrix (one row per member) and computes its exact rank.
+    Stacks the chart-0 structure functions of every member into a rational
+    matrix (one row per member) and computes its exact rank.  A combination
+    of members whose descent vanishes on the dense chart 0 vanishes on every
+    chart, so one chart gives the projective rank.
     """
     rows: List[Dict[tuple, Fraction]] = []
     for T in F.tensors:
         vec: Dict[tuple, Fraction] = {}
-        for m in range(T.n):
-            cb = descend_to_chart(T, m)
-            for (a, b), poly in cb.funcs.items():
-                for expo, val in poly.terms.items():
-                    vec[(m, a, b, expo)] = val
+        for (a, b), poly in descend_to_chart(T, 0).funcs.items():
+            for expo, val in poly.terms.items():
+                vec[(a, b, expo)] = val
         rows.append(vec)
     keys = sorted({key for vec in rows for key in vec})
     matrix = [[vec.get(key, Fraction(0)) for key in keys] for vec in rows]

@@ -9,6 +9,7 @@ import pytest
 from artifact.bracket_forge import (
     BracketTensor,
     CorrectionOperators,
+    FamilyBasis,
     TensorNotInSectionSpace,
     build_family,
     build_tensor,
@@ -250,6 +251,22 @@ def test_json_roundtrip_and_stability():
         monos = [(item["u"], item["v"]) for item in entry["q"]]
         assert monos == sorted(monos)
         assert all("/" in item["val"] for item in entry["q"])
+
+
+def test_tensor_rejects_unreadable_entries():
+    """Shape, pair order and monomial range are checked at construction."""
+    form = {(0, 0): F(1)}
+    for args in (("even", 2, 5, {}), ("odd", 2, 4, {}), ("flat", 2, 4, {}),
+                 ("even", 2, 4, {(1, 0): form}), ("even", 2, 4, {(0, 4): form}),
+                 ("even", 2, 4, {(0, 1): {(2, 1): F(1)}}),
+                 ("even", 2, 4, {(0, 1): {(0, 4): F(1)}})):
+        with pytest.raises(ValueError):
+            BracketTensor(*args)
+    fam = build_family("odd", 1)
+    with pytest.raises(ValueError):
+        FamilyBasis("odd", 1, fam.tensors[:8], fam.labels[:8])
+    with pytest.raises(ValueError):
+        FamilyBasis("odd", 2, fam.tensors, fam.labels)
 
 
 def test_family_json_shape():

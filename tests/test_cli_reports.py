@@ -168,6 +168,73 @@ def test_verify_compat_schedule_independent(tmp_path, monkeypatch, capsys):
     assert r1["checks"] == r4["checks"]
 
 
+def test_verify_compat_names_failing_pair(tmp_path, monkeypatch, capsys):
+    """A bumped member coefficient fails the sweep with a pair and a witness."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(["bracket", "family", "--parity", "even", "--k", "2"], capsys)
+    data = json.loads(Path("family.json").read_text())
+    data["basis"][1]["pi"][0]["q"][0]["val"] = "7"
+    Path("bad.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(["verify", "compat", "--family", "bad.json", "--json"],
+                           capsys)
+    assert code == 1
+    report = json.loads(out)
+    check = report["checks"][0]
+    assert check["status"] == "fail"
+    assert 1 in check["witness"]["pair"]
+    witness = check["witness"]["witness"]
+    assert set(witness) == {"chart", "triple", "obstruction"}
+    assert witness["chart"] == 0
+    assert report["data"]["passed"] < report["data"]["pairs"]
+
+
+def _corrupt_pair(entry):
+    entry["a"], entry["b"] = entry["b"], entry["a"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda pi: pi.append({"a": 2, "b": 99, "q": [{"u": 0, "v": 0, "val": "1"}]}),
+    lambda pi: _corrupt_pair(pi[-1]),
+    lambda pi: pi[0]["q"][0].update(val="1/0"),
+    lambda pi: pi[0]["q"][0].update(v=50),
+    lambda pi: pi[0]["q"][0].update(val=0.5),
+    lambda pi: pi.append(dict(pi[0])),
+], ids=["pair-out-of-range", "pair-reversed", "zero-denominator",
+        "monomial-out-of-range", "float-coefficient", "pair-twice"])
+def test_verify_jacobi_rejects_corrupt_tensor(tmp_path, monkeypatch, capsys, corrupt):
+    """Entries the certifier cannot read exit 2 with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(BUILD_EVEN, capsys)
+    data = json.loads(Path("tensor.json").read_text())
+    corrupt(data["pi"])
+    Path("bad.json").write_text(json.dumps(data))
+    for argv in (["verify", "jacobi", "--in", "bad.json"],
+                 ["rank", "scan", "--in", "bad.json", "--samples", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "tensor artifact malformed" in err and "Traceback" not in err
+        assert "pass" not in out
+
+
+def test_verify_rejects_mixed_shape_family(tmp_path, monkeypatch, capsys):
+    """Family members must share the family's (parity, k, n)."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(FAMILY_ODD, capsys)
+    run_cli(BUILD_EVEN, capsys)
+    data = json.loads(Path("family.json").read_text())
+    data["basis"][3] = json.loads(Path("tensor.json").read_text())
+    Path("mixed.json").write_text(json.dumps(data))
+    truncated = json.loads(Path("family.json").read_text())
+    del truncated["basis"][8], truncated["labels"][8]
+    Path("short.json").write_text(json.dumps(truncated))
+    for name in ("mixed.json", "short.json"):
+        for sub in ("compat", "independence"):
+            code, out, err = run_cli(["verify", sub, "--family", name], capsys)
+            assert code == 2
+            assert "family artifact malformed" in err and "Traceback" not in err
+            assert "pass" not in out
+
+
 def test_verify_independence_full_rank(tmp_path, monkeypatch, capsys):
     """The nine-member basis has rank nine over the rationals."""
     monkeypatch.chdir(tmp_path)

@@ -2,23 +2,28 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
-from artifact.bracket_forge import BracketTensor, build_family, build_tensor
+from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family, build_tensor
 from artifact.curve_ring import CurveModel
 from artifact.exact_core import Poly
 from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
+    _matrix_rank,
     compatibility_check,
     descend_to_chart,
     euler_tensor,
     independence_rank,
+    jacobi_check,
     jacobiator,
     rank_at_point,
     rank_scan,
     ratio_bracket,
+    schouten_certificate,
 )
 
 F = Fraction
@@ -36,6 +41,30 @@ def _poly(ctx, spec):
 
 def _all_charts_jacobi_zero(T):
     return all(jacobiator(descend_to_chart(T, m)).is_zero for m in range(T.n))
+
+
+def _all_charts_mixed_zero(T1, T2):
+    """Chart route for the cross-term: J(T1+T2) - J(T1) - J(T2) on every chart."""
+    for m in range(T1.n):
+        J12 = jacobiator(descend_to_chart(T1 + T2, m))
+        J1 = jacobiator(descend_to_chart(T1, m))
+        J2 = jacobiator(descend_to_chart(T2, m))
+        for key, poly in J12.coefficients.items():
+            if not (poly - J1.coefficients[key] - J2.coefficients[key]).is_zero:
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _family(parity, k):
+    return build_family(parity, k)
+
+
+def _bumped(T, val):
+    """T plus val on its first stored coefficient, or on (0,1):(0,0) if T = 0."""
+    pair = min(T.pi, default=(0, 1))
+    mono = min(T.pi.get(pair, {}), default=(0, 0))
+    return T + BracketTensor(T.parity, T.k, T.n, {pair: {mono: F(val)}})
 
 
 def test_descend_zero_tensor():
@@ -332,3 +361,69 @@ def test_euler_tensor_validates_shape():
     T = build_tensor(CurveModel.even(2, 0, [1]))
     with pytest.raises(ValueError):
         euler_tensor(T, [[0] * 3 for _ in range(3)])
+
+
+@pytest.mark.parametrize("parity,k", [("even", 1), ("even", 2), ("even", 3),
+                                      ("odd", 1), ("odd", 2), ("odd", 3)])
+def test_certificate_matches_chart_route(parity, k):
+    """E ^ [pi, pi] = 0 agrees with the all-chart Jacobiator, pass and fail."""
+    members = _family(parity, k).tensors
+    summed = members[1] + members[4]
+    cases = [summed] + [_bumped(summed, val) for val in (1, -2, F(1, 3))]
+    verdicts = []
+    for T in cases:
+        verdict = jacobi_check(T)
+        assert verdict["holds"] == _all_charts_jacobi_zero(T)
+        if not verdict["holds"]:
+            assert verdict["witness"]["chart"] == 0
+        res = compatibility_check(members[1], T - members[1])
+        assert res["compatible"] == verdict["holds"]
+        assert res["witness"] == verdict["witness"]
+        verdicts.append(verdict["holds"])
+    assert verdicts[0]
+    if k >= 2:
+        assert not any(verdicts[1:])
+    if k <= 2:
+        for T2 in (members[5], _bumped(members[5], 1), _bumped(members[5], F(-1, 2))):
+            assert (compatibility_check(members[1], T2)["mixed_zero"]
+                    == _all_charts_mixed_zero(members[1], T2))
+
+
+def test_certificate_ignores_radial_terms_and_scale():
+    """Euler modifications and rational rescaling leave the verdict alone."""
+    T = build_tensor(CurveModel.odd(2, 1, [1, 0, 2], [0, 1, 1, 2]))
+    X = [[(a * 3 + b) % 5 - 2 for b in range(T.n)] for a in range(T.n)]
+    assert schouten_certificate(T + euler_tensor(T, X), T + euler_tensor(T, X))
+    broken = _bumped(T, 1).scale(F(2, 7))
+    assert not schouten_certificate(broken, broken)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_family_certifies_at_k5(parity):
+    """All nine members and all 36 pair sums certify at k = 5."""
+    family = build_family(parity, 5)
+    assert all(jacobi_check(T)["holds"] for T in family.tensors)
+    for T1, T2 in combinations(family.tensors, 2):
+        res = compatibility_check(T1, T2)
+        assert res["compatible"] and res["mixed_zero"]
+
+
+@pytest.mark.parametrize("parity,k", [("even", 1), ("even", 2), ("even", 3),
+                                      ("odd", 1), ("odd", 2), ("odd", 3)])
+def test_independence_rank_matches_all_charts(parity, k):
+    """Chart 0 alone gives the rank of every chart stacked together."""
+    family = _family(parity, k)
+    members = family.tensors
+    dependent = FamilyBasis(parity, k, members[:8] + (members[1] + members[2].scale(2),),
+                            family.labels)
+    for fam in (family, dependent):
+        rows = [{(m, a, b, expo): val
+                 for m in range(T.n)
+                 for (a, b), poly in descend_to_chart(T, m).funcs.items()
+                 for expo, val in poly.terms.items()}
+                for T in fam.tensors]
+        keys = sorted({key for row in rows for key in row})
+        matrix = [[row.get(key, F(0)) for key in keys] for row in rows]
+        assert independence_rank(fam) == _matrix_rank(matrix)
+    if (parity, k) != ("even", 1):
+        assert independence_rank(dependent) == 8
