@@ -306,25 +306,32 @@ def _symmetrize(matrix: Dict[PairKey, Fraction]) -> FormDict:
     return {key: val for key, val in form.items() if val}
 
 
-def _five_term_forms(model: CurveModel, space: SectionSpace,
-                     truncate: bool) -> Dict[PairKey, FormDict]:
-    basis = space.basis_elements()
-    derivs = [curve_derivation(e) for e in basis]
+def _assemble(space: SectionSpace, basis: Sequence[CurveElement],
+              images_a: Sequence[CurveElement], images_b: Sequence[CurveElement],
+              scale: RationalLike, truncate: bool) -> Dict[PairKey, FormDict]:
+    """Forms of scale*S(s_a^s_b) + s_a (x) A(s_b) + B(s_b) (x) s_a
+    - s_b (x) A(s_a) - B(s_a) (x) s_b over every basis pair a < b."""
     labels = space.labels()
-    n = space.dim
     pi: Dict[PairKey, FormDict] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            T = mult_kernel_antisym(basis[a], basis[b]).scale(n)
-            T = T + BiCurveElement.from_sections(basis[a], derivs[b])
-            T = T + BiCurveElement.from_sections(derivs[b], basis[a])
-            T = T - BiCurveElement.from_sections(basis[b], derivs[a])
-            T = T - BiCurveElement.from_sections(derivs[a], basis[b])
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            T = mult_kernel_antisym(basis[a], basis[b]).scale(scale)
+            T = T + BiCurveElement.from_sections(basis[a], images_a[b])
+            T = T + BiCurveElement.from_sections(images_b[b], basis[a])
+            T = T - BiCurveElement.from_sections(basis[b], images_a[a])
+            T = T - BiCurveElement.from_sections(images_b[a], basis[b])
             form = _symmetrize(_pair_matrix(T, space, truncate,
                                             f"({labels[a]}, {labels[b]})"))
             if form:
                 pi[(a, b)] = form
     return pi
+
+
+def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDict]:
+    """The assembly with A = B = D, the canonical derivation, and scale n."""
+    basis = space.basis_elements()
+    derivs = [curve_derivation(e) for e in basis]
+    return _assemble(space, basis, derivs, derivs, space.dim, truncate)
 
 
 def _combine_forms(parts: Sequence[Tuple[Dict[PairKey, FormDict], Fraction]]) -> Dict[PairKey, FormDict]:
@@ -351,8 +358,8 @@ def _odd_shift_forms(k: int) -> Dict[PairKey, FormDict]:
     if k not in _ODD_SHIFT_CACHE:
         m0 = CurveModel.odd(k, 0, 0, 0)
         m1 = CurveModel.odd(k, 1, 0, 0)
-        w0 = _five_term_forms(m0, SectionSpace(m0, k), truncate=True)
-        w1 = _five_term_forms(m1, SectionSpace(m1, k), truncate=True)
+        w0 = _five_term_forms(SectionSpace(m0, k), truncate=True)
+        w1 = _five_term_forms(SectionSpace(m1, k), truncate=True)
         factor = Fraction(2, 2 * k + 1)
         _ODD_SHIFT_CACHE[k] = _combine_forms([(w1, factor), (w0, -2 * factor)])
     return _ODD_SHIFT_CACHE[k]
@@ -366,7 +373,7 @@ def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTe
     """
     model._require_numeric("bracket construction")
     space = SectionSpace(model, k)
-    forms = _five_term_forms(model, space, truncate=True)
+    forms = _five_term_forms(space, truncate=True)
     prov = dict(model.to_json())
     prov["assembly"] = "five-term, truncated"
     return BracketTensor(model.parity, space.k, space.dim, forms, prov)
@@ -383,10 +390,10 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     space = SectionSpace(model, k)
     prov = dict(model.to_json())
     if model.parity == "even":
-        forms = _five_term_forms(model, space, truncate=False)
+        forms = _five_term_forms(space, truncate=False)
         prov["assembly"] = "five-term"
     else:
-        base = _five_term_forms(model, space, truncate=True)
+        base = _five_term_forms(space, truncate=True)
         forms = _combine_forms([(base, Fraction(1)),
                                 (_odd_shift_forms(space.k), Fraction(1))])
         prov["assembly"] = "five-term, pole-corrected"
@@ -405,20 +412,7 @@ def build_tensor_generic(model: CurveModel, ops: CorrectionOperators,
     space = SectionSpace(model, k)
     if len(ops.images_a) != space.dim or len(ops.images_b) != space.dim:
         raise ValueError("correction operator images do not match the basis size")
-    basis = space.basis_elements()
-    labels = space.labels()
-    pi: Dict[PairKey, FormDict] = {}
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            T = mult_kernel_antisym(basis[a], basis[b])
-            T = T + BiCurveElement.from_sections(basis[a], ops.images_a[b])
-            T = T - BiCurveElement.from_sections(basis[b], ops.images_a[a])
-            T = T + BiCurveElement.from_sections(ops.images_b[b], basis[a])
-            T = T - BiCurveElement.from_sections(ops.images_b[a], basis[b])
-            form = _symmetrize(_pair_matrix(T, space, False,
-                                            f"({labels[a]}, {labels[b]})"))
-            if form:
-                pi[(a, b)] = form
+    pi = _assemble(space, space.basis_elements(), ops.images_a, ops.images_b, 1, False)
     prov = dict(model.to_json())
     prov["assembly"] = "generic"
     prov["correction"] = ops.e_divisor

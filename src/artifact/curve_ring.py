@@ -26,10 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
     LaurentSeries,
+    NonzeroRemainder,
     Poly,
     QuadExtElem,
     RationalLike,
-    exact_div_linear,
     poly_div_linear_power,
     poly_divmod_linear,
     rat,
@@ -183,6 +183,22 @@ def _check_models(a: "CurveModel", b: "CurveModel") -> None:
         raise ValueError("elements belong to different curve models")
 
 
+def _cancel_poles(numerators: List[Poly], var: str, root: Union[Poly, RationalLike],
+                  m: int) -> Tuple[List[Poly], int]:
+    """Divide every numerator by (var - root) while all of them divide
+    exactly, at most m times; returns the quotients and the order left."""
+    while m > 0:
+        quotients = []
+        for p in numerators:
+            q, r = poly_divmod_linear(p, var, root)
+            if not r.is_zero:
+                return numerators, m
+            quotients.append(q)
+        numerators = quotients
+        m -= 1
+    return numerators, m
+
+
 class CurveElement:
     """A curve function in normal form.
 
@@ -202,18 +218,8 @@ class CurveElement:
             raise ValueError("even elements carry no (t+c) denominator")
         if alpha.is_zero and beta.is_zero:
             denom_power = 0
-        root = -model.c
-        while denom_power > 0:
-            qa, ra = poly_divmod_linear(alpha, "t", root)
-            qb, rb = poly_divmod_linear(beta, "t", root)
-            if ra.is_zero and rb.is_zero:
-                alpha, beta = qa, qb
-                denom_power -= 1
-            else:
-                break
-        self.alpha = alpha
-        self.beta = beta
-        self.denom_power = denom_power
+        (self.alpha, self.beta), self.denom_power = _cancel_poles(
+            [alpha, beta], "t", -model.c, denom_power)
 
     @property
     def is_zero(self) -> bool:
@@ -351,12 +357,9 @@ def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],
         raise ZeroDivisionError("zero denominator")
     m = 0
     if model.parity == "odd":
-        while den.degree_in("t") > 0:
-            q, r = poly_divmod_linear(den, "t", -model.c)
-            if not r.is_zero:
-                raise DivisionByNonUnit(f"denominator {denominator} is not a power of (t + {model.c})")
-            den = q
-            m += 1
+        m = den.degree_in("t")
+        (den,), left = _cancel_poles([den], "t", -model.c, m)
+        m -= left
     if den.total_degree() > 0:
         raise DivisionByNonUnit(f"denominator {denominator} is not a unit times (t+c)^m")
     unit = den.constant_value()
@@ -479,35 +482,12 @@ class BiCurveElement:
     def __init__(self, model: CurveModel, c00: Poly, c10: Poly, c01: Poly, c11: Poly,
                  m1: int = 0, m2: int = 0):
         self.model = model
-        coeffs = [c00, c10, c01, c11]
         if model.parity == "even" and (m1 or m2):
             raise ValueError("even parity carries no pole orders")
-        root = -model.c
         # minimal pole orders per slot
-        for var, m_attr in (("t1", "m1"), ("t2", "m2")):
-            m = m1 if var == "t1" else m2
-            while m > 0:
-                divided = []
-                ok = True
-                for p in coeffs:
-                    q, r = poly_divmod_linear(p, var, root)
-                    if not r.is_zero:
-                        ok = False
-                        break
-                    divided.append(q)
-                if not ok:
-                    break
-                coeffs = divided
-                m -= 1
-            if var == "t1":
-                m1 = m
-            else:
-                m2 = m
-        if all(p.is_zero for p in coeffs):
-            m1 = m2 = 0
+        coeffs, self.m1 = _cancel_poles([c00, c10, c01, c11], "t1", -model.c, m1)
+        coeffs, self.m2 = _cancel_poles(coeffs, "t2", -model.c, m2)
         self.c00, self.c10, self.c01, self.c11 = coeffs
-        self.m1 = m1
-        self.m2 = m2
 
     @property
     def bivars(self) -> Tuple[str, ...]:
@@ -661,24 +641,16 @@ def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
     return A, B, C, D
 
 
-@dataclass(frozen=True, eq=False)
-class SzegoKernel:
-    """Numerator of the algebraic Szego kernel plus its denominator marker.
+def szego_kernel(model: CurveModel) -> BiCurveElement:
+    """Numerator w1 + w2 of the kernel S = (w1 + w2)/(t1 - t2).
 
-    The kernel itself is numerator / (t1 - t2); the division is never
-    performed here, only later against factors known to cancel it.
+    The division by (t1 - t2) is never performed here, only later against
+    factors known to cancel it.
     """
-
-    numerator: BiCurveElement
-    denominator: str = "t1 - t2"
-
-
-def szego_kernel(model: CurveModel) -> SzegoKernel:
-    """S = (w1 + w2)/(t1 - t2) for the given curve, as numerator + marker."""
     bivars = ("t1", "t2") + model.params
     zero = Poly(bivars)
     one = Poly.const(bivars, 1)
-    return SzegoKernel(BiCurveElement(model, zero, one, one, zero))
+    return BiCurveElement(model, zero, one, one, zero)
 
 
 def mult_kernel_antisym(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
@@ -692,8 +664,11 @@ def mult_kernel_antisym(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
     _check_models(s1.model, s2.model)
     model = s1.model
     raw = BiCurveElement.from_sections(s1, s2) - BiCurveElement.from_sections(s2, s1)
-    num = szego_kernel(model).numerator * raw
-    parts = [exact_div_linear(p, "t1", "t2") for p in (num.c00, num.c10, num.c01, num.c11)]
+    num = szego_kernel(model) * raw
+    parts, left = _cancel_poles([num.c00, num.c10, num.c01, num.c11], "t1",
+                                Poly.var(num.bivars, "t2"), 1)
+    if left:
+        raise NonzeroRemainder(f"{num} does not vanish on the diagonal t1 = t2")
     return BiCurveElement(model, *parts, m1=num.m1, m2=num.m2)
 
 
@@ -738,7 +713,7 @@ def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
         raise DegenerateDivisor("t^4 coefficient of R vanishes; divisor at infinity degenerates")
 
     # diagonal: numerator restricted to t1 = t2 = t must be exactly 2w
-    diag = szego_kernel(model).numerator.diagonal_restriction()
+    diag = szego_kernel(model).diagonal_restriction()
     aw, bw, m = diag.w_parts()
     if m or not aw.is_zero:
         raise DivisionByNonUnit(f"diagonal numerator {diag} is not a multiple of w")

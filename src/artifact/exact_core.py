@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -378,14 +378,19 @@ class Poly:
         return f"Poly({self})"
 
 
-def poly_divmod_linear(p: Poly, name: str, root: RationalLike) -> Tuple[Poly, Poly]:
-    """Divide by the monic linear factor (name - root) for a scalar root.
+def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> Tuple[Poly, Poly]:
+    """Divide by the monic linear factor (name - root).
 
+    The root is a rational or a Poly of p's context free of `name`.
     Synthetic division on the `name`-coefficients (which may involve the
     other variables).  Returns (quotient, remainder); the remainder is free
     of `name`.
     """
-    root = rat(root)
+    if isinstance(root, Poly):
+        if root.degree_in(name) > 0:
+            raise ValueError(f"root {root} involves {name}")
+    else:
+        root = rat(root)
     buckets = p.as_univar(name)
     if not buckets:
         return Poly(p.vars), Poly(p.vars)
@@ -423,34 +428,6 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tup
         rem_total = rem_total + r * factor
         factor = factor * linear
     return q, rem_total
-
-
-def exact_div_linear(p: Poly, name1: str, name2: str) -> Poly:
-    """Exact division by (name1 - name2) for a polynomial vanishing on the
-    diagonal name1 = name2.  Raises NonzeroRemainder otherwise.
-
-    Synthetic division in name1 with the variable name2 as the root.
-    """
-    buckets = p.as_univar(name1)
-    if not buckets:
-        return Poly(p.vars)
-    y = Poly.var(p.vars, name2)
-    top = max(buckets)
-    zero = Poly(p.vars)
-    acc = zero
-    quotient_parts: Dict[int, Poly] = {}
-    for power in range(top, 0, -1):
-        acc = buckets.get(power, zero) + acc * y
-        quotient_parts[power - 1] = acc
-    remainder = buckets.get(0, zero) + acc * y
-    if not remainder.is_zero:
-        raise NonzeroRemainder(f"not divisible by ({name1} - {name2}): remainder {remainder}")
-    q = zero
-    for power, coeff_poly in quotient_parts.items():
-        if coeff_poly.is_zero:
-            continue
-        q = q + (coeff_poly * Poly.var(p.vars, name1, power) if power else coeff_poly)
-    return q
 
 
 class QuadExtElem:

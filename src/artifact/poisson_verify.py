@@ -33,14 +33,14 @@ def _chart_context(n: int, m: int) -> Tuple[str, ...]:
     return tuple(f"u{a}" for a in range(n) if a != m)
 
 
-def _form_chart_poly(form: FormDict, m: int, ctx: Tuple[str, ...],
-                     slot_of: Dict[int, int]) -> Poly:
-    """The quadratic form with coordinate m set to 1, the rest to u's."""
+def _form_poly(form: FormDict, ctx: Tuple[str, ...], slot_of: Dict[int, int]) -> Poly:
+    """The quadratic form with x_i -> ctx[slot_of[i]]; a coordinate missing
+    from slot_of is set to 1, as x_m is on chart m."""
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for (u, v), val in form.items():
         expo = [0] * len(ctx)
         for idx in (u, v):
-            if idx != m:
+            if idx in slot_of:
                 expo[slot_of[idx]] += 1
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + val
@@ -67,21 +67,6 @@ class ChartBracket:
     @property
     def indices(self) -> List[int]:
         return [a for a in range(self.n) if a != self.m]
-
-
-@dataclass(frozen=True)
-class Multivector:
-    """Alternating table of polynomials indexed by sorted index tuples."""
-
-    degree: int
-    coefficients: Dict[Tuple[int, ...], Poly]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.coefficients.values())
-
-    def nonzero_keys(self) -> List[Tuple[int, ...]]:
-        return sorted(key for key, p in self.coefficients.items() if not p.is_zero)
 
 
 @dataclass(frozen=True)
@@ -128,9 +113,9 @@ def descend_to_chart(T: BracketTensor, m: int) -> ChartBracket:
             if b == m:
                 continue
             u_b = Poly.var(ctx, f"u{b}")
-            poly = _form_chart_poly(T.form(a, b), m, ctx, slot_of)
-            poly = poly - u_a * _form_chart_poly(T.form(m, b), m, ctx, slot_of)
-            poly = poly + u_b * _form_chart_poly(T.form(m, a), m, ctx, slot_of)
+            poly = _form_poly(T.form(a, b), ctx, slot_of)
+            poly = poly - u_a * _form_poly(T.form(m, b), ctx, slot_of)
+            poly = poly + u_b * _form_poly(T.form(m, a), ctx, slot_of)
             if not poly.is_zero:
                 funcs[(a, b)] = poly
     return ChartBracket(m, T.n, ctx, funcs)
@@ -149,8 +134,8 @@ def _chart_bracket_of(cb: ChartBracket, i: int, F: Poly) -> Poly:
     return out
 
 
-def jacobiator(cb: ChartBracket) -> Multivector:
-    """Full table of Jacobi obstructions J(u_a, u_b, u_c) on the chart."""
+def jacobiator(cb: ChartBracket) -> Dict[Tuple[int, int, int], Poly]:
+    """Jacobi obstruction J(u_a, u_b, u_c) on the chart for every a < b < c."""
     idxs = cb.indices
     table: Dict[Tuple[int, ...], Poly] = {}
     for i, a in enumerate(idxs):
@@ -162,20 +147,19 @@ def jacobiator(cb: ChartBracket) -> Multivector:
                 J = J + _chart_bracket_of(cb, b, cb.structure(c, a))
                 J = J + _chart_bracket_of(cb, c, cb.structure(a, b))
                 table[(a, b, c)] = J
-    return Multivector(3, table)
+    return table
 
 
 def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
-    """First nonzero chart Jacobiator entry, charts in order.
+    """First nonzero Jacobiator entry on chart 0.
 
-    For a tensor that fails the homogeneous certificate this is found on
-    chart 0: the obstruction is a nonzero polynomial, so it cannot vanish
-    on the dense chart x_0 = 1.
+    A tensor that fails the homogeneous certificate has a nonzero
+    obstruction polynomial, which cannot vanish on the dense chart x_0 = 1.
     """
-    for m in range(T.n):
-        J = jacobiator(descend_to_chart(T, m))
-        for key in J.nonzero_keys():
-            return {"chart": m, "triple": key, "obstruction": str(J.coefficients[key])}
+    J = jacobiator(descend_to_chart(T, 0))
+    for key in sorted(J):
+        if not J[key].is_zero:
+            return {"chart": 0, "triple": key, "obstruction": str(J[key])}
     return None
 
 
@@ -210,42 +194,33 @@ def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
     return grad
 
 
-def schouten_certificate(T1: BracketTensor, T2: BracketTensor) -> bool:
-    """True when E ^ (Jac(pi1, pi2) + Jac(pi2, pi1)) vanishes identically.
+def schouten_certificate(T: BracketTensor) -> bool:
+    """True when E ^ Jac(pi) vanishes identically.
 
-    Jac(pi1, pi2)^{abc} = sum_d pi1^{ad} d_d pi2^{bc} + cyclic in (a, b, c)
-    is bilinear, so Jac(pi, pi) is the Jacobiator of pi and the symmetric
-    sum for two tensors is the mixed term of their sum.  The vanishing of
-    E ^ Jac(pi, pi) is the Jacobi identity of the bracket that pi induces
-    on projective space.  Each tensor is scaled by its common denominator,
-    which leaves the zero test unchanged, and the identity is checked over
-    ints on every component a < b < c < d.
+    Jac(pi)^{abc} = sum_d pi^{ad} d_d pi^{bc} + cyclic in (a, b, c) is the
+    Jacobiator of pi, and the vanishing of E ^ Jac(pi) is the Jacobi
+    identity of the bracket that pi induces on projective space.  The
+    tensor is scaled by its common denominator, which leaves the zero
+    test unchanged, and the identity is checked over ints on every
+    component a < b < c < d.
     """
-    if T1.n != T2.n:
-        raise ValueError("tensor sizes differ")
-    n = T1.n
-    rows1 = _integer_rows(T1)
-    if T2 is T1:
-        orders = [(rows1, rows1)]  # Jac(pi, pi) has the zero set of 2 Jac(pi, pi)
-    else:
-        rows2 = _integer_rows(T2)
-        orders = [(rows1, rows2), (rows2, rows1)]
+    n = T.n
+    rows = _integer_rows(T)
+    grads = {(b, c): _gradient(poly, n)
+             for b in range(n) for c, poly in rows[b].items() if b < c}
     jac: Dict[Tuple[int, int, int], IntPoly] = {}
-    for left, right in orders:
-        grads = {(b, c): _gradient(poly, n)
-                 for b in range(n) for c, poly in right[b].items() if b < c}
-        for a, b, c in combinations(range(n), 3):
-            acc = jac.setdefault((a, b, c), {})
-            for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
-                row = left[i]
-                for d, lin in grads.get(pair, {}).items():
-                    quad = row.get(d)
-                    if quad is None:
-                        continue
-                    for m1, v1 in quad.items():
-                        for m2, v2 in lin.items():
-                            key = m1 + m2
-                            acc[key] = acc.get(key, 0) + sign * v1 * v2
+    for a, b, c in combinations(range(n), 3):
+        acc = jac[(a, b, c)] = {}
+        for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
+            row = rows[i]
+            for d, lin in grads.get(pair, {}).items():
+                quad = row.get(d)
+                if quad is None:
+                    continue
+                for m1, v1 in quad.items():
+                    for m2, v2 in lin.items():
+                        key = m1 + m2
+                        acc[key] = acc.get(key, 0) + sign * v1 * v2
     for quad in combinations(range(n), 4):
         wedge: IntPoly = {}
         for pos, a in enumerate(quad):
@@ -261,21 +236,16 @@ def schouten_certificate(T1: BracketTensor, T2: BracketTensor) -> bool:
 
 def jacobi_check(T: BracketTensor) -> dict:
     """Jacobi verdict from E ^ [pi, pi] = 0, with a chart witness on failure."""
-    holds = schouten_certificate(T, T)
+    holds = schouten_certificate(T)
     return {"holds": holds, "witness": None if holds else _first_jacobi_witness(T)}
 
 
 def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
-    """Jacobi certificate of T1 + T2, with the mixed cross-term.
-
-    The sum test is the operative one; the mixed obstruction
-    Jac(pi1, pi2) + Jac(pi2, pi1) is reported alongside as a redundancy.
-    """
+    """Jacobi certificate of T1 + T2, with a chart witness on failure."""
     total = T1 + T2
-    compatible = schouten_certificate(total, total)
+    compatible = schouten_certificate(total)
     return {"compatible": compatible,
-            "witness": None if compatible else _first_jacobi_witness(total),
-            "mixed_zero": schouten_certificate(T1, T2)}
+            "witness": None if compatible else _first_jacobi_witness(total)}
 
 
 def independence_rank(F: FamilyBasis) -> int:
@@ -404,17 +374,6 @@ def _phi_context(n: int) -> Tuple[str, ...]:
     return tuple(f"phi{i}" for i in range(n))
 
 
-def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for (u, v), val in form.items():
-        expo = [0] * len(ctx)
-        expo[u] += 1
-        expo[v] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + val
-    return Poly(ctx, terms)
-
-
 def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
     terms = {}
     for i, c in enumerate(coeffs):
@@ -428,10 +387,11 @@ def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
 def _bracket_of_linear(T: BracketTensor, f: Sequence[Fraction],
                        g: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
     out = Poly(ctx)
+    slot_of = {i: i for i in range(T.n)}
     for (a, b), form in T.pi.items():
         factor = f[a] * g[b] - f[b] * g[a]
         if factor:
-            out = out + _form_poly(form, ctx) * factor
+            out = out + _form_poly(form, ctx, slot_of) * factor
     return out
 
 

@@ -7,12 +7,15 @@ files under tests/golden.  Set UPDATE_GOLDENS=1 to regenerate the files.
 
 import json
 import os
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from artifact.bracket_forge import BracketTensor, build_family
+from artifact import poisson_verify
+from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
 from artifact.cli_reports import main
+from artifact.poisson_verify import descend_to_chart, jacobiator
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +189,32 @@ def test_verify_compat_names_failing_pair(tmp_path, monkeypatch, capsys):
     assert set(witness) == {"chart", "triple", "obstruction"}
     assert witness["chart"] == 0
     assert report["data"]["passed"] < report["data"]["pairs"]
+
+
+def test_verify_compat_builds_one_witness(tmp_path, monkeypatch, capsys):
+    """Every failing pair is counted, but only the first one gets a witness."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(["bracket", "family", "--parity", "even", "--k", "2"], capsys)
+    data = json.loads(Path("family.json").read_text())
+    data["basis"][1]["pi"][0]["q"][0]["val"] = "7"
+    Path("bad.json").write_text(json.dumps(data))
+    members = FamilyBasis.from_json(data).tensors
+    failing = [(i, j) for i, j in combinations(range(9), 2)
+               if any(not J.is_zero for m in range(members[i].n)
+                      for J in jacobiator(descend_to_chart(members[i] + members[j], m)).values())]
+    assert len(failing) >= 2
+    calls = []
+    original = poisson_verify._first_jacobi_witness
+    monkeypatch.setattr(poisson_verify, "_first_jacobi_witness",
+                        lambda T: calls.append(T) or original(T))
+    code, out, _ = run_cli(["verify", "compat", "--family", "bad.json", "--json"],
+                           capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["data"]["passed"] == 36 - len(failing)
+    assert report["checks"][0]["witness"]["pair"] == list(failing[0])
+    assert report["checks"][0]["witness"]["witness"]["chart"] == 0
+    assert len(calls) == 1
 
 
 def _corrupt_pair(entry):

@@ -7,13 +7,11 @@ import pytest
 
 from artifact.exact_core import (
     LaurentSeries,
-    NonzeroRemainder,
     Poly,
     QuadExtElem,
     SqrtNotRepresentable,
     VariableContextMismatch,
     ZeroLeading,
-    exact_div_linear,
     poly_div_linear_power,
     poly_divmod_linear,
     rat,
@@ -126,39 +124,41 @@ def test_poly_with_context_embedding():
         r.with_context(("t",))
 
 
-def test_exact_div_linear_difference_of_squares():
+def test_divmod_variable_root_difference_of_squares():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
-    assert exact_div_linear(t1 ** 2 - t2 ** 2, "t1", "t2") == t1 + t2
+    assert poly_divmod_linear(t1 ** 2 - t2 ** 2, "t1", t2) == (t1 + t2, Poly(vs))
 
 
-def test_exact_div_linear_multiply_back():
+def test_divmod_variable_root_multiply_back():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
     p = t1 ** 3 * t2 - t1 * t2 ** 3
-    q = exact_div_linear(p, "t1", "t2")
-    assert q == t1 * t2 * (t1 + t2)
+    q, r = poly_divmod_linear(p, "t1", t2)
+    assert q == t1 * t2 * (t1 + t2) and r.is_zero
     assert q * (t1 - t2) == p
 
 
-def test_exact_div_linear_remainder_raises():
+def test_divmod_variable_root_remainder():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
-    with pytest.raises(NonzeroRemainder):
-        exact_div_linear(t1 - t2 + 1, "t1", "t2")
+    _, r = poly_divmod_linear(t1 - t2 + 1, "t1", t2)
+    assert r == Poly.const(vs, 1)
+    with pytest.raises(ValueError):
+        poly_divmod_linear(t1 - t2, "t1", t1 + t2)
 
 
-def test_exact_div_linear_randomized_roundtrip():
+def test_divmod_variable_root_randomized_roundtrip():
     rng = random.Random(SEED)
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
     for _ in range(200):
         p = _rand_poly(rng, vs)
-        assert exact_div_linear(p * (t1 - t2), "t1", "t2") == p
+        assert poly_divmod_linear(p * (t1 - t2), "t1", t2) == (p, Poly(vs))
 
 
 def test_poly_divmod_linear():

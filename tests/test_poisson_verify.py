@@ -40,19 +40,8 @@ def _poly(ctx, spec):
 
 
 def _all_charts_jacobi_zero(T):
-    return all(jacobiator(descend_to_chart(T, m)).is_zero for m in range(T.n))
-
-
-def _all_charts_mixed_zero(T1, T2):
-    """Chart route for the cross-term: J(T1+T2) - J(T1) - J(T2) on every chart."""
-    for m in range(T1.n):
-        J12 = jacobiator(descend_to_chart(T1 + T2, m))
-        J1 = jacobiator(descend_to_chart(T1, m))
-        J2 = jacobiator(descend_to_chart(T2, m))
-        for key, poly in J12.coefficients.items():
-            if not (poly - J1.coefficients[key] - J2.coefficients[key]).is_zero:
-                return False
-    return True
+    return all(J.is_zero for m in range(T.n)
+               for J in jacobiator(descend_to_chart(T, m)).values())
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +136,7 @@ def test_jacobiator_trivial_on_two_coordinates():
     """A single chart coordinate admits no triples at all."""
     T = BracketTensor("even", 1, 2, {(0, 1): {(0, 0): F(1)}})
     J = jacobiator(descend_to_chart(T, 0))
-    assert J.coefficients == {}
-    assert J.is_zero
+    assert J == {}
 
 
 def test_jacobi_passes_for_built_tensors():
@@ -165,7 +153,7 @@ def test_jacobiator_flags_perturbation():
     offenders = []
     for m in range(broken.n):
         J = jacobiator(descend_to_chart(broken, m))
-        offenders.extend(J.nonzero_keys())
+        offenders.extend(key for key, poly in J.items() if not poly.is_zero)
     assert offenders
     assert all(len(key) == 3 for key in offenders)
 
@@ -197,7 +185,7 @@ def test_jacobiator_agrees_with_sympy():
         return out
 
     mine = jacobiator(cb)
-    for (a, b, c), poly in mine.coefficients.items():
+    for (a, b, c), poly in mine.items():
         reference = (bracket(a, lift(cb.structure(b, c)))
                      + bracket(b, lift(cb.structure(c, a)))
                      + bracket(c, lift(cb.structure(a, b))))
@@ -208,7 +196,7 @@ def test_compatibility_self_and_perturbed():
     """T with itself passes; T against a broken tensor reports a witness."""
     T = build_tensor(CurveModel.even(2, [0, 1, 0], [1, 0, 2, 0, 0]))
     res = compatibility_check(T, T)
-    assert res["compatible"] and res["witness"] is None and res["mixed_zero"]
+    assert res["compatible"] and res["witness"] is None
     bump = BracketTensor("even", 2, 4, {(0, 1): {(2, 2): F(1)}})
     res = compatibility_check(T, T + bump)
     assert not res["compatible"]
@@ -383,19 +371,15 @@ def test_certificate_matches_chart_route(parity, k):
     assert verdicts[0]
     if k >= 2:
         assert not any(verdicts[1:])
-    if k <= 2:
-        for T2 in (members[5], _bumped(members[5], 1), _bumped(members[5], F(-1, 2))):
-            assert (compatibility_check(members[1], T2)["mixed_zero"]
-                    == _all_charts_mixed_zero(members[1], T2))
 
 
 def test_certificate_ignores_radial_terms_and_scale():
     """Euler modifications and rational rescaling leave the verdict alone."""
     T = build_tensor(CurveModel.odd(2, 1, [1, 0, 2], [0, 1, 1, 2]))
     X = [[(a * 3 + b) % 5 - 2 for b in range(T.n)] for a in range(T.n)]
-    assert schouten_certificate(T + euler_tensor(T, X), T + euler_tensor(T, X))
+    assert schouten_certificate(T + euler_tensor(T, X))
     broken = _bumped(T, 1).scale(F(2, 7))
-    assert not schouten_certificate(broken, broken)
+    assert not schouten_certificate(broken)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -405,7 +389,7 @@ def test_family_certifies_at_k5(parity):
     assert all(jacobi_check(T)["holds"] for T in family.tensors)
     for T1, T2 in combinations(family.tensors, 2):
         res = compatibility_check(T1, T2)
-        assert res["compatible"] and res["mixed_zero"]
+        assert res["compatible"]
 
 
 @pytest.mark.parametrize("parity,k", [("even", 1), ("even", 2), ("even", 3),

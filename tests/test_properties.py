@@ -1,0 +1,118 @@
+"""Property tests: exact division, curve normal form, tensor JSON and the
+Jacobi certificate, on inputs drawn by hypothesis.
+
+Examples are few and derandomized so that the suite stays quick and
+reproducible; every property is exact, so one counterexample is a bug.
+"""
+
+import json
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from artifact.bracket_forge import BracketTensor, build_family
+from artifact.curve_ring import CurveElement, CurveModel
+from artifact.exact_core import Poly, poly_divmod_linear
+from artifact.poisson_verify import euler_tensor, schouten_certificate
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+
+VS = ("t", "s")
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+def polys(variables, max_exp=3, free_of=None):
+    """Sparse polynomials over `variables`, optionally without `free_of`."""
+    width = len(variables)
+    slot = variables.index(free_of) if free_of else None
+    expo = st.tuples(*[st.just(0) if i == slot else st.integers(0, max_exp)
+                       for i in range(width)])
+    return st.dictionaries(expo, rationals, max_size=5).map(lambda t: Poly(variables, t))
+
+
+@PROPERTY
+@given(p=polys(VS), root=st.one_of(rationals, polys(VS, free_of="t")))
+def test_divmod_reconstructs(p, root):
+    """q * (t - root) + r == p with r free of t, for scalar and Poly roots."""
+    q, r = poly_divmod_linear(p, "t", root)
+    assert r.degree_in("t") <= 0
+    assert q * (Poly.var(VS, "t") - root) + r == p
+
+
+@PROPERTY
+@given(c=rationals, alpha=polys(("t",)), beta=polys(("t",)),
+       m=st.integers(0, 2), j=st.integers(0, 2))
+def test_curve_element_normal_form(c, alpha, beta, m, j):
+    """Extra (t+c) factors in numerator and denominator cancel to one form."""
+    model = CurveModel.odd(1, c, [1, 0, 2], [0, 1, 0, 3])
+    e = CurveElement(model, alpha, beta, m)
+    tau = model.tau_poly() ** j
+    assert CurveElement(model, alpha * tau, beta * tau, m + j) == e
+    if e.denom_power:
+        divisible = [poly_divmod_linear(p, "t", -c)[1].is_zero for p in (e.alpha, e.beta)]
+        assert not all(divisible)
+
+
+@st.composite
+def tensors(draw, max_k=2):
+    parity = draw(st.sampled_from(["even", "odd"]))
+    k = draw(st.integers(1, max_k))
+    n = 2 * k + (parity == "odd")
+    index = st.integers(0, n - 1)
+    pairs = st.tuples(index, index).filter(lambda ab: ab[0] < ab[1])
+    monos = st.tuples(index, index).map(lambda uv: tuple(sorted(uv)))
+    forms = st.dictionaries(monos, rationals, max_size=3)
+    return BracketTensor(parity, k, n, draw(st.dictionaries(pairs, forms, max_size=6)))
+
+
+@PROPERTY
+@given(T=tensors())
+def test_tensor_json_canonical(T):
+    """JSON round trip is the identity and the text ignores insertion order."""
+    text = json.dumps(T.to_json())
+    back = BracketTensor.from_json(json.loads(text))
+    assert back == T and json.dumps(back.to_json()) == text
+    reordered = {pair: dict(reversed(list(form.items())))
+                 for pair, form in reversed(list(T.pi.items()))}
+    assert json.dumps(BracketTensor(T.parity, T.k, T.n, reordered).to_json()) == text
+
+
+@lru_cache(maxsize=None)
+def _family(parity, k):
+    return build_family(parity, k).tensors
+
+
+@st.composite
+def family_spans(draw):
+    """An integer combination of the members of a small family."""
+    members = _family(*draw(st.sampled_from([("even", 2), ("odd", 1), ("odd", 2)])))
+    out = members[0].scale(draw(small_ints))
+    for member in members[1:]:
+        out = out + member.scale(draw(small_ints))
+    return out
+
+
+@st.composite
+def with_radial(draw, tensor_strategy):
+    T = draw(tensor_strategy)
+    X = draw(st.lists(st.lists(small_ints, min_size=T.n, max_size=T.n),
+                      min_size=T.n, max_size=T.n))
+    return T, X
+
+
+@PROPERTY
+@given(case=with_radial(st.one_of(tensors(), family_spans())))
+def test_certificate_ignores_radial_terms(case):
+    """Adding E ^ X never changes the verdict of E ^ [pi, pi] = 0."""
+    T, X = case
+    assert schouten_certificate(T + euler_tensor(T, X)) == schouten_certificate(T)
+
+
+@PROPERTY
+@given(T=family_spans())
+def test_family_span_is_poisson(T):
+    """Every combination of pairwise compatible members certifies."""
+    assert schouten_certificate(T)
