@@ -124,14 +124,14 @@ def test_poly_with_context_embedding():
         r.with_context(("t",))
 
 
-def test_divmod_variable_root_difference_of_squares():
+def test_exact_div_linear_difference_of_squares():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
     assert poly_divmod_linear(t1 ** 2 - t2 ** 2, "t1", t2) == (t1 + t2, Poly(vs))
 
 
-def test_divmod_variable_root_multiply_back():
+def test_exact_div_linear_multiply_back():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
@@ -141,7 +141,7 @@ def test_divmod_variable_root_multiply_back():
     assert q * (t1 - t2) == p
 
 
-def test_divmod_variable_root_remainder():
+def test_exact_div_linear_remainder_raises():
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
     t2 = Poly.var(vs, "t2")
@@ -151,7 +151,7 @@ def test_divmod_variable_root_remainder():
         poly_divmod_linear(t1 - t2, "t1", t1 + t2)
 
 
-def test_divmod_variable_root_randomized_roundtrip():
+def test_exact_div_linear_randomized_roundtrip():
     rng = random.Random(SEED)
     vs = ("t1", "t2")
     t1 = Poly.var(vs, "t1")
