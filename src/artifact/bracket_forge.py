@@ -3,8 +3,8 @@
 A bracket tensor on the dual of a section space stores, for every pair of
 coordinates (a, b) with a < b, a symmetric quadratic form in the coordinates.
 The forms come from a five-term combination of the multiplication kernel and
-the canonical derivation; the combination is expanded back over the section
-basis, slot by slot.
+the canonical derivation; the combination is expanded over basis x basis in
+one pass, its (t+c) poles cancelled once, where the coordinates are read off.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly.  For odd parity the derivation picks up a double pole
@@ -27,11 +27,9 @@ from .curve_ring import (
     BiCurveElement,
     CurveElement,
     CurveModel,
-    NotInSpace,
     SectionSpace,
     bicurve_x_blocks,
     curve_derivation,
-    membership_extract,
     mult_kernel_antisym,
 )
 
@@ -221,78 +219,32 @@ class FamilyBasis:
         return cls(data["parity"], data["k"], tensors, tuple(data["labels"]))
 
 
-def _slot1_coords(a_poly: Poly, b_poly: Poly, m1: int, space: SectionSpace,
-                  truncate: bool, problems: List[str], slot2_label: str):
-    """Coordinates of (a_poly + b_poly*x)/(t+c)^m1 in the section basis."""
-    model = space.model
-    if truncate:
-        if m1:
-            root = -model.c
-            a_poly, _ = poly_div_linear_power(a_poly, "t", root, m1)
-            b_poly, _ = poly_div_linear_power(b_poly, "t", root, m1)
-        coords = [Fraction(0)] * space.dim
-        for poly, offset, dmax in ((a_poly, 0, space.k),
-                                   (b_poly, space.k + 1, space.x_deg_max)):
-            if poly.is_zero:
-                continue
-            for i, cf in enumerate(poly.coeffs_univar("t")):
-                if cf and i <= dmax:
-                    coords[offset + i] = cf
-        return coords
-    if model.parity == "odd":
-        elem = CurveElement(model, a_poly * model.tau_poly(), b_poly, m1 + 1)
-    else:
-        elem = CurveElement(model, a_poly, b_poly)
-    try:
-        return membership_extract(elem, space)
-    except NotInSpace as exc:
-        problems.append(f"slot-2 {slot2_label}: {exc}")
-        return None
-
-
 def _pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
                  pair_label: str) -> Dict[PairKey, Fraction]:
-    """Coefficient grid of bi over basis x basis; slot 2 expanded first."""
-    model = bi.model
-    blocks = list(bicurve_x_blocks(bi))
-    problems: List[str] = []
-    if bi.m2:
-        root = -model.c
-        for i, tag in enumerate(("1x1", "x1", "x2", "x1*x2")):
-            q, r = poly_div_linear_power(blocks[i], "t2", root, bi.m2)
-            if not (truncate or r.is_zero):
-                problems.append(f"slot-2 pole remainder in {tag} block: {r}")
-            blocks[i] = q
-        if problems:
-            raise TensorNotInSectionSpace(pair_label, problems)
-    A, B, C, D = blocks
-    t_var = Poly.var(model.tvars, "t")
+    """Coefficient grid of bi over basis x basis, read off its x-blocks.
+
+    Each block is divided once by (t1+c)^m1 (t2+c)^m2; the (t1, t2)
+    exponents of the quotient are the basis indices of the two slots.
+    Strict mode rejects a remainder or an exponent past the basis,
+    truncating mode drops it.
+    """
+    root = -bi.model.c
+    offset = (0, space.k + 1)
+    dmax = (space.k, space.x_deg_max)
     matrix: Dict[PairKey, Fraction] = {}
-    groups = (((A, B), 0, space.k, "t^%d"),
-              ((C, D), space.k + 1, space.x_deg_max, "t^%d*x"))
-    for (t_blk, x_blk), offset, dmax, shape in groups:
-        buckets_a = t_blk.as_univar("t2")
-        buckets_b = x_blk.as_univar("t2")
-        for j in sorted(set(buckets_a) | set(buckets_b)):
-            a_j = buckets_a.get(j)
-            b_j = buckets_b.get(j)
-            if (a_j is None or a_j.is_zero) and (b_j is None or b_j.is_zero):
-                continue
-            label = shape % j
-            if j > dmax:
-                if truncate:
-                    continue
-                problems.append(f"slot-2 term {label} outside the basis")
-                continue
-            a_t = a_j.substitute({"t1": t_var}) if a_j is not None else Poly(model.tvars)
-            b_t = b_j.substitute({"t1": t_var}) if b_j is not None else Poly(model.tvars)
-            coords = _slot1_coords(a_t, b_t, bi.m1, space, truncate, problems, label)
-            if coords is None:
-                continue
-            v = offset + j
-            for u, val in enumerate(coords):
-                if val:
-                    matrix[(u, v)] = matrix.get((u, v), Fraction(0)) + val
+    problems: List[str] = []
+    for (u, v), tag, block in zip(((0, 0), (1, 0), (0, 1), (1, 1)),
+                                  ("1x1", "x1", "x2", "x1*x2"), bicurve_x_blocks(bi)):
+        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1)
+        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2)
+        if not truncate:
+            problems += [f"slot-{slot} pole remainder in {tag} block: {r}"
+                         for slot, r in ((1, r1), (2, r2)) if not r.is_zero]
+        for (i, j), val in q.terms.items():
+            if i <= dmax[u] and j <= dmax[v]:
+                matrix[(offset[u] + i, offset[v] + j)] = val
+            elif not truncate:
+                problems.append(f"term t1^{i}*t2^{j} of the {tag} block outside the basis")
     if problems:
         raise TensorNotInSectionSpace(pair_label, problems)
     return matrix

@@ -474,7 +474,10 @@ class BiCurveElement:
     """Function on the product of the curve with itself, in the w-basis.
 
     Represents (c00 + c10 w1 + c01 w2 + c11 w1 w2) / ((t1+c)^m1 (t2+c)^m2)
-    with the cij polynomials in (t1, t2) and w_i^2 = R(t_i).
+    with the cij polynomials in (t1, t2) and w_i^2 = R(t_i).  The pole
+    orders are the ones the element was built with, not minimal ones:
+    poles are cancelled once, when coordinates are read off its x-blocks.
+    Equality compares the functions.
     """
 
     __slots__ = ("model", "c00", "c10", "c01", "c11", "m1", "m2")
@@ -484,10 +487,8 @@ class BiCurveElement:
         self.model = model
         if model.parity == "even" and (m1 or m2):
             raise ValueError("even parity carries no pole orders")
-        # minimal pole orders per slot
-        coeffs, self.m1 = _cancel_poles([c00, c10, c01, c11], "t1", -model.c, m1)
-        coeffs, self.m2 = _cancel_poles(coeffs, "t2", -model.c, m2)
-        self.c00, self.c10, self.c01, self.c11 = coeffs
+        self.c00, self.c10, self.c01, self.c11 = c00, c10, c01, c11
+        self.m1, self.m2 = m1, m2
 
     @property
     def bivars(self) -> Tuple[str, ...]:
@@ -506,17 +507,12 @@ class BiCurveElement:
         bivars = ("t1", "t2") + model.params
         a1, b1, m1 = e1.w_parts()
         a2, b2, m2 = e2.w_parts()
-        s1 = {"t": Poly.var(bivars, "t1")}
-        s2 = {"t": Poly.var(bivars, "t2")}
-        A1, B1 = a1.substitute(s1), b1.substitute(s1)
-        A2, B2 = a2.substitute(s2), b2.substitute(s2)
+        A1, B1 = (p.with_context(bivars, {"t": "t1"}) for p in (a1, b1))
+        A2, B2 = (p.with_context(bivars, {"t": "t2"}) for p in (a2, b2))
         return cls(model, A1 * A2, B1 * A2, A1 * B2, B1 * B2, m1, m2)
 
-    def _slot_R(self, var: str) -> Poly:
-        return self.model.R.substitute({"t": Poly.var(self.bivars, var)})
-
     def _slot_poly(self, p: Poly, var: str) -> Poly:
-        return p.substitute({"t": Poly.var(self.bivars, var)})
+        return p.with_context(self.bivars, {"t": var})
 
     @property
     def is_zero(self) -> bool:
@@ -560,8 +556,8 @@ class BiCurveElement:
 
     def __mul__(self, other: "BiCurveElement") -> "BiCurveElement":
         _check_models(self.model, other.model)
-        R1 = self._slot_R("t1")
-        R2 = self._slot_R("t2")
+        R1 = self._slot_poly(self.model.R, "t1")
+        R2 = self._slot_poly(self.model.R, "t2")
         zero = Poly(self.bivars)
         acc = {(0, 0): zero, (1, 0): zero, (0, 1): zero, (1, 1): zero}
         for (u1, v1), p in self._items():
@@ -583,19 +579,17 @@ class BiCurveElement:
                               self.m1 + other.m1, self.m2 + other.m2)
 
     def swap_slots(self) -> "BiCurveElement":
-        sub = {"t1": Poly.var(self.bivars, "t2"), "t2": Poly.var(self.bivars, "t1")}
-        return BiCurveElement(self.model, self.c00.substitute(sub), self.c01.substitute(sub),
-                              self.c10.substitute(sub), self.c11.substitute(sub), self.m2, self.m1)
+        swap = {"t1": "t2", "t2": "t1"}
+        return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
+                                            (self.c00, self.c01, self.c10, self.c11)),
+                              self.m2, self.m1)
 
     def diagonal_restriction(self) -> CurveElement:
         """Restrict both slots to the same point; returns a curve element."""
         model = self.model
-        t = Poly.var(model.tvars, "t")
-        sub = {"t1": t, "t2": t}
-        c00 = self.c00.substitute(sub)
-        c10 = self.c10.substitute(sub)
-        c01 = self.c01.substitute(sub)
-        c11 = self.c11.substitute(sub)
+        merge = {"t1": "t", "t2": "t"}
+        c00, c10, c01, c11 = (p.with_context(model.tvars, merge) for p in
+                              (self.c00, self.c10, self.c01, self.c11))
         alpha_w = c00 + c11 * model.R
         beta_w = c10 + c01
         # back to the z-basis numerator
@@ -605,9 +599,10 @@ class BiCurveElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiCurveElement):
             return NotImplemented
-        return (self.model == other.model and self.m1 == other.m1 and self.m2 == other.m2
-                and self.c00 == other.c00 and self.c10 == other.c10
-                and self.c01 == other.c01 and self.c11 == other.c11)
+        if self.model != other.model:
+            return False
+        m1, m2 = max(self.m1, other.m1), max(self.m2, other.m2)
+        return self._lift(m1, m2) == other._lift(m1, m2)
 
     def __repr__(self) -> str:
         core = f"c00={self.c00}, c10={self.c10}, c01={self.c01}, c11={self.c11}"

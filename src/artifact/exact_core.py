@@ -270,7 +270,7 @@ class Poly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- calculus and substitution -------------------------------------
+    # -- calculus, evaluation and renaming ------------------------------
 
     def derivative(self, name: str) -> "Poly":
         slot = self.vars.index(name)
@@ -281,37 +281,6 @@ class Poly:
                 reduced = expo[:slot] + (p - 1,) + expo[slot + 1:]
                 terms[reduced] = terms.get(reduced, Fraction(0)) + c * p
         return Poly(self.vars, terms)
-
-    def substitute(self, assignments: Dict[str, Union["Poly", RationalLike]]) -> "Poly":
-        """Substitute polynomials or scalars for variables (context of the
-        result = context of the substituted values, which must agree; plain
-        variables keep the original context)."""
-        values: Dict[str, Poly] = {}
-        ctx = self.vars
-        for name, val in assignments.items():
-            if name not in self.vars:
-                raise ValueError(f"unknown variable {name}")
-            if isinstance(val, Poly):
-                ctx = val.vars
-        for name, val in assignments.items():
-            values[name] = val if isinstance(val, Poly) else Poly.const(ctx, val)
-            if values[name].vars != ctx:
-                raise VariableContextMismatch(f"{values[name].vars} vs {ctx}")
-        result = Poly(ctx)
-        for expo, c in self.terms.items():
-            term = Poly.const(ctx, c)
-            for slot, power in enumerate(expo):
-                if not power:
-                    continue
-                name = self.vars[slot]
-                if name in values:
-                    term = term * values[name] ** power
-                else:
-                    if name not in ctx:
-                        raise VariableContextMismatch(f"{name} missing from {ctx}")
-                    term = term * Poly.var(ctx, name, power)
-            result = result + term
-        return result
 
     def eval_all(self, point: Dict[str, RationalLike]) -> Fraction:
         """Full evaluation at a rational point."""
@@ -325,24 +294,31 @@ class Poly:
             acc += term
         return acc
 
-    def with_context(self, variables: Sequence[str]) -> "Poly":
-        """Re-embed into a different variable tuple containing all variables
-        this polynomial actually uses."""
+    def with_context(self, variables: Sequence[str], rename: Optional[Dict[str, str]] = None) -> "Poly":
+        """Re-embed into another variable tuple.
+
+        Each variable goes to the variable of the same name, or to
+        rename[name]; exponents sent to one target add, so renaming t1 and
+        t2 to t restricts to the diagonal.  A variable this polynomial uses
+        must have a target.
+        """
         variables = tuple(variables)
+        rename = rename or {}
         positions = []
         for slot, name in enumerate(self.vars):
-            if name in variables:
-                positions.append(variables.index(name))
+            target = rename.get(name, name)
+            if target in variables:
+                positions.append(variables.index(target))
             else:
                 if any(e[slot] for e in self.terms):
-                    raise VariableContextMismatch(f"{name} not in {variables}")
+                    raise VariableContextMismatch(f"{name} has no target in {variables}")
                 positions.append(None)
         terms = {}
         for expo, c in self.terms.items():
             new = [0] * len(variables)
             for slot, power in enumerate(expo):
                 if power:
-                    new[positions[slot]] = power
+                    new[positions[slot]] += power
             terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
         return Poly(variables, terms)
 

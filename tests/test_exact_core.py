@@ -98,14 +98,26 @@ def test_poly_ring_axioms_randomized():
         assert a + (-a) == Poly(vs)
 
 
-def test_poly_substitute_and_eval():
+def test_poly_with_context_rename_and_eval():
     vs = ("t", "c")
     t = Poly.var(vs, "t")
     c = Poly.var(vs, "c")
     p = t ** 2 + c
-    assert p.substitute({"t": t + 1}) == t ** 2 + 2 * t + 1 + c
     assert p.eval_all({"t": Fraction(2), "c": Fraction(-1)}) == 3
-    assert p.substitute({"c": 0}) == t ** 2
+    bv = ("t1", "t2")
+    t1, t2 = Poly.var(bv, "t1"), Poly.var(bv, "t2")
+    q = (t ** 2 + 3 * t).with_context(bv, {"t": "t1"})
+    assert q == t1 ** 2 + 3 * t1
+    mixed = t1 ** 2 * t2 + 5 * t2 ** 3
+    assert mixed.with_context(bv, {"t1": "t2", "t2": "t1"}) == t2 ** 2 * t1 + 5 * t1 ** 3
+    # exponents sent to one target add: the diagonal restriction
+    merged = (mixed + t1 * t2 ** 2 - t1 ** 3).with_context(("t",), {"t1": "t", "t2": "t"})
+    assert merged == 6 * Poly.var(("t",), "t", 3)
+    assert (t1 - t2).with_context(("t",), {"t1": "t", "t2": "t"}).is_zero
+    # c is used and has no target; unused variables are dropped
+    with pytest.raises(VariableContextMismatch):
+        p.with_context(bv, {"t": "t1"})
+    assert (t ** 2).with_context(bv, {"t": "t2"}) == t2 ** 2
 
 
 def test_poly_context_mismatch_raises():

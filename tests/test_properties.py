@@ -1,5 +1,6 @@
-"""Property tests: exact division, curve normal form, tensor JSON and the
-Jacobi certificate, on inputs drawn by hypothesis.
+"""Property tests: exact division, curve normal form, coordinate extraction
+from two-point sections, tensor JSON and the Jacobi certificate, on inputs
+drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -11,12 +12,16 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.bracket_forge import BracketTensor, build_family
-from artifact.curve_ring import CurveElement, CurveModel
+from artifact.bracket_forge import (BracketTensor, TensorNotInSectionSpace, _pair_matrix,
+                                    build_family)
+from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
+                                 curve_derivation, membership_extract, mult_kernel_antisym)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import euler_tensor, schouten_certificate
+from artifact.poisson_verify import (descend_to_chart, euler_tensor, jacobiator,
+                                     schouten_certificate)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+FEW = settings(max_examples=10, deadline=None, derandomize=True)
 
 VS = ("t", "s")
 
@@ -57,6 +62,72 @@ def test_curve_element_normal_form(c, alpha, beta, m, j):
 
 
 @st.composite
+def curves(draw, parities=("even", "odd"), max_k=2):
+    """A small numeric curve of a drawn parity, with its section space."""
+    parity = draw(st.sampled_from(parities))
+    k = draw(st.integers(1, max_k))
+    Q = draw(st.lists(small_ints, min_size=3, max_size=3))
+    if parity == "even":
+        model = CurveModel.even(k, Q, draw(st.lists(small_ints, min_size=5, max_size=5)))
+    else:
+        P = draw(st.lists(small_ints, min_size=4, max_size=4))
+        model = CurveModel.odd(k, draw(rationals), Q, P)
+    return SectionSpace(model)
+
+
+def _grid(bi, space, truncate):
+    """_pair_matrix of bi, or "rejected" when strict mode refuses it."""
+    try:
+        return _pair_matrix(bi, space, truncate, "(a, b)")
+    except TensorNotInSectionSpace:
+        return "rejected"
+
+
+@st.composite
+def five_term_pairs(draw):
+    """The five-term element of one basis pair of a small odd curve, as
+    the assembly builds it, lifted by extra (t1+c)^j1 (t2+c)^j2."""
+    space = draw(curves(parities=("odd",)))
+    basis = space.basis_elements()
+    a, b = sorted(draw(st.lists(st.integers(0, space.dim - 1), min_size=2, max_size=2,
+                                unique=True)))
+    sa, sb = basis[a], basis[b]
+    da, db = curve_derivation(sa), curve_derivation(sb)
+    bi = (mult_kernel_antisym(sa, sb).scale(space.dim)
+          + BiCurveElement.from_sections(sa, db) + BiCurveElement.from_sections(db, sa)
+          - BiCurveElement.from_sections(sb, da) - BiCurveElement.from_sections(da, sb))
+    j1, j2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    m1, m2 = bi.m1 + j1, bi.m2 + j2
+    return space, bi, BiCurveElement(space.model, *bi._lift(m1, m2), m1=m1, m2=m2)
+
+
+@PROPERTY
+@given(case=five_term_pairs())
+def test_extra_poles_change_nothing(case):
+    """Non-minimal pole orders are the same function and the same grid;
+    strict mode rejects on both sides or neither."""
+    space, bi, lifted = case
+    assert lifted == bi
+    for truncate in (False, True):
+        assert _grid(lifted, space, truncate) == _grid(bi, space, truncate)
+
+
+@PROPERTY
+@given(space=curves(), data=st.data())
+def test_pair_matrix_matches_slotwise_extraction(space, data):
+    """The one-pass grid of e1(x)e2 is the outer product of the slot-wise
+    coordinates that membership_extract reads, odd poles included."""
+    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
+    e1 = space.element_from_coords(data.draw(coords))
+    e2 = space.element_from_coords(data.draw(coords))
+    c1, c2 = membership_extract(e1, space), membership_extract(e2, space)
+    outer = {(u, v): x * y for u, x in enumerate(c1) for v, y in enumerate(c2) if x * y}
+    bi = BiCurveElement.from_sections(e1, e2)
+    for truncate in (False, True):
+        assert _pair_matrix(bi, space, truncate, "(a, b)") == outer
+
+
+@st.composite
 def tensors(draw, max_k=2):
     parity = draw(st.sampled_from(["even", "odd"]))
     k = draw(st.integers(1, max_k))
@@ -66,6 +137,15 @@ def tensors(draw, max_k=2):
     monos = st.tuples(index, index).map(lambda uv: tuple(sorted(uv)))
     forms = st.dictionaries(monos, rationals, max_size=3)
     return BracketTensor(parity, k, n, draw(st.dictionaries(pairs, forms, max_size=6)))
+
+
+@PROPERTY
+@given(T=tensors())
+def test_form_is_antisymmetric(T):
+    """The (b, a) form is the negated (a, b) form."""
+    for a in range(T.n):
+        for b in range(T.n):
+            assert T.form(b, a) == {m: -v for m, v in T.form(a, b).items()}
 
 
 @PROPERTY
@@ -116,3 +196,23 @@ def test_certificate_ignores_radial_terms(case):
 def test_family_span_is_poisson(T):
     """Every combination of pairwise compatible members certifies."""
     assert schouten_certificate(T)
+
+
+@st.composite
+def bumped_family_spans(draw):
+    """A family span, plus a drawn value on one drawn coefficient."""
+    T = draw(family_spans())
+    index = st.integers(0, T.n - 1)
+    pair = draw(st.tuples(index, index).filter(lambda ab: ab[0] < ab[1]))
+    mono = tuple(sorted(draw(st.tuples(index, index))))
+    bump = BracketTensor(T.parity, T.k, T.n, {pair: {mono: draw(rationals)}})
+    return T + bump
+
+
+@FEW
+@given(T=st.one_of(family_spans(), bumped_family_spans()))
+def test_certificate_matches_all_charts(T):
+    """E ^ [pi, pi] = 0 holds exactly when every chart Jacobiator vanishes."""
+    charts = all(J.is_zero for m in range(T.n)
+                 for J in jacobiator(descend_to_chart(T, m)).values())
+    assert schouten_certificate(T) == charts
