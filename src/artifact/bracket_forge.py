@@ -235,8 +235,8 @@ def _pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
     problems: List[str] = []
     for (u, v), tag, block in zip(((0, 0), (1, 0), (0, 1), (1, 1)),
                                   ("1x1", "x1", "x2", "x1*x2"), bicurve_x_blocks(bi)):
-        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1)
-        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2)
+        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1, not truncate)
+        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2, not truncate)
         if not truncate:
             problems += [f"slot-{slot} pole remainder in {tag} block: {r}"
                          for slot, r in ((1, r1), (2, r2)) if not r.is_zero]

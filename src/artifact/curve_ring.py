@@ -522,11 +522,11 @@ class BiCurveElement:
         d1, d2 = m1 - self.m1, m2 - self.m2
         if d1 < 0 or d2 < 0:
             raise ValueError("cannot lower pole orders")
-        factor = Poly.const(self.bivars, 1)
-        if d1:
-            factor = factor * self._slot_poly(self.model.tau_poly(), "t1") ** d1
-        if d2:
-            factor = factor * self._slot_poly(self.model.tau_poly(), "t2") ** d2
+        if not (d1 or d2):
+            return [self.c00, self.c10, self.c01, self.c11]
+        tau = self.model.tau_poly()
+        f1, f2 = self._slot_poly(tau, "t1") ** d1, self._slot_poly(tau, "t2") ** d2
+        factor = f1 * f2 if d1 and d2 else (f1 if d1 else f2)
         return [p * factor for p in (self.c00, self.c10, self.c01, self.c11)]
 
     def __add__(self, other: "BiCurveElement") -> "BiCurveElement":
@@ -623,16 +623,14 @@ def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
     half = Fraction(1, 2)
     Q1 = bi._slot_poly(model.Q, "t1")
     Q2 = bi._slot_poly(model.Q, "t2")
-    if model.parity == "even":
-        tau1 = Poly.const(bi.bivars, 1)
-        tau2 = tau1
-    else:
+    A = bi.c00 - bi.c10 * Q1 * half - bi.c01 * Q2 * half + bi.c11 * Q1 * Q2 * Fraction(1, 4)
+    B = bi.c10 - bi.c11 * Q2 * half
+    C = bi.c01 - bi.c11 * Q1 * half
+    D = bi.c11
+    if model.parity == "odd":
         tau1 = bi._slot_poly(model.tau_poly(), "t1")
         tau2 = bi._slot_poly(model.tau_poly(), "t2")
-    A = bi.c00 - bi.c10 * Q1 * half - bi.c01 * Q2 * half + bi.c11 * Q1 * Q2 * Fraction(1, 4)
-    B = (bi.c10 - bi.c11 * Q2 * half) * tau1
-    C = (bi.c01 - bi.c11 * Q1 * half) * tau2
-    D = bi.c11 * tau1 * tau2
+        B, C, D = B * tau1, C * tau2, D * tau1 * tau2
     return A, B, C, D
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Rational = Fraction
 
@@ -59,6 +60,13 @@ def rat_sqrt(value: RationalLike) -> Optional[Fraction]:
 
 def _grlex_key(expo: Tuple[int, ...]) -> Tuple:
     return (sum(expo), expo)
+
+
+def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """The lcm d of the denominators and the values times d, as ints."""
+    values = list(values)
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 class Poly:
@@ -233,17 +241,18 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(expo, Fraction(0)) + c1 * c2
-                if s:
-                    terms[expo] = s
-                else:
-                    terms.pop(expo, None)
+        # Integer numerators over each operand's common denominator; one
+        # Fraction per output term.
+        den1, nums1 = clear_denominators(self.terms.values())
+        den2, nums2 = clear_denominators(other.terms.values())
+        sums: Dict[Tuple[int, ...], int] = {}
+        for e1, n1 in zip(self.terms, nums1):
+            for e2, n2 in zip(other.terms, nums2):
+                expo = tuple(map(add, e1, e2))
+                sums[expo] = sums.get(expo, 0) + n1 * n2
+        den = den1 * den2
         out = Poly(self.vars)
-        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "terms", {e: Fraction(s, den) for e, s in sums.items() if s})
         return out
 
     __rmul__ = __mul__
@@ -251,13 +260,9 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else Poly.const(self.vars, 1)
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -373,24 +378,26 @@ def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> T
     top = max(buckets)
     zero = Poly(p.vars)
     acc = zero
-    quotient_terms: Dict[int, Poly] = {}
+    slot = p.vars.index(name)
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     for power in range(top, 0, -1):
         acc = buckets.get(power, zero) + acc * root
-        quotient_terms[power - 1] = acc
+        # acc is free of `name`: setting its exponent places each term.
+        for expo, c in acc.terms.items():
+            terms[expo[:slot] + (power - 1,) + expo[slot + 1:]] = c
     remainder = buckets.get(0, zero) + acc * root
-    q = zero
-    for power, coeff_poly in quotient_terms.items():
-        if coeff_poly.is_zero:
-            continue
-        q = q + coeff_poly * Poly.var(p.vars, name, power) if power else q + coeff_poly
+    q = Poly(p.vars)
+    object.__setattr__(q, "terms", terms)
     return q, remainder
 
 
-def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tuple[Poly, Poly]:
+def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int,
+                          remainder: bool = True) -> Tuple[Poly, Optional[Poly]]:
     """Write p = Q * (name - root)^m + R with deg_name(R) < m.
 
-    Returns (Q, R).  Used for extracting the polynomial part of
-    p / (name - root)^m; R is the obstruction.
+    Returns (Q, R), or (Q, None) without building R when `remainder` is
+    false.  Used for extracting the polynomial part of p / (name - root)^m;
+    R is the obstruction.
     """
     if m < 0:
         raise ValueError("negative power")
@@ -401,9 +408,10 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tup
     q = p
     for _ in range(m):
         q, r = poly_divmod_linear(q, name, root)
-        rem_total = rem_total + r * factor
-        factor = factor * linear
-    return q, rem_total
+        if remainder:
+            rem_total = rem_total + r * factor
+            factor = factor * linear
+    return q, rem_total if remainder else None
 
 
 class QuadExtElem:

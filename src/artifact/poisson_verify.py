@@ -18,10 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact_core import Poly, RationalLike, rat, rat_str
+from .exact_core import Poly, RationalLike, clear_denominators, rat, rat_str
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
 
 
@@ -169,13 +169,17 @@ def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
 IntPoly = Dict[int, int]
 
 
+def _integer_forms(T: BracketTensor) -> Dict[Tuple[int, int], Dict[Tuple[int, int], int]]:
+    """Every form of T times the common denominator of all coefficients."""
+    ints = iter(clear_denominators(val for form in T.pi.values() for val in form.values())[1])
+    return {pair: {uv: next(ints) for uv in form} for pair, form in T.pi.items()}
+
+
 def _integer_rows(T: BracketTensor) -> List[Dict[int, IntPoly]]:
     """rows[a][b] is pi^{ab} times the common denominator, both orders."""
-    den = lcm(*(val.denominator for form in T.pi.values() for val in form.values()))
     rows: List[Dict[int, IntPoly]] = [{} for _ in range(T.n)]
-    for (a, b), form in T.pi.items():
-        poly = {8 ** u + 8 ** v: val.numerator * (den // val.denominator)
-                for (u, v), val in form.items()}
+    for (a, b), form in _integer_forms(T).items():
+        poly = {8 ** u + 8 ** v: val for (u, v), val in form.items()}
         rows[a][b] = poly
         rows[b][a] = {mono: -val for mono, val in poly.items()}
     return rows
@@ -268,34 +272,31 @@ def independence_rank(F: FamilyBasis) -> int:
     return _matrix_rank(matrix)
 
 
-def _matrix_rank(matrix: List[List[Fraction]]) -> int:
-    work = [row[:] for row in matrix if any(row)]
-    if not work:
-        return 0
-    cols = len(work[0])
+def _matrix_rank(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+    """Exact rank by fraction-free elimination over ints.
+
+    Each row is first scaled by the lcm of its denominators.  Eliminating
+    with pivot row `top` replaces a row whose entry f in the pivot column
+    is nonzero by lead*row - f*top, divided by its content; rows with a
+    zero there are left untouched.  Nonzero scalings keep the rank.
+    """
+    work = [clear_denominators(row)[1] for row in matrix if any(row)]
     rank = 0
-    col = 0
-    while rank < len(work) and col < cols:
+    for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
+        top = work[rank]
+        lead = top[col]
         for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] / lead
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+            f = work[r][col]
+            if f:
+                row = [lead * x - f * y for x, y in zip(work[r], top)]
+                g = gcd(*row)
+                work[r] = [x // g for x in row] if g > 1 else row
         rank += 1
-        col += 1
     return rank
-
-
-def _eval_form(form: FormDict, phi: Sequence[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for (u, v), val in form.items():
-        acc += val * phi[u] * phi[v]
-    return acc
 
 
 def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
@@ -304,6 +305,9 @@ def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
     Evaluates M_ab = pi_ab(phi), restricts the antisymmetric form to the
     hyperplane of vectors orthogonal to phi (in the pairing sense), and
     returns the exact rank there; radial directions never contribute.
+    The tensor and the point are scaled to ints by their common
+    denominators, and the restriction by the pivot coordinate, none of
+    which changes the rank.
     """
     point = [rat(x) for x in phi]
     if len(point) != T.n:
@@ -311,21 +315,15 @@ def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
     if not any(point):
         raise ZeroVector("rank evaluation needs a nonzero point")
     n = T.n
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), form in T.pi.items():
-        val = _eval_form(form, point)
-        M[a][b] = val
-        M[b][a] = -val
-    p = next(i for i, x in enumerate(point) if x)
+    pt = clear_denominators(point)[1]
+    M = [[0] * n for _ in range(n)]
+    for (a, b), form in _integer_forms(T).items():
+        val = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
+        M[a][b], M[b][a] = val, -val
+    p = next(i for i, x in enumerate(pt) if x)
     others = [i for i in range(n) if i != p]
-    restricted = []
-    for i in others:
-        row = []
-        ci = point[i] / point[p]
-        for j in others:
-            cj = point[j] / point[p]
-            row.append(M[i][j] - cj * M[i][p] - ci * M[p][j])
-        restricted.append(row)
+    restricted = [[pt[p] * M[i][j] - pt[j] * M[i][p] - pt[i] * M[p][j] for j in others]
+                  for i in others]
     return _matrix_rank(restricted)
 
 

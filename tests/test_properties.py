@@ -1,12 +1,13 @@
-"""Property tests: exact division, curve normal form, coordinate extraction
-from two-point sections, tensor JSON and the Jacobi certificate, on inputs
-drawn by hypothesis.
+"""Property tests: exact division, polynomial products, curve normal form,
+coordinate extraction from two-point sections, tensor JSON, the Jacobi
+certificate and the integer rank kernel, on inputs drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
 """
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings
@@ -17,8 +18,8 @@ from artifact.bracket_forge import (BracketTensor, TensorNotInSectionSpace, _pai
 from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
                                  curve_derivation, membership_extract, mult_kernel_antisym)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (descend_to_chart, euler_tensor, jacobiator,
-                                     schouten_certificate)
+from artifact.poisson_verify import (_matrix_rank, descend_to_chart, euler_tensor, jacobiator,
+                                     rank_at_point, schouten_certificate)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -216,3 +217,119 @@ def test_certificate_matches_all_charts(T):
     charts = all(J.is_zero for m in range(T.n)
                  for J in jacobiator(descend_to_chart(T, m)).values())
     assert schouten_certificate(T) == charts
+
+
+def _schoolbook_product(p, q):
+    """Reference product: Fraction coefficients summed term by term."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
+    return {expo: c for expo, c in terms.items() if c}
+
+
+PVS = ("t", "s", "u")
+
+
+@PROPERTY
+@given(a=polys(PVS, max_exp=2), b=polys(PVS, max_exp=2), cancel=st.booleans())
+def test_poly_product_matches_schoolbook(a, b, cancel):
+    """Integer-numerator products equal the Fraction schoolbook product.
+
+    With `cancel`, the operands are a + b and a - b, whose cross terms
+    cancel to zero coefficients that must not be stored.
+    """
+    p, q = (a + b, a - b) if cancel else (a, b)
+    product = p * q
+    assert product.terms == _schoolbook_product(p, q)
+    assert all(type(c) is Fraction and c for c in product.terms.values())
+    if cancel:
+        assert product == a * a - b * b
+
+
+def _fraction_rank(matrix):
+    """Reference rank: Gaussian elimination over Fractions."""
+    work = [[Fraction(x) for x in row] for row in matrix if any(row)]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product of sparse m x r and r x c rational factors, with zero rows
+    and columns spliced in and some rows given as ints where they can be."""
+    m, r, c = draw(st.integers(1, 6)), draw(st.integers(0, 4)), draw(st.integers(1, 7))
+    entries = st.one_of(st.just(Fraction(0)), rationals)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    rows = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*right)]
+            if r else [Fraction(0)] * c for row in left]
+    for _ in range(draw(st.integers(0, 2))):
+        col = draw(st.integers(0, c))
+        rows = [row[:col] + [Fraction(0)] + row[col:] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * len(rows[0]))
+    return [[int(x) if x.denominator == 1 and as_int else x for x in row]
+            for row, as_int in zip(rows, draw(st.lists(st.booleans(), min_size=len(rows),
+                                                       max_size=len(rows))))]
+
+
+@PROPERTY
+@given(matrix=low_rank_matrices())
+def test_matrix_rank_matches_fraction_elimination(matrix):
+    """Fraction-free integer elimination gives the Fraction rank."""
+    assert _matrix_rank(matrix) == _fraction_rank(matrix)
+
+
+def _fraction_rank_at_point(T, phi):
+    """Reference rank_at_point: Fraction evaluation and restriction."""
+    point = [Fraction(x) for x in phi]
+    n = T.n
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), form in T.pi.items():
+        val = sum((c * point[u] * point[v] for (u, v), c in form.items()), Fraction(0))
+        M[a][b], M[b][a] = val, -val
+    p = next(i for i, x in enumerate(point) if x)
+    others = [i for i in range(n) if i != p]
+    return _fraction_rank([[M[i][j] - point[j] / point[p] * M[i][p]
+                            - point[i] / point[p] * M[p][j] for j in others]
+                           for i in others])
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def tensors_with_points(draw):
+    """A drawn or family tensor and a nonzero point whose first nonzero
+    coordinate sits at a drawn index."""
+    T = draw(st.one_of(tensors(), family_spans()))
+    lead = draw(st.integers(0, T.n - 1))
+    rest = draw(st.lists(rationals, min_size=T.n - lead - 1, max_size=T.n - lead - 1))
+    return T, [Fraction(0)] * lead + [draw(nonzero_rationals)] + rest
+
+
+@PROPERTY
+@given(case=tensors_with_points())
+def test_rank_at_point_matches_fraction_route(case):
+    """Integer evaluation and pivot-scaled restriction keep the rank."""
+    T, phi = case
+    assert rank_at_point(T, phi) == _fraction_rank_at_point(T, phi)
+
+
+@PROPERTY
+@given(case=tensors_with_points(), q=nonzero_rationals, lam=nonzero_rationals)
+def test_rank_at_point_ignores_scaling(case, q, lam):
+    """Rescaling the tensor or the point leaves the rank unchanged."""
+    T, phi = case
+    assert rank_at_point(T.scale(q), [lam * x for x in phi]) == rank_at_point(T, phi)
