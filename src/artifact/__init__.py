@@ -10,10 +10,10 @@ Submodules:
   the multiplication kernel, section spaces, residue certificates.
 - bracket_forge: bracket tensors on the section spaces, the nine-member
   anticanonical families, serialization.
-- poisson_verify: chart descent, Jacobi and compatibility checks,
-  independence rank, pointwise rank scans, ratio brackets.
-- helix_k0: Fibonacci helix classes, Euler pairing, mutation, the modular
-  solvability test for bihamiltonian parameters.
+- poisson_verify: Jacobi and compatibility certificates, independence
+  rank, pointwise rank scans, ratio brackets.
+- helix_k0: Fibonacci helix classes, the modular solvability test for
+  bihamiltonian parameters, the generic Poisson rank.
 - cli_reports: command line front end producing deterministic artifacts.
 """
 

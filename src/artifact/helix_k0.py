@@ -1,17 +1,15 @@
 """Exact lattice bookkeeping for exceptional-bundle classes.
 
 Everything here is integer arithmetic: Fibonacci-indexed helix classes on
-the plane, the two-term mutation step of the rank-(2m-1) ladder, the
-antisymmetric Euler pairing on (degree, rank) vectors, the parameter
-solver for the bihamiltonian ladder, and the chi = 1 decomposition that
-controls the generic Poisson rank.
+the plane, the parameter solver for the bihamiltonian ladder, and the
+generic Poisson rank of the associated bracket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -21,10 +19,6 @@ class K0Class:
     rank: int
     degree: int = 0
     chi: int = 0
-
-    def __add__(self, other: "K0Class") -> "K0Class":
-        return K0Class(self.rank + other.rank, self.degree + other.degree,
-                       self.chi + other.chi)
 
     def __sub__(self, other: "K0Class") -> "K0Class":
         return K0Class(self.rank - other.rank, self.degree - other.degree,
@@ -67,16 +61,6 @@ def helix_class(n: int) -> K0Class:
     return LINE_BUNDLE_2.scale(a) - LINE_BUNDLE_1.scale(b)
 
 
-def euler_pairing(v1: K0Class, v2: K0Class) -> int:
-    """Antisymmetrized Euler form d2 r1 - d1 r2 on (degree, rank)."""
-    return v2.degree * v1.rank - v1.degree * v2.rank
-
-
-def mutate(v_prev: K0Class, v_cur: K0Class) -> K0Class:
-    """Next class of the two-term ladder: 2 v_cur - v_prev."""
-    return v_cur.scale(2) - v_prev
-
-
 def solve_biham_params(d: int, r: int) -> Optional[dict]:
     """Witness (m, k, sign, n) for the rank-r degree-d ladder, or None.
 
@@ -101,33 +85,6 @@ def solve_biham_params(d: int, r: int) -> Optional[dict]:
     else:
         n, k = 1, q // 2 + 1
     return {"m": (r + 1) // 2, "k": k, "sign": sign, "n": n}
-
-
-def chi_one_decomposition(d: int, r: int) -> Tuple[K0Class, K0Class, K0Class]:
-    """Split (d, r) as v1 + v2 = c v0 with chi(v1, v0) = 1.
-
-    c = gcd(d, r + 1) and v0 = (d/c, (r+1)/c); v1 = (d1, r1) is the unique
-    solution of (d/c) r1 = d1 (r+1)/c + 1 with 0 < r1 < (r+1)/c, except
-    that for c = r + 1 the pair (d/c - 1, 1) is used.  The complement
-    v2 = c v0 - v1 then pairs positively with (d, r): chi(v2, v) = d2 - c.
-    """
-    if d <= 0 or r <= 0:
-        raise ValueError("degree and rank must be positive")
-    c = math.gcd(d, r + 1)
-    v0 = K0Class(rank=(r + 1) // c, degree=d // c)
-    if c == r + 1:
-        d1, r1 = d // c - 1, 1
-    else:
-        base = (r + 1) // c
-        d0 = d // c
-        matches = [(rr, (d0 * rr - 1) // base) for rr in range(1, base)
-                   if (d0 * rr - 1) % base == 0]
-        if len(matches) != 1:
-            raise ArithmeticError(f"expected one residue solution, found {matches}")
-        r1, d1 = matches[0]
-    v1 = K0Class(rank=r1, degree=d1)
-    v2 = v0.scale(c) - v1
-    return v0, v1, v2
 
 
 def generic_poisson_rank(d: int, r: int) -> int:

@@ -4,10 +4,12 @@ All checks run over exact rationals or integers.  A quadratic bivector pi
 on the coordinate space descends to a Poisson bivector on projective
 space exactly when the 4-vector E ^ [pi, pi] vanishes, E being the Euler
 field: at a point x != 0, E ^ w = 0 says that w lies in x ^ (bivectors),
-the kernel of the pushforward.  The Jacobi and compatibility certificates
-check that one polynomial identity.  Chart descent and the chart
-Jacobiator remain as the witness builder for a failing certificate and
-as the reference route; the independence rank reads the dense chart 0.
+the kernel of the pushforward.  One integer routine reads the components
+(E ^ V)^{0I} of a multivector V, and three checks share it: the Jacobi
+and compatibility certificates (V the Jacobiator), the failure witness
+(the first nonzero component at x_0 = 1, which is the Jacobiator of the
+bracket on the affine chart x_0 = 1) and the independence rank (V = pi,
+whose components at x_0 = 1 are the structure functions on that chart).
 Modifications of a tensor along the radial direction (Euler terms) are
 invisible to every check.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, rat, rat_str
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
@@ -29,44 +31,10 @@ class ZeroVector(ValueError):
     """A nonzero coordinate vector was required."""
 
 
-def _chart_context(n: int, m: int) -> Tuple[str, ...]:
-    return tuple(f"u{a}" for a in range(n) if a != m)
-
-
-def _form_poly(form: FormDict, ctx: Tuple[str, ...], slot_of: Dict[int, int]) -> Poly:
-    """The quadratic form with x_i -> ctx[slot_of[i]]; a coordinate missing
-    from slot_of is set to 1, as x_m is on chart m."""
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for (u, v), val in form.items():
-        expo = [0] * len(ctx)
-        for idx in (u, v):
-            if idx in slot_of:
-                expo[slot_of[idx]] += 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + val
-    return Poly(ctx, terms)
-
-
-@dataclass(frozen=True)
-class ChartBracket:
-    """Structure functions of a descended bracket on one affine chart."""
-
-    m: int
-    n: int
-    vars: Tuple[str, ...]
-    funcs: Dict[Tuple[int, int], Poly]
-
-    def structure(self, a: int, b: int) -> Poly:
-        """{u_a, u_b} as a chart polynomial, sign included."""
-        if a == b:
-            return Poly(self.vars)
-        if a < b:
-            return self.funcs.get((a, b), Poly(self.vars))
-        return -self.funcs.get((b, a), Poly(self.vars))
-
-    @property
-    def indices(self) -> List[int]:
-        return [a for a in range(self.n) if a != self.m]
+def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
+    """The quadratic form with x_i -> ctx[i]."""
+    return Poly(ctx, {tuple((u == i) + (v == i) for i in range(len(ctx))): val
+                      for (u, v), val in form.items()})
 
 
 @dataclass(frozen=True)
@@ -98,91 +66,23 @@ class RankReport:
         return rows
 
 
-def descend_to_chart(T: BracketTensor, m: int) -> ChartBracket:
-    """Bracket of the ratio coordinates u_a = x_a/x_m on chart m."""
-    if not 0 <= m < T.n:
-        raise ValueError(f"chart index {m} out of range")
-    ctx = _chart_context(T.n, m)
-    slot_of = {a: i for i, a in enumerate(idx for idx in range(T.n) if idx != m)}
-    funcs: Dict[Tuple[int, int], Poly] = {}
-    for a in range(T.n):
-        if a == m:
-            continue
-        u_a = Poly.var(ctx, f"u{a}")
-        for b in range(a + 1, T.n):
-            if b == m:
-                continue
-            u_b = Poly.var(ctx, f"u{b}")
-            poly = _form_poly(T.form(a, b), ctx, slot_of)
-            poly = poly - u_a * _form_poly(T.form(m, b), ctx, slot_of)
-            poly = poly + u_b * _form_poly(T.form(m, a), ctx, slot_of)
-            if not poly.is_zero:
-                funcs[(a, b)] = poly
-    return ChartBracket(m, T.n, ctx, funcs)
-
-
-def _chart_bracket_of(cb: ChartBracket, i: int, F: Poly) -> Poly:
-    """{u_i, F} by the Leibniz rule from the structure functions."""
-    out = Poly(cb.vars)
-    for j in cb.indices:
-        if j == i:
-            continue
-        dF = F.derivative(f"u{j}")
-        if dF.is_zero:
-            continue
-        out = out + dF * cb.structure(i, j)
-    return out
-
-
-def jacobiator(cb: ChartBracket) -> Dict[Tuple[int, int, int], Poly]:
-    """Jacobi obstruction J(u_a, u_b, u_c) on the chart for every a < b < c."""
-    idxs = cb.indices
-    table: Dict[Tuple[int, ...], Poly] = {}
-    for i, a in enumerate(idxs):
-        for j in range(i + 1, len(idxs)):
-            b = idxs[j]
-            for l in range(j + 1, len(idxs)):
-                c = idxs[l]
-                J = _chart_bracket_of(cb, a, cb.structure(b, c))
-                J = J + _chart_bracket_of(cb, b, cb.structure(c, a))
-                J = J + _chart_bracket_of(cb, c, cb.structure(a, b))
-                table[(a, b, c)] = J
-    return table
-
-
-def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
-    """First nonzero Jacobiator entry on chart 0.
-
-    A tensor that fails the homogeneous certificate has a nonzero
-    obstruction polynomial, which cannot vanish on the dense chart x_0 = 1.
-    """
-    J = jacobiator(descend_to_chart(T, 0))
-    for key in sorted(J):
-        if not J[key].is_zero:
-            return {"chart": 0, "triple": key, "obstruction": str(J[key])}
-    return None
-
-
 # An integer polynomial is a dict from packed monomials to ints: the
 # monomial prod x_i^e_i is keyed by sum e_i * 8**i, so multiplying two
 # monomials adds their keys.  Exponents stay below 8 up to degree 4.
 IntPoly = Dict[int, int]
 
 
-def _integer_forms(T: BracketTensor) -> Dict[Tuple[int, int], Dict[Tuple[int, int], int]]:
-    """Every form of T times the common denominator of all coefficients."""
-    ints = iter(clear_denominators(val for form in T.pi.values() for val in form.values())[1])
-    return {pair: {uv: next(ints) for uv in form} for pair, form in T.pi.items()}
+def _integer_forms(T: BracketTensor) -> Tuple[int, Dict[Tuple[int, int], Dict[Tuple[int, int], int]]]:
+    """The common denominator D of all coefficients, and every form of T times D."""
+    den, ints = clear_denominators(val for form in T.pi.values() for val in form.values())
+    ints = iter(ints)
+    return den, {pair: {uv: next(ints) for uv in form} for pair, form in T.pi.items()}
 
 
-def _integer_rows(T: BracketTensor) -> List[Dict[int, IntPoly]]:
-    """rows[a][b] is pi^{ab} times the common denominator, both orders."""
-    rows: List[Dict[int, IntPoly]] = [{} for _ in range(T.n)]
-    for (a, b), form in _integer_forms(T).items():
-        poly = {8 ** u + 8 ** v: val for (u, v), val in form.items()}
-        rows[a][b] = poly
-        rows[b][a] = {mono: -val for mono, val in poly.items()}
-    return rows
+def _packed(forms: Dict[Tuple[int, int], Dict[Tuple[int, int], int]]) -> Dict[Tuple[int, int], IntPoly]:
+    """Integer forms as packed polynomials."""
+    return {pair: {8 ** u + 8 ** v: val for (u, v), val in form.items()}
+            for pair, form in forms.items()}
 
 
 def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
@@ -198,18 +98,18 @@ def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
     return grad
 
 
-def schouten_certificate(T: BracketTensor) -> bool:
-    """True when E ^ Jac(pi) vanishes identically.
+def _integer_jacobiator(T: BracketTensor) -> Tuple[int, Dict[Tuple[int, int, int], IntPoly]]:
+    """D and Jac(D pi) = D^2 Jac(pi), D the common denominator of T.
 
     Jac(pi)^{abc} = sum_d pi^{ad} d_d pi^{bc} + cyclic in (a, b, c) is the
-    Jacobiator of pi, and the vanishing of E ^ Jac(pi) is the Jacobi
-    identity of the bracket that pi induces on projective space.  The
-    tensor is scaled by its common denominator, which leaves the zero
-    test unchanged, and the identity is checked over ints on every
-    component a < b < c < d.
+    Jacobiator of pi; it is kept for every a < b < c.
     """
     n = T.n
-    rows = _integer_rows(T)
+    den, forms = _integer_forms(T)
+    rows: List[Dict[int, IntPoly]] = [{} for _ in range(n)]
+    for (a, b), poly in _packed(forms).items():
+        rows[a][b] = poly
+        rows[b][a] = {mono: -val for mono, val in poly.items()}
     grads = {(b, c): _gradient(poly, n)
              for b in range(n) for c, poly in rows[b].items() if b < c}
     jac: Dict[Tuple[int, int, int], IntPoly] = {}
@@ -225,51 +125,98 @@ def schouten_certificate(T: BracketTensor) -> bool:
                     for m2, v2 in lin.items():
                         key = m1 + m2
                         acc[key] = acc.get(key, 0) + sign * v1 * v2
-    for quad in combinations(range(n), 4):
-        wedge: IntPoly = {}
-        for pos, a in enumerate(quad):
+    return den, jac
+
+
+def _chart0_wedge(V: Dict[Tuple[int, ...], IntPoly], n: int,
+                  q: int) -> Iterator[Tuple[Tuple[int, ...], IntPoly]]:
+    """(E ^ V)^{(0,) + I} for every q-subset I of {1..n-1}, in sorted order.
+
+    V is a q-vector keyed by sorted index tuples, a missing key being zero;
+    (E ^ V)^J = sum_pos (-1)^pos x_{J[pos]} V^{J without J[pos]}.  Zero
+    coefficients are dropped.
+    """
+    for I in combinations(range(1, n), q):
+        J = (0,) + I
+        acc: IntPoly = {}
+        for pos, a in enumerate(J):
             sign = -1 if pos % 2 else 1
             shift = 8 ** a
-            for mono, val in jac[quad[:pos] + quad[pos + 1:]].items():
+            for mono, val in V.get(J[:pos] + J[pos + 1:], {}).items():
                 key = mono + shift
-                wedge[key] = wedge.get(key, 0) + sign * val
-        if any(wedge.values()):
-            return False
-    return True
+                acc[key] = acc.get(key, 0) + sign * val
+        yield I, {mono: val for mono, val in acc.items() if val}
+
+
+def _first_obstruction(T: BracketTensor) -> Optional[Tuple[Tuple[int, ...], IntPoly, int]]:
+    """(a, b, c), the first nonzero (E ^ Jac(D pi))^{0abc} in sorted order,
+    and D^2; None when every such component vanishes."""
+    den, jac = _integer_jacobiator(T)
+    return next(((abc, poly, den * den) for abc, poly in _chart0_wedge(jac, T.n, 3) if poly),
+                None)
+
+
+def schouten_certificate(T: BracketTensor) -> bool:
+    """True when E ^ Jac(pi) vanishes identically.
+
+    The vanishing of E ^ Jac(pi) is the Jacobi identity of the bracket
+    that pi induces on projective space.  The tensor is scaled by its
+    common denominator, which leaves the zero test unchanged, and the
+    identity is checked over ints on the components (0, a, b, c) alone:
+    W = E ^ Jac satisfies E ^ W = 0, that is
+    x_0 W^{abcd} = x_a W^{0bcd} - x_b W^{0acd} + x_c W^{0abd} - x_d W^{0abc},
+    so W vanishes exactly when its 0-components do.
+    """
+    return _first_obstruction(T) is None
+
+
+def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
+    """First nonzero Jacobiator entry on chart 0, or None when T certifies.
+
+    On the chart x_0 = 1, du_a = dx_a - u_a dx_0, so the chart Jacobiator
+    J(u_a, u_b, u_c) is (E ^ Jac(pi))^{0abc} at x_0 = 1, x_a = u_a.  Setting
+    x_0 = 1 maps the quartic monomials one to one, so the first nonzero
+    0-component gives the first nonzero chart entry.
+    """
+    found = _first_obstruction(T)
+    if found is None:
+        return None
+    triple, poly, scale = found
+    ctx = tuple(f"u{a}" for a in range(1, T.n))
+    terms = {tuple((mono >> (3 * a)) & 7 for a in range(1, T.n)): Fraction(val, scale)
+             for mono, val in poly.items()}
+    return {"chart": 0, "triple": triple, "obstruction": str(Poly(ctx, terms))}
 
 
 def jacobi_check(T: BracketTensor) -> dict:
     """Jacobi verdict from E ^ [pi, pi] = 0, with a chart witness on failure."""
-    holds = schouten_certificate(T)
-    return {"holds": holds, "witness": None if holds else _first_jacobi_witness(T)}
+    witness = _first_jacobi_witness(T)
+    return {"holds": witness is None, "witness": witness}
 
 
 def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
     """Jacobi certificate of T1 + T2, with a chart witness on failure."""
-    total = T1 + T2
-    compatible = schouten_certificate(total)
-    return {"compatible": compatible,
-            "witness": None if compatible else _first_jacobi_witness(total)}
+    witness = _first_jacobi_witness(T1 + T2)
+    return {"compatible": witness is None, "witness": witness}
 
 
 def independence_rank(F: FamilyBasis) -> int:
     """Rank of the family as projective bivectors.
 
-    Stacks the chart-0 structure functions of every member into a rational
-    matrix (one row per member) and computes its exact rank.  A combination
-    of members whose descent vanishes on the dense chart 0 vanishes on every
-    chart, so one chart gives the projective rank.
+    Stacks the integer coefficients of (E ^ pi)^{0ab} of every member, each
+    cleared by its own denominator, into a matrix (one row per member) and
+    computes its exact rank.  At x_0 = 1 these components are the structure
+    functions of chart 0, and setting x_0 = 1 maps the cubic monomials one
+    to one, so this is the chart-0 rank.  A combination of members whose
+    descent vanishes on the dense chart 0 vanishes on every chart, so one
+    chart gives the projective rank.
     """
-    rows: List[Dict[tuple, Fraction]] = []
-    for T in F.tensors:
-        vec: Dict[tuple, Fraction] = {}
-        for (a, b), poly in descend_to_chart(T, 0).funcs.items():
-            for expo, val in poly.terms.items():
-                vec[(a, b, expo)] = val
-        rows.append(vec)
-    keys = sorted({key for vec in rows for key in vec})
-    matrix = [[vec.get(key, Fraction(0)) for key in keys] for vec in rows]
-    return _matrix_rank(matrix)
+    rows = [{(ab, mono): val
+             for ab, poly in _chart0_wedge(_packed(_integer_forms(T)[1]), T.n, 2)
+             for mono, val in poly.items()}
+            for T in F.tensors]
+    keys = sorted({key for row in rows for key in row})
+    return _matrix_rank([[row.get(key, 0) for key in keys] for row in rows])
 
 
 def _matrix_rank(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> int:
@@ -317,7 +264,7 @@ def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
     n = T.n
     pt = clear_denominators(point)[1]
     M = [[0] * n for _ in range(n)]
-    for (a, b), form in _integer_forms(T).items():
+    for (a, b), form in _integer_forms(T)[1].items():
         val = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
         M[a][b], M[b][a] = val, -val
     p = next(i for i, x in enumerate(pt) if x)
@@ -385,11 +332,10 @@ def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
 def _bracket_of_linear(T: BracketTensor, f: Sequence[Fraction],
                        g: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
     out = Poly(ctx)
-    slot_of = {i: i for i in range(T.n)}
     for (a, b), form in T.pi.items():
         factor = f[a] * g[b] - f[b] * g[a]
         if factor:
-            out = out + _form_poly(form, ctx, slot_of) * factor
+            out = out + _form_poly(form, ctx) * factor
     return out
 
 

@@ -1,0 +1,150 @@
+"""Reference route for the projective checks, kept as a test oracle.
+
+The library reads the Jacobi verdict, the failure witness and the
+independence rank off the components (E ^ V)^{0I} over ints.  This module
+keeps the slower routes they are cross-checked against: chart descent to
+the ratio coordinates u_a = x_a/x_m over Fractions, the chart Jacobiator
+by the Leibniz rule, and the E ^ Jac wedge on every component
+a < b < c < d.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from artifact.bracket_forge import BracketTensor, FormDict
+from artifact.exact_core import Poly
+from artifact.poisson_verify import IntPoly, _integer_jacobiator, _matrix_rank
+
+
+def _chart_context(n: int, m: int) -> Tuple[str, ...]:
+    return tuple(f"u{a}" for a in range(n) if a != m)
+
+
+def _form_poly(form: FormDict, ctx: Tuple[str, ...], slot_of: Dict[int, int]) -> Poly:
+    """The quadratic form with x_i -> ctx[slot_of[i]]; a coordinate missing
+    from slot_of is set to 1, as x_m is on chart m."""
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for (u, v), val in form.items():
+        expo = [0] * len(ctx)
+        for idx in (u, v):
+            if idx in slot_of:
+                expo[slot_of[idx]] += 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, Fraction(0)) + val
+    return Poly(ctx, terms)
+
+
+@dataclass(frozen=True)
+class ChartBracket:
+    """Structure functions of a descended bracket on one affine chart."""
+
+    m: int
+    n: int
+    vars: Tuple[str, ...]
+    funcs: Dict[Tuple[int, int], Poly]
+
+    def structure(self, a: int, b: int) -> Poly:
+        """{u_a, u_b} as a chart polynomial, sign included."""
+        if a == b:
+            return Poly(self.vars)
+        if a < b:
+            return self.funcs.get((a, b), Poly(self.vars))
+        return -self.funcs.get((b, a), Poly(self.vars))
+
+    @property
+    def indices(self) -> List[int]:
+        return [a for a in range(self.n) if a != self.m]
+
+
+def descend_to_chart(T: BracketTensor, m: int) -> ChartBracket:
+    """Bracket of the ratio coordinates u_a = x_a/x_m on chart m."""
+    if not 0 <= m < T.n:
+        raise ValueError(f"chart index {m} out of range")
+    ctx = _chart_context(T.n, m)
+    slot_of = {a: i for i, a in enumerate(idx for idx in range(T.n) if idx != m)}
+    funcs: Dict[Tuple[int, int], Poly] = {}
+    for a in range(T.n):
+        if a == m:
+            continue
+        u_a = Poly.var(ctx, f"u{a}")
+        for b in range(a + 1, T.n):
+            if b == m:
+                continue
+            u_b = Poly.var(ctx, f"u{b}")
+            poly = _form_poly(T.form(a, b), ctx, slot_of)
+            poly = poly - u_a * _form_poly(T.form(m, b), ctx, slot_of)
+            poly = poly + u_b * _form_poly(T.form(m, a), ctx, slot_of)
+            if not poly.is_zero:
+                funcs[(a, b)] = poly
+    return ChartBracket(m, T.n, ctx, funcs)
+
+
+def _chart_bracket_of(cb: ChartBracket, i: int, F: Poly) -> Poly:
+    """{u_i, F} by the Leibniz rule from the structure functions."""
+    out = Poly(cb.vars)
+    for j in cb.indices:
+        if j == i:
+            continue
+        dF = F.derivative(f"u{j}")
+        if dF.is_zero:
+            continue
+        out = out + dF * cb.structure(i, j)
+    return out
+
+
+def jacobiator(cb: ChartBracket) -> Dict[Tuple[int, int, int], Poly]:
+    """Jacobi obstruction J(u_a, u_b, u_c) on the chart for every a < b < c."""
+    idxs = cb.indices
+    table: Dict[Tuple[int, int, int], Poly] = {}
+    for a, b, c in combinations(idxs, 3):
+        J = _chart_bracket_of(cb, a, cb.structure(b, c))
+        J = J + _chart_bracket_of(cb, b, cb.structure(c, a))
+        J = J + _chart_bracket_of(cb, c, cb.structure(a, b))
+        table[(a, b, c)] = J
+    return table
+
+
+def all_charts_jacobi_zero(T: BracketTensor) -> bool:
+    """The chart Jacobiator vanishes on every standard chart."""
+    return all(J.is_zero for m in range(T.n)
+               for J in jacobiator(descend_to_chart(T, m)).values())
+
+
+def chart_witness(T: BracketTensor) -> Optional[dict]:
+    """First nonzero chart-0 Jacobiator entry in sorted order, or None."""
+    J = jacobiator(descend_to_chart(T, 0))
+    for key in sorted(J):
+        if not J[key].is_zero:
+            return {"chart": 0, "triple": key, "obstruction": str(J[key])}
+    return None
+
+
+def wedge_certificate(T: BracketTensor) -> bool:
+    """E ^ Jac(pi) = 0 tested on every component a < b < c < d."""
+    jac = _integer_jacobiator(T)[1]
+    for quad in combinations(range(T.n), 4):
+        wedge: IntPoly = {}
+        for pos, a in enumerate(quad):
+            sign = -1 if pos % 2 else 1
+            shift = 8 ** a
+            for mono, val in jac[quad[:pos] + quad[pos + 1:]].items():
+                key = mono + shift
+                wedge[key] = wedge.get(key, 0) + sign * val
+        if any(wedge.values()):
+            return False
+    return True
+
+
+def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -> int:
+    """Rank of the members' structure functions on the given charts, stacked
+    into one Fraction row per member."""
+    charts = tuple(charts)
+    rows = [{(m, a, b, expo): val
+             for m in charts
+             for (a, b), poly in descend_to_chart(T, m).funcs.items()
+             for expo, val in poly.terms.items()}
+            for T in tensors]
+    keys = sorted({key for row in rows for key in row})
+    return _matrix_rank([[row.get(key, Fraction(0)) for key in keys] for row in rows])

@@ -7,6 +7,7 @@ files under tests/golden.  Set UPDATE_GOLDENS=1 to regenerate the files.
 
 import json
 import os
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from artifact import poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
 from artifact.cli_reports import main
-from artifact.poisson_verify import descend_to_chart, jacobiator
+
+from chart_route import chart_witness, descend_to_chart, jacobiator
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -215,6 +217,37 @@ def test_verify_compat_builds_one_witness(tmp_path, monkeypatch, capsys):
     assert report["checks"][0]["witness"]["pair"] == list(failing[0])
     assert report["checks"][0]["witness"]["witness"]["chart"] == 0
     assert len(calls) == 1
+
+
+def _entry(witness):
+    return list(witness["triple"]), witness["obstruction"]
+
+
+def test_cli_witness_is_first_chart_entry(tmp_path, monkeypatch, capsys):
+    """verify jacobi and verify compat report the first nonzero chart-0
+    Jacobiator entry of the chart route, triple and obstruction."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(["bracket", "build", "--parity", "even", "--k", "3",
+             "--Q", "1,-2,3", "--P", "2,1,-1,3,1"], capsys)
+    data = json.loads(Path("tensor.json").read_text())
+    entry = data["pi"][2]["q"][1]
+    entry["val"] = str(Fraction(entry["val"]) + Fraction(1, 3))
+    Path("bad.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(["verify", "jacobi", "--in", "bad.json", "--json"], capsys)
+    assert code == 1
+    witness = json.loads(out)["checks"][0]["witness"]
+    assert _entry(witness) == _entry(chart_witness(BracketTensor.from_json(data)))
+
+    run_cli(["bracket", "family", "--parity", "even", "--k", "2"], capsys)
+    data = json.loads(Path("family.json").read_text())
+    data["basis"][1]["pi"][0]["q"][0]["val"] = "7/2"
+    Path("bad.json").write_text(json.dumps(data))
+    code, out, _ = run_cli(["verify", "compat", "--family", "bad.json", "--json"], capsys)
+    assert code == 1
+    witness = json.loads(out)["checks"][0]["witness"]
+    i, j = witness["pair"]
+    members = FamilyBasis.from_json(data).tensors
+    assert _entry(witness["witness"]) == _entry(chart_witness(members[i] + members[j]))
 
 
 def _corrupt_pair(entry):

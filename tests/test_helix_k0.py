@@ -1,6 +1,4 @@
-"""Integer-lattice checks: helix classes, mutation ladders, parameter solving."""
-
-import random
+"""Integer-lattice checks: helix classes, parameter solving, generic rank."""
 
 import pytest
 
@@ -8,16 +6,11 @@ from artifact.helix_k0 import (
     K0Class,
     LINE_BUNDLE_1,
     LINE_BUNDLE_2,
-    chi_one_decomposition,
-    euler_pairing,
     fib,
     generic_poisson_rank,
     helix_class,
-    mutate,
     solve_biham_params,
 )
-
-SEED = 42
 
 
 def _fib_oracle(n):
@@ -80,76 +73,11 @@ def test_helix_class_three_term_recurrence():
         assert lhs == rhs
 
 
-def test_helix_class_two_term_ladder_fails_on_helix():
-    """The 2 v_cur - v_prev step belongs to the rank ladder, not the helix."""
-    assert mutate(helix_class(-1), helix_class(0)) != helix_class(1)
-
-
 def test_helix_class_seed_combination():
     """Backward classes expand as f(2n+2) E0 - f(2n) E1 for n >= 0."""
     for n in range(0, 9):
         expect = LINE_BUNDLE_1.scale(fib(2 * n + 2)) - LINE_BUNDLE_2.scale(fib(2 * n))
         assert helix_class(-n) == expect
-
-
-def test_euler_pairing_frozen_example():
-    """(d, r) = (6, 1) against (6, 2) pairs to -6."""
-    v1 = K0Class(rank=1, degree=6)
-    v2 = K0Class(rank=2, degree=6)
-    assert euler_pairing(v1, v2) == -6
-
-
-def test_euler_pairing_antisymmetric_bilinear():
-    """Pairing is antisymmetric and additive in each slot."""
-    rng = random.Random(SEED)
-    for _ in range(25):
-        a, b, c = (K0Class(rank=rng.randint(-9, 9), degree=rng.randint(-9, 9))
-                   for _ in range(3))
-        assert euler_pairing(a, b) == -euler_pairing(b, a)
-        assert euler_pairing(a, a) == 0
-        assert euler_pairing(a + b, c) == euler_pairing(a, c) + euler_pairing(b, c)
-        assert euler_pairing(a, b + c) == euler_pairing(a, b) + euler_pairing(a, c)
-
-
-def test_mutate_fixed_point():
-    """Repeated classes are stationary under the ladder step."""
-    v = K0Class(rank=3, degree=5, chi=7)
-    assert mutate(v, v) == v
-
-
-def _v_ladder(v1, v2, steps):
-    """Ladder seeded by v1, v2 with v3 = v1 + 2 v2, then mutation."""
-    seq = [v1, v2, v1 + v2.scale(2)]
-    while len(seq) < steps:
-        seq.append(mutate(seq[-2], seq[-1]))
-    return seq
-
-
-def test_ladder_closed_form_and_rank_positivity():
-    """Entry m+1 equals (m-1) V1 + m V2; ranks stay positive for 10 steps."""
-    k = 2
-    v1 = K0Class(rank=1, chi=2 * k)
-    v2 = K0Class(rank=1, chi=2 * k - 2)
-    seq = _v_ladder(v1, v2, 12)
-    for m in range(1, 12):
-        assert seq[m] == v1.scale(m - 1) + v2.scale(m)
-        assert seq[m].rank == 2 * m - 1
-        assert seq[m].rank > 0
-
-
-def test_ladder_chi_tracks_sign_convention():
-    """chi of the m-th ladder class is (2k-1) rank - 1 for the minus branch."""
-    for k in (1, 2, 3):
-        v1 = K0Class(rank=1, chi=2 * k)
-        v2 = K0Class(rank=1, chi=2 * k - 2)
-        seq = _v_ladder(v1, v2, 11)
-        for m in range(1, 11):
-            r = seq[m].rank
-            assert seq[m].chi == (2 * k - 1) * r - 1
-        mirrored = _v_ladder(v2, v1, 11)
-        for m in range(1, 11):
-            r = mirrored[m].rank
-            assert mirrored[m].chi == (2 * k - 1) * r + 1
 
 
 def test_solver_frozen_examples():
@@ -196,28 +124,6 @@ def test_solver_exhaustive_congruence_window():
                 assert d == (2 * k - 1) * r + sign
             else:
                 assert d == (2 * k - 2) * r + sign
-
-
-def test_chi_one_decomposition_samples():
-    """Split satisfies the pairing normalizations on a frozen grid."""
-    for d, r in [(4, 1), (6, 1), (5, 2), (6, 2), (7, 3), (10, 3), (9, 4), (25, 6)]:
-        v0, v1, v2 = chi_one_decomposition(d, r)
-        c = d // v0.degree
-        v = K0Class(rank=r, degree=d)
-        assert v1 + v2 == v0.scale(c)
-        assert v0.scale(c) == K0Class(rank=r + 1, degree=d)
-        assert euler_pairing(v1, v0) == 1
-        assert 0 < v1.rank <= v0.rank
-        assert euler_pairing(v2, v) == v2.degree - c
-        assert euler_pairing(v2, v) > 0
-
-
-def test_chi_one_decomposition_full_rank_seed_case():
-    """c = r + 1 branch uses the (d/c - 1, 1) seed."""
-    v0, v1, v2 = chi_one_decomposition(6, 2)
-    assert v0 == K0Class(rank=1, degree=2)
-    assert v1 == K0Class(rank=1, degree=1)
-    assert v2 == K0Class(rank=2, degree=5)
 
 
 def test_generic_poisson_rank_matches_curve_construction():

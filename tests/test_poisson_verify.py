@@ -10,21 +10,22 @@ import pytest
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family, build_tensor
 from artifact.curve_ring import CurveModel
 from artifact.exact_core import Poly
+from artifact.helix_k0 import generic_poisson_rank
 from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
-    _matrix_rank,
     compatibility_check,
-    descend_to_chart,
     euler_tensor,
     independence_rank,
     jacobi_check,
-    jacobiator,
     rank_at_point,
     rank_scan,
     ratio_bracket,
     schouten_certificate,
 )
+
+from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, descend_to_chart,
+                         jacobiator, wedge_certificate)
 
 F = Fraction
 
@@ -37,11 +38,6 @@ def _zero_like(parity, k, n):
 
 def _poly(ctx, spec):
     return Poly(ctx, {expo: F(v) for expo, v in spec.items()})
-
-
-def _all_charts_jacobi_zero(T):
-    return all(J.is_zero for m in range(T.n)
-               for J in jacobiator(descend_to_chart(T, m)).values())
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +137,8 @@ def test_jacobiator_trivial_on_two_coordinates():
 
 def test_jacobi_passes_for_built_tensors():
     """Exact chart Jacobi identity for sample curves of both parities."""
-    assert _all_charts_jacobi_zero(build_tensor(CurveModel.even(2, [1, -1, 2], [3, 1, 0, 0, 2])))
-    assert _all_charts_jacobi_zero(build_tensor(CurveModel.odd(2, -1, [2, 0, 1], [1, 2, 0, 3])))
+    assert all_charts_jacobi_zero(build_tensor(CurveModel.even(2, [1, -1, 2], [3, 1, 0, 0, 2])))
+    assert all_charts_jacobi_zero(build_tensor(CurveModel.odd(2, -1, [2, 0, 1], [1, 2, 0, 3])))
 
 
 def test_jacobiator_flags_perturbation():
@@ -361,9 +357,8 @@ def test_certificate_matches_chart_route(parity, k):
     verdicts = []
     for T in cases:
         verdict = jacobi_check(T)
-        assert verdict["holds"] == _all_charts_jacobi_zero(T)
-        if not verdict["holds"]:
-            assert verdict["witness"]["chart"] == 0
+        assert verdict["holds"] == all_charts_jacobi_zero(T) == wedge_certificate(T)
+        assert verdict["witness"] == chart_witness(T)
         res = compatibility_check(members[1], T - members[1])
         assert res["compatible"] == verdict["holds"]
         assert res["witness"] == verdict["witness"]
@@ -400,14 +395,20 @@ def test_independence_rank_matches_all_charts(parity, k):
     members = family.tensors
     dependent = FamilyBasis(parity, k, members[:8] + (members[1] + members[2].scale(2),),
                             family.labels)
-    for fam in (family, dependent):
-        rows = [{(m, a, b, expo): val
-                 for m in range(T.n)
-                 for (a, b), poly in descend_to_chart(T, m).funcs.items()
-                 for expo, val in poly.terms.items()}
-                for T in fam.tensors]
-        keys = sorted({key for row in rows for key in row})
-        matrix = [[row.get(key, F(0)) for key in keys] for row in rows]
-        assert independence_rank(fam) == _matrix_rank(matrix)
+    n = members[0].n
+    X = [[(a * 3 + b) % 5 - 2 for b in range(n)] for a in range(n)]
+    radial = FamilyBasis(parity, k, members[:8] + (members[1] + euler_tensor(members[1], X),),
+                         family.labels)
+    for fam in (family, dependent, radial):
+        assert independence_rank(fam) == chart_rank(fam.tensors, range(n))
     if (parity, k) != ("even", 1):
-        assert independence_rank(dependent) == 8
+        assert independence_rank(dependent) == independence_rank(radial) == 8
+
+
+@pytest.mark.parametrize("parity,k", [("even", 4), ("even", 5), ("even", 6),
+                                      ("odd", 4), ("odd", 5), ("odd", 6)])
+def test_rank_scan_reaches_feigin_odesskii_rank(parity, k):
+    """Every scanned point has the generic rank n - gcd(n, 2) of q_{n,1}."""
+    model = CurveModel.even(k, 0, [1]) if parity == "even" else CurveModel.odd(k, 0, 0, [1])
+    T = build_tensor(model)
+    assert rank_scan(T, 20, SEED).histogram == {generic_poisson_rank(T.n, 1): 20}

@@ -13,13 +13,17 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.bracket_forge import (BracketTensor, TensorNotInSectionSpace, _pair_matrix,
-                                    build_family)
+from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
+                                    _pair_matrix, build_family)
 from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
                                  curve_derivation, membership_extract, mult_kernel_antisym)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (_matrix_rank, descend_to_chart, euler_tensor, jacobiator,
-                                     rank_at_point, schouten_certificate)
+from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
+                                     independence_rank, jacobi_check, rank_at_point,
+                                     schouten_certificate)
+
+from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
+                         wedge_certificate)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -163,13 +167,17 @@ def test_tensor_json_canonical(T):
 
 @lru_cache(maxsize=None)
 def _family(parity, k):
-    return build_family(parity, k).tensors
+    return build_family(parity, k)
+
+
+SMALL_FAMILIES = (("even", 2), ("odd", 1), ("odd", 2))
+K3_FAMILIES = (("even", 2), ("even", 3), ("odd", 2), ("odd", 3))
 
 
 @st.composite
-def family_spans(draw):
+def family_spans(draw, shapes=SMALL_FAMILIES):
     """An integer combination of the members of a small family."""
-    members = _family(*draw(st.sampled_from([("even", 2), ("odd", 1), ("odd", 2)])))
+    members = _family(*draw(st.sampled_from(shapes))).tensors
     out = members[0].scale(draw(small_ints))
     for member in members[1:]:
         out = out + member.scale(draw(small_ints))
@@ -200,9 +208,9 @@ def test_family_span_is_poisson(T):
 
 
 @st.composite
-def bumped_family_spans(draw):
+def bumped_family_spans(draw, shapes=SMALL_FAMILIES):
     """A family span, plus a drawn value on one drawn coefficient."""
-    T = draw(family_spans())
+    T = draw(family_spans(shapes))
     index = st.integers(0, T.n - 1)
     pair = draw(st.tuples(index, index).filter(lambda ab: ab[0] < ab[1]))
     mono = tuple(sorted(draw(st.tuples(index, index))))
@@ -214,9 +222,24 @@ def bumped_family_spans(draw):
 @given(T=st.one_of(family_spans(), bumped_family_spans()))
 def test_certificate_matches_all_charts(T):
     """E ^ [pi, pi] = 0 holds exactly when every chart Jacobiator vanishes."""
-    charts = all(J.is_zero for m in range(T.n)
-                 for J in jacobiator(descend_to_chart(T, m)).values())
-    assert schouten_certificate(T) == charts
+    assert schouten_certificate(T) == all_charts_jacobi_zero(T)
+
+
+@FEW
+@given(T=st.one_of(family_spans(K3_FAMILIES), bumped_family_spans(K3_FAMILIES)))
+def test_chart0_components_match_chart_route(T):
+    """The components (E ^ V)^{0I} give the chart route's answers: the
+    certificate of the C(n, 4) wedge, the chart-0 Jacobiator witness, and
+    the chart-0 rank of a family with T in place of its last member."""
+    family = _family(T.parity, T.k)
+    verdict = jacobi_check(T)
+    assert verdict == {"holds": wedge_certificate(T), "witness": chart_witness(T)}
+    assert schouten_certificate(T) == verdict["holds"]
+    first = family.tensors[0]
+    assert compatibility_check(first, T - first) == {"compatible": verdict["holds"],
+                                                     "witness": verdict["witness"]}
+    swapped = FamilyBasis(T.parity, T.k, family.tensors[:8] + (T,), family.labels)
+    assert independence_rank(swapped) == chart_rank(swapped.tensors)
 
 
 def _schoolbook_product(p, q):
