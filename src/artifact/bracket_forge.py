@@ -3,8 +3,10 @@
 A bracket tensor on the dual of a section space stores, for every pair of
 coordinates (a, b) with a < b, a symmetric quadratic form in the coordinates.
 The forms come from a five-term combination of the multiplication kernel and
-the canonical derivation; the combination is expanded over basis x basis in
-one pass, its (t+c) poles cancelled once, where the coordinates are read off.
+the canonical derivation.  Reading coordinates is linear, so the assembly
+uses bilinearity: the kernel term of each pair is expanded over basis x basis
+in one pass, its (t+c) poles cancelled once, and the n derivation images are
+read once each and added to the rows of the two coordinates of the pair.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly.  For odd parity the derivation picks up a double pole
@@ -165,32 +167,6 @@ def _json_rational(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CorrectionOperators:
-    """First-order correction maps for the generic bracket assembly.
-
-    images_a[i] and images_b[i] are the images of the i-th basis section
-    under the two correction operators; they may live in a larger space
-    than the sections themselves, recorded by the e_divisor tag.
-    """
-
-    images_a: Tuple[CurveElement, ...]
-    images_b: Tuple[CurveElement, ...]
-    e_divisor: str = ""
-
-    @classmethod
-    def zero(cls, space: SectionSpace) -> "CorrectionOperators":
-        z = space.model.zero()
-        images = (z,) * space.dim
-        return cls(images, images, "zero correction")
-
-    @classmethod
-    def scaled_derivation(cls, space: SectionSpace, factor: RationalLike) -> "CorrectionOperators":
-        scalar = CurveElement(space.model, rat(factor))
-        images = tuple(scalar * curve_derivation(e) for e in space.basis_elements())
-        return cls(images, images, "derivation image, one level up")
-
-
-@dataclass(frozen=True)
 class FamilyBasis:
     """The nine-member basis of an anticanonical bracket family."""
 
@@ -219,71 +195,123 @@ class FamilyBasis:
         return cls(data["parity"], data["k"], tensors, tuple(data["labels"]))
 
 
-def _pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
-                 pair_label: str) -> Dict[PairKey, Fraction]:
-    """Coefficient grid of bi over basis x basis, read off its x-blocks.
+# A slot of a two-point grid: (power of x, power of t).  The basis index
+# of slot (u, i) is i, or k + 1 + i for u = 1, when i is in range.
+Slot = Tuple[int, int]
+Grid = Dict[Tuple[Slot, Slot], Fraction]
+
+_BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
+
+
+def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
+    """Slot -> basis index, in basis order."""
+    slots = {(0, i): i for i in range(space.k + 1)}
+    slots.update({(1, j): space.k + 1 + j for j in range(space.x_deg_max + 1)})
+    return slots
+
+
+def _pair_grid(bi: BiCurveElement, strict: bool) -> Tuple[Grid, List[str]]:
+    """Coefficient grid of bi, read off its x-blocks, out-of-basis slots kept.
 
     Each block is divided once by (t1+c)^m1 (t2+c)^m2; the (t1, t2)
-    exponents of the quotient are the basis indices of the two slots.
-    Strict mode rejects a remainder or an exponent past the basis,
-    truncating mode drops it.
+    exponents of the quotient are the t-powers of the two slots.  Strict
+    mode also lists the nonzero pole remainders.
     """
     root = -bi.model.c
-    offset = (0, space.k + 1)
-    dmax = (space.k, space.x_deg_max)
-    matrix: Dict[PairKey, Fraction] = {}
+    grid: Grid = {}
     problems: List[str] = []
-    for (u, v), tag, block in zip(((0, 0), (1, 0), (0, 1), (1, 1)),
-                                  ("1x1", "x1", "x2", "x1*x2"), bicurve_x_blocks(bi)):
-        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1, not truncate)
-        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2, not truncate)
-        if not truncate:
+    for ((u, v), tag), block in zip(_BLOCK_TAGS.items(), bicurve_x_blocks(bi)):
+        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1, strict)
+        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2, strict)
+        if strict:
             problems += [f"slot-{slot} pole remainder in {tag} block: {r}"
                          for slot, r in ((1, r1), (2, r2)) if not r.is_zero]
         for (i, j), val in q.terms.items():
-            if i <= dmax[u] and j <= dmax[v]:
-                matrix[(offset[u] + i, offset[v] + j)] = val
-            elif not truncate:
-                problems.append(f"term t1^{i}*t2^{j} of the {tag} block outside the basis")
-    if problems:
-        raise TensorNotInSectionSpace(pair_label, problems)
-    return matrix
+            grid[((u, i), (v, j))] = val
+    return grid, problems
 
 
-def _symmetrize(matrix: Dict[PairKey, Fraction]) -> FormDict:
-    form: FormDict = {}
-    for (u, v), val in matrix.items():
-        key = (u, v) if u <= v else (v, u)
-        form[key] = form.get(key, Fraction(0)) + val
-    return {key: val for key, val in form.items() if val}
+def _section_coords(e: CurveElement, slots: Dict[Slot, int], strict: bool
+                    ) -> Tuple[Dict[int, Fraction], Dict[Slot, Fraction], Optional[str]]:
+    """Coordinates of e, each x-block divided by (t+c)^m: by basis index,
+    and by slot for the powers past the basis.  Strict mode also describes
+    a nonzero pole remainder."""
+    A, B, m = e.x_parts()
+    inside: Dict[int, Fraction] = {}
+    outside: Dict[Slot, Fraction] = {}
+    poles = []
+    for u, block in ((0, A), (1, B)):
+        q, r = poly_div_linear_power(block, "t", -e.model.c, m, strict)
+        if strict and not r.is_zero:
+            poles.append(f"{'x' if u else '1'} block {r}")
+        for (i,), val in q.terms.items():
+            if (u, i) in slots:
+                inside[slots[(u, i)]] = val
+            else:
+                outside[(u, i)] = val
+    return inside, outside, ", ".join(poles) or None
 
 
-def _assemble(space: SectionSpace, basis: Sequence[CurveElement],
-              images_a: Sequence[CurveElement], images_b: Sequence[CurveElement],
-              scale: RationalLike, truncate: bool) -> Dict[PairKey, FormDict]:
-    """Forms of scale*S(s_a^s_b) + s_a (x) A(s_b) + B(s_b) (x) s_a
-    - s_b (x) A(s_a) - B(s_a) (x) s_b over every basis pair a < b."""
-    labels = space.labels()
-    pi: Dict[PairKey, FormDict] = {}
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            T = mult_kernel_antisym(basis[a], basis[b]).scale(scale)
-            T = T + BiCurveElement.from_sections(basis[a], images_a[b])
-            T = T + BiCurveElement.from_sections(images_b[b], basis[a])
-            T = T - BiCurveElement.from_sections(basis[b], images_a[a])
-            T = T - BiCurveElement.from_sections(images_b[a], basis[b])
-            form = _symmetrize(_pair_matrix(T, space, truncate,
-                                            f"({labels[a]}, {labels[b]})"))
-            if form:
-                pi[(a, b)] = form
-    return pi
+def _overflow_details(grid: Grid, slots: Dict[Slot, int]) -> List[str]:
+    """The nonzero entries of grid outside basis x basis, in block order."""
+    out = sorted((2 * v + u, i, j) for ((u, i), (v, j)), val in grid.items()
+                 if val and not ((u, i) in slots and (v, j) in slots))
+    return [f"term t1^{i}*t2^{j} of the {_BLOCK_TAGS[(b % 2, b // 2)]} block outside the basis"
+            for b, i, j in out]
 
 
 def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDict]:
-    """The assembly with A = B = D, the canonical derivation, and scale n."""
+    """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
+    - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation.
+
+    Reading a grid is linear and the derivation terms factor over the
+    basis, so each D(s_b) is read once: symmetrized, the pair's form is n
+    times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
+    2 D(s_a) in row b.  Truncating mode drops pole remainders and
+    out-of-basis slots.  Strict mode rejects a pair whose summed grid has
+    an entry outside the basis, where kernel and derivation overflow may
+    cancel, or a pole: the kernel has none (its remainders are checked),
+    and s_a (x) D(s_b) - s_b (x) D(s_a) has a pole in slot 2 unless
+    neither image has one, as rows a != b are independent.
+    """
+    n = space.dim
+    strict = not truncate
+    labels = space.labels()
     basis = space.basis_elements()
-    derivs = [curve_derivation(e) for e in basis]
-    return _assemble(space, basis, derivs, derivs, space.dim, truncate)
+    slots = _basis_slots(space)
+    keys = list(slots)
+    images = [_section_coords(curve_derivation(e), slots, strict) for e in basis]
+    pi: Dict[PairKey, FormDict] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            grid, problems = _pair_grid(mult_kernel_antisym(basis[a], basis[b]), strict)
+            form: FormDict = {}
+            for (s1, s2), val in grid.items():
+                if s1 in slots and s2 in slots:
+                    u, v = slots[s1], slots[s2]
+                    key = (u, v) if u <= v else (v, u)
+                    form[key] = form.get(key, 0) + n * val
+            for row, (inside, _, _), sign in ((a, images[b], 2), (b, images[a], -2)):
+                for u, val in inside.items():
+                    key = (row, u) if row <= u else (u, row)
+                    form[key] = form.get(key, 0) + sign * val
+            if strict:
+                problems += [f"pole of D({labels[x]}): {images[x][2]}"
+                             for x in (a, b) if images[x][2]]
+                overflow = {key: n * val for key, val in grid.items()
+                            if not (key[0] in slots and key[1] in slots)}
+                for row, (_, outside, _), sign in ((keys[a], images[b], 1),
+                                                   (keys[b], images[a], -1)):
+                    for s, val in outside.items():
+                        for key in ((row, s), (s, row)):
+                            overflow[key] = overflow.get(key, 0) + sign * val
+                problems += _overflow_details(overflow, slots)
+                if problems:
+                    raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", problems)
+            form = {key: val for key, val in form.items() if val}
+            if form:
+                pi[(a, b)] = form
+    return pi
 
 
 def _combine_forms(parts: Sequence[Tuple[Dict[PairKey, FormDict], Fraction]]) -> Dict[PairKey, FormDict]:
@@ -350,25 +378,6 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
                                 (_odd_shift_forms(space.k), Fraction(1))])
         prov["assembly"] = "five-term, pole-corrected"
     return BracketTensor(model.parity, space.k, space.dim, forms, prov)
-
-
-def build_tensor_generic(model: CurveModel, ops: CorrectionOperators,
-                         k: Optional[int] = None) -> BracketTensor:
-    """Kernel bracket with user-supplied correction operators, strict mode.
-
-    Assembles S*(s1^s2) + s1 (x) A(s2) - s2 (x) A(s1) + B(s2) (x) s1
-    - B(s1) (x) s2 and expands it over the section basis; raises
-    TensorNotInSectionSpace when a component falls outside.
-    """
-    model._require_numeric("bracket construction")
-    space = SectionSpace(model, k)
-    if len(ops.images_a) != space.dim or len(ops.images_b) != space.dim:
-        raise ValueError("correction operator images do not match the basis size")
-    pi = _assemble(space, space.basis_elements(), ops.images_a, ops.images_b, 1, False)
-    prov = dict(model.to_json())
-    prov["assembly"] = "generic"
-    prov["correction"] = ops.e_divisor
-    return BracketTensor(model.parity, space.k, space.dim, pi, prov)
 
 
 def _unit_coeffs(i: int, size: int) -> List[int]:

@@ -117,10 +117,6 @@ class CurveModel:
         """The linear factor t + c (odd parity pole locus)."""
         return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
 
-    def section_dim(self, k: Optional[int] = None) -> int:
-        k = self.k_param if k is None else k
-        return 2 * k if self.parity == "even" else 2 * k + 1
-
     def zero(self) -> "CurveElement":
         return CurveElement(self, 0)
 
@@ -548,36 +544,6 @@ class BiCurveElement:
         return BiCurveElement(self.model, self.c00 * f, self.c10 * f, self.c01 * f,
                               self.c11 * f, self.m1, self.m2)
 
-    def _items(self):
-        yield (0, 0), self.c00
-        yield (1, 0), self.c10
-        yield (0, 1), self.c01
-        yield (1, 1), self.c11
-
-    def __mul__(self, other: "BiCurveElement") -> "BiCurveElement":
-        _check_models(self.model, other.model)
-        R1 = self._slot_poly(self.model.R, "t1")
-        R2 = self._slot_poly(self.model.R, "t2")
-        zero = Poly(self.bivars)
-        acc = {(0, 0): zero, (1, 0): zero, (0, 1): zero, (1, 1): zero}
-        for (u1, v1), p in self._items():
-            if p.is_zero:
-                continue
-            for (u2, v2), q in other._items():
-                if q.is_zero:
-                    continue
-                prod = p * q
-                u, v = u1 + u2, v1 + v2
-                if u == 2:
-                    prod = prod * R1
-                    u = 0
-                if v == 2:
-                    prod = prod * R2
-                    v = 0
-                acc[(u, v)] = acc[(u, v)] + prod
-        return BiCurveElement(self.model, acc[(0, 0)], acc[(1, 0)], acc[(0, 1)], acc[(1, 1)],
-                              self.m1 + other.m1, self.m2 + other.m2)
-
     def swap_slots(self) -> "BiCurveElement":
         swap = {"t1": "t2", "t2": "t1"}
         return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
@@ -649,20 +615,26 @@ def szego_kernel(model: CurveModel) -> BiCurveElement:
 def mult_kernel_antisym(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
     """S * (s1(1) s2(2) - s2(1) s1(2)) with the diagonal pole cancelled.
 
-    Multiplies the Szego numerator w1 + w2 against the antisymmetrized
-    product and divides each of the four w-basis coefficients exactly by
-    (t1 - t2); divisibility holds because the whole expression vanishes
-    on the diagonal, coefficient by coefficient.
+    With X = s1(1) s2(2), the antisymmetrized product X - swap(X) has
+    w-basis coefficients d00, d10, d01, d11; the Szego numerator w1 + w2
+    multiplies it in closed form, using w_i^2 = R(t_i):
+    (d10 R1 + d01 R2) + (d00 + d11 R2) w1 + (d00 + d11 R1) w2 + (d10 + d01) w1 w2.
+    Each coefficient is then divided exactly by (t1 - t2); divisibility
+    holds because the whole expression vanishes on the diagonal,
+    coefficient by coefficient.
     """
     _check_models(s1.model, s2.model)
     model = s1.model
-    raw = BiCurveElement.from_sections(s1, s2) - BiCurveElement.from_sections(s2, s1)
-    num = szego_kernel(model) * raw
-    parts, left = _cancel_poles([num.c00, num.c10, num.c01, num.c11], "t1",
-                                Poly.var(num.bivars, "t2"), 1)
+    X = BiCurveElement.from_sections(s1, s2)
+    raw = X - X.swap_slots()
+    R1, R2 = (raw._slot_poly(model.R, var) for var in ("t1", "t2"))
+    num = [raw.c10 * R1 + raw.c01 * R2, raw.c00 + raw.c11 * R2,
+           raw.c00 + raw.c11 * R1, raw.c10 + raw.c01]
+    parts, left = _cancel_poles(num, "t1", Poly.var(raw.bivars, "t2"), 1)
     if left:
-        raise NonzeroRemainder(f"{num} does not vanish on the diagonal t1 = t2")
-    return BiCurveElement(model, *parts, m1=num.m1, m2=num.m2)
+        raise NonzeroRemainder(f"kernel numerator of {s1} and {s2} does not vanish "
+                               f"on the diagonal t1 = t2")
+    return BiCurveElement(model, *parts, m1=raw.m1, m2=raw.m2)
 
 
 @dataclass(frozen=True)

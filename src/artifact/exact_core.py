@@ -432,10 +432,6 @@ class QuadExtElem:
     def __setattr__(self, name, value):
         raise AttributeError("QuadExtElem is immutable")
 
-    @classmethod
-    def rational(cls, value: RationalLike, radicand: RationalLike) -> "QuadExtElem":
-        return cls(value, 0, radicand)
-
     @property
     def is_zero(self) -> bool:
         return not self.base and not self.radical_coeff

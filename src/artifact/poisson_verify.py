@@ -256,15 +256,20 @@ def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
     denominators, and the restriction by the pivot coordinate, none of
     which changes the rank.
     """
+    return _point_rank(_integer_forms(T)[1], T.n, phi)
+
+
+def _point_rank(forms: Dict[Tuple[int, int], Dict[Tuple[int, int], int]], n: int,
+                phi: Sequence[RationalLike]) -> int:
+    """rank_at_point on the integer forms of a tensor, cleared once per tensor."""
     point = [rat(x) for x in phi]
-    if len(point) != T.n:
+    if len(point) != n:
         raise ValueError("point size differs from the tensor size")
     if not any(point):
         raise ZeroVector("rank evaluation needs a nonzero point")
-    n = T.n
     pt = clear_denominators(point)[1]
     M = [[0] * n for _ in range(n)]
-    for (a, b), form in _integer_forms(T)[1].items():
+    for (a, b), form in forms.items():
         val = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
         M[a][b], M[b][a] = val, -val
     p = next(i for i, x in enumerate(pt) if x)
@@ -293,7 +298,8 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     points = tuple(_random_point(rng, T.n) for _ in range(samples))
-    ranks = tuple(rank_at_point(T, p) for p in points)
+    forms = _integer_forms(T)[1]
+    ranks = tuple(_point_rank(forms, T.n, p) for p in points)
     histogram: Dict[int, int] = {}
     for r in ranks:
         histogram[r] = histogram.get(r, 0) + 1
@@ -308,7 +314,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
             probe = tuple(b + s * d for b, d in zip(base, direction))
             if not any(probe):
                 continue
-            r = rank_at_point(T, probe)
+            r = _point_rank(forms, T.n, probe)
             if r < generic:
                 drops.append({"s": rat_str(s), "rank": r,
                               "point": [rat_str(x) for x in probe]})

@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from artifact import bracket_forge
 from artifact.bracket_forge import (
     BracketTensor,
-    CorrectionOperators,
     FamilyBasis,
     TensorNotInSectionSpace,
     build_family,
     build_tensor,
-    build_tensor_generic,
     reconstruct_tensor,
     truncated_five_term,
 )
-from artifact.curve_ring import CurveModel, SectionSpace
+from artifact.curve_ring import CurveModel, SectionSpace, curve_derivation
+
+import assembly_route
 
 F = Fraction
 
@@ -131,32 +132,23 @@ def test_form_sign_convention():
     assert T.form(1, 1) == {}
 
 
-def test_odd_literal_strict_mode_raises():
-    """The uncorrected odd assembly fails the section-space landing."""
-    model = CurveModel.odd(2, 1, [0, 1], [1, 0, 2])
-    space = SectionSpace(model)
-    ops = CorrectionOperators.scaled_derivation(space, F(1, space.dim))
-    with pytest.raises(TensorNotInSectionSpace) as info:
-        build_tensor_generic(model, ops)
-    assert info.value.pair
-    assert info.value.details
+@pytest.mark.parametrize("k", [2, 3])
+def test_strict_mode_rejects_doubled_derivation(monkeypatch, k):
+    """With D replaced by 2 D the even overflow no longer cancels: the
+    bilinear and the per-pair routes name the same first pair and details."""
+    def doubled(e):
+        return curve_derivation(e) * 2
 
-
-def test_even_kernel_only_generic_raises_on_general_q():
-    """Without corrections the kernel tensor overflows the basis."""
-    model = CurveModel.even(2, [1, 2, 1], [0, 0, 0, 0, 1])
-    space = SectionSpace(model)
-    with pytest.raises(TensorNotInSectionSpace):
-        build_tensor_generic(model, CorrectionOperators.zero(space))
-
-
-def test_even_generic_derivation_matches_scaled_build():
-    """A = B = derivation/N reproduces build_tensor scaled by 1/N."""
-    model = CurveModel.even(2, [1, -1, 2], [3, 1, 0, 0, 2])
-    space = SectionSpace(model)
-    ops = CorrectionOperators.scaled_derivation(space, F(1, space.dim))
-    G = build_tensor_generic(model, ops)
-    assert G == build_tensor(model).scale(F(1, space.dim))
+    monkeypatch.setattr(bracket_forge, "curve_derivation", doubled)
+    monkeypatch.setattr(assembly_route, "curve_derivation", doubled)
+    model = CurveModel.even(k, [1, -1, 2], [3, 1, 0, 0, 2])
+    with pytest.raises(TensorNotInSectionSpace) as new:
+        build_tensor(model)
+    with pytest.raises(TensorNotInSectionSpace) as old:
+        assembly_route.five_term_forms(SectionSpace(model), truncate=False)
+    assert (new.value.pair, new.value.details) == (old.value.pair, old.value.details)
+    assert new.value.pair == f"(1, t^{k})"
+    assert all(" block outside the basis" in d for d in new.value.details)
 
 
 def test_affine_linearity_cross_difference():

@@ -1,6 +1,8 @@
 """Property tests: exact division, polynomial products, curve normal form,
-coordinate extraction from two-point sections, tensor JSON, the Jacobi
-certificate and the integer rank kernel, on inputs drawn by hypothesis.
+coordinate extraction from two-point sections, the bilinear assembly and
+the closed-form kernel against their per-pair references, tensor JSON, the
+Jacobi certificate and the integer rank kernel, on inputs drawn by
+hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -14,14 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
-                                    _pair_matrix, build_family)
-from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
-                                 curve_derivation, membership_extract, mult_kernel_antisym)
+                                    _basis_slots, _five_term_forms, _section_coords,
+                                    build_family)
+from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, NotInSpace,
+                                 SectionSpace, curve_derivation, membership_extract,
+                                 mult_kernel_antisym)
 from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
                                      independence_rank, jacobi_check, rank_at_point,
                                      schouten_certificate)
 
+import assembly_route
+from assembly_route import pair_matrix
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
                          wedge_certificate)
 
@@ -81,9 +87,9 @@ def curves(draw, parities=("even", "odd"), max_k=2):
 
 
 def _grid(bi, space, truncate):
-    """_pair_matrix of bi, or "rejected" when strict mode refuses it."""
+    """pair_matrix of bi, or "rejected" when strict mode refuses it."""
     try:
-        return _pair_matrix(bi, space, truncate, "(a, b)")
+        return pair_matrix(bi, space, truncate, "(a, b)")
     except TensorNotInSectionSpace:
         return "rejected"
 
@@ -129,7 +135,77 @@ def test_pair_matrix_matches_slotwise_extraction(space, data):
     outer = {(u, v): x * y for u, x in enumerate(c1) for v, y in enumerate(c2) if x * y}
     bi = BiCurveElement.from_sections(e1, e2)
     for truncate in (False, True):
-        assert _pair_matrix(bi, space, truncate, "(a, b)") == outer
+        assert pair_matrix(bi, space, truncate, "(a, b)") == outer
+
+
+@PROPERTY
+@given(space=curves(), data=st.data())
+def test_section_coords_match_membership(space, data):
+    """The one-slot reading of a derivation image reports a pole or a power
+    past the basis exactly when membership_extract refuses one, and
+    otherwise has its coordinates."""
+    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
+    e = curve_derivation(space.element_from_coords(data.draw(coords)))
+    inside, outside, pole = _section_coords(e, _basis_slots(space), strict=True)
+    try:
+        expected = membership_extract(e, space)
+    except NotInSpace as exc:
+        refusal = "pole" if str(exc).startswith("pole part") else "overflow"
+        assert refusal == ("pole" if pole else "overflow" if outside else None)
+        return
+    assert pole is None and not outside
+    assert [inside.get(i, 0) for i in range(space.dim)] == expected
+
+
+coefficients = st.one_of(small_ints, rationals)
+
+
+@st.composite
+def assembly_spaces(draw):
+    """A curve of drawn parity at k <= 3 with integer or rational
+    coefficients, odd ones with c != 0, and its section space."""
+    k = draw(st.integers(1, 3))
+    Q = draw(st.lists(coefficients, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        model = CurveModel.even(k, Q, draw(st.lists(coefficients, min_size=5, max_size=5)))
+    else:
+        P = draw(st.lists(coefficients, min_size=4, max_size=4))
+        model = CurveModel.odd(k, draw(rationals.filter(bool)), Q, P)
+    return SectionSpace(model)
+
+
+def _forms_or_rejection(assemble, space, truncate):
+    try:
+        return assemble(space, truncate)
+    except TensorNotInSectionSpace as exc:
+        return exc.pair, exc.details
+
+
+@PROPERTY
+@given(space=assembly_spaces())
+def test_bilinear_assembly_matches_per_pair_route(space):
+    """Reading each derivation image once gives the per-pair route's forms,
+    and in strict mode its rejection: the same first pair and details."""
+    for truncate in (True, False):
+        assert (_forms_or_rejection(_five_term_forms, space, truncate)
+                == _forms_or_rejection(assembly_route.five_term_forms, space, truncate))
+
+
+@PROPERTY
+@given(space=assembly_spaces(), data=st.data())
+def test_closed_form_kernel_matches_general_product(space, data):
+    """mult_kernel_antisym times (t1 - t2) is the general w-basis product of
+    the Szego numerator with the antisymmetrized product, also for
+    derivation images, whose pole orders differ from the sections'."""
+    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
+    s1, s2 = (space.element_from_coords(data.draw(coords)) for _ in range(2))
+    if data.draw(st.booleans()):
+        s2 = curve_derivation(s2)
+    out = mult_kernel_antisym(s1, s2)
+    diff = Poly.var(out.bivars, "t1") - Poly.var(out.bivars, "t2")
+    lifted = BiCurveElement(space.model, *(p * diff for p in (out.c00, out.c10, out.c01, out.c11)),
+                            m1=out.m1, m2=out.m2)
+    assert lifted == assembly_route.raw_kernel_numerator(s1, s2)
 
 
 @st.composite
