@@ -4,10 +4,11 @@ arithmetic.
 
 Submodules:
 
-- exact_core: rationals, sparse polynomials, quadratic extensions, Laurent
-  series (no floating point anywhere).
+- exact_core: rationals, sparse polynomials, Laurent series with rational
+  coefficients (no floating point anywhere).
 - curve_ring: curve models, coordinate-ring elements in one and two points,
-  the multiplication kernel, section spaces, residue certificates.
+  the multiplication kernel, section spaces, the Szego residue certificate
+  (over Q).
 - bracket_forge: bracket tensors on the section spaces, the nine-member
   anticanonical families, serialization.
 - poisson_verify: Jacobi and compatibility certificates, independence

@@ -314,37 +314,6 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
     return pi
 
 
-def _combine_forms(parts: Sequence[Tuple[Dict[PairKey, FormDict], Fraction]]) -> Dict[PairKey, FormDict]:
-    out: Dict[PairKey, FormDict] = {}
-    for forms, factor in parts:
-        for pair, form in forms.items():
-            target = out.setdefault(pair, {})
-            for mono, val in form.items():
-                target[mono] = target.get(mono, Fraction(0)) + factor * val
-    return {pair: {m: v for m, v in form.items() if v}
-            for pair, form in out.items() if any(form.values())}
-
-
-_ODD_SHIFT_CACHE: Dict[int, Dict[PairKey, FormDict]] = {}
-
-
-def _odd_shift_forms(k: int) -> Dict[PairKey, FormDict]:
-    """Curve-independent recentering correction for the odd assembly.
-
-    With W(c, Q, P) the truncated five-term forms, the correction is
-    (2/(2k+1)) * (W(1,0,0) - 2 W(0,0,0)); adding it to W(c, Q, P) matches
-    the closed-form chart brackets and restores the Jacobi identity.
-    """
-    if k not in _ODD_SHIFT_CACHE:
-        m0 = CurveModel.odd(k, 0, 0, 0)
-        m1 = CurveModel.odd(k, 1, 0, 0)
-        w0 = _five_term_forms(SectionSpace(m0, k), truncate=True)
-        w1 = _five_term_forms(SectionSpace(m1, k), truncate=True)
-        factor = Fraction(2, 2 * k + 1)
-        _ODD_SHIFT_CACHE[k] = _combine_forms([(w1, factor), (w0, -2 * factor)])
-    return _ODD_SHIFT_CACHE[k]
-
-
 def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     """Literal five-term assembly with pole parts and excess monomials dropped.
 
@@ -359,6 +328,24 @@ def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTe
     return BracketTensor(model.parity, space.k, space.dim, forms, prov)
 
 
+_ODD_SHIFT_CACHE: Dict[int, BracketTensor] = {}
+
+
+def _odd_shift(k: int) -> BracketTensor:
+    """Curve-independent recentering correction for the odd assembly.
+
+    With W(c, Q, P) the truncated five-term forms, the correction is
+    (2/(2k+1)) * (W(1,0,0) - 2 W(0,0,0)); adding it to W(c, Q, P) matches
+    the closed-form chart brackets and restores the Jacobi identity.  As
+    W(c,0,0) is affine in c, the correction is -(2/(2k+1)) * W(-1,0,0),
+    one assembly per k.
+    """
+    if k not in _ODD_SHIFT_CACHE:
+        moved = truncated_five_term(CurveModel.odd(k, -1, 0, 0))
+        _ODD_SHIFT_CACHE[k] = moved.scale(Fraction(-2, 2 * k + 1))
+    return _ODD_SHIFT_CACHE[k]
+
+
 def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     """Bracket tensor of the curve on the level-k coordinate space.
 
@@ -366,18 +353,15 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     the section basis, otherwise TensorNotInSectionSpace).  Odd parity:
     truncated five-term assembly plus the fixed recentering correction.
     """
+    if model.parity == "odd":
+        base = truncated_five_term(model, k)
+        out = base + _odd_shift(base.k)
+        out.provenance = dict(model.to_json(), assembly="five-term, pole-corrected")
+        return out
     model._require_numeric("bracket construction")
     space = SectionSpace(model, k)
-    prov = dict(model.to_json())
-    if model.parity == "even":
-        forms = _five_term_forms(space, truncate=False)
-        prov["assembly"] = "five-term"
-    else:
-        base = _five_term_forms(space, truncate=True)
-        forms = _combine_forms([(base, Fraction(1)),
-                                (_odd_shift_forms(space.k), Fraction(1))])
-        prov["assembly"] = "five-term, pole-corrected"
-    return BracketTensor(model.parity, space.k, space.dim, forms, prov)
+    prov = dict(model.to_json(), assembly="five-term")
+    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space, truncate=False), prov)
 
 
 def _unit_coeffs(i: int, size: int) -> List[int]:

@@ -28,7 +28,6 @@ from .exact_core import (
     LaurentSeries,
     NonzeroRemainder,
     Poly,
-    QuadExtElem,
     RationalLike,
     poly_div_linear_power,
     poly_divmod_linear,
@@ -663,12 +662,19 @@ def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
     """Certify the normalization of the Szego kernel on one curve.
 
     Checks, all exactly: the residue along the diagonal equals 1, and the
-    residues at the two points over t = infinity agree and equal 1/2.
-    The infinity residues are computed as Laurent series in u = 1/t over
-    the quadratic extension generated by the square root of the leading
-    coefficient a of R; the part proportional to the second-slot w is
-    certified to contribute nothing.  Requires deg R = 4 (two distinct
-    points at infinity); otherwise DegenerateDivisor is raised.
+    residues at the two points over t = infinity equal 1/2.  Requires the
+    t^4 coefficient a of R to be nonzero (two distinct points at
+    infinity); otherwise DegenerateDivisor is raised.
+
+    The infinity residues are read off Laurent series in u = 1/t over Q.
+    On the branch s = +-1, w1 = sigma H with sigma = s sqrt(a) and
+    H = h(u)/u^2, where h^2 = R(1/u) u^4 / a and h(0) = 1; as h(0) = 1, h
+    is a rational series.  With the measure dt1/(t2 - t1) = du/(u(1 - t2 u)),
+    the w1-part of the kernel, w1 (2 w1)^-1 measure = H (2H)^-1 measure,
+    does not involve sigma, so both points have the same rational residue.
+    The w2-part is (1/sigma) (2H)^-1 measure: its residue vanishes exactly
+    when the rational residue of (2H)^-1 measure does, which is checked at
+    each probe t2.
     """
     model._require_numeric("residue certification")
     rc = model.R.coeffs_univar("t")
@@ -689,33 +695,18 @@ def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
     if diagonal != 1:
         raise ResidueMismatch(f"diagonal residue {diagonal} is not 1")
 
-    # infinity: w1 = s sqrt(a) h(u) / u^2 on the branch s, h monic
-    r_series = LaurentSeries.from_terms(
-        "u", {i: QuadExtElem(rc[4 - i], 0, a) for i in range(5)}, _SERIES_TRUNC, a)
-    h = r_series.scale(Fraction(1) / a).sqrt()
-    branch_values: List[Fraction] = []
-    for s in (1, -1):
-        w1 = h.scale(QuadExtElem(0, s, a)).shift(-2)
-        inv_2w1 = w1.scale(2).invert()
-        probe_values: List[Fraction] = []
-        for t2 in _T2_PROBES:
-            # 1/(t2 - t1) = -u/(1 - t2 u) at t1 = 1/u; dt1 = -du/u^2
-            geo = LaurentSeries.from_terms(
-                "u", {0: QuadExtElem(1, 0, a), 1: QuadExtElem(-t2, 0, a)}, _SERIES_TRUNC, a).invert()
-            kernel_factor = geo.shift(1).scale(-1)
-            measure = kernel_factor.shift(-2).scale(-1)
-            res_w1 = (w1 * inv_2w1 * measure).coeff_at(-1)
-            res_w2 = (inv_2w1 * measure).coeff_at(-1)
-            if not res_w2.is_zero:
-                raise ResidueMismatch(f"second-slot residue {res_w2} does not vanish at t2={t2}")
-            if res_w1.radical_coeff:
-                raise ResidueMismatch(f"irrational residue {res_w1}")
-            probe_values.append(res_w1.base)
-        if len(set(probe_values)) != 1:
-            raise ResidueMismatch(f"probe disagreement on branch {s}: {probe_values}")
-        branch_values.append(probe_values[0])
-    if branch_values[0] != branch_values[1]:
-        raise ResidueMismatch(f"branch residues differ: {branch_values}")
-    if branch_values[0] != Fraction(1, 2):
-        raise ResidueMismatch(f"infinity residue {branch_values[0]} is not 1/2")
-    return ResidueCertificate(model.parity, diagonal, (branch_values[0], branch_values[1]), _T2_PROBES)
+    h_squared = LaurentSeries.from_terms("u", {i: rc[4 - i] / a for i in range(5)}, _SERIES_TRUNC)
+    H = h_squared.sqrt().shift(-2)
+    inv_2H = H.scale(2).invert()
+    probe_values: List[Fraction] = []
+    for t2 in _T2_PROBES:
+        measure = LaurentSeries.from_terms("u", {1: 1, 2: -t2}, _SERIES_TRUNC).invert()
+        res_w2 = (inv_2H * measure).coeff_at(-1)
+        if res_w2:
+            raise ResidueMismatch(f"second-slot residue {res_w2}/(s*sqrt({a})) does not vanish at t2={t2}")
+        probe_values.append((H * inv_2H * measure).coeff_at(-1))
+    if len(set(probe_values)) != 1:
+        raise ResidueMismatch(f"probe disagreement: {probe_values}")
+    if probe_values[0] != Fraction(1, 2):
+        raise ResidueMismatch(f"infinity residue {probe_values[0]} is not 1/2")
+    return ResidueCertificate(model.parity, diagonal, (probe_values[0], probe_values[0]), _T2_PROBES)

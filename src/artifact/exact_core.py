@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: rationals, sparse multivariate polynomials,
-quadratic field extensions and truncated Laurent series.
+"""Exact arithmetic kernel: rationals, sparse multivariate polynomials
+and truncated Laurent series with rational coefficients.
 
 Everything here is immutable after construction and exact; there is no
 floating point in this module or anywhere downstream of it.
@@ -30,7 +30,7 @@ class ZeroLeading(ArithmeticError):
 
 
 class SqrtNotRepresentable(ArithmeticError):
-    """A square root does not exist inside the working extension."""
+    """A square root is not a rational series."""
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -414,224 +414,81 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int,
     return q, rem_total if remainder else None
 
 
-class QuadExtElem:
-    """Element base + radical_coeff * sqrt(radicand) of Q(sqrt(radicand)).
-
-    The radicand is fixed per element and must agree between operands.  A
-    perfect-square radicand is allowed; the representation simply stays
-    componentwise in that degenerate case.
-    """
-
-    __slots__ = ("base", "radical_coeff", "radicand")
-
-    def __init__(self, base: RationalLike, radical_coeff: RationalLike, radicand: RationalLike):
-        object.__setattr__(self, "base", rat(base))
-        object.__setattr__(self, "radical_coeff", rat(radical_coeff))
-        object.__setattr__(self, "radicand", rat(radicand))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExtElem is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.base and not self.radical_coeff
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.radical_coeff
-
-    def _check(self, other: "QuadExtElem") -> None:
-        if self.radicand != other.radicand:
-            raise VariableContextMismatch(f"radicand {self.radicand} vs {other.radicand}")
-
-    def _wrap(self, other) -> "QuadExtElem":
-        if isinstance(other, QuadExtElem):
-            self._check(other)
-            return other
-        return QuadExtElem(rat(other), 0, self.radicand)
-
-    def __add__(self, other) -> "QuadExtElem":
-        other = self._wrap(other)
-        return QuadExtElem(self.base + other.base, self.radical_coeff + other.radical_coeff, self.radicand)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExtElem":
-        return QuadExtElem(-self.base, -self.radical_coeff, self.radicand)
-
-    def __sub__(self, other) -> "QuadExtElem":
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other) -> "QuadExtElem":
-        return (-self) + self._wrap(other)
-
-    def __mul__(self, other) -> "QuadExtElem":
-        other = self._wrap(other)
-        return QuadExtElem(
-            self.base * other.base + self.radical_coeff * other.radical_coeff * self.radicand,
-            self.base * other.radical_coeff + self.radical_coeff * other.base,
-            self.radicand,
-        )
-
-    __rmul__ = __mul__
-
-    def norm(self) -> Fraction:
-        return self.base * self.base - self.radicand * self.radical_coeff * self.radical_coeff
-
-    def __truediv__(self, other) -> "QuadExtElem":
-        other = self._wrap(other)
-        n = other.norm()
-        if not n:
-            raise ZeroDivisionError("division by an element of norm zero")
-        conj = QuadExtElem(other.base, -other.radical_coeff, self.radicand)
-        num = self * conj
-        return QuadExtElem(num.base / n, num.radical_coeff / n, self.radicand)
-
-    def __rtruediv__(self, other) -> "QuadExtElem":
-        return self._wrap(other) / self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QuadExtElem(other, 0, self.radicand)
-        if not isinstance(other, QuadExtElem):
-            return NotImplemented
-        return (self.radicand == other.radicand and self.base == other.base
-                and self.radical_coeff == other.radical_coeff)
-
-    def __hash__(self):
-        return hash((self.base, self.radical_coeff, self.radicand))
-
-    def sqrt(self) -> "QuadExtElem":
-        """Square root inside the same extension, if one exists.
-
-        Solves (u + v*sqrt(r))^2 = self componentwise; raises
-        SqrtNotRepresentable when no such element exists.
-        """
-        b, c, r = self.base, self.radical_coeff, self.radicand
-        if not c:
-            u = rat_sqrt(b)
-            if u is not None:
-                return QuadExtElem(u, 0, r)
-            if r:
-                v2 = b / r
-                v = rat_sqrt(v2)
-                if v is not None:
-                    return QuadExtElem(0, v, r)
-            raise SqrtNotRepresentable(f"sqrt of {b} not in Q(sqrt({r}))")
-        # u^2 + v^2 r = b, 2uv = c: u^2 is a root of X^2 - bX + r c^2 / 4.
-        disc = b * b - r * c * c
-        rd = rat_sqrt(disc)
-        if rd is None:
-            raise SqrtNotRepresentable("norm is not a rational square")
-        for u2 in ((b + rd) / 2, (b - rd) / 2):
-            u = rat_sqrt(u2)
-            if u is not None and u:
-                return QuadExtElem(u, c / (2 * u), r)
-        raise SqrtNotRepresentable("no rational component solution")
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return str(self.base)
-        return f"{self.base} + {self.radical_coeff}*sqrt({self.radicand})"
-
-    def __repr__(self) -> str:
-        return f"QuadExtElem({self})"
-
-    def to_json(self) -> Dict[str, str]:
-        return {
-            "base": rat_str(self.base),
-            "radical_coeff": rat_str(self.radical_coeff),
-            "radicand": rat_str(self.radicand),
-        }
-
-
 class LaurentSeries:
-    """Truncated Laurent series in one variable with QuadExtElem
-    coefficients sharing one radicand.
+    """Truncated Laurent series in one variable with rational coefficients.
 
     Stored data: the exponent `lead` of the first retained coefficient, the
     coefficient tuple, and `trunc`: coefficients at exponents >= trunc are
     unknown (not asserted zero).  Exact zero series keep coeffs = ().
     """
 
-    __slots__ = ("var", "lead", "coeffs", "trunc", "radicand")
+    __slots__ = ("var", "lead", "coeffs", "trunc")
 
-    def __init__(self, var: str, lead: int, coeffs: Sequence[QuadExtElem], trunc: int, radicand: RationalLike):
-        radicand = rat(radicand)
-        coeffs = [c if isinstance(c, QuadExtElem) else QuadExtElem(c, 0, radicand) for c in coeffs]
-        for c in coeffs:
-            if c.radicand != radicand:
-                raise VariableContextMismatch("mixed radicands in series")
+    def __init__(self, var: str, lead: int, coeffs: Sequence[RationalLike], trunc: int):
+        coeffs = [rat(c) for c in coeffs]
         # normalize: strip leading zeros, clamp to truncation order
-        while coeffs and coeffs[0].is_zero:
+        while coeffs and not coeffs[0]:
             coeffs = coeffs[1:]
             lead += 1
         if lead + len(coeffs) > trunc:
             coeffs = coeffs[: max(0, trunc - lead)]
-        while coeffs and coeffs[-1].is_zero:
+        while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "lead", lead if coeffs else trunc)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "radicand", radicand)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
-    def from_terms(cls, var: str, terms: Dict[int, QuadExtElem], trunc: int, radicand: RationalLike) -> "LaurentSeries":
+    def from_terms(cls, var: str, terms: Dict[int, RationalLike], trunc: int) -> "LaurentSeries":
         if not terms:
-            return cls(var, trunc, [], trunc, radicand)
+            return cls(var, trunc, [], trunc)
         lead = min(terms)
-        top = max(terms)
-        coeffs = [terms.get(i, QuadExtElem(0, 0, radicand)) for i in range(lead, top + 1)]
-        return cls(var, lead, coeffs, trunc, radicand)
+        return cls(var, lead, [terms.get(i, 0) for i in range(lead, max(terms) + 1)], trunc)
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff_at(self, n: int) -> QuadExtElem:
+    def coeff_at(self, n: int) -> Fraction:
         """Coefficient of var^n; errors when n is beyond the truncation."""
         if n >= self.trunc:
             raise ValueError(f"coefficient at {n} is beyond truncation order {self.trunc}")
         if n < self.lead or n >= self.lead + len(self.coeffs):
-            return QuadExtElem(0, 0, self.radicand)
+            return Fraction(0)
         return self.coeffs[n - self.lead]
 
-    def residue(self) -> QuadExtElem:
-        return self.coeff_at(-1)
-
     def _check(self, other: "LaurentSeries") -> None:
-        if self.var != other.var or self.radicand != other.radicand:
-            raise VariableContextMismatch("series context mismatch")
+        if self.var != other.var:
+            raise VariableContextMismatch(f"series in {self.var} vs {other.var}")
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
         trunc = min(self.trunc, other.trunc)
-        terms: Dict[int, QuadExtElem] = {}
+        terms: Dict[int, Fraction] = {}
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                n = s.lead + i
+            for n, c in enumerate(s.coeffs, s.lead):
                 if n >= trunc:
                     break
-                terms[n] = terms.get(n, QuadExtElem(0, 0, self.radicand)) + c
-        return LaurentSeries.from_terms(self.var, terms, trunc, self.radicand)
+                terms[n] = terms.get(n, 0) + c
+        return LaurentSeries.from_terms(self.var, terms, trunc)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.var, self.lead, [-c for c in self.coeffs], self.trunc, self.radicand)
+        return self.scale(-1)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def scale(self, c) -> "LaurentSeries":
-        c = c if isinstance(c, QuadExtElem) else QuadExtElem(c, 0, self.radicand)
-        return LaurentSeries(self.var, self.lead, [c * k for k in self.coeffs], self.trunc, self.radicand)
+    def scale(self, c: RationalLike) -> "LaurentSeries":
+        c = rat(c)
+        return LaurentSeries(self.var, self.lead, [c * k for k in self.coeffs], self.trunc)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by var^n."""
-        return LaurentSeries(self.var, self.lead + n, self.coeffs, self.trunc + n, self.radicand)
+        return LaurentSeries(self.var, self.lead + n, self.coeffs, self.trunc + n)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check(other)
@@ -640,92 +497,64 @@ class LaurentSeries:
             trunc = min(self.trunc + (other.lead if not other.is_zero else 0),
                         other.trunc + (self.lead if not self.is_zero else 0),
                         self.trunc, other.trunc)
-            return LaurentSeries(self.var, trunc, [], trunc, self.radicand)
+            return LaurentSeries(self.var, trunc, [], trunc)
         trunc = min(self.trunc + other.lead, other.trunc + self.lead)
-        terms: Dict[int, QuadExtElem] = {}
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
+        terms: Dict[int, Fraction] = {}
+        for n1, a in enumerate(self.coeffs, self.lead):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                n = self.lead + i + other.lead + j
+            for n, b in enumerate(other.coeffs, n1 + other.lead):
                 if n >= trunc:
                     break
-                if b.is_zero:
-                    continue
-                terms[n] = terms.get(n, QuadExtElem(0, 0, self.radicand)) + a * b
-        return LaurentSeries.from_terms(self.var, terms, trunc, self.radicand)
+                if b:
+                    terms[n] = terms.get(n, 0) + a * b
+        return LaurentSeries.from_terms(self.var, terms, trunc)
+
+    def _unit_part(self) -> Tuple[Fraction, List[Fraction]]:
+        """c0 and the unit u with self = c0 var^lead u, padded to the
+        relative precision trunc - lead."""
+        if self.is_zero:
+            raise ZeroLeading("no known nonzero coefficient")
+        c0 = self.coeffs[0]
+        rel = self.trunc - self.lead
+        return c0, [c / c0 for c in self.coeffs] + [Fraction(0)] * (rel - len(self.coeffs))
 
     def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse to the available precision.
-
-        Requires a nonzero leading coefficient of nonzero norm; raises
-        ZeroLeading otherwise.
-        """
-        if self.is_zero:
-            raise ZeroLeading("cannot invert a series with no known nonzero coefficient")
-        c0 = self.coeffs[0]
-        if not c0.norm():
-            raise ZeroLeading("leading coefficient has norm zero")
-        # write self = c0 x^lead (1 + h), invert the unit part iteratively
-        rel = self.trunc - self.lead  # number of meaningful slots
-        one = QuadExtElem(1, 0, self.radicand)
-        unit = [c / c0 for c in self.coeffs]
-        unit += [QuadExtElem(0, 0, self.radicand)] * (rel - len(unit))
-        inv = [one] + [QuadExtElem(0, 0, self.radicand)] * (rel - 1)
-        for n in range(1, rel):
-            s = QuadExtElem(0, 0, self.radicand)
-            for i in range(1, n + 1):
-                if i < len(unit) and not unit[i].is_zero and not inv[n - i].is_zero:
-                    s = s + unit[i] * inv[n - i]
-            inv[n] = -s
-        coeffs = [c / c0 for c in inv]
-        return LaurentSeries(self.var, -self.lead, coeffs, -self.lead + rel, self.radicand)
+        """Multiplicative inverse to the available precision; ZeroLeading
+        when no nonzero coefficient is known."""
+        c0, unit = self._unit_part()
+        # y with unit * y = 1: y_n = -sum_{i=1}^{n} unit_i y_{n-i}
+        y = [Fraction(1)]
+        for n in range(1, len(unit)):
+            y.append(-sum(unit[i] * y[n - i] for i in range(1, n + 1) if unit[i]))
+        return LaurentSeries(self.var, -self.lead, [c / c0 for c in y], -self.lead + len(unit))
 
     def sqrt(self) -> "LaurentSeries":
         """Square root with the same relative precision.
 
-        The leading exponent must be even and the leading coefficient must
-        have a square root inside the extension.
+        The leading exponent must be even and the leading coefficient a
+        rational square; SqrtNotRepresentable otherwise.
         """
-        if self.is_zero:
-            raise ZeroLeading("sqrt of a series with no known nonzero coefficient")
-        if self.lead % 2:
-            raise SqrtNotRepresentable(f"odd leading exponent {self.lead}")
-        c0 = self.coeffs[0]
-        root0 = c0.sqrt()
-        rel = self.trunc - self.lead
-        zero = QuadExtElem(0, 0, self.radicand)
-        one = QuadExtElem(1, 0, self.radicand)
-        unit = [c / c0 for c in self.coeffs]
-        unit += [zero] * (rel - len(unit))
+        c0, unit = self._unit_part()
+        root0 = rat_sqrt(c0)
+        if self.lead % 2 or root0 is None:
+            raise SqrtNotRepresentable(f"leading term {c0}*{self.var}^{self.lead} is not a rational square")
         # y with y^2 = unit, y0 = 1: 2 y_n = unit_n - sum_{i=1}^{n-1} y_i y_{n-i}
-        y = [one] + [zero] * (rel - 1)
-        for n in range(1, rel):
-            s = unit[n] if n < len(unit) else zero
-            for i in range(1, n):
-                if not y[i].is_zero and not y[n - i].is_zero:
-                    s = s - y[i] * y[n - i]
-            y[n] = s / QuadExtElem(2, 0, self.radicand)
-        coeffs = [root0 * c for c in y]
-        return LaurentSeries(self.var, self.lead // 2, coeffs, self.lead // 2 + rel, self.radicand)
+        y = [Fraction(1)]
+        for n in range(1, len(unit)):
+            y.append((unit[n] - sum(y[i] * y[n - i] for i in range(1, n))) / 2)
+        return LaurentSeries(self.var, self.lead // 2, [root0 * c for c in y], self.lead // 2 + len(unit))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.var == other.var and self.radicand == other.radicand
-                and self.lead == other.lead and self.coeffs == other.coeffs
-                and self.trunc == other.trunc)
+        return (self.var == other.var and self.lead == other.lead
+                and self.coeffs == other.coeffs and self.trunc == other.trunc)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return f"O({self.var}^{self.trunc})"
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            n = self.lead + i
-            bits.append(f"({c})*{self.var}^{n}" if n else f"({c})")
-        return " + ".join(bits) + f" + O({self.var}^{self.trunc})"
+        bits = [f"({c})*{self.var}^{n}" if n else f"({c})"
+                for n, c in enumerate(self.coeffs, self.lead) if c]
+        return " + ".join(bits + [f"O({self.var}^{self.trunc})"])
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self})"

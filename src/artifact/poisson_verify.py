@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .exact_core import Poly, RationalLike, clear_denominators, rat, rat_str
+from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
 
 
@@ -347,22 +347,16 @@ def _bracket_of_linear(T: BracketTensor, f: Sequence[Fraction],
 
 def _divide_linear_form(p: Poly, coeffs: Sequence[Fraction],
                         ctx: Tuple[str, ...]) -> Optional[Poly]:
-    """Exact quotient of p by the linear form, or None."""
+    """Exact quotient of p by the linear form, or None.
+
+    With pivot the last nonzero coefficient, the form is
+    lead * (phi_pivot - root) for root = -sum_{i != pivot} (c_i/lead) phi_i.
+    """
     pivot = max(i for i, c in enumerate(coeffs) if c)
-    name = ctx[pivot]
-    divisor = _linear_poly(coeffs, ctx)
     lead = coeffs[pivot]
-    quotient = Poly(ctx)
-    rest = p
-    while rest.degree_in(name) >= 1:
-        top = rest.degree_in(name)
-        bucket = rest.as_univar(name).get(top, Poly(ctx))
-        term = bucket * Poly.var(ctx, name, top - 1) * (Fraction(1) / lead)
-        quotient = quotient + term
-        rest = rest - term * divisor
-    if rest.is_zero:
-        return quotient
-    return None
+    root = _linear_poly([-c / lead if i != pivot else 0 for i, c in enumerate(coeffs)], ctx)
+    quotient, remainder = poly_divmod_linear(p, ctx[pivot], root)
+    return quotient * (1 / lead) if remainder.is_zero else None
 
 
 @dataclass(frozen=True)

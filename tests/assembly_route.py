@@ -6,16 +6,18 @@ two rows.  This module keeps the per-pair route it is cross-checked
 against: for every basis pair it sums the five two-point terms as
 BiCurveElements, pole orders lifted, and reads the summed grid once.  The
 kernel term is the general w-basis product of the Szego numerator with
-s1(1) s2(2) - s2(1) s1(2), both built with from_sections.
+s1(1) s2(2) - s2(1) s1(2), both built with from_sections.  It also keeps
+the odd recentering correction in its first form, two zero-curve
+assemblies.
 """
 
 from fractions import Fraction
 from typing import Dict
 
-from artifact.bracket_forge import (FormDict, PairKey, TensorNotInSectionSpace,
+from artifact.bracket_forge import (BracketTensor, FormDict, PairKey, TensorNotInSectionSpace,
                                     _basis_slots, _overflow_details, _pair_grid)
-from artifact.curve_ring import (BiCurveElement, CurveElement, SectionSpace, _cancel_poles,
-                                 curve_derivation, szego_kernel)
+from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
+                                 _cancel_poles, curve_derivation, szego_kernel)
 from artifact.exact_core import NonzeroRemainder, Poly
 
 
@@ -100,3 +102,12 @@ def five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDi
             if form:
                 pi[(a, b)] = form
     return pi
+
+
+def odd_shift_two_assemblies(k: int) -> BracketTensor:
+    """(2/(2k+1)) * (W(1,0,0) - 2 W(0,0,0)), W(c, Q, P) the truncated
+    five-term forms of the odd curve, each W assembled by this route."""
+    def W(c: int) -> BracketTensor:
+        space = SectionSpace(CurveModel.odd(k, c, 0, 0))
+        return BracketTensor("odd", k, space.dim, five_term_forms(space, truncate=True))
+    return (W(1) - W(0).scale(2)).scale(Fraction(2, 2 * k + 1))

@@ -97,6 +97,13 @@ def test_odd_k1_literal_corner_values():
     assert W1.pi == _frozen_odd_k1_literal(F(1), zeros_q, zeros_p)
 
 
+def test_odd_shift_is_one_assembly():
+    """W(c,0,0) is affine in c, so the correction (2/(2k+1)) (W(1,0,0) -
+    2 W(0,0,0)) is -(2/(2k+1)) W(-1,0,0): one assembly against two."""
+    for k in range(1, 7):
+        assert bracket_forge._odd_shift(k) == assembly_route.odd_shift_two_assemblies(k), k
+
+
 def test_odd_k1_recentred_tensor():
     """Pole-corrected odd tensor at (c, Q, P) = (0, 0, a0)."""
     for a0 in (F(1), F(5), F(-3)):

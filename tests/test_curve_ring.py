@@ -327,6 +327,29 @@ def test_residue_random_nondegenerate():
             done += 1
 
 
+def test_residues_at_infinity_agree_with_sympy():
+    """Both points over t = infinity, each branch s = +-1 on its own, with
+    sqrt(a) a free symbol r and t2 symbolic: sympy expands
+    (w1 + w2)/(2 w1) dt1/(t2 - t1) at t1 = 1/u, w1 = s r h(u)/u^2, and the
+    residue is 1/2 with no w2 part, as the rational certificate reports."""
+    sympy = pytest.importorskip("sympy")
+    u, t2, w2, r = sympy.symbols("u t2 w2 r")
+    models = (CurveModel.even(2, [1, -2, 3], [Fraction(1, 2), 0, -1, 2, -3]),
+              CurveModel.even(2, 0, [2, 0, 0, 0, 5]),
+              CurveModel.odd(2, 1, [0, 1, Fraction(2, 3)], [1, -1, 2, 5]),
+              CurveModel.odd(3, -2, [1, 0, -1], [0, 3, 0, -2]))
+    for model in models:
+        R = [sympy.Rational(c.numerator, c.denominator) for c in model.R.coeffs_univar("t")]
+        h = sympy.sqrt(sum(c * u ** (4 - i) for i, c in enumerate(R)) / R[4])
+        for s in (1, -1):
+            w1 = s * r * h / u ** 2
+            form = (w1 + w2) / (2 * w1) * (-1 / u ** 2) / (t2 - 1 / u)
+            res = sympy.expand(sympy.series(form, u, 0, 1).removeO().coeff(u, -1))
+            assert sympy.simplify(res.coeff(w2, 0)) == sympy.Rational(1, 2), (model, s)
+            assert sympy.simplify(res.coeff(w2, 1)) == 0, (model, s)
+        assert verify_szego_residues(model).at_infinity == (Fraction(1, 2), Fraction(1, 2))
+
+
 def test_bicurve_arithmetic_consistency():
     model = _odd_model()
     a = reduce(model, _rand_tx_poly(random.Random(7)))

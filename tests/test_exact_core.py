@@ -8,7 +8,6 @@ import pytest
 from artifact.exact_core import (
     LaurentSeries,
     Poly,
-    QuadExtElem,
     SqrtNotRepresentable,
     VariableContextMismatch,
     ZeroLeading,
@@ -191,91 +190,59 @@ def test_poly_div_linear_power():
     assert q * (t + 1) ** 2 + r == p
 
 
-def test_quadext_arithmetic():
-    a = QuadExtElem(1, 1, 5)
-    b = QuadExtElem(1, -1, 5)
-    assert a * b == QuadExtElem(-4, 0, 5)
-    assert a + b == QuadExtElem(2, 0, 5)
-    assert (a / b) * b == a
-    assert a.norm() == -4
-
-
-def test_quadext_radicand_mismatch():
-    with pytest.raises(VariableContextMismatch):
-        QuadExtElem(1, 1, 5) + QuadExtElem(1, 1, 7)
-
-
-def test_quadext_norm_zero_division():
-    # 2 + sqrt(4) has norm zero when the radicand is a perfect square
-    degenerate = QuadExtElem(2, 1, 4)
-    with pytest.raises(ZeroDivisionError):
-        QuadExtElem(1, 0, 4) / degenerate
-
-
-def test_quadext_sqrt():
-    # (1 + sqrt(2))^2 = 3 + 2 sqrt(2)
-    s = QuadExtElem(3, 2, 2).sqrt()
-    assert s * s == QuadExtElem(3, 2, 2)
-    # sqrt(r) lives in Q(sqrt(r)) even when r itself is not a square
-    s2 = QuadExtElem(5, 0, 5).sqrt()
-    assert s2 == QuadExtElem(0, 1, 5)
-    assert QuadExtElem(Fraction(9, 4), 0, 7).sqrt() == QuadExtElem(Fraction(3, 2), 0, 7)
-    with pytest.raises(SqrtNotRepresentable):
-        QuadExtElem(2, 0, 3).sqrt()
-
-
-def test_quadext_json():
-    e = QuadExtElem(Fraction(1, 2), -3, 5)
-    assert e.to_json() == {"base": "1/2", "radical_coeff": "-3/1", "radicand": "5/1"}
-
-
-def _series(terms, trunc, radicand=0):
-    return LaurentSeries.from_terms("u", {n: rat(c) for n, c in terms.items()}, trunc, radicand)
+def _series(terms, trunc):
+    return LaurentSeries.from_terms("u", {n: rat(c) for n, c in terms.items()}, trunc)
 
 
 def test_series_invert_geometric():
     # 1 / (u (1 + u)) = u^-1 (1 - u + u^2 - ...)
     s = _series({1: 1, 2: 1}, 10)
     inv = s.invert()
-    assert inv.coeff_at(-1) == QuadExtElem(1, 0, 0)
-    assert inv.coeff_at(0) == QuadExtElem(-1, 0, 0)
-    assert inv.coeff_at(1) == QuadExtElem(1, 0, 0)
-    assert inv.coeff_at(2) == QuadExtElem(-1, 0, 0)
+    assert inv.coeff_at(-1) == Fraction(1)
+    assert inv.coeff_at(0) == Fraction(-1)
+    assert inv.coeff_at(1) == Fraction(1)
+    assert inv.coeff_at(2) == Fraction(-1)
     prod = s * inv
-    assert prod.coeff_at(0) == QuadExtElem(1, 0, 0)
+    assert prod.coeff_at(0) == Fraction(1)
     for n in range(1, prod.trunc):
-        assert prod.coeff_at(n).is_zero
+        assert prod.coeff_at(n) == 0
 
 
 def test_series_invert_requires_unit():
-    zero = LaurentSeries("u", 5, [], 5, 0)
+    zero = LaurentSeries("u", 5, [], 5)
     with pytest.raises(ZeroLeading):
         zero.invert()
 
 
 def test_series_sqrt_pole():
-    # sqrt(a u^-4) = sqrt(a) u^-2 for a nonsquare positive rational a
-    a = 5
-    s = LaurentSeries.from_terms("u", {-4: QuadExtElem(a, 0, a)}, 4, a)
+    # sqrt((9/4) u^-4) = (3/2) u^-2: a pole of even order
+    s = _series({-4: Fraction(9, 4)}, 4)
     root = s.sqrt()
     assert root.lead == -2
-    assert root.coeff_at(-2) == QuadExtElem(0, 1, a)
+    assert root.coeff_at(-2) == Fraction(3, 2)
     for n in range(-1, root.trunc):
-        assert root.coeff_at(n).is_zero
+        assert root.coeff_at(n) == 0
+
+
+def test_series_sqrt_nonsquare_lead_rejected():
+    # sqrt(5 u^-4) is not a rational series
+    for lead in (5, -4, Fraction(1, 3)):
+        with pytest.raises(SqrtNotRepresentable):
+            _series({-4: lead, -3: 1}, 4).sqrt()
 
 
 def test_series_sqrt_binomial():
     # sqrt(4 u^2 (1 + u)) = 2u (1 + u/2 - u^2/8 + ...)
     s = _series({2: 4, 3: 4}, 12)
     root = s.sqrt()
-    assert root.coeff_at(1) == QuadExtElem(2, 0, 0)
-    assert root.coeff_at(2) == QuadExtElem(1, 0, 0)
-    assert root.coeff_at(3) == QuadExtElem(Fraction(-1, 4), 0, 0)
+    assert root.coeff_at(1) == Fraction(2)
+    assert root.coeff_at(2) == Fraction(1)
+    assert root.coeff_at(3) == Fraction(-1, 4)
     sq = root * root
-    assert sq.coeff_at(2) == QuadExtElem(4, 0, 0)
-    assert sq.coeff_at(3) == QuadExtElem(4, 0, 0)
+    assert sq.coeff_at(2) == Fraction(4)
+    assert sq.coeff_at(3) == Fraction(4)
     for n in range(4, sq.trunc):
-        assert sq.coeff_at(n).is_zero
+        assert sq.coeff_at(n) == 0
 
 
 def test_series_sqrt_odd_lead_rejected():
@@ -290,11 +257,11 @@ def test_series_roundtrips_randomized():
         lead = rng.randrange(-3, 3)
         coeffs = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(6)]
         coeffs[0] = Fraction(rng.randrange(1, 6))  # invertible lead
-        s = LaurentSeries("u", lead, coeffs, lead + 8, 0)
+        s = LaurentSeries("u", lead, coeffs, lead + 8)
         prod = s * s.invert()
-        assert prod.coeff_at(0) == QuadExtElem(1, 0, 0)
+        assert prod.coeff_at(0) == Fraction(1)
         for n in range(1, prod.trunc):
-            assert prod.coeff_at(n).is_zero
+            assert prod.coeff_at(n) == 0
         sq = s * s
         back = sq.sqrt()
         # square root is fixed up to sign; normalize on the leading term
@@ -306,7 +273,7 @@ def test_series_roundtrips_randomized():
 
 def test_series_residue_and_truncation_guard():
     s = _series({-1: Fraction(1, 2), 3: 7}, 5)
-    assert s.residue() == QuadExtElem(Fraction(1, 2), 0, 0)
+    assert s.coeff_at(-1) == Fraction(1, 2)
     with pytest.raises(ValueError):
         s.coeff_at(5)
 
@@ -316,4 +283,4 @@ def test_series_addition_precision():
     b = _series({0: 2, 5: 1}, 8)
     c = a + b
     assert c.trunc == 4
-    assert c.coeff_at(0) == QuadExtElem(3, 0, 0)
+    assert c.coeff_at(0) == Fraction(3)

@@ -14,6 +14,7 @@ from artifact.helix_k0 import generic_poisson_rank
 from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
+    _divide_linear_form,
     compatibility_check,
     euler_tensor,
     independence_rank,
@@ -282,6 +283,7 @@ def test_ratio_bracket_even_identity():
         _poly(ctx, {(1, 0, 0, 2): -4, (3, 0, 0, 0): 4 * a0}),
         (((F(0), F(0), F(0), F(1)), 3),), ctx)
     assert val.equals(want)
+    assert val.den_factors == want.den_factors
 
 
 def test_ratio_bracket_odd_identity():
@@ -306,6 +308,22 @@ def test_ratio_bracket_odd_identity():
                         mono(3, 0, 0): (2 * k + 1) * a0}),
             ((tuple(F(int(i == x_index)) for i in range(n)), 3),), ctx)
         assert val.equals(want)
+        assert val.den_factors == want.den_factors
+
+
+def test_divide_linear_form_exact_quotient():
+    """Division by a linear form with a non-unit pivot and other terms:
+    the quotient of L * q is q, and L * q + 1 does not divide."""
+    rng = random.Random(SEED + 5)
+    ctx = ("x0", "x1", "x2", "x3")
+    for _ in range(20):
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+        coeffs.append(F(rng.choice([-2, 3, 5]), 2))
+        form = sum((Poly.var(ctx, name) * c for name, c in zip(ctx, coeffs)), Poly(ctx))
+        q = _poly(ctx, {tuple(rng.randint(0, 2) for _ in ctx): F(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in range(4)})
+        assert _divide_linear_form(form * q, coeffs, ctx) == q
+        assert _divide_linear_form(form * q + 1, coeffs, ctx) is None
 
 
 def test_ratio_bracket_antisymmetry_and_scaling():

@@ -1,9 +1,11 @@
 """Ratchet on code that only tests reach.
 
 Every top-level function and class in src/artifact must be referenced by
-some other src code, unless it is a named test oracle or a leftover still
-waiting to be deleted or wired in.  A new test-only helper therefore has
-to be added to ORACLES on purpose.
+some other src code, and every non-dunder method must be reached as an
+attribute from src code outside its own body, unless it is a named test
+oracle or a leftover still waiting to be deleted or wired in.  A new
+test-only helper therefore has to be added to ORACLES on purpose.
+Methods are named "Class.method".
 """
 
 import ast
@@ -13,13 +15,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 
 # Kept on purpose as references for the tests.  rank_at_point is the
 # one-point entry to the rank kernel that rank_scan runs on a tensor
-# cleared once.
-ORACLES = {"reduce", "ratio_bracket", "euler_tensor", "membership_extract", "defining_poly",
-           "generic_poisson_rank", "rank_at_point"}
+# cleared once; BracketTensor.form is the signed entry the chart route
+# descends, and Poly.eval_all and RatioBracketValue.equals compare routes.
+ORACLES = {"reduce", "ratio_bracket", "euler_tensor", "membership_extract",
+           "generic_poisson_rank", "rank_at_point", "CurveModel.defining_poly",
+           "BracketTensor.form", "Poly.eval_all", "RatioBracketValue.equals"}
 # Reached only from tests, to be deleted or wired in.
-PENDING = {"reconstruct_tensor", "truncated_five_term", "element_from_coords"}
+PENDING = {"reconstruct_tensor", "SectionSpace.element_from_coords"}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _referenced(node):
@@ -29,6 +34,14 @@ def _referenced(node):
 
 def _modules():
     return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
+def _methods(trees):
+    """(qualified name, node) of every non-dunder method."""
+    return [(f"{cls.name}.{node.name}", node) for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, FUNCS) and not (node.name.startswith("__")
+                                                and node.name.endswith("__"))]
 
 
 def test_every_src_definition_is_reached_from_src():
@@ -41,8 +54,21 @@ def test_every_src_definition_is_reached_from_src():
     assert unreached - ORACLES - PENDING == set()
 
 
+def test_every_src_method_is_reached_from_src():
+    """No method is called only from outside src (or only by itself)."""
+    trees = _modules()
+    attrs = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    unreached = set()
+    for name, node in _methods(trees):
+        own = {id(n) for n in ast.walk(node)}
+        if not any(a.attr == node.name and id(a) not in own for a in attrs):
+            unreached.add(name)
+    assert unreached - ORACLES - PENDING == set()
+
+
 def test_allowlist_names_still_exist():
     """A deleted oracle or leftover leaves the allowlist with it."""
-    defined = {node.name for tree in _modules() for node in ast.walk(tree)
-               if isinstance(node, DEFS)}
+    trees = _modules()
+    defined = {node.name for tree in trees for node in tree.body if isinstance(node, DEFS)}
+    defined |= {name for name, _ in _methods(trees)}
     assert ORACLES | PENDING <= defined
