@@ -4,11 +4,12 @@ arithmetic.
 
 Submodules:
 
-- exact_core: rationals, sparse polynomials, Laurent series with rational
-  coefficients (no floating point anywhere).
+- exact_core: rationals, sparse polynomials, synthetic division (no
+  floating point anywhere).
 - curve_ring: curve models, coordinate-ring elements in one and two points,
   the multiplication kernel, section spaces, the Szego residue certificate
-  (over Q).
+  (residues in closed form, valid exactly when the divisor at infinity is
+  two distinct points).
 - bracket_forge: bracket tensors on the section spaces, the nine-member
   anticanonical families, serialization.
 - poisson_verify: Jacobi and compatibility certificates, independence

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_core import Poly, RationalLike, rat, rat_str, poly_div_linear_power
+from .exact_core import RationalLike, rat, rat_str, poly_div_linear_power
 from .curve_ring import (
     BiCurveElement,
     CurveElement,
@@ -377,67 +377,14 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     directions: for odd parity the moved-branch-point direction first,
     then the three Q monomials, then the P monomials (five even, four odd).
     """
-    if parity == "even":
-        b0 = build_tensor(CurveModel.even(k, 0, 0))
-        tensors = [b0]
-        labels = ["const"]
-        for i in range(3):
-            t = build_tensor(CurveModel.even(k, _unit_coeffs(i, 3), 0)) - b0
-            tensors.append(t)
-            labels.append(f"Q:t^{i}")
-        for j in range(5):
-            t = build_tensor(CurveModel.even(k, 0, _unit_coeffs(j, 5))) - b0
-            tensors.append(t)
-            labels.append(f"P:t^{j}")
-    elif parity == "odd":
-        b0 = build_tensor(CurveModel.odd(k, 0, 0, 0))
-        tensors = [b0]
-        labels = ["const"]
-        t = build_tensor(CurveModel.odd(k, 1, 0, 0)) - b0
-        tensors.append(t)
-        labels.append("c")
-        for i in range(3):
-            t = build_tensor(CurveModel.odd(k, 0, _unit_coeffs(i, 3), 0)) - b0
-            tensors.append(t)
-            labels.append(f"Q:t^{i}")
-        for j in range(4):
-            t = build_tensor(CurveModel.odd(k, 0, 0, _unit_coeffs(j, 4))) - b0
-            tensors.append(t)
-            labels.append(f"P:t^{j}")
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
+    b0 = build_tensor(CurveModel(parity, k, 0, 0))
+    p_len = 5 if parity == "even" else 4
+    directions = [("c", CurveModel.odd(k, 1, 0, 0))] if parity == "odd" else []
+    directions += [(f"Q:t^{i}", CurveModel(parity, k, _unit_coeffs(i, 3), 0)) for i in range(3)]
+    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, _unit_coeffs(j, p_len)))
+                   for j in range(p_len)]
+    tensors = [b0] + [build_tensor(model) - b0 for _, model in directions]
+    labels = ["const"] + [label for label, _ in directions]
     for tensor, label in zip(tensors, labels):
         tensor.provenance = {"family": parity, "k": k, "direction": label}
     return FamilyBasis(parity, k, tuple(tensors), tuple(labels))
-
-
-def reconstruct_tensor(family: FamilyBasis, model: CurveModel) -> BracketTensor:
-    """Family combination with the curve's own coefficients.
-
-    Matches build_tensor wherever the assembly is linear in the curve data:
-    everywhere for even parity, and for odd parity at c = 0 or with
-    (Q, P) = (0, 0), since the truncation mixes c with (Q, P).
-    """
-    if model.parity != family.parity or model.k_param != family.k:
-        raise ValueError("family and model shapes differ")
-    model._require_numeric("family reconstruction")
-
-    def padded(poly: Poly, size: int) -> List[Fraction]:
-        cs = poly.coeffs_univar("t")
-        return [cs[i] if i < len(cs) else Fraction(0) for i in range(size)]
-
-    out = family.tensors[0].scale(1)
-    idx = 1
-    if family.parity == "odd":
-        if model.c:
-            out = out + family.tensors[1].scale(model.c)
-        idx = 2
-    for i, q in enumerate(padded(model.Q, 3)):
-        if q:
-            out = out + family.tensors[idx + i].scale(q)
-    p_size = 5 if family.parity == "even" else 4
-    for j, p in enumerate(padded(model.P, p_size)):
-        if p:
-            out = out + family.tensors[idx + 3 + j].scale(p)
-    out.provenance = {"reconstructed": model.to_json()}
-    return out

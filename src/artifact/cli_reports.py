@@ -100,7 +100,6 @@ class RunReport:
     checks: List[dict] = field(default_factory=list)
     artifacts: List[str] = field(default_factory=list)
     data: Dict[str, object] = field(default_factory=dict)
-    wall_time: float = 0.0
 
     def add_check(self, name: str, status: str, witness=None) -> None:
         entry: Dict[str, object] = {"name": name, "status": status}
@@ -207,8 +206,7 @@ def _load_family(path: str) -> FamilyBasis:
         raise ConfigError(f"family artifact malformed: {path} ({exc})") from exc
 
 
-def _finish(report: RunReport, args, started: float) -> int:
-    report.wall_time = time.perf_counter() - started
+def _finish(report: RunReport, args) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -219,12 +217,10 @@ def _finish(report: RunReport, args, started: float) -> int:
             print(f"{check['name']}: {check['status']}{suffix}")
         for path in report.artifacts:
             print(f"wrote {path}")
-    print(f"elapsed: {report.wall_time:.3f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
 
 def _run_bracket_build(args) -> int:
-    started = time.perf_counter()
     cfg = _curve_config(args, "bracket build")
     model = _curve_model(cfg)
     tensor = build_tensor(model)
@@ -240,11 +236,10 @@ def _run_bracket_build(args) -> int:
     report.artifacts.append(path)
     report.data["dimension"] = tensor.n
     report.data["nonzero coefficients"] = sum(len(f) for f in tensor.pi.values())
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_bracket_family(args) -> int:
-    started = time.perf_counter()
     if args.k < 1:
         raise ConfigError("k must be a positive integer")
     cfg = JobConfig(command="bracket family", parity=args.parity, k=args.k,
@@ -257,11 +252,10 @@ def _run_bracket_family(args) -> int:
     report.data["members"] = len(family.tensors)
     report.data["dimension"] = family.tensors[0].n
     report.data["labels"] = ",".join(family.labels)
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_verify_jacobi(args) -> int:
-    started = time.perf_counter()
     cfg = JobConfig(command="verify jacobi", source=args.source)
     tensor = _load_tensor(args.source)
     verdict = jacobi_check(tensor)
@@ -270,11 +264,10 @@ def _run_verify_jacobi(args) -> int:
     report.data["charts"] = tensor.n
     report.add_check("jacobi", "pass" if verdict["holds"] else "fail",
                      verdict["witness"])
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_verify_compat(args) -> int:
-    started = time.perf_counter()
     cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
     family = _load_family(args.family)
     members = family.tensors
@@ -290,11 +283,10 @@ def _run_verify_compat(args) -> int:
     report.data["pairs"] = len(pairs)
     report.data["passed"] = len(pairs) - len(failures)
     report.add_check("compatibility", "fail" if failures else "pass", witness)
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_verify_independence(args) -> int:
-    started = time.perf_counter()
     cfg = JobConfig(command="verify independence", source=args.family)
     family = _load_family(args.family)
     rank = independence_rank(family)
@@ -304,11 +296,10 @@ def _run_verify_independence(args) -> int:
     full = rank == len(family.tensors)
     report.add_check("independence", "pass" if full else "fail",
                      None if full else {"rank": rank})
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_verify_linearity(args) -> int:
-    started = time.perf_counter()
     if args.k < 1:
         raise ConfigError("k must be a positive integer")
     if args.samples < 1:
@@ -345,11 +336,10 @@ def _run_verify_linearity(args) -> int:
     report = RunReport("verify linearity", cfg.digest())
     report.data["samples"] = args.samples
     report.add_check("affine linearity", "fail" if failed else "pass", failed)
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_rank_scan(args) -> int:
-    started = time.perf_counter()
     if args.samples < 1:
         raise ConfigError("samples must be positive")
     cfg = JobConfig(command="rank scan", source=args.source, seed=args.seed,
@@ -366,11 +356,10 @@ def _run_rank_scan(args) -> int:
     report.data["pencil_drops"] = len(scan.pencil_drops)
     report.add_check("deep rank drops", "recorded",
                      {"flagged": len(scan.flagged)})
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _run_szego_check(args) -> int:
-    started = time.perf_counter()
     cfg = _curve_config(args, "szego check")
     model = _curve_model(cfg)
     report = RunReport("szego check", cfg.digest())
@@ -378,11 +367,11 @@ def _run_szego_check(args) -> int:
         cert = verify_szego_residues(model)
     except (ValueError, ArithmeticError) as exc:
         report.add_check("szego residues", "fail", str(exc))
-        return _finish(report, args, started)
+        return _finish(report, args)
     report.data["diagonal"] = rat_str(cert.diagonal)
     report.data["at_infinity"] = [rat_str(v) for v in cert.at_infinity]
     report.add_check("szego residues", "pass")
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _parse_span(text: str) -> Tuple[int, int]:
@@ -399,7 +388,6 @@ def _parse_span(text: str) -> Tuple[int, int]:
 
 
 def _run_helix_table(args) -> int:
-    started = time.perf_counter()
     span = _parse_span(args.range)
     cfg = JobConfig(command="helix", span=span, out=args.out)
     rows = []
@@ -413,20 +401,17 @@ def _run_helix_table(args) -> int:
         report.artifacts.append(path)
     if args.json:
         report.data["rows"] = rows
-        return _finish(report, args, started)
+        return _finish(report, args)
     header = f"{'n':>4} {'rank':>10} {'chi':>10}"
     print(header)
     for row in rows:
         print(f"{row['n']:>4} {row['rank']:>10} {row['chi']:>10}")
     for path in report.artifacts:
         print(f"wrote {path}")
-    report.wall_time = time.perf_counter() - started
-    print(f"elapsed: {report.wall_time:.3f}s", file=sys.stderr)
     return 0
 
 
 def _run_helix_solve(args) -> int:
-    started = time.perf_counter()
     cfg = JobConfig(command="helix solve", degree=args.d, rank=args.r)
     try:
         solution = solve_biham_params(args.d, args.r)
@@ -443,7 +428,7 @@ def _run_helix_solve(args) -> int:
                                    f"n={solution['n']}")
     if args.json:
         report.data["solution_fields"] = solution
-    return _finish(report, args, started)
+    return _finish(report, args)
 
 
 def _add_curve_options(parser: argparse.ArgumentParser, k_required: bool = True) -> None:
@@ -554,8 +539,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
+    started = time.perf_counter()
     try:
-        return handler(args)
+        code = handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -568,6 +554,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

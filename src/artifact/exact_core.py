@@ -1,5 +1,5 @@
-"""Exact arithmetic kernel: rationals, sparse multivariate polynomials
-and truncated Laurent series with rational coefficients.
+"""Exact arithmetic kernel: rationals and sparse multivariate polynomials
+with rational coefficients, with synthetic division by linear factors.
 
 Everything here is immutable after construction and exact; there is no
 floating point in this module or anywhere downstream of it.
@@ -25,14 +25,6 @@ class NonzeroRemainder(ArithmeticError):
     """An exact division left a remainder."""
 
 
-class ZeroLeading(ArithmeticError):
-    """Inversion of a series with no invertible leading coefficient."""
-
-
-class SqrtNotRepresentable(ArithmeticError):
-    """A square root is not a rational series."""
-
-
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):
@@ -44,18 +36,6 @@ def rat_str(value: RationalLike) -> str:
     """Serialize a rational as "p/q" in lowest terms with q > 0."""
     q = rat(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-def rat_sqrt(value: RationalLike) -> Optional[Fraction]:
-    """Exact square root of a rational, or None when it is not a square."""
-    q = rat(value)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _grlex_key(expo: Tuple[int, ...]) -> Tuple:
@@ -412,149 +392,3 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int,
             rem_total = rem_total + r * factor
             factor = factor * linear
     return q, rem_total if remainder else None
-
-
-class LaurentSeries:
-    """Truncated Laurent series in one variable with rational coefficients.
-
-    Stored data: the exponent `lead` of the first retained coefficient, the
-    coefficient tuple, and `trunc`: coefficients at exponents >= trunc are
-    unknown (not asserted zero).  Exact zero series keep coeffs = ().
-    """
-
-    __slots__ = ("var", "lead", "coeffs", "trunc")
-
-    def __init__(self, var: str, lead: int, coeffs: Sequence[RationalLike], trunc: int):
-        coeffs = [rat(c) for c in coeffs]
-        # normalize: strip leading zeros, clamp to truncation order
-        while coeffs and not coeffs[0]:
-            coeffs = coeffs[1:]
-            lead += 1
-        if lead + len(coeffs) > trunc:
-            coeffs = coeffs[: max(0, trunc - lead)]
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "lead", lead if coeffs else trunc)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
-
-    @classmethod
-    def from_terms(cls, var: str, terms: Dict[int, RationalLike], trunc: int) -> "LaurentSeries":
-        if not terms:
-            return cls(var, trunc, [], trunc)
-        lead = min(terms)
-        return cls(var, lead, [terms.get(i, 0) for i in range(lead, max(terms) + 1)], trunc)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff_at(self, n: int) -> Fraction:
-        """Coefficient of var^n; errors when n is beyond the truncation."""
-        if n >= self.trunc:
-            raise ValueError(f"coefficient at {n} is beyond truncation order {self.trunc}")
-        if n < self.lead or n >= self.lead + len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[n - self.lead]
-
-    def _check(self, other: "LaurentSeries") -> None:
-        if self.var != other.var:
-            raise VariableContextMismatch(f"series in {self.var} vs {other.var}")
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        terms: Dict[int, Fraction] = {}
-        for s in (self, other):
-            for n, c in enumerate(s.coeffs, s.lead):
-                if n >= trunc:
-                    break
-                terms[n] = terms.get(n, 0) + c
-        return LaurentSeries.from_terms(self.var, terms, trunc)
-
-    def __neg__(self) -> "LaurentSeries":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def scale(self, c: RationalLike) -> "LaurentSeries":
-        c = rat(c)
-        return LaurentSeries(self.var, self.lead, [c * k for k in self.coeffs], self.trunc)
-
-    def shift(self, n: int) -> "LaurentSeries":
-        """Multiply by var^n."""
-        return LaurentSeries(self.var, self.lead + n, self.coeffs, self.trunc + n)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            # product known to the best shared precision
-            trunc = min(self.trunc + (other.lead if not other.is_zero else 0),
-                        other.trunc + (self.lead if not self.is_zero else 0),
-                        self.trunc, other.trunc)
-            return LaurentSeries(self.var, trunc, [], trunc)
-        trunc = min(self.trunc + other.lead, other.trunc + self.lead)
-        terms: Dict[int, Fraction] = {}
-        for n1, a in enumerate(self.coeffs, self.lead):
-            if not a:
-                continue
-            for n, b in enumerate(other.coeffs, n1 + other.lead):
-                if n >= trunc:
-                    break
-                if b:
-                    terms[n] = terms.get(n, 0) + a * b
-        return LaurentSeries.from_terms(self.var, terms, trunc)
-
-    def _unit_part(self) -> Tuple[Fraction, List[Fraction]]:
-        """c0 and the unit u with self = c0 var^lead u, padded to the
-        relative precision trunc - lead."""
-        if self.is_zero:
-            raise ZeroLeading("no known nonzero coefficient")
-        c0 = self.coeffs[0]
-        rel = self.trunc - self.lead
-        return c0, [c / c0 for c in self.coeffs] + [Fraction(0)] * (rel - len(self.coeffs))
-
-    def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse to the available precision; ZeroLeading
-        when no nonzero coefficient is known."""
-        c0, unit = self._unit_part()
-        # y with unit * y = 1: y_n = -sum_{i=1}^{n} unit_i y_{n-i}
-        y = [Fraction(1)]
-        for n in range(1, len(unit)):
-            y.append(-sum(unit[i] * y[n - i] for i in range(1, n + 1) if unit[i]))
-        return LaurentSeries(self.var, -self.lead, [c / c0 for c in y], -self.lead + len(unit))
-
-    def sqrt(self) -> "LaurentSeries":
-        """Square root with the same relative precision.
-
-        The leading exponent must be even and the leading coefficient a
-        rational square; SqrtNotRepresentable otherwise.
-        """
-        c0, unit = self._unit_part()
-        root0 = rat_sqrt(c0)
-        if self.lead % 2 or root0 is None:
-            raise SqrtNotRepresentable(f"leading term {c0}*{self.var}^{self.lead} is not a rational square")
-        # y with y^2 = unit, y0 = 1: 2 y_n = unit_n - sum_{i=1}^{n-1} y_i y_{n-i}
-        y = [Fraction(1)]
-        for n in range(1, len(unit)):
-            y.append((unit[n] - sum(y[i] * y[n - i] for i in range(1, n))) / 2)
-        return LaurentSeries(self.var, self.lead // 2, [root0 * c for c in y], self.lead // 2 + len(unit))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.var == other.var and self.lead == other.lead
-                and self.coeffs == other.coeffs and self.trunc == other.trunc)
-
-    def __str__(self) -> str:
-        bits = [f"({c})*{self.var}^{n}" if n else f"({c})"
-                for n, c in enumerate(self.coeffs, self.lead) if c]
-        return " + ".join(bits + [f"O({self.var}^{self.trunc})"])
-
-    def __repr__(self) -> str:
-        return f"LaurentSeries({self})"

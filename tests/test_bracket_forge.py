@@ -13,7 +13,6 @@ from artifact.bracket_forge import (
     TensorNotInSectionSpace,
     build_family,
     build_tensor,
-    reconstruct_tensor,
     truncated_five_term,
 )
 from artifact.curve_ring import CurveModel, SectionSpace, curve_derivation
@@ -204,27 +203,21 @@ def test_family_shapes_and_labels():
 
 
 def test_family_reconstruction_even():
-    """The family combination reproduces the direct build."""
+    """The family combined with the curve's coefficients is the direct build."""
     fam = build_family("even", 2)
-    model = CurveModel.even(2, [2, -1, 3], [1, 4, 0, -2, 5])
-    assert reconstruct_tensor(fam, model) == build_tensor(model)
+    q, p = [2, -1, 3], [1, 4, 0, -2, 5]
+    combo = sum((m.scale(x) for x, m in zip(q + p, fam.tensors[1:])), fam.tensors[0])
+    assert combo == build_tensor(CurveModel.even(2, q, p))
 
 
 def test_family_reconstruction_odd_linear_locus():
-    """Odd reconstruction is exact at c = 0 and on the c axis."""
+    """The odd combination is exact at c = 0 and on the c axis, where the
+    truncated assembly is linear in the curve data."""
     fam = build_family("odd", 1)
-    model = CurveModel.odd(1, 0, [1, -2, 4], [3, 1, -1, 2])
-    assert reconstruct_tensor(fam, model) == build_tensor(model)
-    model = CurveModel.odd(1, 5, 0, 0)
-    assert reconstruct_tensor(fam, model) == build_tensor(model)
-
-
-def test_reconstruction_keeps_base_tensor_intact():
-    """Reconstructing must not mutate the stored family members."""
-    fam = build_family("even", 1)
-    before = fam.tensors[0].provenance.copy()
-    reconstruct_tensor(fam, CurveModel.even(1, 0, 0))
-    assert fam.tensors[0].provenance == before
+    for c, q, p in ((0, [1, -2, 4], [3, 1, -1, 2]), (5, [0, 0, 0], [0, 0, 0, 0])):
+        combo = sum((m.scale(x) for x, m in zip([c] + q + p, fam.tensors[1:])),
+                    fam.tensors[0])
+        assert combo == build_tensor(CurveModel.odd(1, c, q, p))
 
 
 def test_tensor_linear_algebra():

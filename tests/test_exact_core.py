@@ -6,15 +6,11 @@ from fractions import Fraction
 import pytest
 
 from artifact.exact_core import (
-    LaurentSeries,
     Poly,
-    SqrtNotRepresentable,
     VariableContextMismatch,
-    ZeroLeading,
     poly_div_linear_power,
     poly_divmod_linear,
     rat,
-    rat_sqrt,
     rat_str,
 )
 
@@ -36,13 +32,6 @@ def test_rational_coercion_and_serialization():
     assert rat_str(5) == "5/1"
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(0) == "0/1"
-
-
-def test_rat_sqrt():
-    assert rat_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rat_sqrt(0) == 0
-    assert rat_sqrt(2) is None
-    assert rat_sqrt(-4) is None
 
 
 def test_poly_product_univariate():
@@ -189,98 +178,3 @@ def test_poly_div_linear_power():
     assert r == 2 * t - 7
     assert q * (t + 1) ** 2 + r == p
 
-
-def _series(terms, trunc):
-    return LaurentSeries.from_terms("u", {n: rat(c) for n, c in terms.items()}, trunc)
-
-
-def test_series_invert_geometric():
-    # 1 / (u (1 + u)) = u^-1 (1 - u + u^2 - ...)
-    s = _series({1: 1, 2: 1}, 10)
-    inv = s.invert()
-    assert inv.coeff_at(-1) == Fraction(1)
-    assert inv.coeff_at(0) == Fraction(-1)
-    assert inv.coeff_at(1) == Fraction(1)
-    assert inv.coeff_at(2) == Fraction(-1)
-    prod = s * inv
-    assert prod.coeff_at(0) == Fraction(1)
-    for n in range(1, prod.trunc):
-        assert prod.coeff_at(n) == 0
-
-
-def test_series_invert_requires_unit():
-    zero = LaurentSeries("u", 5, [], 5)
-    with pytest.raises(ZeroLeading):
-        zero.invert()
-
-
-def test_series_sqrt_pole():
-    # sqrt((9/4) u^-4) = (3/2) u^-2: a pole of even order
-    s = _series({-4: Fraction(9, 4)}, 4)
-    root = s.sqrt()
-    assert root.lead == -2
-    assert root.coeff_at(-2) == Fraction(3, 2)
-    for n in range(-1, root.trunc):
-        assert root.coeff_at(n) == 0
-
-
-def test_series_sqrt_nonsquare_lead_rejected():
-    # sqrt(5 u^-4) is not a rational series
-    for lead in (5, -4, Fraction(1, 3)):
-        with pytest.raises(SqrtNotRepresentable):
-            _series({-4: lead, -3: 1}, 4).sqrt()
-
-
-def test_series_sqrt_binomial():
-    # sqrt(4 u^2 (1 + u)) = 2u (1 + u/2 - u^2/8 + ...)
-    s = _series({2: 4, 3: 4}, 12)
-    root = s.sqrt()
-    assert root.coeff_at(1) == Fraction(2)
-    assert root.coeff_at(2) == Fraction(1)
-    assert root.coeff_at(3) == Fraction(-1, 4)
-    sq = root * root
-    assert sq.coeff_at(2) == Fraction(4)
-    assert sq.coeff_at(3) == Fraction(4)
-    for n in range(4, sq.trunc):
-        assert sq.coeff_at(n) == 0
-
-
-def test_series_sqrt_odd_lead_rejected():
-    s = _series({1: 1}, 6)
-    with pytest.raises(SqrtNotRepresentable):
-        s.sqrt()
-
-
-def test_series_roundtrips_randomized():
-    rng = random.Random(SEED)
-    for _ in range(25):
-        lead = rng.randrange(-3, 3)
-        coeffs = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(6)]
-        coeffs[0] = Fraction(rng.randrange(1, 6))  # invertible lead
-        s = LaurentSeries("u", lead, coeffs, lead + 8)
-        prod = s * s.invert()
-        assert prod.coeff_at(0) == Fraction(1)
-        for n in range(1, prod.trunc):
-            assert prod.coeff_at(n) == 0
-        sq = s * s
-        back = sq.sqrt()
-        # square root is fixed up to sign; normalize on the leading term
-        if back.coeffs[0] != s.coeffs[0]:
-            back = -back
-        diff = back - s
-        assert diff.is_zero
-
-
-def test_series_residue_and_truncation_guard():
-    s = _series({-1: Fraction(1, 2), 3: 7}, 5)
-    assert s.coeff_at(-1) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        s.coeff_at(5)
-
-
-def test_series_addition_precision():
-    a = _series({0: 1}, 4)
-    b = _series({0: 2, 5: 1}, 8)
-    c = a + b
-    assert c.trunc == 4
-    assert c.coeff_at(0) == Fraction(3)

@@ -1,8 +1,8 @@
 """Property tests: exact division, polynomial products, curve normal form,
 coordinate extraction from two-point sections, the bilinear assembly and
-the closed-form kernel against their per-pair references, tensor JSON, the
-Jacobi certificate and the integer rank kernel, on inputs drawn by
-hypothesis.
+the closed-form kernel against their per-pair references, the Szego
+residue verdict, tensor JSON, the Jacobi certificate and the integer rank
+kernel, on inputs drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -12,15 +12,17 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
                                     _basis_slots, _five_term_forms, _section_coords,
                                     build_family)
-from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, NotInSpace,
-                                 SectionSpace, curve_derivation, membership_extract,
-                                 mult_kernel_antisym)
+from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, DegenerateDivisor,
+                                 NotInSpace, ResidueCertificate, SectionSpace,
+                                 curve_derivation, membership_extract, mult_kernel_antisym,
+                                 verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
                                      independence_rank, jacobi_check, rank_at_point,
@@ -155,6 +157,31 @@ def test_section_coords_match_membership(space, data):
         return
     assert pole is None and not outside
     assert [inside.get(i, 0) for i in range(space.dim)] == expected
+
+
+@PROPERTY
+@example(parity="even", k=2, c=0, q=[0, 0, 2], p=[1, 0, 3, 0, -1], top="drawn")
+@example(parity="odd", k=1, c=Fraction(1, 2), q=[1, 0, -2], p=[0, 1, 0, 5, 0], top="cancel")
+@given(parity=st.sampled_from(("even", "odd")), k=st.integers(1, 4), c=rationals,
+       q=st.lists(rationals, min_size=3, max_size=3),
+       p=st.lists(rationals, min_size=5, max_size=5),
+       top=st.sampled_from(("drawn", "zero", "cancel")))
+def test_szego_verdict_is_nonzero_top_coefficient(parity, k, c, q, p, top):
+    """The certificate refuses exactly the curves whose R has no t^4 term,
+    a = P_top + Q_2^2/4, and states residues (1, (1/2, 1/2)) on the rest.
+    "zero" forces P_top = Q_2 = 0; "cancel" sets P_top = -Q_2^2/4."""
+    p = p[:5 if parity == "even" else 4]
+    if top == "zero":
+        q[2] = p[-1] = Fraction(0)
+    elif top == "cancel":
+        p[-1] = -q[2] ** 2 / 4
+    model = CurveModel(parity, k, q, p, c if parity == "odd" else None)
+    if p[-1] + q[2] ** 2 / 4:
+        half = Fraction(1, 2)
+        assert verify_szego_residues(model) == ResidueCertificate(parity, 1, (half, half))
+    else:
+        with pytest.raises(DegenerateDivisor, match=r"t\^4 coefficient of R vanishes"):
+            verify_szego_residues(model)
 
 
 coefficients = st.one_of(small_ints, rationals)

@@ -17,11 +17,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 # one-point entry to the rank kernel that rank_scan runs on a tensor
 # cleared once; BracketTensor.form is the signed entry the chart route
 # descends, and Poly.eval_all and RatioBracketValue.equals compare routes.
+# szego_kernel is the kernel numerator the general-product route of the
+# assembly multiplies by; SectionSpace.element_from_coords draws section
+# elements for the property tests.
 ORACLES = {"reduce", "ratio_bracket", "euler_tensor", "membership_extract",
            "generic_poisson_rank", "rank_at_point", "CurveModel.defining_poly",
-           "BracketTensor.form", "Poly.eval_all", "RatioBracketValue.equals"}
+           "BracketTensor.form", "Poly.eval_all", "RatioBracketValue.equals",
+           "szego_kernel", "SectionSpace.element_from_coords"}
 # Reached only from tests, to be deleted or wired in.
-PENDING = {"reconstruct_tensor", "SectionSpace.element_from_coords"}
+PENDING = set()
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
