@@ -6,11 +6,12 @@ Submodules:
 
 - exact_core: rationals, sparse polynomials, synthetic division (no
   floating point anywhere).
-- curve_ring: curve models, coordinate-ring elements in one and two points,
-  the multiplication kernel, section spaces, the Szego residue certificate
-  (residues in closed form, valid exactly when the divisor at infinity is
-  two distinct points).
-- bracket_forge: bracket tensors on the section spaces, the nine-member
+- curve_ring: curve models, coordinate-ring elements, the canonical
+  derivation, section spaces, the Szego residue certificate (residues in
+  closed form, valid exactly when the divisor at infinity is two distinct
+  points).
+- bracket_forge: bracket tensors on the section spaces, with the Szego
+  kernel term read off x-coordinates in closed form, the nine-member
   anticanonical families, serialization.
 - poisson_verify: Jacobi and compatibility certificates, independence
   rank, pointwise rank scans, ratio brackets.

@@ -4,9 +4,10 @@ A bracket tensor on the dual of a section space stores, for every pair of
 coordinates (a, b) with a < b, a symmetric quadratic form in the coordinates.
 The forms come from a five-term combination of the multiplication kernel and
 the canonical derivation.  Reading coordinates is linear, so the assembly
-uses bilinearity: the kernel term of each pair is expanded over basis x basis
-in one pass, its (t+c) poles cancelled once, and the n derivation images are
-read once each and added to the rows of the two coordinates of the pair.
+uses bilinearity: the kernel term of each pair is read off x-coordinates in
+closed form, with one division of each x-block by t1 - t2 and no pole, and
+the n derivation images are read once each and added to the rows of the two
+coordinates of the pair.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly.  For odd parity the derivation picks up a double pole
@@ -24,16 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_core import RationalLike, rat, rat_str, poly_div_linear_power
-from .curve_ring import (
-    BiCurveElement,
-    CurveElement,
-    CurveModel,
-    SectionSpace,
-    bicurve_x_blocks,
-    curve_derivation,
-    mult_kernel_antisym,
-)
+from .exact_core import (NonzeroRemainder, Poly, RationalLike, poly_div_linear_power,
+                         poly_divmod_linear, rat, rat_str)
+from .curve_ring import CurveElement, CurveModel, SectionSpace, curve_derivation
 
 PairKey = Tuple[int, int]
 FormDict = Dict[Tuple[int, int], Fraction]
@@ -201,6 +195,10 @@ Slot = Tuple[int, int]
 Grid = Dict[Tuple[Slot, Slot], Fraction]
 
 _BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
+_BIVARS = ("t1", "t2")
+_T2 = Poly.var(_BIVARS, "t2")
+# -(Q1 + Q2)/2 and (tau_l, Q_l, P_l) for slots l = 1, 2, over (t1, t2).
+KernelCurve = Tuple[Poly, Tuple[Tuple[Poly, Poly, Poly], ...]]
 
 
 def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
@@ -210,39 +208,76 @@ def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
     return slots
 
 
-def _pair_grid(bi: BiCurveElement, strict: bool) -> Tuple[Grid, List[str]]:
-    """Coefficient grid of bi, read off its x-blocks, out-of-basis slots kept.
+def _kernel_curve(model: CurveModel) -> KernelCurve:
+    """The curve tau x^2 = Q x + P in both slots, over (t1, t2), with tau = 1
+    (even) or t + c (odd): the constant -(Q1 + Q2)/2 of w1 + w2, and
+    (tau_l, Q_l, P_l) for slots l = 1, 2."""
+    tau = model.tau_poly() if model.parity == "odd" else Poly.const(model.tvars, 1)
+    sides = tuple(tuple(p.with_context(_BIVARS, {"t": var}) for p in (tau, model.Q, model.P))
+                  for var in _BIVARS)
+    return (sides[0][1] + sides[1][1]) * Fraction(-1, 2), sides
 
-    Each block is divided once by (t1+c)^m1 (t2+c)^m2; the (t1, t2)
-    exponents of the quotient are the t-powers of the two slots.  Strict
-    mode also lists the nonzero pole remainders.
+
+def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
+    """Grid of K = S (s_a(1) s_b(2) - s_b(1) s_a(2)) for the monomials
+    s_a = t^i x^u and s_b = t^j x^v of slots (u, i) and (v, j), read off
+    x-coordinates in closed form; curve is _kernel_curve of the model.
+
+    With w = tau x - Q/2, S = (w1 + w2)/(t1 - t2) and M the antisymmetric
+    product, (w1 + w2) M = (tau1 x1 + tau2 x2 - (Q1 + Q2)/2) M.  An x_l^2
+    arises only as tau_l x_l * x_l = Q_l x_l + P_l, so the product has
+    polynomial x-blocks in (t1, t2) and no pole.  Each block vanishes on
+    t1 = t2, hence is divisible by t1 - t2.  With m = t1^i t2^j - t1^j t2^i:
+    (u, v) = (0, 0): M = m, blocks -(Q1 + Q2)/2 m, tau1 m (x1), tau2 m (x2).
+    (u, v) = (1, 1): M = m x1 x2, product m (P2 x1 + P1 x2 + (Q1 + Q2)/2 x1 x2).
+    (u, v) = (0, 1): with p = t1^i t2^j, q = t1^j t2^i, M = p x2 - q x1, blocks
+    p P2 - q P1, q (Q2 - Q1)/2 (x1), p (Q2 - Q1)/2 (x2), tau1 p - tau2 q (x1 x2);
+    on t1 = t2, p = q, P1 = P2 and tau1 = tau2.
+    (u, v) = (1, 0) is the negated swap of (0, 1).  Each block is divided
+    once by t1 - t2; the (t1, t2) exponents of the quotient are the
+    t-powers of the two slots.
     """
-    root = -bi.model.c
+    (u, i), (v, j) = sa, sb
+    product = {(u, v): Poly(_BIVARS, {(i, j): 1})}
+    product[(v, u)] = product.get((v, u), Poly(_BIVARS)) - Poly(_BIVARS, {(j, i): 1})
+    const, sides = curve
+    blocks: Dict[Tuple[int, int], Poly] = {}
+
+    def add(key: Tuple[int, int], p: Poly) -> None:
+        blocks[key] = blocks[key] + p if key in blocks else p
+
+    for key, m in product.items():
+        add(key, const * m)
+        for slot, (tau, Q, P) in enumerate(sides):
+            up = key[:slot] + (1,) + key[slot + 1:]
+            if key[slot]:
+                add(up, Q * m)
+                add(key[:slot] + (0,) + key[slot + 1:], P * m)
+            else:
+                add(up, tau * m)
     grid: Grid = {}
-    problems: List[str] = []
-    for ((u, v), tag), block in zip(_BLOCK_TAGS.items(), bicurve_x_blocks(bi)):
-        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1, strict)
-        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2, strict)
-        if strict:
-            problems += [f"slot-{slot} pole remainder in {tag} block: {r}"
-                         for slot, r in ((1, r1), (2, r2)) if not r.is_zero]
-        for (i, j), val in q.terms.items():
-            grid[((u, i), (v, j))] = val
-    return grid, problems
+    for (x1, x2), block in blocks.items():
+        q, r = poly_divmod_linear(block, "t1", _T2)
+        if not r.is_zero:
+            raise NonzeroRemainder(f"{_BLOCK_TAGS[(x1, x2)]} block of the kernel of slots "
+                                   f"{sa}, {sb} does not vanish on t1 = t2")
+        for (a, b), val in q.terms.items():
+            grid[((x1, a), (x2, b))] = val
+    return grid
 
 
-def _section_coords(e: CurveElement, slots: Dict[Slot, int], strict: bool
+def _section_coords(e: CurveElement, slots: Dict[Slot, int]
                     ) -> Tuple[Dict[int, Fraction], Dict[Slot, Fraction], Optional[str]]:
     """Coordinates of e, each x-block divided by (t+c)^m: by basis index,
-    and by slot for the powers past the basis.  Strict mode also describes
-    a nonzero pole remainder."""
+    and by slot for the powers past the basis, with a description of the
+    nonzero pole remainders, if any."""
     A, B, m = e.x_parts()
     inside: Dict[int, Fraction] = {}
     outside: Dict[Slot, Fraction] = {}
     poles = []
     for u, block in ((0, A), (1, B)):
-        q, r = poly_div_linear_power(block, "t", -e.model.c, m, strict)
-        if strict and not r.is_zero:
+        q, r = poly_div_linear_power(block, "t", -e.model.c, m)
+        if not r.is_zero:
             poles.append(f"{'x' if u else '1'} block {r}")
         for (i,), val in q.terms.items():
             if (u, i) in slots:
@@ -270,9 +305,9 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
     2 D(s_a) in row b.  Truncating mode drops pole remainders and
     out-of-basis slots.  Strict mode rejects a pair whose summed grid has
     an entry outside the basis, where kernel and derivation overflow may
-    cancel, or a pole: the kernel has none (its remainders are checked),
-    and s_a (x) D(s_b) - s_b (x) D(s_a) has a pole in slot 2 unless
-    neither image has one, as rows a != b are independent.
+    cancel, or a pole: the kernel has none (_kernel_grid reads it without
+    division by t + c), and s_a (x) D(s_b) - s_b (x) D(s_a) has a pole in
+    slot 2 unless neither image has one, as rows a != b are independent.
     """
     n = space.dim
     strict = not truncate
@@ -280,11 +315,12 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
     basis = space.basis_elements()
     slots = _basis_slots(space)
     keys = list(slots)
-    images = [_section_coords(curve_derivation(e), slots, strict) for e in basis]
+    images = [_section_coords(curve_derivation(e), slots) for e in basis]
+    curve = _kernel_curve(space.model)
     pi: Dict[PairKey, FormDict] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            grid, problems = _pair_grid(mult_kernel_antisym(basis[a], basis[b]), strict)
+            grid = _kernel_grid(keys[a], keys[b], curve)
             form: FormDict = {}
             for (s1, s2), val in grid.items():
                 if s1 in slots and s2 in slots:
@@ -296,8 +332,8 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
                     key = (row, u) if row <= u else (u, row)
                     form[key] = form.get(key, 0) + sign * val
             if strict:
-                problems += [f"pole of D({labels[x]}): {images[x][2]}"
-                             for x in (a, b) if images[x][2]]
+                problems = [f"pole of D({labels[x]}): {images[x][2]}"
+                            for x in (a, b) if images[x][2]]
                 overflow = {key: n * val for key, val in grid.items()
                             if not (key[0] in slots and key[1] in slots)}
                 for row, (_, outside, _), sign in ((keys[a], images[b], 1),

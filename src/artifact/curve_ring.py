@@ -10,9 +10,10 @@ where R := P + Q^2/4 resp. (t+c) P + Q^2/4.
 Curve functions are kept in a unique normal form: alpha + beta * x in the
 even parity and (alpha + beta * z) / (t+c)^m with m minimal in the odd
 parity.  The module also provides the canonical derivation, the section
-spaces used downstream, the two-variable kernel arithmetic behind the
-algebraic Szego kernel, and the residue certificate for that kernel,
-whose residues are proved in closed form.
+spaces used downstream, and the residue certificate for the algebraic
+Szego kernel S = (w1 + w2)/(t1 - t2), whose residues are proved in closed
+form.  The kernel term of the bracket assembly is read off x-coordinates
+in closed form by bracket_forge.
 
 Curve coefficients may involve extra symbolic parameters (the `params`
 tuple of the model); the residue certificate and coordinate extraction
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
-    NonzeroRemainder,
     Poly,
     RationalLike,
     poly_div_linear_power,
@@ -174,7 +174,7 @@ def _check_models(a: "CurveModel", b: "CurveModel") -> None:
         raise ValueError("elements belong to different curve models")
 
 
-def _cancel_poles(numerators: List[Poly], var: str, root: Union[Poly, RationalLike],
+def _cancel_poles(numerators: List[Poly], var: str, root: RationalLike,
                   m: int) -> Tuple[List[Poly], int]:
     """Divide every numerator by (var - root) while all of them divide
     exactly, at most m times; returns the quotients and the order left."""
@@ -285,11 +285,6 @@ class CurveElement:
             return NotImplemented
         return (self.alpha == other.alpha and self.beta == other.beta
                 and self.denom_power == other.denom_power)
-
-    def w_parts(self) -> Tuple[Poly, Poly, int]:
-        """(alpha_w, beta_w, m) with the numerator written as alpha_w + beta_w * w."""
-        half = Fraction(1, 2)
-        return self.alpha + self.beta * self.model.Q * half, self.beta, self.denom_power
 
     def x_parts(self) -> Tuple[Poly, Poly, int]:
         """(A, B, m) with the element equal to (A + B * x) / (t+c)^m."""
@@ -459,160 +454,6 @@ def membership_extract(e: CurveElement, space: SectionSpace) -> List[Fraction]:
             if cf:
                 coords[offset + i] = cf
     return coords
-
-
-class BiCurveElement:
-    """Function on the product of the curve with itself, in the w-basis.
-
-    Represents (c00 + c10 w1 + c01 w2 + c11 w1 w2) / ((t1+c)^m1 (t2+c)^m2)
-    with the cij polynomials in (t1, t2) and w_i^2 = R(t_i).  The pole
-    orders are the ones the element was built with, not minimal ones:
-    poles are cancelled once, when coordinates are read off its x-blocks.
-    Equality compares the functions.
-    """
-
-    __slots__ = ("model", "c00", "c10", "c01", "c11", "m1", "m2")
-
-    def __init__(self, model: CurveModel, c00: Poly, c10: Poly, c01: Poly, c11: Poly,
-                 m1: int = 0, m2: int = 0):
-        self.model = model
-        if model.parity == "even" and (m1 or m2):
-            raise ValueError("even parity carries no pole orders")
-        self.c00, self.c10, self.c01, self.c11 = c00, c10, c01, c11
-        self.m1, self.m2 = m1, m2
-
-    @property
-    def bivars(self) -> Tuple[str, ...]:
-        return ("t1", "t2") + self.model.params
-
-    @classmethod
-    def from_sections(cls, e1: CurveElement, e2: CurveElement) -> "BiCurveElement":
-        """The product e1(slot 1) * e2(slot 2)."""
-        _check_models(e1.model, e2.model)
-        model = e1.model
-        bivars = ("t1", "t2") + model.params
-        a1, b1, m1 = e1.w_parts()
-        a2, b2, m2 = e2.w_parts()
-        A1, B1 = (p.with_context(bivars, {"t": "t1"}) for p in (a1, b1))
-        A2, B2 = (p.with_context(bivars, {"t": "t2"}) for p in (a2, b2))
-        return cls(model, A1 * A2, B1 * A2, A1 * B2, B1 * B2, m1, m2)
-
-    def _slot_poly(self, p: Poly, var: str) -> Poly:
-        return p.with_context(self.bivars, {"t": var})
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c00.is_zero and self.c10.is_zero and self.c01.is_zero and self.c11.is_zero
-
-    def _lift(self, m1: int, m2: int) -> List[Poly]:
-        d1, d2 = m1 - self.m1, m2 - self.m2
-        if d1 < 0 or d2 < 0:
-            raise ValueError("cannot lower pole orders")
-        if not (d1 or d2):
-            return [self.c00, self.c10, self.c01, self.c11]
-        tau = self.model.tau_poly()
-        f1, f2 = self._slot_poly(tau, "t1") ** d1, self._slot_poly(tau, "t2") ** d2
-        factor = f1 * f2 if d1 and d2 else (f1 if d1 else f2)
-        return [p * factor for p in (self.c00, self.c10, self.c01, self.c11)]
-
-    def __add__(self, other: "BiCurveElement") -> "BiCurveElement":
-        _check_models(self.model, other.model)
-        m1 = max(self.m1, other.m1)
-        m2 = max(self.m2, other.m2)
-        p = self._lift(m1, m2)
-        q = other._lift(m1, m2)
-        return BiCurveElement(self.model, *(a + b for a, b in zip(p, q)), m1=m1, m2=m2)
-
-    def __neg__(self) -> "BiCurveElement":
-        return BiCurveElement(self.model, -self.c00, -self.c10, -self.c01, -self.c11, self.m1, self.m2)
-
-    def __sub__(self, other: "BiCurveElement") -> "BiCurveElement":
-        return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "BiCurveElement":
-        f = rat(factor)
-        return BiCurveElement(self.model, self.c00 * f, self.c10 * f, self.c01 * f,
-                              self.c11 * f, self.m1, self.m2)
-
-    def swap_slots(self) -> "BiCurveElement":
-        swap = {"t1": "t2", "t2": "t1"}
-        return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
-                                            (self.c00, self.c01, self.c10, self.c11)),
-                              self.m2, self.m1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiCurveElement):
-            return NotImplemented
-        if self.model != other.model:
-            return False
-        m1, m2 = max(self.m1, other.m1), max(self.m2, other.m2)
-        return self._lift(m1, m2) == other._lift(m1, m2)
-
-    def __repr__(self) -> str:
-        core = f"c00={self.c00}, c10={self.c10}, c01={self.c01}, c11={self.c11}"
-        if self.m1 or self.m2:
-            core += f", poles=({self.m1},{self.m2})"
-        return f"BiCurveElement({core})"
-
-
-def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
-    """Numerator blocks of bi in slotwise x-coordinates.
-
-    Returns (A, B, C, D) with the element equal to
-    (A + B x1 + C x2 + D x1 x2) / ((t1+c)^m1 (t2+c)^m2); the w -> x
-    substitution w_i = (t_i+c) x_i - Q(t_i)/2 (odd) or x_i - Q(t_i)/2
-    (even) is folded into the blocks.
-    """
-    model = bi.model
-    half = Fraction(1, 2)
-    Q1 = bi._slot_poly(model.Q, "t1")
-    Q2 = bi._slot_poly(model.Q, "t2")
-    A = bi.c00 - bi.c10 * Q1 * half - bi.c01 * Q2 * half + bi.c11 * Q1 * Q2 * Fraction(1, 4)
-    B = bi.c10 - bi.c11 * Q2 * half
-    C = bi.c01 - bi.c11 * Q1 * half
-    D = bi.c11
-    if model.parity == "odd":
-        tau1 = bi._slot_poly(model.tau_poly(), "t1")
-        tau2 = bi._slot_poly(model.tau_poly(), "t2")
-        B, C, D = B * tau1, C * tau2, D * tau1 * tau2
-    return A, B, C, D
-
-
-def szego_kernel(model: CurveModel) -> BiCurveElement:
-    """Numerator w1 + w2 of the kernel S = (w1 + w2)/(t1 - t2).
-
-    The division by (t1 - t2) is never performed here, only later against
-    factors known to cancel it.
-    """
-    bivars = ("t1", "t2") + model.params
-    zero = Poly(bivars)
-    one = Poly.const(bivars, 1)
-    return BiCurveElement(model, zero, one, one, zero)
-
-
-def mult_kernel_antisym(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
-    """S * (s1(1) s2(2) - s2(1) s1(2)) with the diagonal pole cancelled.
-
-    With X = s1(1) s2(2), the antisymmetrized product X - swap(X) has
-    w-basis coefficients d00, d10, d01, d11; the Szego numerator w1 + w2
-    multiplies it in closed form, using w_i^2 = R(t_i):
-    (d10 R1 + d01 R2) + (d00 + d11 R2) w1 + (d00 + d11 R1) w2 + (d10 + d01) w1 w2.
-    Each coefficient is then divided exactly by (t1 - t2); divisibility
-    holds because the whole expression vanishes on the diagonal,
-    coefficient by coefficient.
-    """
-    _check_models(s1.model, s2.model)
-    model = s1.model
-    X = BiCurveElement.from_sections(s1, s2)
-    raw = X - X.swap_slots()
-    R1, R2 = (raw._slot_poly(model.R, var) for var in ("t1", "t2"))
-    num = [raw.c10 * R1 + raw.c01 * R2, raw.c00 + raw.c11 * R2,
-           raw.c00 + raw.c11 * R1, raw.c10 + raw.c01]
-    parts, left = _cancel_poles(num, "t1", Poly.var(raw.bivars, "t2"), 1)
-    if left:
-        raise NonzeroRemainder(f"kernel numerator of {s1} and {s2} does not vanish "
-                               f"on the diagonal t1 = t2")
-    return BiCurveElement(model, *parts, m1=raw.m1, m2=raw.m2)
 
 
 @dataclass(frozen=True)

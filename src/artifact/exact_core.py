@@ -12,8 +12,6 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -371,13 +369,11 @@ def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> T
     return q, remainder
 
 
-def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int,
-                          remainder: bool = True) -> Tuple[Poly, Optional[Poly]]:
-    """Write p = Q * (name - root)^m + R with deg_name(R) < m.
+def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tuple[Poly, Poly]:
+    """Write p = Q * (name - root)^m + R with deg_name(R) < m; returns (Q, R).
 
-    Returns (Q, R), or (Q, None) without building R when `remainder` is
-    false.  Used for extracting the polynomial part of p / (name - root)^m;
-    R is the obstruction.
+    Used for extracting the polynomial part of p / (name - root)^m; R is
+    the obstruction.
     """
     if m < 0:
         raise ValueError("negative power")
@@ -388,7 +384,6 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int,
     q = p
     for _ in range(m):
         q, r = poly_divmod_linear(q, name, root)
-        if remainder:
-            rem_total = rem_total + r * factor
-            factor = factor * linear
-    return q, rem_total if remainder else None
+        rem_total = rem_total + r * factor
+        factor = factor * linear
+    return q, rem_total

@@ -1,40 +1,141 @@
 """Reference route for the bracket assembly, kept as a test oracle.
 
 The library assembles each pair's form by bilinearity: the kernel term is
-read off per pair, and each derivation image is read once and added to
-two rows.  This module keeps the per-pair route it is cross-checked
-against: for every basis pair it sums the five two-point terms as
-BiCurveElements, pole orders lifted, and reads the summed grid once.  The
-kernel term is the general w-basis product of the Szego numerator with
-s1(1) s2(2) - s2(1) s1(2), both built with from_sections.  It also keeps
-the odd recentering correction in its first form, two zero-curve
-assemblies.
+read off x-coordinates in closed form per pair, and each derivation image
+is read once and added to two rows.  This module keeps the route it is
+cross-checked against: two-point functions in the w-basis
+(BiCurveElement), the kernel term as the general w-basis product of the
+Szego numerator w1 + w2 with s1(1) s2(2) - s2(1) s1(2), divided by
+t1 - t2, and for every basis pair the five two-point terms summed with
+pole orders lifted, converted to x-blocks and read once after dividing by
+(t1+c)^m1 (t2+c)^m2.  It also keeps the odd recentering correction in its
+first form, two zero-curve assemblies.
 """
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, List, Tuple
 
-from artifact.bracket_forge import (BracketTensor, FormDict, PairKey, TensorNotInSectionSpace,
-                                    _basis_slots, _overflow_details, _pair_grid)
-from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, SectionSpace,
-                                 _cancel_poles, curve_derivation, szego_kernel)
-from artifact.exact_core import NonzeroRemainder, Poly
+from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey,
+                                    TensorNotInSectionSpace, _basis_slots, _overflow_details)
+from artifact.curve_ring import (CurveElement, CurveModel, SectionSpace, _check_models,
+                                 curve_derivation)
+from artifact.exact_core import (NonzeroRemainder, Poly, poly_div_linear_power,
+                                 poly_divmod_linear)
 
 
 _W_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _coeffs(e: BiCurveElement):
-    return e.c00, e.c10, e.c01, e.c11
+def w_parts(e: CurveElement) -> Tuple[Poly, Poly, int]:
+    """(alpha_w, beta_w, m) with the numerator of e written as alpha_w + beta_w * w."""
+    return e.alpha + e.beta * e.model.Q * Fraction(1, 2), e.beta, e.denom_power
+
+
+class BiCurveElement:
+    """Function on the product of the curve with itself, in the w-basis.
+
+    Represents (c00 + c10 w1 + c01 w2 + c11 w1 w2) / ((t1+c)^m1 (t2+c)^m2)
+    with the cij polynomials in (t1, t2) and w_i^2 = R(t_i).  The pole
+    orders are the ones the element was built with, not minimal ones:
+    poles are cancelled once, when coordinates are read off its x-blocks.
+    Equality compares the functions.
+    """
+
+    __slots__ = ("model", "c00", "c10", "c01", "c11", "m1", "m2")
+
+    def __init__(self, model: CurveModel, c00: Poly, c10: Poly, c01: Poly, c11: Poly,
+                 m1: int = 0, m2: int = 0):
+        self.model = model
+        if model.parity == "even" and (m1 or m2):
+            raise ValueError("even parity carries no pole orders")
+        self.c00, self.c10, self.c01, self.c11 = c00, c10, c01, c11
+        self.m1, self.m2 = m1, m2
+
+    @property
+    def bivars(self) -> Tuple[str, ...]:
+        return ("t1", "t2") + self.model.params
+
+    @property
+    def coeffs(self) -> Tuple[Poly, Poly, Poly, Poly]:
+        return self.c00, self.c10, self.c01, self.c11
+
+    @classmethod
+    def from_sections(cls, e1: CurveElement, e2: CurveElement) -> "BiCurveElement":
+        """The product e1(slot 1) * e2(slot 2)."""
+        _check_models(e1.model, e2.model)
+        model = e1.model
+        bivars = ("t1", "t2") + model.params
+        a1, b1, m1 = w_parts(e1)
+        a2, b2, m2 = w_parts(e2)
+        A1, B1 = (p.with_context(bivars, {"t": "t1"}) for p in (a1, b1))
+        A2, B2 = (p.with_context(bivars, {"t": "t2"}) for p in (a2, b2))
+        return cls(model, A1 * A2, B1 * A2, A1 * B2, B1 * B2, m1, m2)
+
+    def slot_poly(self, p: Poly, var: str) -> Poly:
+        return p.with_context(self.bivars, {"t": var})
+
+    @property
+    def is_zero(self) -> bool:
+        return all(p.is_zero for p in self.coeffs)
+
+    def lift(self, m1: int, m2: int) -> List[Poly]:
+        """The coefficients over the pole orders (m1, m2)."""
+        d1, d2 = m1 - self.m1, m2 - self.m2
+        if d1 < 0 or d2 < 0:
+            raise ValueError("cannot lower pole orders")
+        tau = self.model.tau_poly()
+        factor = self.slot_poly(tau, "t1") ** d1 * self.slot_poly(tau, "t2") ** d2
+        return [p * factor for p in self.coeffs]
+
+    def __add__(self, other: "BiCurveElement") -> "BiCurveElement":
+        _check_models(self.model, other.model)
+        m1 = max(self.m1, other.m1)
+        m2 = max(self.m2, other.m2)
+        return BiCurveElement(self.model, *(a + b for a, b in zip(self.lift(m1, m2),
+                                                                   other.lift(m1, m2))),
+                              m1=m1, m2=m2)
+
+    def __sub__(self, other: "BiCurveElement") -> "BiCurveElement":
+        return self + other.scale(-1)
+
+    def scale(self, factor) -> "BiCurveElement":
+        return BiCurveElement(self.model, *(p * Fraction(factor) for p in self.coeffs),
+                              m1=self.m1, m2=self.m2)
+
+    def swap_slots(self) -> "BiCurveElement":
+        swap = {"t1": "t2", "t2": "t1"}
+        return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
+                                            (self.c00, self.c01, self.c10, self.c11)),
+                              m1=self.m2, m2=self.m1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BiCurveElement):
+            return NotImplemented
+        if self.model != other.model:
+            return False
+        m1, m2 = max(self.m1, other.m1), max(self.m2, other.m2)
+        return self.lift(m1, m2) == other.lift(m1, m2)
+
+    def __repr__(self) -> str:
+        core = f"c00={self.c00}, c10={self.c10}, c01={self.c01}, c11={self.c11}"
+        return f"BiCurveElement({core}, poles=({self.m1},{self.m2}))"
+
+
+def szego_kernel(model: CurveModel) -> BiCurveElement:
+    """Numerator w1 + w2 of the kernel S = (w1 + w2)/(t1 - t2)."""
+    bivars = ("t1", "t2") + model.params
+    zero = Poly(bivars)
+    one = Poly.const(bivars, 1)
+    return BiCurveElement(model, zero, one, one, zero)
 
 
 def bicurve_product(x: BiCurveElement, y: BiCurveElement) -> BiCurveElement:
     """x * y in the w-basis, with w_i^2 = R(t_i)."""
     model = x.model
-    R = {1: x._slot_poly(model.R, "t1"), 2: x._slot_poly(model.R, "t2")}
+    R = {1: x.slot_poly(model.R, "t1"), 2: x.slot_poly(model.R, "t2")}
     acc = {key: Poly(x.bivars) for key in _W_KEYS}
-    for (u1, v1), p in zip(_W_KEYS, _coeffs(x)):
-        for (u2, v2), q in zip(_W_KEYS, _coeffs(y)):
+    for (u1, v1), p in zip(_W_KEYS, x.coeffs):
+        for (u2, v2), q in zip(_W_KEYS, y.coeffs):
             prod = p * q
             u, v = u1 + u2, v1 + v2
             if u == 2:
@@ -42,8 +143,7 @@ def bicurve_product(x: BiCurveElement, y: BiCurveElement) -> BiCurveElement:
             if v == 2:
                 prod, v = prod * R[2], 0
             acc[(u, v)] = acc[(u, v)] + prod
-    return BiCurveElement(model, acc[(0, 0)], acc[(1, 0)], acc[(0, 1)], acc[(1, 1)],
-                          x.m1 + y.m1, x.m2 + y.m2)
+    return BiCurveElement(model, *(acc[key] for key in _W_KEYS), m1=x.m1 + y.m1, m2=x.m2 + y.m2)
 
 
 def raw_kernel_numerator(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
@@ -53,20 +153,61 @@ def raw_kernel_numerator(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
 
 
 def mult_kernel_antisym(s1: CurveElement, s2: CurveElement) -> BiCurveElement:
-    """The raw numerator divided by (t1 - t2), coefficient by coefficient."""
+    """S * (s1(1) s2(2) - s2(1) s1(2)): the raw numerator divided by
+    (t1 - t2), coefficient by coefficient."""
     num = raw_kernel_numerator(s1, s2)
-    parts, left = _cancel_poles([num.c00, num.c10, num.c01, num.c11], "t1",
-                                Poly.var(num.bivars, "t2"), 1)
-    if left:
-        raise NonzeroRemainder(f"{num} does not vanish on the diagonal t1 = t2")
+    t2 = Poly.var(num.bivars, "t2")
+    parts = []
+    for p in num.coeffs:
+        q, r = poly_divmod_linear(p, "t1", t2)
+        if not r.is_zero:
+            raise NonzeroRemainder(f"{num} does not vanish on the diagonal t1 = t2")
+        parts.append(q)
     return BiCurveElement(num.model, *parts, m1=num.m1, m2=num.m2)
+
+
+def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
+    """Numerator blocks (A, B, C, D) of bi in slotwise x-coordinates, with
+    bi = (A + B x1 + C x2 + D x1 x2) / ((t1+c)^m1 (t2+c)^m2), from
+    w_i = (t_i+c) x_i - Q(t_i)/2 (odd) or x_i - Q(t_i)/2 (even)."""
+    model = bi.model
+    half = Fraction(1, 2)
+    Q1 = bi.slot_poly(model.Q, "t1")
+    Q2 = bi.slot_poly(model.Q, "t2")
+    A = bi.c00 - bi.c10 * Q1 * half - bi.c01 * Q2 * half + bi.c11 * Q1 * Q2 * Fraction(1, 4)
+    B = bi.c10 - bi.c11 * Q2 * half
+    C = bi.c01 - bi.c11 * Q1 * half
+    D = bi.c11
+    if model.parity == "odd":
+        tau1 = bi.slot_poly(model.tau_poly(), "t1")
+        tau2 = bi.slot_poly(model.tau_poly(), "t2")
+        B, C, D = B * tau1, C * tau2, D * tau1 * tau2
+    return A, B, C, D
+
+
+def pair_grid(bi: BiCurveElement) -> Tuple[Grid, List[str]]:
+    """Coefficient grid of bi, read off its x-blocks, out-of-basis slots
+    kept, and the nonzero pole remainders.  Each block is divided once by
+    (t1+c)^m1 (t2+c)^m2; the (t1, t2) exponents of the quotient are the
+    t-powers of the two slots."""
+    root = -bi.model.c
+    grid: Grid = {}
+    problems: List[str] = []
+    for ((u, v), tag), block in zip(_BLOCK_TAGS.items(), bicurve_x_blocks(bi)):
+        q, r1 = poly_div_linear_power(block, "t1", root, bi.m1)
+        q, r2 = poly_div_linear_power(q, "t2", root, bi.m2)
+        problems += [f"slot-{slot} pole remainder in {tag} block: {r}"
+                     for slot, r in ((1, r1), (2, r2)) if not r.is_zero]
+        for (i, j), val in q.terms.items():
+            grid[((u, i), (v, j))] = val
+    return grid, problems
 
 
 def pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
                 pair_label: str) -> Dict[PairKey, Fraction]:
     """Coefficient grid of bi over basis x basis.  Strict mode rejects a
     pole remainder or a slot past the basis, truncating mode drops it."""
-    grid, problems = _pair_grid(bi, not truncate)
+    grid, problems = pair_grid(bi)
     slots = _basis_slots(space)
     if not truncate:
         problems += _overflow_details(grid, slots)

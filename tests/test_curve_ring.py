@@ -1,12 +1,15 @@
-"""Tests for curve models, reduction, derivation, kernel and residues."""
+"""Tests for curve models, reduction, derivation, kernel and residues.
+
+The kernel tests read the closed-form grid of bracket_forge and the
+w-basis route of the assembly oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from artifact.bracket_forge import _kernel_curve, _kernel_grid
 from artifact.curve_ring import (
-    BiCurveElement,
     CurveElement,
     CurveModel,
     DegenerateDivisor,
@@ -15,12 +18,12 @@ from artifact.curve_ring import (
     SectionSpace,
     curve_derivation,
     membership_extract,
-    mult_kernel_antisym,
     reduce,
-    szego_kernel,
     verify_szego_residues,
 )
 from artifact.exact_core import Poly
+
+from assembly_route import BiCurveElement, mult_kernel_antisym, szego_kernel
 
 SEED = 42
 
@@ -189,8 +192,15 @@ def test_derivation_raises_section_level_odd():
             membership_extract(curve_derivation(basis[k + 1]), target)
 
 
+def _numerator_grid(model):
+    """Kernel grid of the pair (t, 1): S (t1 - t2) = w1 + w2 in x-coordinates."""
+    return _kernel_grid((0, 1), (0, 0), _kernel_curve(model))
+
+
 def test_szego_numerator_even():
+    # Q = 0: the numerator is x1 + x2
     model = CurveModel.even(1, 0, 5)
+    assert _numerator_grid(model) == {((1, 0), (0, 0)): 1, ((0, 0), (1, 0)): 1}
     num = szego_kernel(model)
     one = Poly.const(("t1", "t2"), 1)
     assert num.c10 == one and num.c01 == one
@@ -200,22 +210,18 @@ def test_szego_numerator_even():
 def test_szego_numerator_even_with_shift():
     # Q = 2t makes the numerator x1 - t1 + x2 - t2
     model = CurveModel.even(1, [0, 2], [0, 0, 0, 0, 1])
-    from artifact.curve_ring import bicurve_x_blocks
-
-    A, B, C, D = bicurve_x_blocks(szego_kernel(model))
-    bv = ("t1", "t2")
-    assert A == -Poly.var(bv, "t1") - Poly.var(bv, "t2")
-    assert B == Poly.const(bv, 1) and C == Poly.const(bv, 1)
-    assert D.is_zero
+    assert _numerator_grid(model) == {((1, 0), (0, 0)): 1, ((0, 0), (1, 0)): 1,
+                                      ((0, 1), (0, 0)): -1, ((0, 0), (0, 1)): -1}
 
 
 def test_szego_numerator_odd():
+    # c = 1, Q = 2t - t^2: w1 + w2 = (t1+1) x1 + (t2+1) x2 - Q(t1)/2 - Q(t2)/2
+    # has no pole in x-coordinates
     model = _odd_model()
-    bv = ("t1", "t2")
-    num = szego_kernel(model)
-    # z1 - Q(t1)/2 + z2 - Q(t2)/2 in the w-basis is just w1 + w2
-    assert num.c10 == Poly.const(bv, 1) and num.c01 == Poly.const(bv, 1)
-    assert num.c00.is_zero and num.c11.is_zero and num.m1 == 0 and num.m2 == 0
+    assert _numerator_grid(model) == {
+        ((1, 1), (0, 0)): 1, ((1, 0), (0, 0)): 1, ((0, 0), (1, 1)): 1, ((0, 0), (1, 0)): 1,
+        ((0, 1), (0, 0)): -1, ((0, 0), (0, 1)): -1,
+        ((0, 2), (0, 0)): Fraction(1, 2), ((0, 0), (0, 2)): Fraction(1, 2)}
 
 
 def test_mult_kernel_antisym_diagonal_pair_vanishes():

@@ -17,19 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
-                                    _basis_slots, _five_term_forms, _section_coords,
-                                    build_family)
-from artifact.curve_ring import (BiCurveElement, CurveElement, CurveModel, DegenerateDivisor,
-                                 NotInSpace, ResidueCertificate, SectionSpace,
-                                 curve_derivation, membership_extract, mult_kernel_antisym,
-                                 verify_szego_residues)
+                                    _basis_slots, _five_term_forms, _kernel_curve,
+                                    _kernel_grid, _section_coords, build_family)
+from artifact.curve_ring import (CurveElement, CurveModel, DegenerateDivisor, NotInSpace,
+                                 ResidueCertificate, SectionSpace, curve_derivation,
+                                 membership_extract, verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
                                      independence_rank, jacobi_check, rank_at_point,
                                      schouten_certificate)
 
 import assembly_route
-from assembly_route import pair_matrix
+from assembly_route import BiCurveElement, mult_kernel_antisym, pair_grid, pair_matrix
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
                          wedge_certificate)
 
@@ -111,7 +110,7 @@ def five_term_pairs(draw):
           - BiCurveElement.from_sections(sb, da) - BiCurveElement.from_sections(da, sb))
     j1, j2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     m1, m2 = bi.m1 + j1, bi.m2 + j2
-    return space, bi, BiCurveElement(space.model, *bi._lift(m1, m2), m1=m1, m2=m2)
+    return space, bi, BiCurveElement(space.model, *bi.lift(m1, m2), m1=m1, m2=m2)
 
 
 @PROPERTY
@@ -148,7 +147,7 @@ def test_section_coords_match_membership(space, data):
     otherwise has its coordinates."""
     coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
     e = curve_derivation(space.element_from_coords(data.draw(coords)))
-    inside, outside, pole = _section_coords(e, _basis_slots(space), strict=True)
+    inside, outside, pole = _section_coords(e, _basis_slots(space))
     try:
         expected = membership_extract(e, space)
     except NotInSpace as exc:
@@ -221,18 +220,65 @@ def test_bilinear_assembly_matches_per_pair_route(space):
 @PROPERTY
 @given(space=assembly_spaces(), data=st.data())
 def test_closed_form_kernel_matches_general_product(space, data):
-    """mult_kernel_antisym times (t1 - t2) is the general w-basis product of
-    the Szego numerator with the antisymmetrized product, also for
-    derivation images, whose pole orders differ from the sections'."""
+    """The closed-form kernel grids of the basis pairs, summed bilinearly
+    over the coordinates of two drawn sections, give the grid of the
+    general w-basis product of the Szego numerator with s1(1) s2(2) -
+    s2(1) s1(2), divided by t1 - t2."""
     coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
-    s1, s2 = (space.element_from_coords(data.draw(coords)) for _ in range(2))
-    if data.draw(st.booleans()):
-        s2 = curve_derivation(s2)
-    out = mult_kernel_antisym(s1, s2)
-    diff = Poly.var(out.bivars, "t1") - Poly.var(out.bivars, "t2")
-    lifted = BiCurveElement(space.model, *(p * diff for p in (out.c00, out.c10, out.c01, out.c11)),
-                            m1=out.m1, m2=out.m2)
-    assert lifted == assembly_route.raw_kernel_numerator(s1, s2)
+    c1, c2 = (data.draw(coords) for _ in range(2))
+    keys = list(_basis_slots(space))
+    curve = _kernel_curve(space.model)
+    summed = {}
+    for a, x in enumerate(c1):
+        for b, y in enumerate(c2):
+            if x * y:
+                for key, val in _kernel_grid(keys[a], keys[b], curve).items():
+                    summed[key] = summed.get(key, 0) + x * y * val
+    s1, s2 = (space.element_from_coords(c) for c in (c1, c2))
+    grid, poles = pair_grid(mult_kernel_antisym(s1, s2))
+    assert poles == []
+    assert {key: val for key, val in summed.items() if val} == grid
+
+
+def _shifted(grid):
+    return {((u, i + 1), (v, j + 1)): val for ((u, i), (v, j)), val in grid.items()}
+
+
+@st.composite
+def kernel_curves(draw):
+    """A curve of drawn parity at k <= 4 with rational c, Q and P; odd
+    ones include c = 0 and c = -1."""
+    k = draw(st.integers(1, 4))
+    Q = draw(st.lists(rationals, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        return CurveModel.even(k, Q, draw(st.lists(rationals, min_size=5, max_size=5)))
+    c = draw(st.one_of(st.sampled_from((0, -1)), rationals))
+    return CurveModel.odd(k, c, Q, draw(st.lists(rationals, min_size=4, max_size=4)))
+
+
+@PROPERTY
+@example(model=CurveModel.even(4, 0, 0))
+@example(model=CurveModel.odd(4, 0, 0, 0))
+@example(model=CurveModel.odd(3, -1, 0, 0))
+@example(model=CurveModel.odd(2, Fraction(-1, 3), [Fraction(1, 2), 0, -2], [3, Fraction(2, 3), 0, 1]))
+@given(model=kernel_curves())
+def test_kernel_grid_matches_w_basis_route(model):
+    """On every basis pair, the closed-form x-coordinate kernel grid equals
+    the grid the w-basis route reads after its (t+c) pole division, with
+    no pole remainder.  The swapped pair gives the transposed, negated
+    grid, and K(t s, t s') is K(s, s') shifted by ((0, 1), (0, 1))."""
+    space = SectionSpace(model)
+    basis = space.basis_elements()
+    keys = list(_basis_slots(space))
+    curve = _kernel_curve(model)
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            grid = _kernel_grid(keys[a], keys[b], curve)
+            assert pair_grid(mult_kernel_antisym(basis[a], basis[b])) == (grid, []), (a, b)
+            swapped = _kernel_grid(keys[b], keys[a], curve)
+            assert swapped == {(s2, s1): -val for (s1, s2), val in grid.items()}, (a, b)
+            (u, i), (v, j) = keys[a], keys[b]
+            assert _kernel_grid((u, i + 1), (v, j + 1), curve) == _shifted(grid), (a, b)
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Ratchet on code that only tests reach.
 
-Every top-level function and class in src/artifact must be referenced by
-some other src code, and every non-dunder method must be reached as an
+Every top-level function, class and module-level assigned name (dunders
+such as __version__ aside) in src/artifact must be referenced by some
+other src code, and every non-dunder method must be reached as an
 attribute from src code outside its own body, unless it is a named test
 oracle or a leftover still waiting to be deleted or wired in.  A new
 test-only helper therefore has to be added to ORACLES on purpose.
@@ -17,13 +18,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 # one-point entry to the rank kernel that rank_scan runs on a tensor
 # cleared once; BracketTensor.form is the signed entry the chart route
 # descends, and Poly.eval_all and RatioBracketValue.equals compare routes.
-# szego_kernel is the kernel numerator the general-product route of the
-# assembly multiplies by; SectionSpace.element_from_coords draws section
-# elements for the property tests.
+# SectionSpace.element_from_coords draws section elements for the property
+# tests.
 ORACLES = {"reduce", "ratio_bracket", "euler_tensor", "membership_extract",
            "generic_poisson_rank", "rank_at_point", "CurveModel.defining_poly",
            "BracketTensor.form", "Poly.eval_all", "RatioBracketValue.equals",
-           "szego_kernel", "SectionSpace.element_from_coords"}
+           "SectionSpace.element_from_coords"}
 # Reached only from tests, to be deleted or wired in.
 PENDING = set()
 
@@ -40,6 +40,18 @@ def _modules():
     return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
 
 
+def _assigned(node):
+    """Non-dunder names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
 def _methods(trees):
     """(qualified name, node) of every non-dunder method."""
     return [(f"{cls.name}.{node.name}", node) for tree in trees for cls in tree.body
@@ -49,12 +61,15 @@ def _methods(trees):
 
 
 def test_every_src_definition_is_reached_from_src():
-    """No top-level definition is referenced only from outside src."""
+    """No top-level definition or assigned name is referenced only from
+    outside src."""
     tops = [node for tree in _modules() for node in tree.body]
     refs = [_referenced(node) for node in tops]
-    unreached = {node.name for node in tops if isinstance(node, DEFS)
-                 and not any(node.name in used for other, used in zip(tops, refs)
-                             if other is not node)}
+    names = [({node.name} if isinstance(node, DEFS) else set()) | _assigned(node)
+             for node in tops]
+    unreached = {name for node, bound in zip(tops, names) for name in bound
+                 if not any(name in used for other, used in zip(tops, refs)
+                            if other is not node)}
     assert unreached - ORACLES - PENDING == set()
 
 
