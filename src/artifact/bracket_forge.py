@@ -3,20 +3,21 @@
 A bracket tensor on the dual of a section space stores, for every pair of
 coordinates (a, b) with a < b, a symmetric quadratic form in the coordinates.
 The forms come from a five-term combination of the multiplication kernel and
-the canonical derivation.  Reading coordinates is linear, so the assembly
-uses bilinearity: the kernel term of each pair is read off x-coordinates in
-closed form, with one division of each x-block by t1 - t2 and no pole, and
-the n derivation images are read once each and added to the rows of the two
-coordinates of the pair.
+the canonical derivation.  Both terms are read off x-coordinates of basis
+monomials t^i x^u in closed form, so the library holds no type for curve
+functions.  Reading coordinates is linear, so the assembly uses
+bilinearity: the kernel term of each pair is read with one division of each
+x-block by t1 - t2 and no pole, and the n derivation images are read once
+each and added to the rows of the two coordinates of the pair.
 
 For even parity the five-term combination lands in the tensor square of the
-section space exactly.  For odd parity the derivation picks up a double pole
-at the distinguished point over the moved branch point, so the raw
-combination does not land there; the builder drops the non-cancelling pole
-parts and the out-of-range monomials and recenters the result with a fixed
-curve-independent correction.  The recentred tensor agrees, after the chart
-descent, with the closed-form chart brackets, and it is what every
-downstream check certifies.
+section space exactly, and the assembly is strict.  For odd parity the
+derivation picks up a double pole at the distinguished point over the moved
+branch point, so the raw combination does not land there; the assembly
+truncates, dropping the pole parts and the out-of-range monomials, and the
+builder recenters the result with a fixed curve-independent correction.
+The recentred tensor agrees, after the chart descent, with the closed-form
+chart brackets, and it is what every downstream check certifies.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact_core import (NonzeroRemainder, Poly, RationalLike, poly_div_linear_power,
-                         poly_divmod_linear, rat, rat_str)
-from .curve_ring import CurveElement, CurveModel, SectionSpace, curve_derivation
+from .exact_core import NonzeroRemainder, Poly, RationalLike, poly_divmod_linear, rat, rat_str
+from .curve_ring import CurveModel, SectionSpace
 
 PairKey = Tuple[int, int]
 FormDict = Dict[Tuple[int, int], Fraction]
@@ -185,8 +185,12 @@ class FamilyBasis:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilyBasis":
+        """Inverse of to_json; ValueError on any entry it cannot read."""
         tensors = tuple(BracketTensor.from_json(item) for item in data["basis"])
-        return cls(data["parity"], data["k"], tensors, tuple(data["labels"]))
+        labels = data["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"labels {labels!r} are not a list of strings")
+        return cls(data["parity"], _json_int(data["k"]), tensors, tuple(labels))
 
 
 # A slot of a two-point grid: (power of x, power of t).  The basis index
@@ -212,8 +216,8 @@ def _kernel_curve(model: CurveModel) -> KernelCurve:
     """The curve tau x^2 = Q x + P in both slots, over (t1, t2), with tau = 1
     (even) or t + c (odd): the constant -(Q1 + Q2)/2 of w1 + w2, and
     (tau_l, Q_l, P_l) for slots l = 1, 2."""
-    tau = model.tau_poly() if model.parity == "odd" else Poly.const(model.tvars, 1)
-    sides = tuple(tuple(p.with_context(_BIVARS, {"t": var}) for p in (tau, model.Q, model.P))
+    sides = tuple(tuple(p.with_context(_BIVARS, {"t": var})
+                        for p in (model.tau_poly(), model.Q, model.P))
                   for var in _BIVARS)
     return (sides[0][1] + sides[1][1]) * Fraction(-1, 2), sides
 
@@ -266,25 +270,30 @@ def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     return grid
 
 
-def _section_coords(e: CurveElement, slots: Dict[Slot, int]
-                    ) -> Tuple[Dict[int, Fraction], Dict[Slot, Fraction], Optional[str]]:
-    """Coordinates of e, each x-block divided by (t+c)^m: by basis index,
-    and by slot for the powers past the basis, with a description of the
-    nonzero pole remainders, if any."""
-    A, B, m = e.x_parts()
-    inside: Dict[int, Fraction] = {}
-    outside: Dict[Slot, Fraction] = {}
-    poles = []
-    for u, block in ((0, A), (1, B)):
-        q, r = poly_div_linear_power(block, "t", -e.model.c, m)
-        if not r.is_zero:
-            poles.append(f"{'x' if u else '1'} block {r}")
-        for (i,), val in q.terms.items():
-            if (u, i) in slots:
-                inside[slots[(u, i)]] = val
-            else:
-                outside[(u, i)] = val
-    return inside, outside, ", ".join(poles) or None
+def _derivation_image(slot: Slot, model: CurveModel) -> Dict[Slot, Fraction]:
+    """D(t^i x^u) by slot, for slot (u, i), read in closed form; in the odd
+    parity the pole part at t = -c is dropped.
+
+    On tau x^2 = Q x + P, with tau = 1 (even) or t + c (odd), the
+    derivation is D(t) = 2 tau x - Q and D(x) = P' + Q' x - tau' x^2.  So
+    D(t^i) = i t^(i-1) (2 tau x - Q), and as 2 tau x^2 - Q x = Q x + 2P,
+    D(t^j x) = j t^(j-1) (Q x + 2P) + t^j (P' + Q' x) - tau' t^j x^2.
+    Even, tau' = 0.  Odd, tau' t^j x^2 = t^j (Q x + P)/(t + c): its
+    polynomial part is kept, and its pole part
+    (-c)^j (Q(-c) x + P(-c))/(t + c) is dropped.
+    """
+    u, i = slot
+    Q, P = model.Q, model.P
+    s = Poly.var(model.tvars, "t", i)
+    ds = s.derivative("t")
+    if u == 0:
+        blocks = [-ds * Q, 2 * ds * model.tau_poly()]
+    else:
+        blocks = [2 * ds * P + s * P.derivative("t"), ds * Q + s * Q.derivative("t")]
+        if model.parity == "odd":
+            blocks = [block - poly_divmod_linear(s * p, "t", -model.c)[0]
+                      for block, p in zip(blocks, (P, Q))]
+    return {(x, e): val for x, block in enumerate(blocks) for (e,), val in block.terms.items()}
 
 
 def _overflow_details(grid: Grid, slots: Dict[Slot, int]) -> List[str]:
@@ -295,27 +304,27 @@ def _overflow_details(grid: Grid, slots: Dict[Slot, int]) -> List[str]:
             for b, i, j in out]
 
 
-def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDict]:
+def _five_term_forms(space: SectionSpace) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation.
 
     Reading a grid is linear and the derivation terms factor over the
     basis, so each D(s_b) is read once: symmetrized, the pair's form is n
     times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
-    2 D(s_a) in row b.  Truncating mode drops pole remainders and
-    out-of-basis slots.  Strict mode rejects a pair whose summed grid has
-    an entry outside the basis, where kernel and derivation overflow may
-    cancel, or a pole: the kernel has none (_kernel_grid reads it without
-    division by t + c), and s_a (x) D(s_b) - s_b (x) D(s_a) has a pole in
-    slot 2 unless neither image has one, as rows a != b are independent.
+    2 D(s_a) in row b.  The odd parity truncates: its derivation images
+    carry no pole part, and out-of-basis slots are dropped.  The even
+    parity is strict: it rejects a pair whose summed grid has an entry
+    outside the basis, where kernel and derivation overflow may cancel;
+    neither term has a pole there.
     """
     n = space.dim
-    strict = not truncate
+    strict = space.model.parity == "even"
     labels = space.labels()
-    basis = space.basis_elements()
     slots = _basis_slots(space)
     keys = list(slots)
-    images = [_section_coords(curve_derivation(e), slots) for e in basis]
+    images = [_derivation_image(s, space.model) for s in keys]
+    inside = [{slots[s]: val for s, val in image.items() if s in slots} for image in images]
+    outside = [{s: val for s, val in image.items() if s not in slots} for image in images]
     curve = _kernel_curve(space.model)
     pi: Dict[PairKey, FormDict] = {}
     for a in range(n):
@@ -327,21 +336,18 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
                     u, v = slots[s1], slots[s2]
                     key = (u, v) if u <= v else (v, u)
                     form[key] = form.get(key, 0) + n * val
-            for row, (inside, _, _), sign in ((a, images[b], 2), (b, images[a], -2)):
-                for u, val in inside.items():
+            for row, image, sign in ((a, inside[b], 2), (b, inside[a], -2)):
+                for u, val in image.items():
                     key = (row, u) if row <= u else (u, row)
                     form[key] = form.get(key, 0) + sign * val
             if strict:
-                problems = [f"pole of D({labels[x]}): {images[x][2]}"
-                            for x in (a, b) if images[x][2]]
                 overflow = {key: n * val for key, val in grid.items()
                             if not (key[0] in slots and key[1] in slots)}
-                for row, (_, outside, _), sign in ((keys[a], images[b], 1),
-                                                   (keys[b], images[a], -1)):
-                    for s, val in outside.items():
+                for row, image, sign in ((keys[a], outside[b], 1), (keys[b], outside[a], -1)):
+                    for s, val in image.items():
                         for key in ((row, s), (s, row)):
                             overflow[key] = overflow.get(key, 0) + sign * val
-                problems += _overflow_details(overflow, slots)
+                problems = _overflow_details(overflow, slots)
                 if problems:
                     raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", problems)
             form = {key: val for key, val in form.items() if val}
@@ -351,14 +357,17 @@ def _five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormD
 
 
 def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
-    """Literal five-term assembly with pole parts and excess monomials dropped.
+    """Literal five-term assembly of an odd curve with pole parts and
+    excess monomials dropped.
 
     This is the raw ingredient of the odd builder, exposed for dual-route
     consistency checks; it is not itself a Poisson tensor in general.
     """
+    if model.parity != "odd":
+        raise ValueError("the truncated assembly needs an odd curve")
     model._require_numeric("bracket construction")
     space = SectionSpace(model, k)
-    forms = _five_term_forms(space, truncate=True)
+    forms = _five_term_forms(space)
     prov = dict(model.to_json())
     prov["assembly"] = "five-term, truncated"
     return BracketTensor(model.parity, space.k, space.dim, forms, prov)
@@ -397,7 +406,7 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     model._require_numeric("bracket construction")
     space = SectionSpace(model, k)
     prov = dict(model.to_json(), assembly="five-term")
-    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space, truncate=False), prov)
+    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space), prov)
 
 
 def _unit_coeffs(i: int, size: int) -> List[int]:

@@ -1,4 +1,5 @@
-"""Genus-one plane curve models and their exact function arithmetic.
+"""Genus-one plane curve models, their section spaces and the Szego
+residue certificate.
 
 Two chart parities are supported.  The even model is the affine curve
 x^2 = Q(t) x + P(t) with deg Q <= 2, deg P <= 4; the odd model is
@@ -7,16 +8,14 @@ combination z := (t+c) x satisfies z^2 = Q z + (t+c) P, so both parities
 reduce to w^2 = R(t) for w := x - Q/2 (even) or w := z - Q/2 (odd),
 where R := P + Q^2/4 resp. (t+c) P + Q^2/4.
 
-Curve functions are kept in a unique normal form: alpha + beta * x in the
-even parity and (alpha + beta * z) / (t+c)^m with m minimal in the odd
-parity.  The module also provides the canonical derivation, the section
-spaces used downstream, and the residue certificate for the algebraic
-Szego kernel S = (w1 + w2)/(t1 - t2), whose residues are proved in closed
-form.  The kernel term of the bracket assembly is read off x-coordinates
-in closed form by bracket_forge.
+The module keeps no type for curve functions: bracket_forge reads both
+terms of the bracket assembly, the algebraic Szego kernel
+S = (w1 + w2)/(t1 - t2) and the canonical derivation, off x-coordinates
+of basis monomials in closed form.  The residues of S are proved in
+closed form here.
 
 Curve coefficients may involve extra symbolic parameters (the `params`
-tuple of the model); the residue certificate and coordinate extraction
+tuple of the model); the residue certificate and the bracket assembly
 require a fully numeric curve.
 """
 
@@ -26,22 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact_core import (
-    Poly,
-    RationalLike,
-    poly_div_linear_power,
-    poly_divmod_linear,
-    rat,
-    rat_str,
-)
-
-
-class NotInSpace(ValueError):
-    """An element does not lie in the requested section space."""
-
-
-class DivisionByNonUnit(ArithmeticError):
-    """A denominator other than a power of (t+c) was requested."""
+from .exact_core import Poly, RationalLike, rat, rat_str
 
 
 class DegenerateDivisor(ValueError):
@@ -89,15 +73,7 @@ class CurveModel:
             self.c = Fraction(0)
         else:
             self.c = rat(0 if c is None else c)
-        quarter = Fraction(1, 4)
-        if parity == "even":
-            # z stands for x itself; z^2 = Q z + P
-            self._zz = self.P
-            self.R = self.P + self.Q * self.Q * quarter
-        else:
-            tau = self.tau_poly()
-            self._zz = tau * self.P
-            self.R = tau * self.P + self.Q * self.Q * quarter
+        self.R = self.tau_poly() * self.P + self.Q * self.Q * Fraction(1, 4)
 
     @classmethod
     def even(cls, k_param: int, Q: PolyLike, P: PolyLike, params: Sequence[str] = ()) -> "CurveModel":
@@ -109,22 +85,11 @@ class CurveModel:
         return cls("odd", k_param, Q, P, c=c, params=params)
 
     def tau_poly(self) -> Poly:
-        """The linear factor t + c (odd parity pole locus)."""
-        return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
-
-    def zero(self) -> "CurveElement":
-        return CurveElement(self, 0)
-
-    def one(self) -> "CurveElement":
-        return CurveElement(self, 1)
-
-    def t_elem(self, power: int = 1) -> "CurveElement":
-        return CurveElement(self, Poly.var(self.tvars, "t", power))
-
-    def x_elem(self) -> "CurveElement":
+        """tau of the curve tau x^2 = Q x + P: 1 (even) or the linear
+        factor t + c (odd), whose zero is the pole locus."""
         if self.parity == "even":
-            return CurveElement(self, 0, 1)
-        return CurveElement(self, 0, 1, denom_power=1)
+            return Poly.const(self.tvars, 1)
+        return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
 
     def defining_poly(self) -> Poly:
         """F(t, x) with F = x^2 - Qx - P (even) or (t+c)x^2 - Qx - P (odd)."""
@@ -169,215 +134,6 @@ class CurveModel:
         return out
 
 
-def _check_models(a: "CurveModel", b: "CurveModel") -> None:
-    if a is not b and a != b:
-        raise ValueError("elements belong to different curve models")
-
-
-def _cancel_poles(numerators: List[Poly], var: str, root: RationalLike,
-                  m: int) -> Tuple[List[Poly], int]:
-    """Divide every numerator by (var - root) while all of them divide
-    exactly, at most m times; returns the quotients and the order left."""
-    while m > 0:
-        quotients = []
-        for p in numerators:
-            q, r = poly_divmod_linear(p, var, root)
-            if not r.is_zero:
-                return numerators, m
-            quotients.append(q)
-        numerators = quotients
-        m -= 1
-    return numerators, m
-
-
-class CurveElement:
-    """A curve function in normal form.
-
-    Even: alpha + beta * x with denom_power = 0.  Odd: the fraction
-    (alpha + beta * z) / (t+c)^m with z = (t+c) x and m minimal.
-    """
-
-    __slots__ = ("model", "alpha", "beta", "denom_power")
-
-    def __init__(self, model: CurveModel, alpha: PolyLike, beta: PolyLike = 0, denom_power: int = 0):
-        self.model = model
-        alpha = _coerce_t_poly(alpha, model.tvars)
-        beta = _coerce_t_poly(beta, model.tvars)
-        if denom_power < 0:
-            raise ValueError("denom_power must be nonnegative")
-        if model.parity == "even" and denom_power:
-            raise ValueError("even elements carry no (t+c) denominator")
-        if alpha.is_zero and beta.is_zero:
-            denom_power = 0
-        (self.alpha, self.beta), self.denom_power = _cancel_poles(
-            [alpha, beta], "t", -model.c, denom_power)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.alpha.is_zero and self.beta.is_zero
-
-    def _lift(self, m: int) -> Tuple[Poly, Poly]:
-        """Numerator pair rescaled to denominator (t+c)^m."""
-        d = m - self.denom_power
-        if d < 0:
-            raise ValueError("cannot lower a denominator")
-        if d == 0:
-            return self.alpha, self.beta
-        tau = self.model.tau_poly() ** d
-        return self.alpha * tau, self.beta * tau
-
-    def _coerce(self, other) -> "CurveElement":
-        if isinstance(other, CurveElement):
-            _check_models(self.model, other.model)
-            return other
-        if isinstance(other, Poly):
-            return CurveElement(self.model, other)
-        if isinstance(other, (int, Fraction)):
-            return CurveElement(self.model, rat(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "CurveElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        m = max(self.denom_power, other.denom_power)
-        a1, b1 = self._lift(m)
-        a2, b2 = other._lift(m)
-        return CurveElement(self.model, a1 + a2, b1 + b2, m)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CurveElement":
-        return CurveElement(self.model, -self.alpha, -self.beta, self.denom_power)
-
-    def __sub__(self, other) -> "CurveElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CurveElement":
-        return (-self) + other
-
-    def __mul__(self, other) -> "CurveElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
-        # (a1 + b1 z)(a2 + b2 z) with z^2 = Q z + _zz
-        const = a1 * a2 + b1 * b2 * self.model._zz
-        lin = a1 * b2 + a2 * b1 + b1 * b2 * self.model.Q
-        return CurveElement(self.model, const, lin, self.denom_power + other.denom_power)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CurveElement":
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.model.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self.alpha == other.alpha and self.beta == other.beta
-                and self.denom_power == other.denom_power)
-
-    def x_parts(self) -> Tuple[Poly, Poly, int]:
-        """(A, B, m) with the element equal to (A + B * x) / (t+c)^m."""
-        if self.model.parity == "even":
-            return self.alpha, self.beta, 0
-        return self.alpha, self.beta * self.model.tau_poly(), self.denom_power
-
-    def __str__(self) -> str:
-        gen = "x" if self.model.parity == "even" else "z"
-        if self.beta.is_zero:
-            core = str(self.alpha)
-        elif self.alpha.is_zero:
-            core = f"({self.beta})*{gen}"
-        else:
-            core = f"({self.alpha}) + ({self.beta})*{gen}"
-        if self.denom_power:
-            tau = f"(t + {self.model.c})" if self.model.c else "t"
-            return f"[{core}] / {tau}^{self.denom_power}"
-        return core
-
-    def __repr__(self) -> str:
-        return f"CurveElement({self})"
-
-
-def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],
-           denominator: Union[Poly, RationalLike, None] = None) -> CurveElement:
-    """Normal form of a raw polynomial expression in t and x.
-
-    The numerator may be a Poly over any variable tuple containing the
-    variables it uses (t, x and the model parameters).  An optional
-    denominator must be a nonzero rational multiple of a power of (t+c)
-    in the odd parity, or a nonzero rational in the even parity;
-    anything else raises DivisionByNonUnit.
-    """
-    ctx = ("t", "x") + model.params
-    if isinstance(numerator, Poly):
-        numerator = numerator.with_context(ctx)
-    else:
-        numerator = Poly.const(ctx, rat(numerator))
-    buckets = numerator.as_univar("x")
-    x = model.x_elem()
-    out = model.zero()
-    if buckets:
-        # Horner in x over the t-coefficient ring
-        for power in range(max(buckets), -1, -1):
-            coeff = buckets.get(power)
-            term = CurveElement(model, coeff.with_context(model.tvars)) if coeff else model.zero()
-            out = out * x + term
-    if denominator is None:
-        return out
-    if isinstance(denominator, Poly):
-        den = denominator.with_context(model.tvars)
-    else:
-        den = Poly.const(model.tvars, rat(denominator))
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    m = 0
-    if model.parity == "odd":
-        m = den.degree_in("t")
-        (den,), left = _cancel_poles([den], "t", -model.c, m)
-        m -= left
-    if den.total_degree() > 0:
-        raise DivisionByNonUnit(f"denominator {denominator} is not a unit times (t+c)^m")
-    unit = den.constant_value()
-    if not unit:
-        raise DivisionByNonUnit("denominator has zero unit part")
-    inv = Fraction(1) / unit
-    return CurveElement(model, out.alpha * inv, out.beta * inv, out.denom_power + m)
-
-
-def curve_derivation(e: CurveElement) -> CurveElement:
-    """The canonical derivation, extended by Leibniz and the quotient rule.
-
-    Generator rules: D(t) = 2x - Q and D(x) = P' + Q'x in the even
-    parity; D(t) = 2(t+c)x - Q and D(x) = P' + Q'x - x^2 in the odd one.
-    """
-    model = e.model
-    a, b, m = e.alpha, e.beta, e.denom_power
-    Q, P = model.Q, model.P
-    da = a.derivative("t")
-    db = b.derivative("t")
-    dQ = Q.derivative("t")
-    dP = P.derivative("t")
-    if model.parity == "even":
-        const = -da * Q + 2 * db * P + b * dP
-        lin = 2 * da + db * Q + b * dQ
-        return CurveElement(model, const, lin)
-    tau = model.tau_poly()
-    const = tau * (2 * db * tau * P + b * P + b * tau * dP - da * Q) - m * (2 * b * tau * P - a * Q)
-    lin = tau * (2 * da + db * Q + b * dQ) - m * (2 * a + b * Q)
-    return CurveElement(model, const, lin, m + 1)
-
-
 class SectionSpace:
     """Ordered basis of the level-k section space of a curve model.
 
@@ -398,62 +154,6 @@ class SectionSpace:
         for j in range(self.x_deg_max + 1):
             out.append("x" if j == 0 else ("t*x" if j == 1 else f"t^{j}*x"))
         return out
-
-    def basis_elements(self) -> List[CurveElement]:
-        model = self.model
-        out = [CurveElement(model, Poly.var(model.tvars, "t", i) if i else 1) for i in range(self.k + 1)]
-        x = model.x_elem()
-        t = model.t_elem()
-        cur = x
-        for j in range(self.x_deg_max + 1):
-            out.append(cur)
-            cur = cur * t
-        return out
-
-    def element_from_coords(self, coords: Sequence[RationalLike]) -> CurveElement:
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates")
-        basis = self.basis_elements()
-        out = self.model.zero()
-        for c, e in zip(coords, basis):
-            c = rat(c)
-            if c:
-                out = out + CurveElement(self.model, c) * e
-        return out
-
-
-def membership_extract(e: CurveElement, space: SectionSpace) -> List[Fraction]:
-    """Coordinates of e in the section basis; NotInSpace when it fails.
-
-    Works through the x-representation: the element must equal
-    a(t) + b(t) x with deg a <= k and deg b <= k-2 (even) or k-1 (odd),
-    after the (t+c)^m pole cancels exactly.
-    """
-    _check_models(e.model, space.model)
-    model = e.model
-    A, B, m = e.x_parts()
-    if m:
-        root = -model.c
-        A, ra = poly_div_linear_power(A, "t", root, m)
-        B, rb = poly_div_linear_power(B, "t", root, m)
-        bad = [str(r) for r in (ra, rb) if not r.is_zero]
-        if bad:
-            raise NotInSpace(f"pole part does not cancel: remainder(s) {', '.join(bad)}")
-    coords = [Fraction(0)] * space.dim
-    for poly, offset, dmax, tag in ((A, 0, space.k, ""), (B, space.k + 1, space.x_deg_max, "*x")):
-        if poly.is_zero:
-            continue
-        try:
-            cs = poly.coeffs_univar("t")
-        except ValueError:
-            raise NotInSpace(f"coefficients of {poly} are not numeric in t")
-        excess = [f"t^{i}{tag}" for i, cf in enumerate(cs) if cf and i > dmax]
-        if excess:
-            raise NotInSpace(f"terms outside the basis: {', '.join(excess)}")
-        for i, cf in enumerate(cs):
-            if cf:
-                coords[offset + i] = cf
-    return coords
 
 
 @dataclass(frozen=True)

@@ -117,12 +117,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1
@@ -131,12 +125,6 @@ class Poly:
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        """Value of a constant polynomial (errors when not constant)."""
-        if self.total_degree() > 0:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeff((0,) * len(self.vars))
 
     def sorted_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
         """Terms in descending graded-lex order (canonical iteration order)."""
@@ -367,23 +355,3 @@ def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> T
     q = Poly(p.vars)
     object.__setattr__(q, "terms", terms)
     return q, remainder
-
-
-def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tuple[Poly, Poly]:
-    """Write p = Q * (name - root)^m + R with deg_name(R) < m; returns (Q, R).
-
-    Used for extracting the polynomial part of p / (name - root)^m; R is
-    the obstruction.
-    """
-    if m < 0:
-        raise ValueError("negative power")
-    root = rat(root)
-    rem_total = Poly(p.vars)
-    factor = Poly.const(p.vars, 1)
-    linear = Poly.var(p.vars, name) - Poly.const(p.vars, root)
-    q = p
-    for _ in range(m):
-        q, r = poly_divmod_linear(q, name, root)
-        rem_total = rem_total + r * factor
-        factor = factor * linear
-    return q, rem_total

@@ -2,8 +2,9 @@
 
 The library assembles each pair's form by bilinearity: the kernel term is
 read off x-coordinates in closed form per pair, and each derivation image
-is read once and added to two rows.  This module keeps the route it is
-cross-checked against: two-point functions in the w-basis
+is read once, in closed form, and added to two rows.  This module keeps
+the route it is cross-checked against, on the curve functions and the
+derivation of curve_route: two-point functions in the w-basis
 (BiCurveElement), the kernel term as the general w-basis product of the
 Szego numerator w1 + w2 with s1(1) s2(2) - s2(1) s1(2), divided by
 t1 - t2, and for every basis pair the five two-point terms summed with
@@ -17,10 +18,11 @@ from typing import Dict, List, Tuple
 
 from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey,
                                     TensorNotInSectionSpace, _basis_slots, _overflow_details)
-from artifact.curve_ring import (CurveElement, CurveModel, SectionSpace, _check_models,
-                                 curve_derivation)
-from artifact.exact_core import (NonzeroRemainder, Poly, poly_div_linear_power,
-                                 poly_divmod_linear)
+from artifact.curve_ring import CurveModel, SectionSpace
+from artifact.exact_core import NonzeroRemainder, Poly, poly_divmod_linear
+
+from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
+                         poly_div_linear_power)
 
 
 _W_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -62,7 +64,7 @@ class BiCurveElement:
     @classmethod
     def from_sections(cls, e1: CurveElement, e2: CurveElement) -> "BiCurveElement":
         """The product e1(slot 1) * e2(slot 2)."""
-        _check_models(e1.model, e2.model)
+        check_models(e1.model, e2.model)
         model = e1.model
         bivars = ("t1", "t2") + model.params
         a1, b1, m1 = w_parts(e1)
@@ -88,7 +90,7 @@ class BiCurveElement:
         return [p * factor for p in self.coeffs]
 
     def __add__(self, other: "BiCurveElement") -> "BiCurveElement":
-        _check_models(self.model, other.model)
+        check_models(self.model, other.model)
         m1 = max(self.m1, other.m1)
         m2 = max(self.m2, other.m2)
         return BiCurveElement(self.model, *(a + b for a, b in zip(self.lift(m1, m2),
@@ -229,7 +231,7 @@ def five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDi
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b, one summed BiCurveElement per pair."""
     labels = space.labels()
-    basis = space.basis_elements()
+    basis = basis_elements(space)
     derivs = [curve_derivation(e) for e in basis]
     pi: Dict[PairKey, FormDict] = {}
     for a in range(space.dim):

@@ -15,9 +15,10 @@ from artifact.bracket_forge import (
     build_tensor,
     truncated_five_term,
 )
-from artifact.curve_ring import CurveModel, SectionSpace, curve_derivation
+from artifact.curve_ring import CurveModel, SectionSpace
 
 import assembly_route
+import curve_route
 
 F = Fraction
 
@@ -76,7 +77,8 @@ def test_even_k1_tensor_vanishes():
 
 
 def test_odd_k1_truncated_literal_matches_frozen():
-    """Truncated five-term grids agree with the k=1 hand formulas."""
+    """Truncated five-term grids agree with the k=1 hand formulas; an even
+    curve, whose assembly is strict, is refused."""
     rng = random.Random(SEED)
     for _ in range(4):
         c = F(rng.randint(-2, 2))
@@ -84,6 +86,8 @@ def test_odd_k1_truncated_literal_matches_frozen():
         p = [F(rng.randint(-3, 3)) for _ in range(4)]
         W = truncated_five_term(CurveModel.odd(1, c, q, p))
         assert W.pi == _frozen_odd_k1_literal(c, q, p)
+    with pytest.raises(ValueError, match="needs an odd curve"):
+        truncated_five_term(CurveModel.even(1, 0, 0))
 
 
 def test_odd_k1_literal_corner_values():
@@ -141,11 +145,17 @@ def test_form_sign_convention():
 @pytest.mark.parametrize("k", [2, 3])
 def test_strict_mode_rejects_doubled_derivation(monkeypatch, k):
     """With D replaced by 2 D the even overflow no longer cancels: the
-    bilinear and the per-pair routes name the same first pair and details."""
-    def doubled(e):
-        return curve_derivation(e) * 2
+    bilinear route on doubled closed-form images and the per-pair route
+    on the doubled oracle derivation name the same first pair and details."""
+    closed_form = bracket_forge._derivation_image
 
-    monkeypatch.setattr(bracket_forge, "curve_derivation", doubled)
+    def doubled_image(slot, model):
+        return {s: 2 * val for s, val in closed_form(slot, model).items()}
+
+    def doubled(e):
+        return curve_route.curve_derivation(e) * 2
+
+    monkeypatch.setattr(bracket_forge, "_derivation_image", doubled_image)
     monkeypatch.setattr(assembly_route, "curve_derivation", doubled)
     model = CurveModel.even(k, [1, -1, 2], [3, 1, 0, 0, 2])
     with pytest.raises(TensorNotInSectionSpace) as new:

@@ -297,6 +297,25 @@ def test_verify_rejects_mixed_shape_family(tmp_path, monkeypatch, capsys):
             assert "pass" not in out
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", True),
+    ("labels", "abcdefghi"),
+    ("labels", list(range(1, 10))),
+], ids=["k-bool", "labels-string", "labels-ints"])
+def test_verify_rejects_family_header_types(tmp_path, monkeypatch, capsys, field, value):
+    """A family whose k is not an integer, or whose labels are not a list
+    of strings, exits 2 with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(FAMILY_ODD, capsys)
+    data = json.loads(Path("family.json").read_text())
+    data[field] = value
+    Path("bad.json").write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "independence", "--family", "bad.json"], capsys)
+    assert code == 2
+    assert "family artifact malformed" in err and "Traceback" not in err
+    assert "pass" not in out
+
+
 def test_verify_independence_full_rank(tmp_path, monkeypatch, capsys):
     """The nine-member basis has rank nine over the rationals."""
     monkeypatch.chdir(tmp_path)

@@ -1,7 +1,8 @@
 """Tests for curve models, reduction, derivation, kernel and residues.
 
-The kernel tests read the closed-form grid of bracket_forge and the
-w-basis route of the assembly oracle."""
+Reduction, the derivation and membership are those of the curve-function
+oracle; the kernel tests read the closed-form grid of bracket_forge and
+the w-basis route of the assembly oracle."""
 
 import random
 from fractions import Fraction
@@ -9,21 +10,13 @@ from fractions import Fraction
 import pytest
 
 from artifact.bracket_forge import _kernel_curve, _kernel_grid
-from artifact.curve_ring import (
-    CurveElement,
-    CurveModel,
-    DegenerateDivisor,
-    DivisionByNonUnit,
-    NotInSpace,
-    SectionSpace,
-    curve_derivation,
-    membership_extract,
-    reduce,
-    verify_szego_residues,
-)
+from artifact.curve_ring import CurveModel, DegenerateDivisor, SectionSpace, verify_szego_residues
 from artifact.exact_core import Poly
 
 from assembly_route import BiCurveElement, mult_kernel_antisym, szego_kernel
+from curve_route import (CurveElement, DivisionByNonUnit, NotInSpace, basis_elements,
+                         curve_derivation, element_from_coords, membership_extract, one,
+                         reduce, t_elem, x_elem)
 
 SEED = 42
 
@@ -65,8 +58,8 @@ def test_reduce_even_square_is_constant():
 
 def test_reduce_multiplicative_identity():
     model = _even_model()
-    assert reduce(model, _x()) == model.x_elem()
-    assert reduce(model, _x()) * model.one() == model.x_elem()
+    assert reduce(model, _x()) == x_elem(model)
+    assert reduce(model, _x()) * one(model) == x_elem(model)
 
 
 def test_reduce_odd_square_has_simple_pole():
@@ -106,15 +99,15 @@ def test_reduce_division_by_pole_factor():
 
 def test_derivation_generator_rules_even():
     model = CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
-    dt = curve_derivation(model.t_elem())
+    dt = curve_derivation(t_elem(model))
     assert dt == CurveElement(model, 0, 2)  # 2x when Q = 0
-    assert curve_derivation(model.one()).is_zero
+    assert curve_derivation(one(model)).is_zero
 
 
 def test_derivation_square_rule_even():
     model = _even_model()
     ctx = TX
-    got = curve_derivation(model.t_elem() * model.t_elem())
+    got = curve_derivation(t_elem(model) * t_elem(model))
     expected = reduce(model, 2 * _t(ctx) * (2 * _x(ctx) - model.Q.with_context(ctx)))
     assert got == expected
 
@@ -125,9 +118,9 @@ def test_derivation_generator_rules_odd():
     Q = model.Q.with_context(ctx)
     P = model.P.with_context(ctx)
     tau = _t(ctx) + Poly.const(ctx, model.c)
-    assert curve_derivation(model.t_elem()) == reduce(model, 2 * tau * _x(ctx) - Q)
+    assert curve_derivation(t_elem(model)) == reduce(model, 2 * tau * _x(ctx) - Q)
     dx_expected = P.derivative("t") + Q.derivative("t") * _x(ctx) - _x(ctx) ** 2
-    assert curve_derivation(model.x_elem()) == reduce(model, dx_expected)
+    assert curve_derivation(x_elem(model)) == reduce(model, dx_expected)
 
 
 def test_derivation_matches_gradient_route():
@@ -157,8 +150,8 @@ def test_derivation_tangent_to_curve():
         F = model.defining_poly()
         assert reduce(model, F).is_zero
         # chain rule: F_t D(t) + F_x D(x) must die on the curve
-        dt = curve_derivation(model.t_elem())
-        dx = curve_derivation(model.x_elem())
+        dt = curve_derivation(t_elem(model))
+        dx = curve_derivation(x_elem(model))
         total = reduce(model, F.derivative("t")) * dt + reduce(model, F.derivative("x")) * dx
         assert total.is_zero
 
@@ -168,7 +161,7 @@ def test_derivation_raises_section_level_even():
     for k in (1, 2, 3):
         space = SectionSpace(model, k)
         target = SectionSpace(model, k + 1)
-        for e in space.basis_elements():
+        for e in basis_elements(space):
             membership_extract(curve_derivation(e), target)  # must not raise
 
 
@@ -181,7 +174,7 @@ def test_derivation_raises_section_level_odd():
     for k in (1, 2, 3):
         space = SectionSpace(model, k)
         target = SectionSpace(model, k + 1)
-        basis = space.basis_elements()
+        basis = basis_elements(space)
         for e in basis[: k + 1]:
             membership_extract(curve_derivation(e), target)
         for j, e in enumerate(basis[k + 1:]):
@@ -232,14 +225,14 @@ def test_mult_kernel_antisym_diagonal_pair_vanishes():
 
 def test_mult_kernel_antisym_one_t():
     model = CurveModel.even(1, 0, 7)
-    out = mult_kernel_antisym(model.one(), model.t_elem())
+    out = mult_kernel_antisym(one(model), t_elem(model))
     # (w1+w2)(t2-t1)/(t1-t2) = -w1-w2, i.e. -x1-x2 at Q=0
     assert out == szego_kernel(model).scale(-1)
 
 
 def test_mult_kernel_antisym_one_x_dies():
     model = CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
-    out = mult_kernel_antisym(model.one(), model.x_elem())
+    out = mult_kernel_antisym(one(model), x_elem(model))
     assert out.is_zero
 
 
@@ -247,7 +240,7 @@ def test_mult_kernel_antisym_bilinear_antisymmetric():
     rng = random.Random(SEED)
     for model in (_even_model(), _odd_model(2)):
         space = SectionSpace(model, 2)
-        basis = space.basis_elements()
+        basis = basis_elements(space)
         for _ in range(5):
             pick = rng.sample(range(len(basis)), 3)
             a, b, c = (basis[i] for i in pick)
@@ -262,20 +255,20 @@ def test_mult_kernel_antisym_bilinear_antisymmetric():
 def test_membership_basis_vector():
     model = _even_model(2)
     space = SectionSpace(model)
-    assert membership_extract(model.t_elem() * model.t_elem(), space) == [0, 0, 1, 0]
+    assert membership_extract(t_elem(model) * t_elem(model), space) == [0, 0, 1, 0]
 
 
 def test_membership_degree_overflow():
     model = _even_model(2)
     space = SectionSpace(model)
     with pytest.raises(NotInSpace):
-        membership_extract(model.t_elem() ** 3, space)
+        membership_extract(t_elem(model) ** 3, space)
 
 
 def test_membership_odd_pole_and_x():
     model = CurveModel.odd(1, 0, 0, [1, 0, 0, 2])
     space = SectionSpace(model)
-    assert membership_extract(model.x_elem(), space) == [0, 0, 1]
+    assert membership_extract(x_elem(model), space) == [0, 0, 1]
     bad = reduce(model, Poly(TX, {(0, 0): 5, (2, 1): 1}), denominator=_t(("t",)))
     with pytest.raises(NotInSpace):
         membership_extract(bad, space)
@@ -287,7 +280,7 @@ def test_membership_roundtrip_randomized():
         space = SectionSpace(model)
         for _ in range(10):
             coords = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(space.dim)]
-            e = space.element_from_coords(coords)
+            e = element_from_coords(space, coords)
             assert membership_extract(e, space) == coords
 
 

@@ -1,4 +1,5 @@
-"""Tests for the exact arithmetic kernel."""
+"""Tests for the exact arithmetic kernel, and for the repeated linear
+division that the curve-function oracle builds on it."""
 
 import random
 from fractions import Fraction
@@ -8,11 +9,12 @@ import pytest
 from artifact.exact_core import (
     Poly,
     VariableContextMismatch,
-    poly_div_linear_power,
     poly_divmod_linear,
     rat,
     rat_str,
 )
+
+from curve_route import poly_div_linear_power
 
 SEED = 42
 

@@ -1,8 +1,8 @@
 """Property tests: exact division, polynomial products, curve normal form,
-coordinate extraction from two-point sections, the bilinear assembly and
-the closed-form kernel against their per-pair references, the Szego
-residue verdict, tensor JSON, the Jacobi certificate and the integer rank
-kernel, on inputs drawn by hypothesis.
+coordinate extraction from two-point sections, the bilinear assembly, the
+closed-form kernel and the closed-form derivation images against their
+general references, the Szego residue verdict, tensor JSON, the Jacobi
+certificate and the integer rank kernel, on inputs drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -17,11 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
-                                    _basis_slots, _five_term_forms, _kernel_curve,
-                                    _kernel_grid, _section_coords, build_family)
-from artifact.curve_ring import (CurveElement, CurveModel, DegenerateDivisor, NotInSpace,
-                                 ResidueCertificate, SectionSpace, curve_derivation,
-                                 membership_extract, verify_szego_residues)
+                                    _basis_slots, _derivation_image, _five_term_forms,
+                                    _kernel_curve, _kernel_grid, build_family)
+from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
+                                 verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
                                      independence_rank, jacobi_check, rank_at_point,
@@ -31,6 +30,8 @@ import assembly_route
 from assembly_route import BiCurveElement, mult_kernel_antisym, pair_grid, pair_matrix
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
                          wedge_certificate)
+from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
+                         element_from_coords, membership_extract, reduce, section_coords)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -100,7 +101,7 @@ def five_term_pairs(draw):
     """The five-term element of one basis pair of a small odd curve, as
     the assembly builds it, lifted by extra (t1+c)^j1 (t2+c)^j2."""
     space = draw(curves(parities=("odd",)))
-    basis = space.basis_elements()
+    basis = basis_elements(space)
     a, b = sorted(draw(st.lists(st.integers(0, space.dim - 1), min_size=2, max_size=2,
                                 unique=True)))
     sa, sb = basis[a], basis[b]
@@ -130,32 +131,13 @@ def test_pair_matrix_matches_slotwise_extraction(space, data):
     """The one-pass grid of e1(x)e2 is the outer product of the slot-wise
     coordinates that membership_extract reads, odd poles included."""
     coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
-    e1 = space.element_from_coords(data.draw(coords))
-    e2 = space.element_from_coords(data.draw(coords))
+    e1 = element_from_coords(space, data.draw(coords))
+    e2 = element_from_coords(space, data.draw(coords))
     c1, c2 = membership_extract(e1, space), membership_extract(e2, space)
     outer = {(u, v): x * y for u, x in enumerate(c1) for v, y in enumerate(c2) if x * y}
     bi = BiCurveElement.from_sections(e1, e2)
     for truncate in (False, True):
         assert pair_matrix(bi, space, truncate, "(a, b)") == outer
-
-
-@PROPERTY
-@given(space=curves(), data=st.data())
-def test_section_coords_match_membership(space, data):
-    """The one-slot reading of a derivation image reports a pole or a power
-    past the basis exactly when membership_extract refuses one, and
-    otherwise has its coordinates."""
-    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
-    e = curve_derivation(space.element_from_coords(data.draw(coords)))
-    inside, outside, pole = _section_coords(e, _basis_slots(space))
-    try:
-        expected = membership_extract(e, space)
-    except NotInSpace as exc:
-        refusal = "pole" if str(exc).startswith("pole part") else "overflow"
-        assert refusal == ("pole" if pole else "overflow" if outside else None)
-        return
-    assert pole is None and not outside
-    assert [inside.get(i, 0) for i in range(space.dim)] == expected
 
 
 @PROPERTY
@@ -200,9 +182,9 @@ def assembly_spaces(draw):
     return SectionSpace(model)
 
 
-def _forms_or_rejection(assemble, space, truncate):
+def _forms_or_rejection(assemble):
     try:
-        return assemble(space, truncate)
+        return assemble()
     except TensorNotInSectionSpace as exc:
         return exc.pair, exc.details
 
@@ -210,11 +192,13 @@ def _forms_or_rejection(assemble, space, truncate):
 @PROPERTY
 @given(space=assembly_spaces())
 def test_bilinear_assembly_matches_per_pair_route(space):
-    """Reading each derivation image once gives the per-pair route's forms,
-    and in strict mode its rejection: the same first pair and details."""
-    for truncate in (True, False):
-        assert (_forms_or_rejection(_five_term_forms, space, truncate)
-                == _forms_or_rejection(assembly_route.five_term_forms, space, truncate))
+    """Reading each closed-form derivation image once gives the per-pair
+    route's forms in the mode of the parity, truncating odd and strict
+    even, and in strict mode its rejection: the same first pair and
+    details."""
+    truncate = space.model.parity == "odd"
+    assert (_forms_or_rejection(lambda: _five_term_forms(space))
+            == _forms_or_rejection(lambda: assembly_route.five_term_forms(space, truncate)))
 
 
 @PROPERTY
@@ -234,7 +218,7 @@ def test_closed_form_kernel_matches_general_product(space, data):
             if x * y:
                 for key, val in _kernel_grid(keys[a], keys[b], curve).items():
                     summed[key] = summed.get(key, 0) + x * y * val
-    s1, s2 = (space.element_from_coords(c) for c in (c1, c2))
+    s1, s2 = (element_from_coords(space, c) for c in (c1, c2))
     grid, poles = pair_grid(mult_kernel_antisym(s1, s2))
     assert poles == []
     assert {key: val for key, val in summed.items() if val} == grid
@@ -245,10 +229,10 @@ def _shifted(grid):
 
 
 @st.composite
-def kernel_curves(draw):
-    """A curve of drawn parity at k <= 4 with rational c, Q and P; odd
+def kernel_curves(draw, max_k=4):
+    """A curve of drawn parity at k <= max_k with rational c, Q and P; odd
     ones include c = 0 and c = -1."""
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, max_k))
     Q = draw(st.lists(rationals, min_size=3, max_size=3))
     if draw(st.booleans()):
         return CurveModel.even(k, Q, draw(st.lists(rationals, min_size=5, max_size=5)))
@@ -268,7 +252,7 @@ def test_kernel_grid_matches_w_basis_route(model):
     no pole remainder.  The swapped pair gives the transposed, negated
     grid, and K(t s, t s') is K(s, s') shifted by ((0, 1), (0, 1))."""
     space = SectionSpace(model)
-    basis = space.basis_elements()
+    basis = basis_elements(space)
     keys = list(_basis_slots(space))
     curve = _kernel_curve(model)
     for a in range(space.dim):
@@ -279,6 +263,47 @@ def test_kernel_grid_matches_w_basis_route(model):
             assert swapped == {(s2, s1): -val for (s1, s2), val in grid.items()}, (a, b)
             (u, i), (v, j) = keys[a], keys[b]
             assert _kernel_grid((u, i + 1), (v, j + 1), curve) == _shifted(grid), (a, b)
+
+
+@PROPERTY
+@example(model=CurveModel.even(6, 0, 0))
+@example(model=CurveModel.odd(6, 0, 0, 0))
+@example(model=CurveModel.odd(5, -1, 0, 0))
+@example(model=CurveModel.odd(4, Fraction(2, 3), 0, 0))
+@example(model=CurveModel.odd(3, -1, [1, 0, 2], [Fraction(1, 2), 0, -1, 3]))
+@given(model=kernel_curves(max_k=6))
+def test_derivation_image_matches_curve_route(model):
+    """On every basis slot, the closed-form derivation image equals the
+    oracle's curve_derivation read slot by slot, inside and outside the
+    basis, and membership_extract refuses that derivative exactly when it
+    has a pole or a slot past the basis.  The image of an odd slot t^j x
+    drops the pole part (-c)^j (Q(-c) x + P(-c))/(t + c): D is exactly the
+    image plus that part, and the part is nonzero exactly when the oracle
+    reports a pole."""
+    space = SectionSpace(model)
+    slots = _basis_slots(space)
+    c = model.c
+    for slot, e in zip(slots, basis_elements(space)):
+        image = _derivation_image(slot, model)
+        derivative = curve_derivation(e)
+        expected, pole = section_coords(derivative)
+        assert image == expected, slot
+        try:
+            coords = membership_extract(derivative, space)
+        except NotInSpace as exc:
+            refusal = "pole" if str(exc).startswith("pole part") else "overflow"
+            assert refusal == ("pole" if pole else "overflow" if set(image) - set(slots) else None)
+        else:
+            assert pole is None and coords == [image.get(s, 0) for s in slots], slot
+        u, j = slot
+        odd_x = model.parity == "odd" and u == 1
+        dropped = [(-c) ** j * p.eval_all({"t": -c}) if odd_x else 0 for p in (model.P, model.Q)]
+        assert (pole is not None) == any(dropped), slot
+        read = reduce(model, Poly(("t", "x"), {(i, u): val for (u, i), val in image.items()}))
+        if any(dropped):
+            part = Poly(("t", "x"), {(0, 0): dropped[0], (0, 1): dropped[1]})
+            read = read - reduce(model, part, denominator=model.tau_poly())
+        assert derivative == read, slot
 
 
 @st.composite

@@ -18,12 +18,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 # one-point entry to the rank kernel that rank_scan runs on a tensor
 # cleared once; BracketTensor.form is the signed entry the chart route
 # descends, and Poly.eval_all and RatioBracketValue.equals compare routes.
-# SectionSpace.element_from_coords draws section elements for the property
-# tests.
-ORACLES = {"reduce", "ratio_bracket", "euler_tensor", "membership_extract",
-           "generic_poisson_rank", "rank_at_point", "CurveModel.defining_poly",
-           "BracketTensor.form", "Poly.eval_all", "RatioBracketValue.equals",
-           "SectionSpace.element_from_coords"}
+ORACLES = {"ratio_bracket", "euler_tensor", "generic_poisson_rank", "rank_at_point",
+           "CurveModel.defining_poly", "BracketTensor.form", "Poly.eval_all",
+           "RatioBracketValue.equals"}
 # Reached only from tests, to be deleted or wired in.
 PENDING = set()
 
