@@ -6,27 +6,39 @@ The forms come from a five-term combination of the multiplication kernel and
 the canonical derivation.  Both terms are read off x-coordinates of basis
 monomials t^i x^u in closed form, so the library holds no type for curve
 functions.  Reading coordinates is linear, so the assembly uses
-bilinearity: the kernel term of each pair is read with one division of each
-x-block by t1 - t2 and no pole, and the n derivation images are read once
-each and added to the rows of the two coordinates of the pair.
+bilinearity: the kernel term of each pair is read per pair, and the n
+derivation images are read once each and added to the rows of the two
+coordinates of the pair.
+
+Every x-block of the kernel numerator is a sum of (curve coefficient)
+(monomial) B(a, b), B(a, b) = t1^a t2^b - t1^b t2^a, and for a > b
+
+    B(a, b)/(t1 - t2) = sum_{r=0}^{a-b-1} t1^(a-1-r) t2^(b+r),
+
+so the kernel term needs no polynomial product and no division, and the
+block list sits in _kernel_grid.  The curve data and the derivation
+images are cleared to integers once per build; each pair's form is summed
+in ints and each output coefficient is one Fraction.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly, and the assembly is strict.  For odd parity the
 derivation picks up a double pole at the distinguished point over the moved
 branch point, so the raw combination does not land there; the assembly
-truncates, dropping the pole parts and the out-of-range monomials, and the
-builder recenters the result with a fixed curve-independent correction.
-The recentred tensor agrees, after the chart descent, with the closed-form
-chart brackets, and it is what every downstream check certifies.
+truncates, dropping the pole parts and the out-of-range monomials, and is
+recentred by a fixed curve-independent correction folded into the same
+assembly (build_tensor).  The recentred tensor agrees, after the chart
+descent, with the closed-form chart brackets, and it is what every
+downstream check certifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact_core import NonzeroRemainder, Poly, RationalLike, poly_divmod_linear, rat, rat_str
+from .exact_core import Poly, RationalLike, poly_divmod_linear, rat, rat_str
 from .curve_ring import CurveModel, SectionSpace
 
 PairKey = Tuple[int, int]
@@ -196,13 +208,13 @@ class FamilyBasis:
 # A slot of a two-point grid: (power of x, power of t).  The basis index
 # of slot (u, i) is i, or k + 1 + i for u = 1, when i is in range.
 Slot = Tuple[int, int]
-Grid = Dict[Tuple[Slot, Slot], Fraction]
+Scalar = Union[int, Fraction]
+Grid = Dict[Tuple[Slot, Slot], Scalar]
+# tau, Q/2 and P of the curve tau x^2 = Q x + P: ascending coefficient
+# lists in t, all times one scale.
+KernelCurve = Tuple[List[int], List[int], List[int]]
 
 _BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
-_BIVARS = ("t1", "t2")
-_T2 = Poly.var(_BIVARS, "t2")
-# -(Q1 + Q2)/2 and (tau_l, Q_l, P_l) for slots l = 1, 2, over (t1, t2).
-KernelCurve = Tuple[Poly, Tuple[Tuple[Poly, Poly, Poly], ...]]
 
 
 def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
@@ -212,82 +224,93 @@ def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
     return slots
 
 
-def _kernel_curve(model: CurveModel) -> KernelCurve:
-    """The curve tau x^2 = Q x + P in both slots, over (t1, t2), with tau = 1
-    (even) or t + c (odd): the constant -(Q1 + Q2)/2 of w1 + w2, and
-    (tau_l, Q_l, P_l) for slots l = 1, 2."""
-    sides = tuple(tuple(p.with_context(_BIVARS, {"t": var})
-                        for p in (model.tau_poly(), model.Q, model.P))
-                  for var in _BIVARS)
-    return (sides[0][1] + sides[1][1]) * Fraction(-1, 2), sides
+def _kernel_curve(model: CurveModel, tau: Poly) -> Tuple[int, KernelCurve]:
+    """(D, curve) with curve = D (tau, Q/2, P) of the curve tau x^2 = Q x + P
+    as int coefficient lists and D = 2 lcm of the denominators, so the
+    grids _kernel_grid reads off curve are D times the kernel's."""
+    parts = [p.coeffs_univar("t") for p in (tau, model.Q, model.P)]
+    den = 2 * math.lcm(*(val.denominator for part in parts for val in part))
+    tau_d, half_q, p_d = ([val.numerator * (scale // val.denominator) for val in part]
+                          for part, scale in zip(parts, (den, den // 2, den)))
+    return den, (tau_d, half_q, p_d)
+
+
+def _add_quotient(block: Dict[Tuple[int, int], int], coeff: int, a: int, b: int,
+                  e1: int = 0, e2: int = 0) -> None:
+    """block += coeff t1^e1 t2^e2 B(a, b)/(t1 - t2), B(a, b) = t1^a t2^b - t1^b t2^a.
+
+    For a > b the quotient is sum_{r=0}^{a-b-1} t1^(a-1-r) t2^(b+r), and
+    B(b, a) = -B(a, b)."""
+    if a < b:
+        a, b, coeff = b, a, -coeff
+    for r in range(a - b):
+        key = (e1 + a - 1 - r, e2 + b + r)
+        block[key] = block.get(key, 0) + coeff
 
 
 def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     """Grid of K = S (s_a(1) s_b(2) - s_b(1) s_a(2)) for the monomials
     s_a = t^i x^u and s_b = t^j x^v of slots (u, i) and (v, j), read off
-    x-coordinates in closed form; curve is _kernel_curve of the model.
+    x-coordinates in closed form, times the scale of curve (_kernel_curve).
 
     With w = tau x - Q/2, S = (w1 + w2)/(t1 - t2) and M the antisymmetric
     product, (w1 + w2) M = (tau1 x1 + tau2 x2 - (Q1 + Q2)/2) M.  An x_l^2
-    arises only as tau_l x_l * x_l = Q_l x_l + P_l, so the product has
-    polynomial x-blocks in (t1, t2) and no pole.  Each block vanishes on
-    t1 = t2, hence is divisible by t1 - t2.  With m = t1^i t2^j - t1^j t2^i:
-    (u, v) = (0, 0): M = m, blocks -(Q1 + Q2)/2 m, tau1 m (x1), tau2 m (x2).
-    (u, v) = (1, 1): M = m x1 x2, product m (P2 x1 + P1 x2 + (Q1 + Q2)/2 x1 x2).
-    (u, v) = (0, 1): with p = t1^i t2^j, q = t1^j t2^i, M = p x2 - q x1, blocks
-    p P2 - q P1, q (Q2 - Q1)/2 (x1), p (Q2 - Q1)/2 (x2), tau1 p - tau2 q (x1 x2);
-    on t1 = t2, p = q, P1 = P2 and tau1 = tau2.
-    (u, v) = (1, 0) is the negated swap of (0, 1).  Each block is divided
-    once by t1 - t2; the (t1, t2) exponents of the quotient are the
-    t-powers of the two slots.
+    arises only as tau_l x_l * x_l = Q_l x_l + P_l, so every x-block of the
+    product is a sum of (curve coefficient) (monomial) B(a, b), and its
+    quotient by t1 - t2 is read off _add_quotient.  With tau_l, Q_l and P_l
+    the coefficients of t^l, the blocks are:
+    (u, v) = (0, 0): -1/2 sum Q_l (t1^l + t2^l) B(i, j) (1),
+      sum tau_l t1^l B(i, j) (x1), sum tau_l t2^l B(i, j) (x2).
+    (u, v) = (1, 1): sum P_l t2^l B(i, j) (x1), sum P_l t1^l B(i, j) (x2),
+      1/2 sum Q_l (t1^l + t2^l) B(i, j) (x1 x2).
+    (u, v) = (0, 1): sum P_l B(i, j + l) (1), -1/2 sum Q_l t1^j t2^i B(l, 0)
+      (x1), -1/2 sum Q_l t1^i t2^j B(l, 0) (x2), sum tau_l B(i + l, j) (x1 x2).
+    (u, v) = (1, 0) is the negated transpose of (0, 1).  The (t1, t2)
+    exponents of a quotient are the t-powers of the two slots.
     """
     (u, i), (v, j) = sa, sb
-    product = {(u, v): Poly(_BIVARS, {(i, j): 1})}
-    product[(v, u)] = product.get((v, u), Poly(_BIVARS)) - Poly(_BIVARS, {(j, i): 1})
-    const, sides = curve
-    blocks: Dict[Tuple[int, int], Poly] = {}
-
-    def add(key: Tuple[int, int], p: Poly) -> None:
-        blocks[key] = blocks[key] + p if key in blocks else p
-
-    for key, m in product.items():
-        add(key, const * m)
-        for slot, (tau, Q, P) in enumerate(sides):
-            up = key[:slot] + (1,) + key[slot + 1:]
-            if key[slot]:
-                add(up, Q * m)
-                add(key[:slot] + (0,) + key[slot + 1:], P * m)
-            else:
-                add(up, tau * m)
-    grid: Grid = {}
-    for (x1, x2), block in blocks.items():
-        q, r = poly_divmod_linear(block, "t1", _T2)
-        if not r.is_zero:
-            raise NonzeroRemainder(f"{_BLOCK_TAGS[(x1, x2)]} block of the kernel of slots "
-                                   f"{sa}, {sb} does not vanish on t1 = t2")
-        for (a, b), val in q.terms.items():
-            grid[((x1, a), (x2, b))] = val
-    return grid
+    if (u, v) == (1, 0):
+        return {(s2, s1): -val for (s1, s2), val in _kernel_grid(sb, sa, curve).items()}
+    tau, half_q, p = curve
+    blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {key: {} for key in _BLOCK_TAGS}
+    if u != v:
+        for l, val in enumerate(p):
+            _add_quotient(blocks[(0, 0)], val, i, j + l)
+        for l, q in enumerate(half_q):
+            _add_quotient(blocks[(1, 0)], -q, l, 0, j, i)
+            _add_quotient(blocks[(0, 1)], -q, l, 0, i, j)
+        for l, val in enumerate(tau):
+            _add_quotient(blocks[(1, 1)], val, i + l, j)
+    else:
+        # x1 takes tau_l t1^l (u = 0) or P_l t2^l (u = 1), x2 the mirror.
+        sym, sign, side = (blocks[(1, 1)], 1, p) if u else (blocks[(0, 0)], -1, tau)
+        for l, q in enumerate(half_q):
+            _add_quotient(sym, sign * q, i, j, l, 0)
+            _add_quotient(sym, sign * q, i, j, 0, l)
+        for l, val in enumerate(side):
+            _add_quotient(blocks[(1, 0)], val, i, j, *((0, l) if u else (l, 0)))
+            _add_quotient(blocks[(0, 1)], val, i, j, *((l, 0) if u else (0, l)))
+    return {((x1, a), (x2, b)): val for (x1, x2), block in blocks.items()
+            for (a, b), val in block.items() if val}
 
 
-def _derivation_image(slot: Slot, model: CurveModel) -> Dict[Slot, Fraction]:
-    """D(t^i x^u) by slot, for slot (u, i), read in closed form; in the odd
-    parity the pole part at t = -c is dropped.
+def _derivation_image(slot: Slot, model: CurveModel, tau: Poly) -> Dict[Slot, Fraction]:
+    """D(t^i x^u) by slot, for slot (u, i), read in closed form on the curve
+    tau x^2 = Q x + P; in the odd parity the pole part at t = -c is dropped.
 
-    On tau x^2 = Q x + P, with tau = 1 (even) or t + c (odd), the
-    derivation is D(t) = 2 tau x - Q and D(x) = P' + Q' x - tau' x^2.  So
-    D(t^i) = i t^(i-1) (2 tau x - Q), and as 2 tau x^2 - Q x = Q x + 2P,
+    The derivation is D(t) = 2 tau x - Q and D(x) = P' + Q' x - tau' x^2.
+    So D(t^i) = i t^(i-1) (2 tau x - Q), and as 2 tau x^2 - Q x = Q x + 2P,
     D(t^j x) = j t^(j-1) (Q x + 2P) + t^j (P' + Q' x) - tau' t^j x^2.
     Even, tau' = 0.  Odd, tau' t^j x^2 = t^j (Q x + P)/(t + c): its
     polynomial part is kept, and its pole part
-    (-c)^j (Q(-c) x + P(-c))/(t + c) is dropped.
+    (-c)^j (Q(-c) x + P(-c))/(t + c) is dropped.  Only D(t^i) reads tau.
     """
     u, i = slot
     Q, P = model.Q, model.P
     s = Poly.var(model.tvars, "t", i)
     ds = s.derivative("t")
     if u == 0:
-        blocks = [-ds * Q, 2 * ds * model.tau_poly()]
+        blocks = [-ds * Q, 2 * ds * tau]
     else:
         blocks = [2 * ds * P + s * P.derivative("t"), ds * Q + s * Q.derivative("t")]
         if model.parity == "odd":
@@ -304,44 +327,50 @@ def _overflow_details(grid: Grid, slots: Dict[Slot, int]) -> List[str]:
             for b, i, j in out]
 
 
-def _five_term_forms(space: SectionSpace) -> Dict[PairKey, FormDict]:
+def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
-    - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation.
+    - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation,
+    on the curve tau x^2 = Q x + P of the space's Q and P.
 
     Reading a grid is linear and the derivation terms factor over the
     basis, so each D(s_b) is read once: symmetrized, the pair's form is n
     times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
-    2 D(s_a) in row b.  The odd parity truncates: its derivation images
-    carry no pole part, and out-of-basis slots are dropped.  The even
-    parity is strict: it rejects a pair whose summed grid has an entry
-    outside the basis, where kernel and derivation overflow may cancel;
-    neither term has a pole there.
+    2 D(s_a) in row b.  Kernel grids and images are ints over one common
+    denominator, and each output coefficient is one Fraction.
+    The odd parity truncates: its derivation images carry no pole part,
+    and out-of-basis slots are dropped.  The even parity is strict: it
+    rejects a pair whose summed grid has an entry outside the basis, where
+    kernel and derivation overflow may cancel; neither term has a pole there.
     """
     n = space.dim
     strict = space.model.parity == "even"
     labels = space.labels()
     slots = _basis_slots(space)
     keys = list(slots)
-    images = [_derivation_image(s, space.model) for s in keys]
+    images = [_derivation_image(s, space.model, tau) for s in keys]
+    kernel_den, curve = _kernel_curve(space.model, tau)
+    den = math.lcm(kernel_den, *(val.denominator for image in images for val in image.values()))
+    kernel_scale = n * (den // kernel_den)
+    images = [{s: val.numerator * (den // val.denominator) for s, val in image.items()}
+              for image in images]
     inside = [{slots[s]: val for s, val in image.items() if s in slots} for image in images]
     outside = [{s: val for s, val in image.items() if s not in slots} for image in images]
-    curve = _kernel_curve(space.model)
     pi: Dict[PairKey, FormDict] = {}
     for a in range(n):
         for b in range(a + 1, n):
             grid = _kernel_grid(keys[a], keys[b], curve)
-            form: FormDict = {}
+            form: Dict[PairKey, int] = {}
             for (s1, s2), val in grid.items():
                 if s1 in slots and s2 in slots:
                     u, v = slots[s1], slots[s2]
                     key = (u, v) if u <= v else (v, u)
-                    form[key] = form.get(key, 0) + n * val
+                    form[key] = form.get(key, 0) + kernel_scale * val
             for row, image, sign in ((a, inside[b], 2), (b, inside[a], -2)):
                 for u, val in image.items():
                     key = (row, u) if row <= u else (u, row)
                     form[key] = form.get(key, 0) + sign * val
             if strict:
-                overflow = {key: n * val for key, val in grid.items()
+                overflow = {key: kernel_scale * val for key, val in grid.items()
                             if not (key[0] in slots and key[1] in slots)}
                 for row, image, sign in ((keys[a], outside[b], 1), (keys[b], outside[a], -1)):
                     for s, val in image.items():
@@ -350,45 +379,10 @@ def _five_term_forms(space: SectionSpace) -> Dict[PairKey, FormDict]:
                 problems = _overflow_details(overflow, slots)
                 if problems:
                     raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", problems)
-            form = {key: val for key, val in form.items() if val}
+            form = {key: Fraction(val, den) for key, val in form.items() if val}
             if form:
                 pi[(a, b)] = form
     return pi
-
-
-def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
-    """Literal five-term assembly of an odd curve with pole parts and
-    excess monomials dropped.
-
-    This is the raw ingredient of the odd builder, exposed for dual-route
-    consistency checks; it is not itself a Poisson tensor in general.
-    """
-    if model.parity != "odd":
-        raise ValueError("the truncated assembly needs an odd curve")
-    model._require_numeric("bracket construction")
-    space = SectionSpace(model, k)
-    forms = _five_term_forms(space)
-    prov = dict(model.to_json())
-    prov["assembly"] = "five-term, truncated"
-    return BracketTensor(model.parity, space.k, space.dim, forms, prov)
-
-
-_ODD_SHIFT_CACHE: Dict[int, BracketTensor] = {}
-
-
-def _odd_shift(k: int) -> BracketTensor:
-    """Curve-independent recentering correction for the odd assembly.
-
-    With W(c, Q, P) the truncated five-term forms, the correction is
-    (2/(2k+1)) * (W(1,0,0) - 2 W(0,0,0)); adding it to W(c, Q, P) matches
-    the closed-form chart brackets and restores the Jacobi identity.  As
-    W(c,0,0) is affine in c, the correction is -(2/(2k+1)) * W(-1,0,0),
-    one assembly per k.
-    """
-    if k not in _ODD_SHIFT_CACHE:
-        moved = truncated_five_term(CurveModel.odd(k, -1, 0, 0))
-        _ODD_SHIFT_CACHE[k] = moved.scale(Fraction(-2, 2 * k + 1))
-    return _ODD_SHIFT_CACHE[k]
 
 
 def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
@@ -396,17 +390,22 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
 
     Even parity: strict five-term assembly (every component must land in
     the section basis, otherwise TensorNotInSectionSpace).  Odd parity:
-    truncated five-term assembly plus the fixed recentering correction.
+    the truncated five-term assembly W(c, Q, P) plus the fixed recentering
+    correction -(2/(2k+1)) W(-1, 0, 0), built as one assembly.  W is linear
+    in (tau, Q, P) at a fixed pole t = -c, its pole part vanishes for
+    Q = P = 0 and truncation is linear, so the sum is W with tau replaced
+    by tau - (2/(2k+1)) (t - 1) and the pole kept at t = -c.  With the
+    correction the odd tensor matches the closed-form chart brackets and
+    satisfies the Jacobi identity.
     """
-    if model.parity == "odd":
-        base = truncated_five_term(model, k)
-        out = base + _odd_shift(base.k)
-        out.provenance = dict(model.to_json(), assembly="five-term, pole-corrected")
-        return out
     model._require_numeric("bracket construction")
     space = SectionSpace(model, k)
-    prov = dict(model.to_json(), assembly="five-term")
-    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space), prov)
+    tau, assembly = model.tau_poly(), "five-term"
+    if model.parity == "odd":
+        tau = tau - (Poly.var(model.tvars, "t") - 1) * Fraction(2, 2 * space.k + 1)
+        assembly = "five-term, pole-corrected"
+    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space, tau),
+                         dict(model.to_json(), assembly=assembly))
 
 
 def _unit_coeffs(i: int, size: int) -> List[int]:

@@ -19,10 +19,6 @@ class VariableContextMismatch(ValueError):
     """Arithmetic between polynomials over different variable tuples."""
 
 
-class NonzeroRemainder(ArithmeticError):
-    """An exact division left a remainder."""
-
-
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(value, Fraction):

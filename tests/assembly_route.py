@@ -1,31 +1,39 @@
-"""Reference route for the bracket assembly, kept as a test oracle.
+"""Reference routes for the bracket assembly, kept as test oracles.
 
 The library assembles each pair's form by bilinearity: the kernel term is
-read off x-coordinates in closed form per pair, and each derivation image
-is read once, in closed form, and added to two rows.  This module keeps
-the route it is cross-checked against, on the curve functions and the
-derivation of curve_route: two-point functions in the w-basis
-(BiCurveElement), the kernel term as the general w-basis product of the
-Szego numerator w1 + w2 with s1(1) s2(2) - s2(1) s1(2), divided by
-t1 - t2, and for every basis pair the five two-point terms summed with
-pole orders lifted, converted to x-blocks and read once after dividing by
-(t1+c)^m1 (t2+c)^m2.  It also keeps the odd recentering correction in its
+read off x-coordinates per pair, each x-block's quotient by t1 - t2 read
+in closed form, and each derivation image is read once, in closed form,
+and added to two rows.  This module keeps the routes it is cross-checked
+against.  On the curve functions and the derivation of curve_route:
+two-point functions in the w-basis (BiCurveElement), the kernel term as
+the general w-basis product of the Szego numerator w1 + w2 with
+s1(1) s2(2) - s2(1) s1(2), divided by t1 - t2, and for every basis pair
+the five two-point terms summed with pole orders lifted, converted to
+x-blocks and read once after dividing by (t1+c)^m1 (t2+c)^m2.  On
+x-coordinates: the kernel term as x-blocks of Poly products, each divided
+by t1 - t2 by synthetic division (division_kernel_grid).  It also keeps the
+raw truncated odd assembly and the odd recentering correction in its
 first form, two zero-curve assemblies.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey,
+from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey, Slot,
                                     TensorNotInSectionSpace, _basis_slots, _overflow_details)
 from artifact.curve_ring import CurveModel, SectionSpace
-from artifact.exact_core import NonzeroRemainder, Poly, poly_divmod_linear
+from artifact.exact_core import Poly, poly_divmod_linear
 
 from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
                          poly_div_linear_power)
 
 
 _W_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
+_BIVARS = ("t1", "t2")
+
+
+class NonzeroRemainder(ArithmeticError):
+    """A division by t1 - t2 left a remainder."""
 
 
 def w_parts(e: CurveElement) -> Tuple[Poly, Poly, int]:
@@ -247,10 +255,55 @@ def five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDi
     return pi
 
 
+def division_kernel_grid(sa: Slot, sb: Slot, model: CurveModel) -> Grid:
+    """Grid of K = S (s_a(1) s_b(2) - s_b(1) s_a(2)) for the slots (u, i) and
+    (v, j), from the x-blocks of (w1 + w2) M as Poly products over (t1, t2),
+    with tau_l x_l^2 = Q_l x_l + P_l, each block divided once by t1 - t2 by
+    synthetic division with the Poly root t2."""
+    (u, i), (v, j) = sa, sb
+    sides = [[p.with_context(_BIVARS, {"t": var}) for p in (model.tau_poly(), model.Q, model.P)]
+             for var in _BIVARS]
+    const = (sides[0][1] + sides[1][1]) * Fraction(-1, 2)
+    product = {(u, v): Poly(_BIVARS, {(i, j): 1})}
+    product[(v, u)] = product.get((v, u), Poly(_BIVARS)) - Poly(_BIVARS, {(j, i): 1})
+    blocks: Dict[Tuple[int, int], Poly] = {}
+
+    def add(key: Tuple[int, int], p: Poly) -> None:
+        blocks[key] = blocks[key] + p if key in blocks else p
+
+    for key, m in product.items():
+        add(key, const * m)
+        for slot, (tau, Q, P) in enumerate(sides):
+            up = key[:slot] + (1,) + key[slot + 1:]
+            if key[slot]:
+                add(up, Q * m)
+                add(key[:slot] + (0,) + key[slot + 1:], P * m)
+            else:
+                add(up, tau * m)
+    grid: Grid = {}
+    for (x1, x2), block in blocks.items():
+        q, r = poly_divmod_linear(block, "t1", Poly.var(_BIVARS, "t2"))
+        if not r.is_zero:
+            raise NonzeroRemainder(f"{_BLOCK_TAGS[(x1, x2)]} block of the kernel of slots "
+                                   f"{sa}, {sb} does not vanish on t1 = t2")
+        for (a, b), val in q.terms.items():
+            grid[((x1, a), (x2, b))] = val
+    return grid
+
+
+def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
+    """Literal five-term assembly W(c, Q, P) of an odd curve with pole parts
+    and excess monomials dropped, by the per-pair route.  It is the raw
+    ingredient of the odd build, not itself a Poisson tensor in general."""
+    if model.parity != "odd":
+        raise ValueError("the truncated assembly needs an odd curve")
+    space = SectionSpace(model, k)
+    return BracketTensor("odd", space.k, space.dim, five_term_forms(space, truncate=True))
+
+
 def odd_shift_two_assemblies(k: int) -> BracketTensor:
     """(2/(2k+1)) * (W(1,0,0) - 2 W(0,0,0)), W(c, Q, P) the truncated
     five-term forms of the odd curve, each W assembled by this route."""
     def W(c: int) -> BracketTensor:
-        space = SectionSpace(CurveModel.odd(k, c, 0, 0))
-        return BracketTensor("odd", k, space.dim, five_term_forms(space, truncate=True))
+        return truncated_five_term(CurveModel.odd(k, c, 0, 0))
     return (W(1) - W(0).scale(2)).scale(Fraction(2, 2 * k + 1))

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,14 +12,15 @@ from artifact.bracket_forge import (
     BracketTensor,
     FamilyBasis,
     TensorNotInSectionSpace,
+    _five_term_forms,
     build_family,
     build_tensor,
-    truncated_five_term,
 )
 from artifact.curve_ring import CurveModel, SectionSpace
 
 import assembly_route
 import curve_route
+from assembly_route import truncated_five_term
 
 F = Fraction
 
@@ -76,15 +78,23 @@ def test_even_k1_tensor_vanishes():
     assert T.is_zero
 
 
+def _truncated_both_routes(model):
+    """W(c, Q, P) by the per-pair oracle, after checking that the library
+    assembly on the curve's own tau gives the same forms."""
+    W = truncated_five_term(model)
+    assert _five_term_forms(SectionSpace(model), model.tau_poly()) == W.pi
+    return W
+
+
 def test_odd_k1_truncated_literal_matches_frozen():
-    """Truncated five-term grids agree with the k=1 hand formulas; an even
-    curve, whose assembly is strict, is refused."""
+    """Truncated five-term grids agree with the k=1 hand formulas on both
+    routes; an even curve, whose assembly is strict, is refused."""
     rng = random.Random(SEED)
     for _ in range(4):
         c = F(rng.randint(-2, 2))
         q = [F(rng.randint(-3, 3)) for _ in range(3)]
         p = [F(rng.randint(-3, 3)) for _ in range(4)]
-        W = truncated_five_term(CurveModel.odd(1, c, q, p))
+        W = _truncated_both_routes(CurveModel.odd(1, c, q, p))
         assert W.pi == _frozen_odd_k1_literal(c, q, p)
     with pytest.raises(ValueError, match="needs an odd curve"):
         truncated_five_term(CurveModel.even(1, 0, 0))
@@ -94,17 +104,10 @@ def test_odd_k1_literal_corner_values():
     """Zero-curve and moved-point grids used by the recentering shift."""
     zeros_q = [F(0)] * 3
     zeros_p = [F(0)] * 4
-    W0 = truncated_five_term(CurveModel.odd(1, 0, 0, 0))
+    W0 = _truncated_both_routes(CurveModel.odd(1, 0, 0, 0))
     assert W0.pi == _frozen_odd_k1_literal(F(0), zeros_q, zeros_p)
-    W1 = truncated_five_term(CurveModel.odd(1, 1, 0, 0))
+    W1 = _truncated_both_routes(CurveModel.odd(1, 1, 0, 0))
     assert W1.pi == _frozen_odd_k1_literal(F(1), zeros_q, zeros_p)
-
-
-def test_odd_shift_is_one_assembly():
-    """W(c,0,0) is affine in c, so the correction (2/(2k+1)) (W(1,0,0) -
-    2 W(0,0,0)) is -(2/(2k+1)) W(-1,0,0): one assembly against two."""
-    for k in range(1, 7):
-        assert bracket_forge._odd_shift(k) == assembly_route.odd_shift_two_assemblies(k), k
 
 
 def test_odd_k1_recentred_tensor():
@@ -149,8 +152,8 @@ def test_strict_mode_rejects_doubled_derivation(monkeypatch, k):
     on the doubled oracle derivation name the same first pair and details."""
     closed_form = bracket_forge._derivation_image
 
-    def doubled_image(slot, model):
-        return {s: 2 * val for s, val in closed_form(slot, model).items()}
+    def doubled_image(slot, model, tau):
+        return {s: 2 * val for s, val in closed_form(slot, model, tau).items()}
 
     def doubled(e):
         return curve_route.curve_derivation(e) * 2
@@ -196,6 +199,52 @@ def test_moved_point_direction_is_linear():
         b0 = build_tensor(CurveModel.odd(k, 0, 0, 0))
         step = build_tensor(CurveModel.odd(k, 1, 0, 0)) - b0
         assert build_tensor(CurveModel.odd(k, 3, 0, 0)) - b0 == step.scale(3)
+
+
+def _shifted_coeffs(coeffs, mu):
+    """Ascending coefficients of p(t - mu) from those of p(t)."""
+    out = [F(0)] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for e in range(i + 1):
+            out[e] += c * comb(i, e) * (-mu) ** (i - e)
+    return out
+
+
+def _unipotent(space, mu):
+    """Rows t^i x^u -> (t + mu)^i x^u of the basis, as {index: coefficient}."""
+    slots = bracket_forge._basis_slots(space)
+    return [{slots[(u, e)]: comb(i, e) * mu ** (i - e) for e in range(i + 1)}
+            for (u, i) in slots]
+
+
+def _push_forward(T, space, mu):
+    """T, given on coordinates t'^i x^u, rewritten on t^i x^u = (t' - mu)^i x^u:
+    {y_a, y_b} = sum A_ac A_bd pi_cd(y'), with y = A y' and y' = A^-1 y."""
+    A, A_inv = _unipotent(space, -mu), _unipotent(space, mu)
+    pi = {}
+    for a in range(T.n):
+        for b in range(a + 1, T.n):
+            form = pi.setdefault((a, b), {})
+            for c, x in A[a].items():
+                for d, y in A[b].items():
+                    for (g, h), val in T.form(c, d).items():
+                        for e, z in A_inv[g].items():
+                            for f, w in A_inv[h].items():
+                                key = (min(e, f), max(e, f))
+                                form[key] = form.get(key, 0) + x * y * z * w * val
+    return BracketTensor(T.parity, T.k, T.n, pi)
+
+
+@pytest.mark.parametrize("mu", [F(1), F(1, 2)])
+def test_even_build_is_natural_under_translation(mu):
+    """The curve x^2 = Q(t - mu) x + P(t - mu) is x^2 = Q x + P moved by
+    t' = t + mu; its tensor, pushed forward by t^i x^u -> (t' - mu)^i x^u,
+    is the tensor of the unmoved curve."""
+    Q, P = [1, -2, F(3, 2)], [2, 1, -1, 3, F(1, 3)]
+    for k in range(1, 5):
+        moved = CurveModel.even(k, _shifted_coeffs(Q, mu), _shifted_coeffs(P, mu))
+        pushed = _push_forward(build_tensor(moved), SectionSpace(moved), mu)
+        assert pushed == build_tensor(CurveModel.even(k, Q, P)), k
 
 
 def test_family_shapes_and_labels():

@@ -187,7 +187,8 @@ def test_derivation_raises_section_level_odd():
 
 def _numerator_grid(model):
     """Kernel grid of the pair (t, 1): S (t1 - t2) = w1 + w2 in x-coordinates."""
-    return _kernel_grid((0, 1), (0, 0), _kernel_curve(model))
+    scale, curve = _kernel_curve(model, model.tau_poly())
+    return {key: Fraction(val, scale) for key, val in _kernel_grid((0, 1), (0, 0), curve).items()}
 
 
 def test_szego_numerator_even():

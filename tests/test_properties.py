@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
                                     _basis_slots, _derivation_image, _five_term_forms,
-                                    _kernel_curve, _kernel_grid, build_family)
+                                    _kernel_curve, _kernel_grid, build_family, build_tensor)
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
@@ -27,7 +27,8 @@ from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_te
                                      schouten_certificate)
 
 import assembly_route
-from assembly_route import BiCurveElement, mult_kernel_antisym, pair_grid, pair_matrix
+from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
+                            pair_matrix, truncated_five_term)
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
@@ -197,7 +198,7 @@ def test_bilinear_assembly_matches_per_pair_route(space):
     even, and in strict mode its rejection: the same first pair and
     details."""
     truncate = space.model.parity == "odd"
-    assert (_forms_or_rejection(lambda: _five_term_forms(space))
+    assert (_forms_or_rejection(lambda: _five_term_forms(space, space.model.tau_poly()))
             == _forms_or_rejection(lambda: assembly_route.five_term_forms(space, truncate)))
 
 
@@ -211,17 +212,27 @@ def test_closed_form_kernel_matches_general_product(space, data):
     coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
     c1, c2 = (data.draw(coords) for _ in range(2))
     keys = list(_basis_slots(space))
-    curve = _kernel_curve(space.model)
+    kernel = _closed_kernel(space.model)
     summed = {}
     for a, x in enumerate(c1):
         for b, y in enumerate(c2):
             if x * y:
-                for key, val in _kernel_grid(keys[a], keys[b], curve).items():
+                for key, val in kernel(keys[a], keys[b]).items():
                     summed[key] = summed.get(key, 0) + x * y * val
     s1, s2 = (element_from_coords(space, c) for c in (c1, c2))
     grid, poles = pair_grid(mult_kernel_antisym(s1, s2))
     assert poles == []
     assert {key: val for key, val in summed.items() if val} == grid
+
+
+def _closed_kernel(model):
+    """The library's integer kernel grids of the model's own curve, divided
+    by their scale."""
+    scale, curve = _kernel_curve(model, model.tau_poly())
+
+    def kernel(sa, sb):
+        return {key: Fraction(val, scale) for key, val in _kernel_grid(sa, sb, curve).items()}
+    return kernel
 
 
 def _shifted(grid):
@@ -254,15 +265,50 @@ def test_kernel_grid_matches_w_basis_route(model):
     space = SectionSpace(model)
     basis = basis_elements(space)
     keys = list(_basis_slots(space))
-    curve = _kernel_curve(model)
+    kernel = _closed_kernel(model)
     for a in range(space.dim):
         for b in range(a + 1, space.dim):
-            grid = _kernel_grid(keys[a], keys[b], curve)
+            grid = kernel(keys[a], keys[b])
             assert pair_grid(mult_kernel_antisym(basis[a], basis[b])) == (grid, []), (a, b)
-            swapped = _kernel_grid(keys[b], keys[a], curve)
+            swapped = kernel(keys[b], keys[a])
             assert swapped == {(s2, s1): -val for (s1, s2), val in grid.items()}, (a, b)
             (u, i), (v, j) = keys[a], keys[b]
-            assert _kernel_grid((u, i + 1), (v, j + 1), curve) == _shifted(grid), (a, b)
+            assert kernel((u, i + 1), (v, j + 1)) == _shifted(grid), (a, b)
+
+
+@PROPERTY
+@example(model=CurveModel.even(4, 0, 0))
+@example(model=CurveModel.odd(4, 0, 0, 0))
+@example(model=CurveModel.odd(3, -1, 0, 0))
+@example(model=CurveModel.odd(2, Fraction(-1, 3), [Fraction(1, 2), 0, -2], [3, Fraction(2, 3), 0, 1]))
+@given(model=kernel_curves())
+def test_kernel_grid_matches_division_route(model):
+    """On every ordered pair of basis slots, and on the pair shifted to
+    (i + 1, j + 1), the closed-form quotients by t1 - t2 give the grid of
+    the Poly blocks divided by synthetic division."""
+    kernel = _closed_kernel(model)
+    keys = list(_basis_slots(SectionSpace(model)))
+    for (u, i) in keys:
+        for (v, j) in keys:
+            for sa, sb in (((u, i), (v, j)), ((u, i + 1), (v, j + 1))):
+                assert kernel(sa, sb) == division_kernel_grid(sa, sb, model), (sa, sb)
+
+
+@lru_cache(maxsize=None)
+def _odd_shift_two_assemblies(k):
+    return assembly_route.odd_shift_two_assemblies(k)
+
+
+@FEW
+@example(model=CurveModel.odd(5, Fraction(-1, 3), [1, Fraction(1, 2), -2], [0, 3, Fraction(2, 5), 1]))
+@example(model=CurveModel.odd(1, -1, 0, 0))
+@given(model=kernel_curves(max_k=5).filter(lambda m: m.parity == "odd"))
+def test_odd_build_is_truncated_assembly_plus_shift(model):
+    """The one odd assembly on tau - (2/(2k+1)) (t - 1) is the per-pair
+    route's truncated assembly W(c, Q, P) plus its recentering correction
+    (2/(2k+1)) (W(1,0,0) - 2 W(0,0,0)), each W assembled separately."""
+    k = model.k_param
+    assert build_tensor(model) == truncated_five_term(model) + _odd_shift_two_assemblies(k)
 
 
 @PROPERTY
@@ -284,7 +330,7 @@ def test_derivation_image_matches_curve_route(model):
     slots = _basis_slots(space)
     c = model.c
     for slot, e in zip(slots, basis_elements(space)):
-        image = _derivation_image(slot, model)
+        image = _derivation_image(slot, model, model.tau_poly())
         derivative = curve_derivation(e)
         expected, pole = section_coords(derivative)
         assert image == expected, slot
