@@ -34,7 +34,6 @@ downstream check certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -142,12 +141,12 @@ class BracketTensor:
     def from_json(cls, data: dict) -> "BracketTensor":
         """Inverse of to_json; ValueError on any entry it cannot read."""
         pi: Dict[PairKey, FormDict] = {}
-        for entry in data["pi"]:
+        for entry in _json_list(data["pi"], "pi"):
             pair = (_json_int(entry["a"]), _json_int(entry["b"]))
             if pair in pi:
                 raise ValueError(f"pair {pair} listed twice")
             form: FormDict = {}
-            for item in entry["q"]:
+            for item in _json_list(entry["q"], f"pair {pair}: q"):
                 mono = (_json_int(item["u"]), _json_int(item["v"]))
                 if mono in form:
                     raise ValueError(f"pair {pair}: monomial {mono} listed twice")
@@ -155,6 +154,12 @@ class BracketTensor:
             pi[pair] = form
         return cls(data["parity"], _json_int(data["k"]), _json_int(data["n"]), pi,
                    data.get("curve"))
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is a {type(value).__name__}, not a list")
+    return value
 
 
 def _json_int(value) -> int:
@@ -172,23 +177,28 @@ def _json_rational(value) -> Fraction:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from exc
 
 
-@dataclass(frozen=True)
 class FamilyBasis:
     """The nine-member basis of an anticanonical bracket family."""
 
-    parity: str
-    k: int
-    tensors: Tuple[BracketTensor, ...]
-    labels: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tensors) != 9 or len(self.labels) != 9:
+    def __init__(self, parity: str, k: int, tensors: Tuple[BracketTensor, ...],
+                 labels: Tuple[str, ...]) -> None:
+        if len(tensors) != 9 or len(labels) != 9:
             raise ValueError(f"a family has nine members and nine labels, got "
-                             f"{len(self.tensors)} and {len(self.labels)}")
-        shapes = {(t.parity, t.k, t.n) for t in self.tensors}
-        if len(shapes) != 1 or next(iter(shapes))[:2] != (self.parity, self.k):
+                             f"{len(tensors)} and {len(labels)}")
+        shapes = {(t.parity, t.k, t.n) for t in tensors}
+        if len(shapes) != 1 or next(iter(shapes))[:2] != (parity, k):
             raise ValueError(f"members do not share the family's shape "
-                             f"({self.parity}, k={self.k}): {sorted(shapes)}")
+                             f"({parity}, k={k}): {sorted(shapes)}")
+        self.parity = parity
+        self.k = k
+        self.tensors = tensors
+        self.labels = labels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FamilyBasis):
+            return NotImplemented
+        return ((self.parity, self.k, self.tensors, self.labels)
+                == (other.parity, other.k, other.tensors, other.labels))
 
     def to_json(self) -> dict:
         return {"parity": self.parity, "k": self.k,
@@ -198,7 +208,8 @@ class FamilyBasis:
     @classmethod
     def from_json(cls, data: dict) -> "FamilyBasis":
         """Inverse of to_json; ValueError on any entry it cannot read."""
-        tensors = tuple(BracketTensor.from_json(item) for item in data["basis"])
+        tensors = tuple(BracketTensor.from_json(item)
+                        for item in _json_list(data["basis"], "basis"))
         labels = data["labels"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels {labels!r} are not a list of strings")

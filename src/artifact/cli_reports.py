@@ -10,6 +10,12 @@ Elapsed time is written to stderr only.
 
 Exit codes: 0 all checks pass, 1 a normative check failed or a build was
 rejected, 2 usage or configuration error.
+
+Each handler imports the library modules it uses in its own body, so a
+command loads only those: a usage error loads none, `helix` only
+helix_k0, `szego check` only curve_ring and exact_core.  Since the
+lookup happens at call time, a wrapper installed on a library function
+before the call is the one the handler runs.
 """
 
 from __future__ import annotations
@@ -21,28 +27,13 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bracket_forge import (
-    BracketTensor,
-    FamilyBasis,
-    TensorNotInSectionSpace,
-    build_family,
-    build_tensor,
-)
-from .curve_ring import CurveModel, verify_szego_residues
-from .exact_core import rat_str
-from .helix_k0 import helix_class, solve_biham_params
-from .poisson_verify import (
-    compatibility_check,
-    independence_rank,
-    jacobi_check,
-    rank_scan,
-    schouten_certificate,
-)
+if TYPE_CHECKING:
+    from .bracket_forge import BracketTensor, FamilyBasis
+    from .curve_ring import CurveModel
 
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
 
@@ -55,8 +46,7 @@ class ConfigError(ValueError):
     """Invalid command-line configuration."""
 
 
-@dataclass
-class JobConfig:
+class JobConfig(NamedTuple):
     """Validated parameters of one run, hashable into a digest."""
 
     command: str
@@ -76,30 +66,31 @@ class JobConfig:
     rank: Optional[int] = None
 
     def digest(self) -> str:
-        record: Dict[str, object] = {}
-        for key, value in vars(self).items():
-            if value is None:
-                continue
-            if isinstance(value, Fraction):
-                record[key] = rat_str(value)
-            elif isinstance(value, tuple):
-                record[key] = [rat_str(v) if isinstance(v, Fraction) else v
-                               for v in value]
-            else:
-                record[key] = value
+        record = {key: _digest_value(value) for key, value in self._asdict().items()
+                  if value is not None}
         blob = json.dumps(record, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass
+def _digest_value(value):
+    """Rationals as "p/q" strings, tuples as lists, anything else as is."""
+    if isinstance(value, tuple):
+        return [_digest_value(v) for v in value]
+    if isinstance(value, Fraction):
+        from .exact_core import rat_str
+        return rat_str(value)
+    return value
+
+
 class RunReport:
     """Per-run outcome; the JSON payload carries no timing data."""
 
-    command: str
-    config_digest: str
-    checks: List[dict] = field(default_factory=list)
-    artifacts: List[str] = field(default_factory=list)
-    data: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, command: str, config_digest: str) -> None:
+        self.command = command
+        self.config_digest = config_digest
+        self.checks: List[dict] = []
+        self.artifacts: List[str] = []
+        self.data: Dict[str, object] = {}
 
     def add_check(self, name: str, status: str, witness=None) -> None:
         entry: Dict[str, object] = {"name": name, "status": status}
@@ -156,6 +147,7 @@ def _curve_config(args, command: str) -> JobConfig:
 
 
 def _curve_model(cfg: JobConfig) -> CurveModel:
+    from .curve_ring import CurveModel
     if cfg.parity == "even":
         return CurveModel.even(cfg.k, list(cfg.q), list(cfg.p))
     return CurveModel.odd(cfg.k, cfg.c, list(cfg.q), list(cfg.p))
@@ -191,6 +183,7 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _load_tensor(path: str) -> BracketTensor:
+    from .bracket_forge import BracketTensor
     data = _load_json(path, "tensor artifact")
     try:
         return BracketTensor.from_json(data)
@@ -199,6 +192,7 @@ def _load_tensor(path: str) -> BracketTensor:
 
 
 def _load_family(path: str) -> FamilyBasis:
+    from .bracket_forge import FamilyBasis
     data = _load_json(path, "family artifact")
     try:
         return FamilyBasis.from_json(data)
@@ -221,6 +215,7 @@ def _finish(report: RunReport, args) -> int:
 
 
 def _run_bracket_build(args) -> int:
+    from .bracket_forge import BracketTensor, build_tensor
     cfg = _curve_config(args, "bracket build")
     model = _curve_model(cfg)
     tensor = build_tensor(model)
@@ -240,6 +235,7 @@ def _run_bracket_build(args) -> int:
 
 
 def _run_bracket_family(args) -> int:
+    from .bracket_forge import build_family
     if args.k < 1:
         raise ConfigError("k must be a positive integer")
     cfg = JobConfig(command="bracket family", parity=args.parity, k=args.k,
@@ -256,6 +252,7 @@ def _run_bracket_family(args) -> int:
 
 
 def _run_verify_jacobi(args) -> int:
+    from .poisson_verify import jacobi_check
     cfg = JobConfig(command="verify jacobi", source=args.source)
     tensor = _load_tensor(args.source)
     verdict = jacobi_check(tensor)
@@ -268,6 +265,7 @@ def _run_verify_jacobi(args) -> int:
 
 
 def _run_verify_compat(args) -> int:
+    from .poisson_verify import compatibility_check, schouten_certificate
     cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
     family = _load_family(args.family)
     members = family.tensors
@@ -287,6 +285,7 @@ def _run_verify_compat(args) -> int:
 
 
 def _run_verify_independence(args) -> int:
+    from .poisson_verify import independence_rank
     cfg = JobConfig(command="verify independence", source=args.family)
     family = _load_family(args.family)
     rank = independence_rank(family)
@@ -300,6 +299,8 @@ def _run_verify_independence(args) -> int:
 
 
 def _run_verify_linearity(args) -> int:
+    from .bracket_forge import build_tensor
+    from .curve_ring import CurveModel
     if args.k < 1:
         raise ConfigError("k must be a positive integer")
     if args.samples < 1:
@@ -340,6 +341,7 @@ def _run_verify_linearity(args) -> int:
 
 
 def _run_rank_scan(args) -> int:
+    from .poisson_verify import rank_scan
     if args.samples < 1:
         raise ConfigError("samples must be positive")
     cfg = JobConfig(command="rank scan", source=args.source, seed=args.seed,
@@ -360,6 +362,8 @@ def _run_rank_scan(args) -> int:
 
 
 def _run_szego_check(args) -> int:
+    from .curve_ring import verify_szego_residues
+    from .exact_core import rat_str
     cfg = _curve_config(args, "szego check")
     model = _curve_model(cfg)
     report = RunReport("szego check", cfg.digest())
@@ -388,6 +392,7 @@ def _parse_span(text: str) -> Tuple[int, int]:
 
 
 def _run_helix_table(args) -> int:
+    from .helix_k0 import helix_class
     span = _parse_span(args.range)
     cfg = JobConfig(command="helix", span=span, out=args.out)
     rows = []
@@ -412,6 +417,7 @@ def _run_helix_table(args) -> int:
 
 
 def _run_helix_solve(args) -> int:
+    from .helix_k0 import solve_biham_params
     cfg = JobConfig(command="helix solve", degree=args.d, rank=args.r)
     try:
         solution = solve_biham_params(args.d, args.r)
@@ -545,10 +551,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TensorNotInSectionSpace as exc:
-        print(f"build rejected: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
+        from .bracket_forge import TensorNotInSectionSpace
+        if isinstance(exc, TensorNotInSectionSpace):
+            print(f"build rejected: {exc}", file=sys.stderr)
+            return 1
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

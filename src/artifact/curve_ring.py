@@ -21,9 +21,8 @@ require a fully numeric curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, rat, rat_str
 
@@ -156,8 +155,7 @@ class SectionSpace:
         return out
 
 
-@dataclass(frozen=True)
-class ResidueCertificate:
+class ResidueCertificate(NamedTuple):
     """Outcome of the Szego kernel residue checks for one curve."""
 
     parity: str

@@ -8,12 +8,10 @@ generic Poisson rank of the associated bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(NamedTuple):
     """Lattice class carrying rank, degree, and Euler characteristic."""
 
     rank: int

@@ -17,11 +17,10 @@ invisible to every check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
@@ -37,8 +36,7 @@ def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
                       for (u, v), val in form.items()})
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Outcome of a pointwise rank scan of one bracket tensor."""
 
     seed: int
@@ -359,8 +357,7 @@ def _divide_linear_form(p: Poly, coeffs: Sequence[Fraction],
     return quotient * (1 / lead) if remainder.is_zero else None
 
 
-@dataclass(frozen=True)
-class RatioBracketValue:
+class RatioBracketValue(NamedTuple):
     """Bracket of two ratio functions, as numerator over form powers.
 
     den_factors lists (linear form coefficients, power) with each form

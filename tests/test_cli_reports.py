@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import poisson_verify
+from artifact import bracket_forge, poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
 from artifact.cli_reports import main
 
@@ -96,6 +96,25 @@ def test_bracket_build_flip_sign(tmp_path, monkeypatch, capsys):
     plain = BracketTensor.from_json(json.loads(Path("plain.json").read_text()))
     flipped = BracketTensor.from_json(json.loads(Path("flipped.json").read_text()))
     assert flipped == plain.scale(-1)
+
+
+def test_bracket_build_rejection_exits_one(tmp_path, monkeypatch, capsys):
+    """A build whose even assembly leaves the section space (D doubled, as
+    in test_strict_mode_rejects_doubled_derivation) exits 1 with "build
+    rejected:" on stderr, no traceback and no artifact."""
+    monkeypatch.chdir(tmp_path)
+    closed_form = bracket_forge._derivation_image
+
+    def doubled_image(slot, model, tau):
+        return {s: 2 * val for s, val in closed_form(slot, model, tau).items()}
+
+    monkeypatch.setattr(bracket_forge, "_derivation_image", doubled_image)
+    code, out, err = run_cli(["bracket", "build", "--parity", "even", "--k", "2",
+                              "--Q", "1,-1,2", "--P", "3,1,0,0,2"], capsys)
+    assert code == 1
+    assert err.startswith("build rejected: pair (1, t^2)")
+    assert "Traceback" not in err and out == ""
+    assert not Path("tensor.json").exists()
 
 
 def test_bracket_family_json_transcript(tmp_path, monkeypatch, capsys):
@@ -314,6 +333,38 @@ def test_verify_rejects_family_header_types(tmp_path, monkeypatch, capsys, field
     assert code == 2
     assert "family artifact malformed" in err and "Traceback" not in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("corrupt, what", [
+    (lambda data: data.update(pi=""), "pi"),
+    (lambda data: data.update(pi={}), "pi"),
+    (lambda data: data["pi"][0].update(q=""), "q"),
+    (lambda data: data["pi"][0].update(q={}), "q"),
+    (lambda data: data.update(basis=dict(zip(data["labels"], data["basis"]))), "basis"),
+], ids=["pi-string", "pi-object", "q-string", "q-object", "basis-object"])
+def test_verify_rejects_non_list_entries(tmp_path, monkeypatch, capsys, corrupt, what):
+    """pi, every q and basis must be JSON lists: a string or an object is
+    not read as empty but exits 2 naming the field, with no traceback."""
+    monkeypatch.chdir(tmp_path)
+    if what == "basis":
+        run_cli(FAMILY_ODD, capsys)
+        source, kind = "family.json", "family"
+        commands = (["verify", "compat", "--family", "bad.json"],
+                    ["verify", "independence", "--family", "bad.json"])
+    else:
+        run_cli(BUILD_EVEN, capsys)
+        source, kind = "tensor.json", "tensor"
+        commands = (["verify", "jacobi", "--in", "bad.json"],
+                    ["rank", "scan", "--in", "bad.json", "--samples", "2"])
+    data = json.loads(Path(source).read_text())
+    corrupt(data)
+    Path("bad.json").write_text(json.dumps(data))
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"{kind} artifact malformed" in err and "Traceback" not in err
+        assert f"{what} is a " in err and "not a list" in err
+        assert "pass" not in out
 
 
 def test_verify_independence_full_rank(tmp_path, monkeypatch, capsys):
