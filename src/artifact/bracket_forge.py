@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, poly_divmod_linear, rat, rat_str
-from .curve_ring import CurveModel, SectionSpace
+from .curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace, dimension
 
 PairKey = Tuple[int, int]
 FormDict = Dict[Tuple[int, int], Fraction]
@@ -62,9 +62,7 @@ class BracketTensor:
 
     def __init__(self, parity: str, k: int, n: int,
                  pi: Dict[PairKey, FormDict], provenance: Optional[dict] = None):
-        if parity not in ("even", "odd"):
-            raise ValueError(f"unknown parity {parity!r}")
-        if n != 2 * k + (parity == "odd"):
+        if n != dimension(parity, k):
             raise ValueError(f"{parity} tensor at k={k} cannot have n={n}")
         for (a, b), form in pi.items():
             if not 0 <= a < b < n:
@@ -396,8 +394,8 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     return pi
 
 
-def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
-    """Bracket tensor of the curve on the level-k coordinate space.
+def build_tensor(model: CurveModel) -> BracketTensor:
+    """Bracket tensor of the curve on its level-k coordinate space.
 
     Even parity: strict five-term assembly (every component must land in
     the section basis, otherwise TensorNotInSectionSpace).  Odd parity:
@@ -409,11 +407,10 @@ def build_tensor(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
     correction the odd tensor matches the closed-form chart brackets and
     satisfies the Jacobi identity.
     """
-    model._require_numeric("bracket construction")
-    space = SectionSpace(model, k)
+    space = SectionSpace(model)
     tau, assembly = model.tau_poly(), "five-term"
     if model.parity == "odd":
-        tau = tau - (Poly.var(model.tvars, "t") - 1) * Fraction(2, 2 * space.k + 1)
+        tau = tau - (Poly.var(model.tvars, "t") - 1) * Fraction(2, space.dim)
         assembly = "five-term, pole-corrected"
     return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space, tau),
                          dict(model.to_json(), assembly=assembly))
@@ -433,11 +430,11 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     then the three Q monomials, then the P monomials (five even, four odd).
     """
     b0 = build_tensor(CurveModel(parity, k, 0, 0))
-    p_len = 5 if parity == "even" else 4
     directions = [("c", CurveModel.odd(k, 1, 0, 0))] if parity == "odd" else []
-    directions += [(f"Q:t^{i}", CurveModel(parity, k, _unit_coeffs(i, 3), 0)) for i in range(3)]
-    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, _unit_coeffs(j, p_len)))
-                   for j in range(p_len)]
+    directions += [(f"Q:t^{i}", CurveModel(parity, k, _unit_coeffs(i, Q_LEN), 0))
+                   for i in range(Q_LEN)]
+    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, _unit_coeffs(j, P_LEN[parity])))
+                   for j in range(P_LEN[parity])]
     tensors = [b0] + [build_tensor(model) - b0 for _, model in directions]
     labels = ["const"] + [label for label, _ in directions]
     for tensor, label in zip(tensors, labels):

@@ -32,14 +32,9 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
-    from .bracket_forge import BracketTensor, FamilyBasis
     from .curve_ring import CurveModel
 
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
-
-EVEN_Q_LEN = 3
-EVEN_P_LEN = 5
-ODD_P_LEN = 4
 
 
 class ConfigError(ValueError):
@@ -134,12 +129,10 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
 
 
 def _curve_config(args, command: str) -> JobConfig:
-    if args.k < 1:
-        raise ConfigError("k must be a positive integer")
+    from .curve_ring import P_LEN, Q_LEN
     a0 = _parse_rational(args.a0, "--a0")
-    q = _parse_coeffs(args.Q, a0, EVEN_Q_LEN, "--Q")
-    p_limit = EVEN_P_LEN if args.parity == "even" else ODD_P_LEN
-    p = _parse_coeffs(args.P, a0, p_limit, "--P")
+    q = _parse_coeffs(args.Q, a0, Q_LEN, "--Q")
+    p = _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P")
     c = _parse_rational(args.c, "--c") if args.parity == "odd" else None
     return JobConfig(command=command, parity=args.parity, k=args.k, q=q, p=p,
                      c=c, out=getattr(args, "out", None),
@@ -182,22 +175,14 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"{what} is not valid JSON: {path} ({exc})") from exc
 
 
-def _load_tensor(path: str) -> BracketTensor:
-    from .bracket_forge import BracketTensor
-    data = _load_json(path, "tensor artifact")
+def _load_artifact(path: str, cls, what: str):
+    """cls.from_json of the JSON file at path; ConfigError naming `what`
+    (tensor or family) if it is missing, not JSON or malformed."""
+    data = _load_json(path, f"{what} artifact")
     try:
-        return BracketTensor.from_json(data)
+        return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"tensor artifact malformed: {path} ({exc})") from exc
-
-
-def _load_family(path: str) -> FamilyBasis:
-    from .bracket_forge import FamilyBasis
-    data = _load_json(path, "family artifact")
-    try:
-        return FamilyBasis.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"family artifact malformed: {path} ({exc})") from exc
+        raise ConfigError(f"{what} artifact malformed: {path} ({exc})") from exc
 
 
 def _finish(report: RunReport, args) -> int:
@@ -215,16 +200,14 @@ def _finish(report: RunReport, args) -> int:
 
 
 def _run_bracket_build(args) -> int:
-    from .bracket_forge import BracketTensor, build_tensor
+    from .bracket_forge import build_tensor
     cfg = _curve_config(args, "bracket build")
     model = _curve_model(cfg)
     tensor = build_tensor(model)
     if cfg.flip_sign:
         flipped = tensor.scale(-1)
-        provenance = dict(tensor.provenance or {})
-        provenance["sign"] = "flipped"
-        tensor = BracketTensor(tensor.parity, tensor.k, tensor.n, flipped.pi,
-                               provenance)
+        flipped.provenance = dict(tensor.provenance, sign="flipped")
+        tensor = flipped
     path = _resolve_out(cfg.out, "tensor.json")
     _write_json(path, tensor.to_json())
     report = RunReport("bracket build", cfg.digest())
@@ -236,8 +219,6 @@ def _run_bracket_build(args) -> int:
 
 def _run_bracket_family(args) -> int:
     from .bracket_forge import build_family
-    if args.k < 1:
-        raise ConfigError("k must be a positive integer")
     cfg = JobConfig(command="bracket family", parity=args.parity, k=args.k,
                     out=args.out)
     family = build_family(args.parity, args.k)
@@ -252,9 +233,10 @@ def _run_bracket_family(args) -> int:
 
 
 def _run_verify_jacobi(args) -> int:
+    from .bracket_forge import BracketTensor
     from .poisson_verify import jacobi_check
     cfg = JobConfig(command="verify jacobi", source=args.source)
-    tensor = _load_tensor(args.source)
+    tensor = _load_artifact(args.source, BracketTensor, "tensor")
     verdict = jacobi_check(tensor)
     report = RunReport("verify jacobi", cfg.digest())
     report.data["dimension"] = tensor.n
@@ -265,9 +247,10 @@ def _run_verify_jacobi(args) -> int:
 
 
 def _run_verify_compat(args) -> int:
+    from .bracket_forge import FamilyBasis
     from .poisson_verify import compatibility_check, schouten_certificate
     cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
-    family = _load_family(args.family)
+    family = _load_artifact(args.family, FamilyBasis, "family")
     members = family.tensors
     pairs = list(combinations(range(len(members)), 2))
     failures = [(i, j) for i, j in pairs
@@ -285,9 +268,10 @@ def _run_verify_compat(args) -> int:
 
 
 def _run_verify_independence(args) -> int:
+    from .bracket_forge import FamilyBasis
     from .poisson_verify import independence_rank
     cfg = JobConfig(command="verify independence", source=args.family)
-    family = _load_family(args.family)
+    family = _load_artifact(args.family, FamilyBasis, "family")
     rank = independence_rank(family)
     report = RunReport("verify independence", cfg.digest())
     report.data["members"] = len(family.tensors)
@@ -300,17 +284,14 @@ def _run_verify_independence(args) -> int:
 
 def _run_verify_linearity(args) -> int:
     from .bracket_forge import build_tensor
-    from .curve_ring import CurveModel
-    if args.k < 1:
-        raise ConfigError("k must be a positive integer")
+    from .curve_ring import P_LEN, Q_LEN, CurveModel
     if args.samples < 1:
         raise ConfigError("samples must be positive")
     c = _parse_rational(args.c, "--c") if args.parity == "odd" else None
     cfg = JobConfig(command="verify linearity", parity=args.parity, k=args.k,
                     c=c, seed=args.seed, samples=args.samples)
     rng = random.Random(args.seed)
-    q_len = EVEN_Q_LEN
-    p_len = EVEN_P_LEN if args.parity == "even" else ODD_P_LEN
+    p_len = P_LEN[args.parity]
 
     def model_for(q, p) -> CurveModel:
         if args.parity == "even":
@@ -318,10 +299,10 @@ def _run_verify_linearity(args) -> int:
         return CurveModel.odd(args.k, c, q, p)
 
     def draw() -> Tuple[List[int], List[int]]:
-        return ([rng.randrange(-3, 4) for _ in range(q_len)],
+        return ([rng.randrange(-3, 4) for _ in range(Q_LEN)],
                 [rng.randrange(-3, 4) for _ in range(p_len)])
 
-    base = build_tensor(model_for([0] * q_len, [0] * p_len))
+    base = build_tensor(model_for([0] * Q_LEN, [0] * p_len))
     failed = None
     for index in range(args.samples):
         q1, p1 = draw()
@@ -341,12 +322,13 @@ def _run_verify_linearity(args) -> int:
 
 
 def _run_rank_scan(args) -> int:
+    from .bracket_forge import BracketTensor
     from .poisson_verify import rank_scan
     if args.samples < 1:
         raise ConfigError("samples must be positive")
     cfg = JobConfig(command="rank scan", source=args.source, seed=args.seed,
                     samples=args.samples, out=args.out)
-    tensor = _load_tensor(args.source)
+    tensor = _load_artifact(args.source, BracketTensor, "tensor")
     scan = rank_scan(tensor, args.samples, args.seed)
     path = _resolve_out(cfg.out, "rank_hist.csv")
     _write_lines(path, scan.csv_rows())

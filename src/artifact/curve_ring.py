@@ -14,9 +14,10 @@ S = (w1 + w2)/(t1 - t2) and the canonical derivation, off x-coordinates
 of basis monomials in closed form.  The residues of S are proved in
 closed form here.
 
-Curve coefficients may involve extra symbolic parameters (the `params`
-tuple of the model); the residue certificate and the bracket assembly
-require a fully numeric curve.
+Curves are numeric: Q and P have rational coefficients in t.  The module
+owns the shape rules every other module reads: Q_LEN and P_LEN count the
+coefficients of Q and P, and dimension(parity, k) is the size of the
+level-k section space.
 """
 
 from __future__ import annotations
@@ -33,6 +34,21 @@ class DegenerateDivisor(ValueError):
 
 PolyLike = Union[Poly, Sequence[RationalLike], RationalLike]
 
+# Coefficients of Q (deg <= 2) and of P (deg <= 4 even, <= 3 odd).
+Q_LEN = 3
+P_LEN = {"even": 5, "odd": 4}
+
+
+def dimension(parity: str, k: int) -> int:
+    """Dimension of the level-k section space: 2k even, 2k + 1 odd.
+
+    ValueError on an unknown parity or a k that is not an int >= 1."""
+    if parity not in P_LEN:
+        raise ValueError(f"unknown parity {parity!r}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return 2 * k + (parity == "odd")
+
 
 def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
     if isinstance(value, Poly):
@@ -45,27 +61,23 @@ def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
 class CurveModel:
     """One plane curve in either parity, with its derived data.
 
-    `k_param` selects the default section space (dimension 2k even,
-    2k+1 odd).  `params` lists extra symbolic coefficient variables.
+    `k_param` selects the default section space (see dimension).
+    Q and P are numeric polynomials in t.
     """
 
+    tvars = ("t",)
+
     def __init__(self, parity: str, k_param: int, Q: PolyLike, P: PolyLike,
-                 c: Optional[RationalLike] = None, params: Sequence[str] = ()):
-        if parity not in ("even", "odd"):
-            raise ValueError(f"unknown parity {parity!r}")
-        if k_param < 1:
-            raise ValueError("k_param must be a positive integer")
+                 c: Optional[RationalLike] = None):
+        dimension(parity, k_param)  # raises on a bad parity or k
         self.parity = parity
-        self.k_param = int(k_param)
-        self.params = tuple(params)
-        self.tvars = ("t",) + self.params
+        self.k_param = k_param
         self.Q = _coerce_t_poly(Q, self.tvars)
         self.P = _coerce_t_poly(P, self.tvars)
-        if self.Q.degree_in("t") > 2:
-            raise ValueError("deg Q must be at most 2")
-        pmax = 4 if parity == "even" else 3
-        if self.P.degree_in("t") > pmax:
-            raise ValueError(f"deg P must be at most {pmax} in the {parity} parity")
+        if self.Q.degree_in("t") >= Q_LEN:
+            raise ValueError(f"deg Q must be at most {Q_LEN - 1}")
+        if self.P.degree_in("t") >= P_LEN[parity]:
+            raise ValueError(f"deg P must be at most {P_LEN[parity] - 1} in the {parity} parity")
         if parity == "even":
             if c not in (None, 0):
                 raise ValueError("the even parity has no pole parameter c")
@@ -75,13 +87,12 @@ class CurveModel:
         self.R = self.tau_poly() * self.P + self.Q * self.Q * Fraction(1, 4)
 
     @classmethod
-    def even(cls, k_param: int, Q: PolyLike, P: PolyLike, params: Sequence[str] = ()) -> "CurveModel":
-        return cls("even", k_param, Q, P, params=params)
+    def even(cls, k_param: int, Q: PolyLike, P: PolyLike) -> "CurveModel":
+        return cls("even", k_param, Q, P)
 
     @classmethod
-    def odd(cls, k_param: int, c: RationalLike, Q: PolyLike, P: PolyLike,
-            params: Sequence[str] = ()) -> "CurveModel":
-        return cls("odd", k_param, Q, P, c=c, params=params)
+    def odd(cls, k_param: int, c: RationalLike, Q: PolyLike, P: PolyLike) -> "CurveModel":
+        return cls("odd", k_param, Q, P, c=c)
 
     def tau_poly(self) -> Poly:
         """tau of the curve tau x^2 = Q x + P: 1 (even) or the linear
@@ -92,7 +103,7 @@ class CurveModel:
 
     def defining_poly(self) -> Poly:
         """F(t, x) with F = x^2 - Qx - P (even) or (t+c)x^2 - Qx - P (odd)."""
-        ctx = ("t", "x") + self.params
+        ctx = ("t", "x")
         x = Poly.var(ctx, "x")
         Q = self.Q.with_context(ctx)
         P = self.P.with_context(ctx)
@@ -100,10 +111,6 @@ class CurveModel:
             return x * x - Q * x - P
         tau = Poly.var(ctx, "t") + Poly.const(ctx, self.c)
         return tau * x * x - Q * x - P
-
-    def _require_numeric(self, what: str) -> None:
-        if self.params:
-            raise ValueError(f"{what} requires a numeric curve, got parameters {self.params}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurveModel):
@@ -118,15 +125,14 @@ class CurveModel:
         return f"CurveModel({core})"
 
     def to_json(self) -> Dict[str, object]:
-        self._require_numeric("serialization")
-        pmax = 4 if self.parity == "even" else 3
-        qs = self.Q.coeffs_univar("t") + [Fraction(0)] * 3
-        ps = self.P.coeffs_univar("t") + [Fraction(0)] * (pmax + 1)
+        p_len = P_LEN[self.parity]
+        qs = self.Q.coeffs_univar("t") + [Fraction(0)] * Q_LEN
+        ps = self.P.coeffs_univar("t") + [Fraction(0)] * p_len
         out: Dict[str, object] = {
             "parity": self.parity,
             "k": self.k_param,
-            "Q": [rat_str(q) for q in qs[:3]],
-            "P": [rat_str(p) for p in ps[: pmax + 1]],
+            "Q": [rat_str(q) for q in qs[:Q_LEN]],
+            "P": [rat_str(p) for p in ps[:p_len]],
         }
         if self.parity == "odd":
             out["c"] = rat_str(self.c)
@@ -143,10 +149,8 @@ class SectionSpace:
     def __init__(self, model: CurveModel, k: Optional[int] = None):
         self.model = model
         self.k = model.k_param if k is None else k
-        if self.k < 1:
-            raise ValueError("section level k must be positive")
-        self.x_deg_max = self.k - 2 if model.parity == "even" else self.k - 1
-        self.dim = (self.k + 1) + (self.x_deg_max + 1)
+        self.dim = dimension(model.parity, self.k)
+        self.x_deg_max = self.dim - self.k - 2
 
     def labels(self) -> List[str]:
         out = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, self.k + 1)]
@@ -182,7 +186,6 @@ def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
     on each branch.  The w2-part w2 u/(2 s sqrt(a) h(u) (1 - t2 u)) du has
     valuation >= 1 in u, so its residue is 0.
     """
-    model._require_numeric("residue certification")
     if not model.R.coeff((4,)):
         raise DegenerateDivisor("t^4 coefficient of R vanishes; divisor at infinity degenerates")
     half = Fraction(1, 2)

@@ -47,16 +47,6 @@ class RankReport(NamedTuple):
     flagged: Tuple[int, ...]
     pencil_drops: Tuple[dict, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": len(self.points),
-            "histogram": {str(r): c for r, c in sorted(self.histogram.items())},
-            "generic_rank": self.generic_rank,
-            "flagged": list(self.flagged),
-            "pencil_drops": list(self.pencil_drops),
-        }
-
     def csv_rows(self) -> List[str]:
         rows = ["rank,count"]
         for r, c in sorted(self.histogram.items()):

@@ -63,7 +63,7 @@ class BiCurveElement:
 
     @property
     def bivars(self) -> Tuple[str, ...]:
-        return ("t1", "t2") + self.model.params
+        return ("t1", "t2")
 
     @property
     def coeffs(self) -> Tuple[Poly, Poly, Poly, Poly]:
@@ -74,7 +74,7 @@ class BiCurveElement:
         """The product e1(slot 1) * e2(slot 2)."""
         check_models(e1.model, e2.model)
         model = e1.model
-        bivars = ("t1", "t2") + model.params
+        bivars = ("t1", "t2")
         a1, b1, m1 = w_parts(e1)
         a2, b2, m2 = w_parts(e2)
         A1, B1 = (p.with_context(bivars, {"t": "t1"}) for p in (a1, b1))
@@ -133,7 +133,7 @@ class BiCurveElement:
 
 def szego_kernel(model: CurveModel) -> BiCurveElement:
     """Numerator w1 + w2 of the kernel S = (w1 + w2)/(t1 - t2)."""
-    bivars = ("t1", "t2") + model.params
+    bivars = ("t1", "t2")
     zero = Poly(bivars)
     one = Poly.const(bivars, 1)
     return BiCurveElement(model, zero, one, one, zero)

@@ -213,12 +213,12 @@ def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],
     """Normal form of a raw polynomial expression in t and x.
 
     The numerator may be a Poly over any variable tuple containing the
-    variables it uses (t, x and the model parameters).  An optional
+    variables it uses (t and x).  An optional
     denominator must be a nonzero rational multiple of a power of (t+c)
     in the odd parity, or a nonzero rational in the even parity;
     anything else raises DivisionByNonUnit.
     """
-    ctx = ("t", "x") + model.params
+    ctx = ("t", "x")
     if isinstance(numerator, Poly):
         numerator = numerator.with_context(ctx)
     else:

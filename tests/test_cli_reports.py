@@ -367,6 +367,47 @@ def test_verify_rejects_non_list_entries(tmp_path, monkeypatch, capsys, corrupt,
         assert "pass" not in out
 
 
+@pytest.mark.parametrize("k, n", [(0, 0), (-1, -2)], ids=["k0", "k-1"])
+def test_artifacts_below_level_one_are_rejected(tmp_path, monkeypatch, capsys, k, n):
+    """A tensor or family artifact with k < 1 is malformed even when n
+    matches 2k: the loaders raise, and every command reading it exits 2
+    with nothing on stdout.  The loaders are asserted first, since a rank
+    scan that accepted such a tensor would draw empty points forever."""
+    tensor = {"parity": "even", "k": k, "n": n, "pi": []}
+    family = {"parity": "even", "k": k, "basis": [tensor] * 9,
+              "labels": [f"m{i}" for i in range(9)]}
+    with pytest.raises(ValueError):
+        BracketTensor.from_json(tensor)
+    with pytest.raises(ValueError):
+        FamilyBasis.from_json(family)
+    monkeypatch.chdir(tmp_path)
+    Path("tensor.json").write_text(json.dumps(tensor))
+    Path("family.json").write_text(json.dumps(family))
+    for argv, kind in ((["verify", "jacobi", "--in", "tensor.json"], "tensor"),
+                       (["rank", "scan", "--in", "tensor.json", "--samples", "2"], "tensor"),
+                       (["verify", "compat", "--family", "family.json"], "family"),
+                       (["verify", "independence", "--family", "family.json"], "family")):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert f"{kind} artifact malformed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "build", "--parity", "even", "--k", "0"],
+    ["bracket", "family", "--parity", "odd", "--k", "-1"],
+    ["verify", "linearity", "--parity", "odd", "--k", "0"],
+    ["szego", "check", "--parity", "even", "--k", "0"],
+], ids=["build", "family", "linearity", "szego"])
+def test_curve_commands_reject_k_below_one(tmp_path, monkeypatch, capsys, argv):
+    """k < 1 is a configuration error (exit 2) that writes no artifact."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and "config error: k must be a positive integer" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_independence_full_rank(tmp_path, monkeypatch, capsys):
     """The nine-member basis has rank nine over the rationals."""
     monkeypatch.chdir(tmp_path)

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from artifact.bracket_forge import _kernel_curve, _kernel_grid
-from artifact.curve_ring import CurveModel, DegenerateDivisor, SectionSpace, verify_szego_residues
+from artifact.curve_ring import (CurveModel, DegenerateDivisor, SectionSpace, dimension,
+                                 verify_szego_residues)
 from artifact.exact_core import Poly
 
 from assembly_route import BiCurveElement, mult_kernel_antisym, szego_kernel
@@ -48,11 +49,24 @@ def _rand_tx_poly(rng, max_tdeg=3, max_xdeg=2):
     return Poly(TX, terms)
 
 
+def test_dimension_is_the_one_shape_rule():
+    """dimension is 2k even, 2k + 1 odd, and refuses any other parity or a
+    k that is not an int >= 1; models and section spaces read it."""
+    assert [dimension(parity, k) for parity in ("even", "odd") for k in (1, 2, 3)] == [
+        2, 4, 6, 3, 5, 7]
+    for parity, k in (("flat", 2), ("even", 0), ("odd", -1), ("even", True), ("odd", 1.0)):
+        with pytest.raises(ValueError):
+            dimension(parity, k)
+        with pytest.raises(ValueError):
+            CurveModel(parity, k, 0, 0)
+    assert SectionSpace(CurveModel.odd(3, 1, 0, 0)).dim == 7
+
+
 def test_reduce_even_square_is_constant():
-    model = CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
-    e = reduce(model, _x(("t", "x", "a0")) ** 2)
+    model = CurveModel.even(1, 0, 5)
+    e = reduce(model, _x() ** 2)
     assert e.beta.is_zero
-    assert e.alpha == Poly.var(model.tvars, "a0")
+    assert e.alpha == Poly.const(model.tvars, 5)
     assert e.denom_power == 0
 
 
@@ -63,14 +77,13 @@ def test_reduce_multiplicative_identity():
 
 
 def test_reduce_odd_square_has_simple_pole():
-    model = CurveModel.odd(1, 0, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
-    ctx = ("t", "x", "a0")
-    e = reduce(model, _x(ctx) ** 2)
-    assert e.alpha == Poly.var(model.tvars, "a0")
+    model = CurveModel.odd(1, 0, 0, 5)
+    e = reduce(model, _x() ** 2)
+    assert e.alpha == Poly.const(model.tvars, 5)
     assert e.beta.is_zero
     assert e.denom_power == 1
-    # z-substitution oracle: t x^2 - a0 dies on the curve
-    relation = _t(ctx) * _x(ctx) ** 2 - Poly.var(ctx, "a0")
+    # z-substitution oracle: t x^2 - 5 dies on the curve
+    relation = _t() * _x() ** 2 - 5
     assert reduce(model, relation).is_zero
 
 
@@ -98,7 +111,7 @@ def test_reduce_division_by_pole_factor():
 
 
 def test_derivation_generator_rules_even():
-    model = CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
+    model = CurveModel.even(1, 0, 5)
     dt = curve_derivation(t_elem(model))
     assert dt == CurveElement(model, 0, 2)  # 2x when Q = 0
     assert curve_derivation(one(model)).is_zero
@@ -232,7 +245,7 @@ def test_mult_kernel_antisym_one_t():
 
 
 def test_mult_kernel_antisym_one_x_dies():
-    model = CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"), params=("a0",))
+    model = CurveModel.even(1, 0, 5)
     out = mult_kernel_antisym(one(model), x_elem(model))
     assert out.is_zero
 

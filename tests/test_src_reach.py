@@ -7,6 +7,10 @@ attribute from src code outside its own body, unless it is a named test
 oracle or a leftover still waiting to be deleted or wired in.  A new
 test-only helper therefore has to be added to ORACLES on purpose.
 Methods are named "Class.method".
+
+Methods are matched by attribute name alone, so a method that shares its
+name with one src does call elsewhere (every to_json, say) counts as
+reached even when no src code calls it on its own class.
 """
 
 import ast
