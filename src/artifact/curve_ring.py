@@ -61,7 +61,7 @@ def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
 class CurveModel:
     """One plane curve in either parity, with its derived data.
 
-    `k_param` selects the default section space (see dimension).
+    `k_param` selects the section space (see dimension).
     Q and P are numeric polynomials in t.
     """
 
@@ -146,9 +146,9 @@ class SectionSpace:
     Odd basis:  1, t, ..., t^k, x, t x, ..., t^(k-1) x (dimension 2k+1).
     """
 
-    def __init__(self, model: CurveModel, k: Optional[int] = None):
+    def __init__(self, model: CurveModel):
         self.model = model
-        self.k = model.k_param if k is None else k
+        self.k = model.k_param
         self.dim = dimension(model.parity, self.k)
         self.x_deg_max = self.dim - self.k - 2
 

@@ -1,17 +1,29 @@
 """Certification of bracket tensors: Jacobi, compatibility, ranks.
 
-All checks run over exact rationals or integers.  A quadratic bivector pi
-on the coordinate space descends to a Poisson bivector on projective
-space exactly when the 4-vector E ^ [pi, pi] vanishes, E being the Euler
-field: at a point x != 0, E ^ w = 0 says that w lies in x ^ (bivectors),
-the kernel of the pushforward.  One integer routine reads the components
-(E ^ V)^{0I} of a multivector V, and three checks share it: the Jacobi
-and compatibility certificates (V the Jacobiator), the failure witness
-(the first nonzero component at x_0 = 1, which is the Jacobiator of the
-bracket on the affine chart x_0 = 1) and the independence rank (V = pi,
-whose components at x_0 = 1 are the structure functions on that chart).
-Modifications of a tensor along the radial direction (Euler terms) are
-invisible to every check.
+All checks run over exact rationals or integers, and every verdict and
+the independence rank read one normal form of a quadratic bivector pi,
+its divergence-free lift pi~ = pi - (1/n) E ^ div pi.  E is the Euler
+field and (div pi)^c = sum_d d_d pi^{dc}, a linear vector field.
+
+Theorem.  pi descends to a Poisson bivector on projective space exactly
+when Jac(pi~) = 0, Jac(pi)^{abc} = sum_d pi^{ad} d_d pi^{bc} + cyclic
+being [pi, pi]/2; and pi~ = 0 exactly when pi is radial, pi = E ^ X.
+
+Proof.  For V of polynomial degree p and multivector degree q, Koszul's
+identity reads div(E ^ V) + E ^ div V = (n + p - q) V.  For V = pi it
+gives pi~ = div(E ^ pi)/n, which vanishes for pi = E ^ X, while pi~ = 0
+says pi = E ^ div pi/n.  For V = div pi, as div div = 0, it gives
+div pi~ = 0.  As [E, pi] = 0, E ^ Jac(pi~) = E ^ Jac(pi), whose vanishing
+is the projective Jacobi identity (at x != 0, E ^ w = 0 says w lies in
+x ^ (bivectors), the kernel of the pushforward).  Conversely, if J =
+Jac(pi~) has E ^ J = 0, then div J = +-[div pi~, pi~] = 0, since div
+differentiates the Schouten bracket, and Koszul with p = q = 3 gives
+n J = 0.  (Polishchuk, Algebraic geometry of Poisson brackets, J. Math.
+Sci. 84, 1997; Eisenbud, Commutative Algebra, section 17.)
+
+E ^ is formed only for the failure witness: the first nonzero
+(E ^ Jac(pi~))^{0abc} at x_0 = 1 is the first nonzero Jacobiator entry
+on the chart x_0 = 1.
 """
 
 from __future__ import annotations
@@ -39,7 +51,6 @@ def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
 class RankReport(NamedTuple):
     """Outcome of a pointwise rank scan of one bracket tensor."""
 
-    seed: int
     points: Tuple[Tuple[Fraction, ...], ...]
     ranks: Tuple[int, ...]
     histogram: Dict[int, int]
@@ -58,19 +69,35 @@ class RankReport(NamedTuple):
 # monomial prod x_i^e_i is keyed by sum e_i * 8**i, so multiplying two
 # monomials adds their keys.  Exponents stay below 8 up to degree 4.
 IntPoly = Dict[int, int]
+IntForms = Dict[Tuple[int, int], Dict[Tuple[int, int], int]]
 
 
-def _integer_forms(T: BracketTensor) -> Tuple[int, Dict[Tuple[int, int], Dict[Tuple[int, int], int]]]:
+def _integer_forms(T: BracketTensor) -> Tuple[int, IntForms]:
     """The common denominator D of all coefficients, and every form of T times D."""
     den, ints = clear_denominators(val for form in T.pi.values() for val in form.values())
     ints = iter(ints)
     return den, {pair: {uv: next(ints) for uv in form} for pair, form in T.pi.items()}
 
 
-def _packed(forms: Dict[Tuple[int, int], Dict[Tuple[int, int], int]]) -> Dict[Tuple[int, int], IntPoly]:
+def _packed(forms: IntForms) -> Dict[Tuple[int, int], IntPoly]:
     """Integer forms as packed polynomials."""
     return {pair: {8 ** u + 8 ** v: val for (u, v), val in form.items()}
             for pair, form in forms.items()}
+
+
+def _lift(T: BracketTensor) -> Tuple[int, IntForms]:
+    """s and the forms of s pi~, s the common denominator of the lift.  A term
+    v x_u x_w of pi^{dc} adds v to div[c][w] if u = d and to div[c][u] if w = d."""
+    n = T.n
+    div: List[List[RationalLike]] = [[0] * n for _ in range(n)]
+    for (a, b), form in T.pi.items():
+        for (u, w), v in form.items():
+            for d, c, val in ((a, b, v), (b, a, -v)):
+                if u == d:
+                    div[c][w] += val
+                if w == d:
+                    div[c][u] += val
+    return _integer_forms(T + euler_tensor(T, [[-x / n if x else 0 for x in row] for row in div]))
 
 
 def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
@@ -86,23 +113,18 @@ def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
     return grad
 
 
-def _integer_jacobiator(T: BracketTensor) -> Tuple[int, Dict[Tuple[int, int, int], IntPoly]]:
-    """D and Jac(D pi) = D^2 Jac(pi), D the common denominator of T.
-
-    Jac(pi)^{abc} = sum_d pi^{ad} d_d pi^{bc} + cyclic in (a, b, c) is the
-    Jacobiator of pi; it is kept for every a < b < c.
-    """
-    n = T.n
-    den, forms = _integer_forms(T)
+def _integer_jacobiator(forms: Dict[Tuple[int, int], IntPoly],
+                        n: int) -> Iterator[Tuple[Tuple[int, int, int], IntPoly]]:
+    """The nonzero Jac(pi)^{abc}, a < b < c in sorted order, of packed
+    integer forms.  Every term needs the rows of a, b and c, so only
+    triples of indices with a nonempty row are walked."""
     rows: List[Dict[int, IntPoly]] = [{} for _ in range(n)]
-    for (a, b), poly in _packed(forms).items():
+    for (a, b), poly in forms.items():
         rows[a][b] = poly
         rows[b][a] = {mono: -val for mono, val in poly.items()}
-    grads = {(b, c): _gradient(poly, n)
-             for b in range(n) for c, poly in rows[b].items() if b < c}
-    jac: Dict[Tuple[int, int, int], IntPoly] = {}
-    for a, b, c in combinations(range(n), 3):
-        acc = jac[(a, b, c)] = {}
+    grads = {pair: _gradient(poly, n) for pair, poly in forms.items()}
+    for a, b, c in combinations([i for i in range(n) if rows[i]], 3):
+        acc: IntPoly = {}
         for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
             row = rows[i]
             for d, lin in grads.get(pair, {}).items():
@@ -113,71 +135,47 @@ def _integer_jacobiator(T: BracketTensor) -> Tuple[int, Dict[Tuple[int, int, int
                     for m2, v2 in lin.items():
                         key = m1 + m2
                         acc[key] = acc.get(key, 0) + sign * v1 * v2
-    return den, jac
-
-
-def _chart0_wedge(V: Dict[Tuple[int, ...], IntPoly], n: int,
-                  q: int) -> Iterator[Tuple[Tuple[int, ...], IntPoly]]:
-    """(E ^ V)^{(0,) + I} for every q-subset I of {1..n-1}, in sorted order.
-
-    V is a q-vector keyed by sorted index tuples, a missing key being zero;
-    (E ^ V)^J = sum_pos (-1)^pos x_{J[pos]} V^{J without J[pos]}.  Zero
-    coefficients are dropped.
-    """
-    for I in combinations(range(1, n), q):
-        J = (0,) + I
-        acc: IntPoly = {}
-        for pos, a in enumerate(J):
-            sign = -1 if pos % 2 else 1
-            shift = 8 ** a
-            for mono, val in V.get(J[:pos] + J[pos + 1:], {}).items():
-                key = mono + shift
-                acc[key] = acc.get(key, 0) + sign * val
-        yield I, {mono: val for mono, val in acc.items() if val}
-
-
-def _first_obstruction(T: BracketTensor) -> Optional[Tuple[Tuple[int, ...], IntPoly, int]]:
-    """(a, b, c), the first nonzero (E ^ Jac(D pi))^{0abc} in sorted order,
-    and D^2; None when every such component vanishes."""
-    den, jac = _integer_jacobiator(T)
-    return next(((abc, poly, den * den) for abc, poly in _chart0_wedge(jac, T.n, 3) if poly),
-                None)
+        acc = {mono: val for mono, val in acc.items() if val}
+        if acc:
+            yield (a, b, c), acc
 
 
 def schouten_certificate(T: BracketTensor) -> bool:
-    """True when E ^ Jac(pi) vanishes identically.
-
-    The vanishing of E ^ Jac(pi) is the Jacobi identity of the bracket
-    that pi induces on projective space.  The tensor is scaled by its
-    common denominator, which leaves the zero test unchanged, and the
-    identity is checked over ints on the components (0, a, b, c) alone:
-    W = E ^ Jac satisfies E ^ W = 0, that is
-    x_0 W^{abcd} = x_a W^{0bcd} - x_b W^{0acd} + x_c W^{0abd} - x_d W^{0abc},
-    so W vanishes exactly when its 0-components do.
-    """
-    return _first_obstruction(T) is None
+    """True when the Jacobiator of the lift, cleared to ints, is empty: the
+    Jacobi identity on projective space.  It stops at the first entry."""
+    return next(_integer_jacobiator(_packed(_lift(T)[1]), T.n), None) is None
 
 
 def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
     """First nonzero Jacobiator entry on chart 0, or None when T certifies.
 
     On the chart x_0 = 1, du_a = dx_a - u_a dx_0, so the chart Jacobiator
-    J(u_a, u_b, u_c) is (E ^ Jac(pi))^{0abc} at x_0 = 1, x_a = u_a.  Setting
-    x_0 = 1 maps the quartic monomials one to one, so the first nonzero
-    0-component gives the first nonzero chart entry.
+    J(u_a, u_b, u_c) is (E ^ Jac(pi~))^{0abc} at x_0 = 1, x_a = u_a, and the
+    quartic monomials map one to one.  A nonzero Jac(pi~) has a nonzero
+    0-component, as W = E ^ Jac vanishes with them: E ^ W = 0 gives
+    x_0 W^{abcd} = x_a W^{0bcd} - x_b W^{0acd} + x_c W^{0abd} - x_d W^{0abc}.
     """
-    found = _first_obstruction(T)
-    if found is None:
+    scale, forms = _lift(T)
+    jac = dict(_integer_jacobiator(_packed(forms), T.n))
+    if not jac:
         return None
-    triple, poly, scale = found
-    ctx = tuple(f"u{a}" for a in range(1, T.n))
-    terms = {tuple((mono >> (3 * a)) & 7 for a in range(1, T.n)): Fraction(val, scale)
-             for mono, val in poly.items()}
-    return {"chart": 0, "triple": triple, "obstruction": str(Poly(ctx, terms))}
+    for a, b, c in combinations(range(1, T.n), 3):
+        acc: IntPoly = {}
+        for x, triple, sign in ((0, (a, b, c), 1), (a, (0, b, c), -1),
+                                (b, (0, a, c), 1), (c, (0, a, b), -1)):
+            for mono, val in jac.get(triple, {}).items():
+                key = mono + 8 ** x
+                acc[key] = acc.get(key, 0) + sign * val
+        if any(acc.values()):
+            ctx = tuple(f"u{i}" for i in range(1, T.n))
+            terms = {tuple((mono >> (3 * i)) & 7 for i in range(1, T.n)):
+                     Fraction(val, scale * scale) for mono, val in acc.items() if val}
+            return {"chart": 0, "triple": (a, b, c), "obstruction": str(Poly(ctx, terms))}
+    return None
 
 
 def jacobi_check(T: BracketTensor) -> dict:
-    """Jacobi verdict from E ^ [pi, pi] = 0, with a chart witness on failure."""
+    """Jacobi verdict from Jac(pi~) = 0, with a chart witness on failure."""
     witness = _first_jacobi_witness(T)
     return {"holds": witness is None, "witness": witness}
 
@@ -189,19 +187,12 @@ def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
 
 
 def independence_rank(F: FamilyBasis) -> int:
-    """Rank of the family as projective bivectors.
-
-    Stacks the integer coefficients of (E ^ pi)^{0ab} of every member, each
-    cleared by its own denominator, into a matrix (one row per member) and
-    computes its exact rank.  At x_0 = 1 these components are the structure
-    functions of chart 0, and setting x_0 = 1 maps the cubic monomials one
-    to one, so this is the chart-0 rank.  A combination of members whose
-    descent vanishes on the dense chart 0 vanishes on every chart, so one
-    chart gives the projective rank.
-    """
-    rows = [{(ab, mono): val
-             for ab, poly in _chart0_wedge(_packed(_integer_forms(T)[1]), T.n, 2)
-             for mono, val in poly.items()}
+    """Rank of the family as projective bivectors: the lift is linear and
+    vanishes exactly on radial bivectors, so it is the rank of the lifts.
+    Each member's lifted integer coefficients, keyed by (pair, monomial),
+    make one row."""
+    rows = [{(pair, mono): val for pair, form in _lift(T)[1].items()
+             for mono, val in form.items()}
             for T in F.tensors]
     keys = sorted({key for row in rows for key in row})
     return _matrix_rank([[row.get(key, 0) for key in keys] for row in rows])
@@ -306,7 +297,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
             if r < generic:
                 drops.append({"s": rat_str(s), "rank": r,
                               "point": [rat_str(x) for x in probe]})
-    return RankReport(seed, points, ranks, histogram, generic, flagged, tuple(drops))
+    return RankReport(points, ranks, histogram, generic, flagged, tuple(drops))
 
 
 def _phi_context(n: int) -> Tuple[str, ...]:
@@ -441,26 +432,21 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
 def euler_tensor(template: BracketTensor, matrix: Sequence[Sequence[RationalLike]]) -> BracketTensor:
     """Radial modification E ^ X for the linear field X_a = sum matrix[a][c] x_c.
 
-    Produces a tensor of the template's shape whose chart descent vanishes;
-    adding it to any tensor must leave every projective check unchanged.
+    (E ^ X)^{ab} = x_a X_b - x_b X_a, so each nonzero matrix[b][c] adds
+    x_a x_c to the (a, b) entry for every a != b.  Its lift is zero.
     """
     n = template.n
-    rows = [[rat(x) for x in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix shape must match the tensor size")
     pi: Dict[Tuple[int, int], FormDict] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            form: FormDict = {}
-            for c in range(n):
-                if rows[b][c]:
+    for b, row in enumerate(matrix):
+        for c, val in enumerate(row):
+            if not val:
+                continue
+            val = rat(val)
+            for a in range(n):
+                if a != b:
+                    form = pi.setdefault((min(a, b), max(a, b)), {})
                     key = (min(a, c), max(a, c))
-                    form[key] = form.get(key, Fraction(0)) + rows[b][c]
-                if rows[a][c]:
-                    key = (min(b, c), max(b, c))
-                    form[key] = form.get(key, Fraction(0)) - rows[a][c]
-            form = {key: val for key, val in form.items() if val}
-            if form:
-                pi[(a, b)] = form
-    prov = {"kind": "radial", "matrix": [[rat_str(x) for x in row] for row in rows]}
-    return BracketTensor(template.parity, template.k, template.n, pi, prov)
+                    form[key] = form.get(key, Fraction(0)) + (val if a < b else -val)
+    return BracketTensor(template.parity, template.k, template.n, pi, {"kind": "radial"})

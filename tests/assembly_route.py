@@ -17,7 +17,7 @@ first form, two zero-curve assemblies.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey, Slot,
                                     TensorNotInSectionSpace, _basis_slots, _overflow_details)
@@ -291,13 +291,13 @@ def division_kernel_grid(sa: Slot, sb: Slot, model: CurveModel) -> Grid:
     return grid
 
 
-def truncated_five_term(model: CurveModel, k: Optional[int] = None) -> BracketTensor:
+def truncated_five_term(model: CurveModel) -> BracketTensor:
     """Literal five-term assembly W(c, Q, P) of an odd curve with pole parts
     and excess monomials dropped, by the per-pair route.  It is the raw
     ingredient of the odd build, not itself a Poisson tensor in general."""
     if model.parity != "odd":
         raise ValueError("the truncated assembly needs an odd curve")
-    space = SectionSpace(model, k)
+    space = SectionSpace(model)
     return BracketTensor("odd", space.k, space.dim, five_term_forms(space, truncate=True))
 
 

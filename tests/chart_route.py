@@ -1,10 +1,11 @@
 """Reference route for the projective checks, kept as a test oracle.
 
-The library reads the Jacobi verdict, the failure witness and the
-independence rank off the components (E ^ V)^{0I} over ints.  This module
-keeps the slower routes they are cross-checked against: chart descent to
-the ratio coordinates u_a = x_a/x_m over Fractions, the chart Jacobiator
-by the Leibniz rule, and the E ^ Jac wedge on every component
+The library reads the Jacobi verdict and the independence rank off the
+divergence-free lift pi~ = pi - (1/n) E ^ div pi over ints, and forms
+E ^ only for the failure witness.  This module keeps the slower routes
+they are cross-checked against: chart descent to the ratio coordinates
+u_a = x_a/x_m over Fractions, the chart Jacobiator by the Leibniz rule,
+and the E ^ Jac(pi) wedge of the raw tensor on every component
 a < b < c < d.
 """
 
@@ -15,7 +16,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from artifact.bracket_forge import BracketTensor, FormDict
 from artifact.exact_core import Poly
-from artifact.poisson_verify import IntPoly, _integer_jacobiator, _matrix_rank
+from artifact.poisson_verify import (IntPoly, _integer_forms, _integer_jacobiator,
+                                     _matrix_rank, _packed)
 
 
 def _chart_context(n: int, m: int) -> Tuple[str, ...]:
@@ -122,14 +124,16 @@ def chart_witness(T: BracketTensor) -> Optional[dict]:
 
 
 def wedge_certificate(T: BracketTensor) -> bool:
-    """E ^ Jac(pi) = 0 tested on every component a < b < c < d."""
-    jac = _integer_jacobiator(T)[1]
+    """E ^ Jac(pi) = 0 tested on every component a < b < c < d, on the raw
+    tensor: the reference for the E ^ route that the library no longer
+    takes for its verdict.  A triple missing from the Jacobiator is zero."""
+    jac = dict(_integer_jacobiator(_packed(_integer_forms(T)[1]), T.n))
     for quad in combinations(range(T.n), 4):
         wedge: IntPoly = {}
         for pos, a in enumerate(quad):
             sign = -1 if pos % 2 else 1
             shift = 8 ** a
-            for mono, val in jac[quad[:pos] + quad[pos + 1:]].items():
+            for mono, val in jac.get(quad[:pos] + quad[pos + 1:], {}).items():
                 key = mono + shift
                 wedge[key] = wedge.get(key, 0) + sign * val
         if any(wedge.values()):

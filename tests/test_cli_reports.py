@@ -7,6 +7,7 @@ files under tests/golden.  Set UPDATE_GOLDENS=1 to regenerate the files.
 
 import json
 import os
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -167,6 +168,18 @@ def test_verify_jacobi_malformed_artifact(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["verify", "jacobi", "--in", "broken.json"], capsys)
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_verify_jacobi_empty_artifact_is_quick(tmp_path, monkeypatch, capsys):
+    """The certificate walks only indices with a nonzero row, so the empty
+    tensor at k = 100 passes at once instead of walking C(200, 3) triples."""
+    monkeypatch.chdir(tmp_path)
+    Path("empty.json").write_text(json.dumps({"parity": "even", "k": 100, "n": 200, "pi": []}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(["verify", "jacobi", "--in", "empty.json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "jacobi: pass" in out
 
 
 def test_verify_compat_full_sweep(tmp_path, monkeypatch, capsys):

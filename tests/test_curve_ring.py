@@ -169,25 +169,27 @@ def test_derivation_tangent_to_curve():
         assert total.is_zero
 
 
+def _on(model, e):
+    """e as an element of model, the same curve at another k."""
+    return CurveElement(model, e.alpha, e.beta, e.denom_power)
+
+
 def test_derivation_raises_section_level_even():
-    model = _even_model(3)
     for k in (1, 2, 3):
-        space = SectionSpace(model, k)
-        target = SectionSpace(model, k + 1)
-        for e in basis_elements(space):
-            membership_extract(curve_derivation(e), target)  # must not raise
+        target = SectionSpace(_even_model(k + 1))
+        for e in basis_elements(SectionSpace(_even_model(k))):
+            membership_extract(_on(target.model, curve_derivation(e)), target)  # must not raise
 
 
 def test_derivation_raises_section_level_odd():
     """Odd parity: D(t^i) moves up a level directly; D(t^j x) does so only
     after adding back t^j x^2, which carries the second-order pole that D
     creates at the distinguished point over t = -c."""
-    model = _odd_model(3)
     ctx = TX
     for k in (1, 2, 3):
-        space = SectionSpace(model, k)
-        target = SectionSpace(model, k + 1)
-        basis = basis_elements(space)
+        target = SectionSpace(_odd_model(k + 1))
+        model = target.model
+        basis = [_on(model, e) for e in basis_elements(SectionSpace(_odd_model(k)))]
         for e in basis[: k + 1]:
             membership_extract(curve_derivation(e), target)
         for j, e in enumerate(basis[k + 1:]):
@@ -253,7 +255,7 @@ def test_mult_kernel_antisym_one_x_dies():
 def test_mult_kernel_antisym_bilinear_antisymmetric():
     rng = random.Random(SEED)
     for model in (_even_model(), _odd_model(2)):
-        space = SectionSpace(model, 2)
+        space = SectionSpace(model)
         basis = basis_elements(space)
         for _ in range(5):
             pick = rng.sample(range(len(basis)), 3)
@@ -302,10 +304,10 @@ def test_section_space_shapes():
     even = SectionSpace(_even_model(2))
     assert even.dim == 4
     assert even.labels() == ["1", "t", "t^2", "x"]
-    odd = SectionSpace(_odd_model(2), 2)
+    odd = SectionSpace(_odd_model(2))
     assert odd.dim == 5
     assert odd.labels() == ["1", "t", "t^2", "x", "t*x"]
-    assert SectionSpace(_even_model(1), 1).dim == 2
+    assert SectionSpace(_even_model(1)).dim == 2
 
 
 def test_residue_certificate_quartic():

@@ -366,7 +366,8 @@ def test_euler_tensor_validates_shape():
 @pytest.mark.parametrize("parity,k", [("even", 1), ("even", 2), ("even", 3),
                                       ("odd", 1), ("odd", 2), ("odd", 3)])
 def test_certificate_matches_chart_route(parity, k):
-    """E ^ [pi, pi] = 0 agrees with the all-chart Jacobiator, pass and fail."""
+    """Jac(pi~) = 0 agrees with E ^ [pi, pi] = 0 and the all-chart
+    Jacobiator, pass and fail."""
     members = _family(parity, k).tensors
     summed = members[1] + members[4]
     cases = [summed] + [_bumped(summed, val) for val in (1, -2, F(1, 3))]
@@ -401,6 +402,16 @@ def test_family_certifies_at_k5(parity):
     for T1, T2 in combinations(family.tensors, 2):
         res = compatibility_check(T1, T2)
         assert res["compatible"]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_family_certifies_at_k8(parity):
+    """At k = 8 every member and all 36 pair sums certify, and the nine
+    members have projective rank 9."""
+    family = build_family(parity, 8)
+    assert all(schouten_certificate(T) for T in family.tensors)
+    assert all(schouten_certificate(T1 + T2) for T1, T2 in combinations(family.tensors, 2))
+    assert independence_rank(family) == 9
 
 
 @pytest.mark.parametrize("parity,k", [("even", 1), ("even", 2), ("even", 3),

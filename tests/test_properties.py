@@ -2,7 +2,8 @@
 coordinate extraction from two-point sections, the bilinear assembly, the
 closed-form kernel and the closed-form derivation images against their
 general references, the Szego residue verdict, tensor JSON, the Jacobi
-certificate and the integer rank kernel, on inputs drawn by hypothesis.
+certificate on the divergence-free lift and the integer rank kernel, on
+inputs drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -22,9 +23,9 @@ from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSecti
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (_matrix_rank, compatibility_check, euler_tensor,
-                                     independence_rank, jacobi_check, rank_at_point,
-                                     schouten_certificate)
+from artifact.poisson_verify import (_form_poly, _lift, _matrix_rank, compatibility_check,
+                                     euler_tensor, independence_rank, jacobi_check,
+                                     rank_at_point, schouten_certificate)
 
 import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
@@ -415,7 +416,7 @@ def with_radial(draw, tensor_strategy):
 @PROPERTY
 @given(case=with_radial(st.one_of(tensors(), family_spans())))
 def test_certificate_ignores_radial_terms(case):
-    """Adding E ^ X never changes the verdict of E ^ [pi, pi] = 0."""
+    """Adding E ^ X never changes the verdict Jac(pi~) = 0."""
     T, X = case
     assert schouten_certificate(T + euler_tensor(T, X)) == schouten_certificate(T)
 
@@ -438,19 +439,41 @@ def bumped_family_spans(draw, shapes=SMALL_FAMILIES):
     return T + bump
 
 
+def _lifted(T):
+    """The divergence-free lift of T as a tensor."""
+    scale, forms = _lift(T)
+    return BracketTensor(T.parity, T.k, T.n, {pair: {uv: Fraction(val, scale)
+                                                     for uv, val in form.items()}
+                                              for pair, form in forms.items()})
+
+
+def _divergence(T):
+    """(div pi)^c = sum_d d pi^{dc} / d x_d, by Poly derivatives."""
+    ctx = tuple(f"x{i}" for i in range(T.n))
+    return [sum((_form_poly(T.form(d, c), ctx).derivative(ctx[d]) for d in range(T.n)),
+                Poly(ctx)) for c in range(T.n)]
+
+
 @FEW
-@given(T=st.one_of(family_spans(), bumped_family_spans()))
-def test_certificate_matches_all_charts(T):
-    """E ^ [pi, pi] = 0 holds exactly when every chart Jacobiator vanishes."""
-    assert schouten_certificate(T) == all_charts_jacobi_zero(T)
+@given(case=with_radial(st.one_of(family_spans(), bumped_family_spans())))
+def test_certificate_matches_all_charts(case):
+    """The lift verdict Jac(pi~) = 0 holds exactly when E ^ Jac(pi) = 0 and
+    when every chart Jacobiator vanishes.  The lift is divergence free and
+    idempotent, and the lift of a radial tensor E ^ X is zero."""
+    T, X = case
+    assert schouten_certificate(T) == wedge_certificate(T) == all_charts_jacobi_zero(T)
+    lifted = _lifted(T)
+    assert all(p.is_zero for p in _divergence(lifted))
+    assert _lift(lifted) == _lift(T)
+    assert _lift(euler_tensor(T, X))[1] == {}
 
 
 @FEW
 @given(T=st.one_of(family_spans(K3_FAMILIES), bumped_family_spans(K3_FAMILIES)))
 def test_chart0_components_match_chart_route(T):
-    """The components (E ^ V)^{0I} give the chart route's answers: the
-    certificate of the C(n, 4) wedge, the chart-0 Jacobiator witness, and
-    the chart-0 rank of a family with T in place of its last member."""
+    """The lift gives the chart route's answers: the verdict of the C(n, 4)
+    wedge, the chart-0 Jacobiator witness read off (E ^ Jac(pi~))^{0abc},
+    and the chart-0 rank of a family with T in place of its last member."""
     family = _family(T.parity, T.k)
     verdict = jacobi_check(T)
     assert verdict == {"holds": wedge_certificate(T), "witness": chart_witness(T)}

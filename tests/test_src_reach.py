@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 # one-point entry to the rank kernel that rank_scan runs on a tensor
 # cleared once; BracketTensor.form is the signed entry the chart route
 # descends, and Poly.eval_all and RatioBracketValue.equals compare routes.
-ORACLES = {"ratio_bracket", "euler_tensor", "generic_poisson_rank", "rank_at_point",
+ORACLES = {"ratio_bracket", "generic_poisson_rank", "rank_at_point",
            "CurveModel.defining_poly", "BracketTensor.form", "Poly.eval_all",
            "RatioBracketValue.equals"}
 # Reached only from tests, to be deleted or wired in.
