@@ -214,8 +214,8 @@ class FamilyBasis:
         return cls(data["parity"], _json_int(data["k"]), tensors, tuple(labels))
 
 
-# A slot of a two-point grid: (power of x, power of t).  The basis index
-# of slot (u, i) is i, or k + 1 + i for u = 1, when i is in range.
+# A slot of a two-point grid: (power of x, power of t).  SectionSpace.slots
+# gives the basis index of each slot in range.
 Slot = Tuple[int, int]
 Scalar = Union[int, Fraction]
 Grid = Dict[Tuple[Slot, Slot], Scalar]
@@ -224,13 +224,6 @@ Grid = Dict[Tuple[Slot, Slot], Scalar]
 KernelCurve = Tuple[List[int], List[int], List[int]]
 
 _BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
-
-
-def _basis_slots(space: SectionSpace) -> Dict[Slot, int]:
-    """Slot -> basis index, in basis order."""
-    slots = {(0, i): i for i in range(space.k + 1)}
-    slots.update({(1, j): space.k + 1 + j for j in range(space.x_deg_max + 1)})
-    return slots
 
 
 def _kernel_curve(model: CurveModel, tau: Poly) -> Tuple[int, KernelCurve]:
@@ -354,7 +347,7 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     n = space.dim
     strict = space.model.parity == "even"
     labels = space.labels()
-    slots = _basis_slots(space)
+    slots = space.slots
     keys = list(slots)
     images = [_derivation_image(s, space.model, tau) for s in keys]
     kernel_den, curve = _kernel_curve(space.model, tau)

@@ -29,10 +29,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from .curve_ring import CurveModel
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
 
@@ -128,22 +125,25 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
     return coeffs
 
 
+def _pole_parameter(args) -> Optional[Fraction]:
+    """--c for the odd parity; the even parity has none, so a nonzero --c
+    is a configuration error there and the config records None."""
+    c = _parse_rational(args.c, "--c")
+    if args.parity == "odd":
+        return c
+    if c:
+        raise ConfigError("the even parity has no pole parameter c")
+    return None
+
+
 def _curve_config(args, command: str) -> JobConfig:
     from .curve_ring import P_LEN, Q_LEN
     a0 = _parse_rational(args.a0, "--a0")
     q = _parse_coeffs(args.Q, a0, Q_LEN, "--Q")
     p = _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P")
-    c = _parse_rational(args.c, "--c") if args.parity == "odd" else None
     return JobConfig(command=command, parity=args.parity, k=args.k, q=q, p=p,
-                     c=c, out=getattr(args, "out", None),
+                     c=_pole_parameter(args), out=getattr(args, "out", None),
                      flip_sign=getattr(args, "flip_sign", False))
-
-
-def _curve_model(cfg: JobConfig) -> CurveModel:
-    from .curve_ring import CurveModel
-    if cfg.parity == "even":
-        return CurveModel.even(cfg.k, list(cfg.q), list(cfg.p))
-    return CurveModel.odd(cfg.k, cfg.c, list(cfg.q), list(cfg.p))
 
 
 def _resolve_out(path: Optional[str], default_name: str) -> str:
@@ -201,9 +201,9 @@ def _finish(report: RunReport, args) -> int:
 
 def _run_bracket_build(args) -> int:
     from .bracket_forge import build_tensor
+    from .curve_ring import CurveModel
     cfg = _curve_config(args, "bracket build")
-    model = _curve_model(cfg)
-    tensor = build_tensor(model)
+    tensor = build_tensor(CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c))
     if cfg.flip_sign:
         flipped = tensor.scale(-1)
         flipped.provenance = dict(tensor.provenance, sign="flipped")
@@ -287,31 +287,26 @@ def _run_verify_linearity(args) -> int:
     from .curve_ring import P_LEN, Q_LEN, CurveModel
     if args.samples < 1:
         raise ConfigError("samples must be positive")
-    c = _parse_rational(args.c, "--c") if args.parity == "odd" else None
+    c = _pole_parameter(args)
     cfg = JobConfig(command="verify linearity", parity=args.parity, k=args.k,
                     c=c, seed=args.seed, samples=args.samples)
     rng = random.Random(args.seed)
     p_len = P_LEN[args.parity]
 
-    def model_for(q, p) -> CurveModel:
-        if args.parity == "even":
-            return CurveModel.even(args.k, q, p)
-        return CurveModel.odd(args.k, c, q, p)
+    def tensor(q, p):
+        return build_tensor(CurveModel(args.parity, args.k, q, p, c=c))
 
     def draw() -> Tuple[List[int], List[int]]:
         return ([rng.randrange(-3, 4) for _ in range(Q_LEN)],
                 [rng.randrange(-3, 4) for _ in range(p_len)])
 
-    base = build_tensor(model_for([0] * Q_LEN, [0] * p_len))
+    base = tensor([0] * Q_LEN, [0] * p_len)
     failed = None
     for index in range(args.samples):
         q1, p1 = draw()
         q2, p2 = draw()
         summed = [a + b for a, b in zip(q1, q2)], [a + b for a, b in zip(p1, p2)]
-        cross = (build_tensor(model_for(*summed))
-                 - build_tensor(model_for(q1, p1))
-                 - build_tensor(model_for(q2, p2))
-                 + base)
+        cross = tensor(*summed) - tensor(q1, p1) - tensor(q2, p2) + base
         if not cross.is_zero:
             failed = {"sample": index, "Q": q1, "P": p1, "Q'": q2, "P'": p2}
             break
@@ -337,17 +332,17 @@ def _run_rank_scan(args) -> int:
     report.data["samples"] = args.samples
     report.data["histogram"] = {str(r): c for r, c in sorted(scan.histogram.items())}
     report.data["generic_rank"] = scan.generic_rank
-    report.data["pencil_drops"] = len(scan.pencil_drops)
+    report.data["pencil_drops"] = scan.pencil_drops
     report.add_check("deep rank drops", "recorded",
                      {"flagged": len(scan.flagged)})
     return _finish(report, args)
 
 
 def _run_szego_check(args) -> int:
-    from .curve_ring import verify_szego_residues
+    from .curve_ring import CurveModel, verify_szego_residues
     from .exact_core import rat_str
     cfg = _curve_config(args, "szego check")
-    model = _curve_model(cfg)
+    model = CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c)
     report = RunReport("szego check", cfg.digest())
     try:
         cert = verify_szego_residues(model)

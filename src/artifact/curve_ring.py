@@ -101,17 +101,6 @@ class CurveModel:
             return Poly.const(self.tvars, 1)
         return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
 
-    def defining_poly(self) -> Poly:
-        """F(t, x) with F = x^2 - Qx - P (even) or (t+c)x^2 - Qx - P (odd)."""
-        ctx = ("t", "x")
-        x = Poly.var(ctx, "x")
-        Q = self.Q.with_context(ctx)
-        P = self.P.with_context(ctx)
-        if self.parity == "even":
-            return x * x - Q * x - P
-        tau = Poly.var(ctx, "t") + Poly.const(ctx, self.c)
-        return tau * x * x - Q * x - P
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CurveModel):
             return NotImplemented
@@ -144,6 +133,8 @@ class SectionSpace:
 
     Even basis: 1, t, ..., t^k, x, t x, ..., t^(k-2) x (dimension 2k).
     Odd basis:  1, t, ..., t^k, x, t x, ..., t^(k-1) x (dimension 2k+1).
+    slots maps the slot (u, i) of the monomial t^i x^u to its basis index,
+    in basis order; it is the one copy of that order.
     """
 
     def __init__(self, model: CurveModel):
@@ -151,12 +142,16 @@ class SectionSpace:
         self.k = model.k_param
         self.dim = dimension(model.parity, self.k)
         self.x_deg_max = self.dim - self.k - 2
+        keys = [(0, i) for i in range(self.k + 1)] + [(1, j) for j in range(self.x_deg_max + 1)]
+        self.slots: Dict[Tuple[int, int], int] = {slot: index for index, slot in enumerate(keys)}
 
     def labels(self) -> List[str]:
-        out = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, self.k + 1)]
-        for j in range(self.x_deg_max + 1):
-            out.append("x" if j == 0 else ("t*x" if j == 1 else f"t^{j}*x"))
-        return out
+        """Names of the basis monomials: 1, t, t^2, ..., x, t*x, t^2*x, ..."""
+        names = []
+        for u, i in self.slots:
+            parts = ("" if i == 0 else "t" if i == 1 else f"t^{i}", "x" * u)
+            names.append("*".join(part for part in parts if part) or "1")
+        return names
 
 
 class ResidueCertificate(NamedTuple):

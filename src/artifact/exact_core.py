@@ -66,16 +66,20 @@ class Poly:
                     raise ValueError(f"exponent {expo} does not fit variables {self.vars}")
                 c = rat(coeff)
                 if c:
-                    prev = clean.get(expo)
-                    c = c + prev if prev is not None else c
-                    if c:
-                        clean[expo] = c
-                    else:
-                        clean.pop(expo, None)
+                    clean[expo] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _raw(cls, variables: Tuple[str, ...], terms: Dict[Tuple[int, ...], Fraction]) -> "Poly":
+        """Poly over `variables` taking `terms` as they are: tuple exponents
+        of the right width and nonzero Fraction coefficients."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "vars", variables)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -173,16 +177,12 @@ class Poly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-        out = Poly(self.vars)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return Poly._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        out = Poly(self.vars)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -190,16 +190,10 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            out = Poly(self.vars)
-            if c:
-                object.__setattr__(out, "terms", {e: k * c for e, k in self.terms.items()})
-            return out
+            return Poly._raw(self.vars, {e: k * c for e, k in self.terms.items()} if c else {})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -213,9 +207,7 @@ class Poly:
                 expo = tuple(map(add, e1, e2))
                 sums[expo] = sums.get(expo, 0) + n1 * n2
         den = den1 * den2
-        out = Poly(self.vars)
-        object.__setattr__(out, "terms", {e: Fraction(s, den) for e, s in sums.items() if s})
-        return out
+        return Poly._raw(self.vars, {e: Fraction(s, den) for e, s in sums.items() if s})
 
     __rmul__ = __mul__
 
@@ -233,9 +225,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- calculus, evaluation and renaming ------------------------------
 
@@ -348,6 +337,4 @@ def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> T
         for expo, c in acc.terms.items():
             terms[expo[:slot] + (power - 1,) + expo[slot + 1:]] = c
     remainder = buckets.get(0, zero) + acc * root
-    q = Poly(p.vars)
-    object.__setattr__(q, "terms", terms)
-    return q, remainder
+    return Poly._raw(p.vars, terms), remainder

@@ -34,7 +34,7 @@ from itertools import combinations
 from math import gcd
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
+from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
 
 
@@ -56,7 +56,7 @@ class RankReport(NamedTuple):
     histogram: Dict[int, int]
     generic_rank: int
     flagged: Tuple[int, ...]
-    pencil_drops: Tuple[dict, ...]
+    pencil_drops: int
 
     def csv_rows(self) -> List[str]:
         rows = ["rank,count"]
@@ -270,8 +270,8 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     """Deterministic random rank survey of one tensor.
 
     Samples rational points, tabulates ranks, flags samples that fall
-    more than one even step below the observed generic value, and probes
-    a few random pencils for rank drops.
+    more than one even step below the observed generic value, and counts
+    the points of a few random pencils where the rank drops.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -284,20 +284,15 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
         histogram[r] = histogram.get(r, 0) + 1
     generic = max(ranks)
     flagged = tuple(i for i, r in enumerate(ranks) if r < generic - 2)
-    drops: List[dict] = []
+    drops = 0
     for _ in range(3):
         base = _random_point(rng, T.n)
         direction = _random_point(rng, T.n)
         for step in range(7):
-            s = Fraction(step, 1)
-            probe = tuple(b + s * d for b, d in zip(base, direction))
-            if not any(probe):
-                continue
-            r = _point_rank(forms, T.n, probe)
-            if r < generic:
-                drops.append({"s": rat_str(s), "rank": r,
-                              "point": [rat_str(x) for x in probe]})
-    return RankReport(points, ranks, histogram, generic, flagged, tuple(drops))
+            probe = tuple(b + step * d for b, d in zip(base, direction))
+            if any(probe) and _point_rank(forms, T.n, probe) < generic:
+                drops += 1
+    return RankReport(points, ranks, histogram, generic, flagged, drops)
 
 
 def _phi_context(n: int) -> Tuple[str, ...]:
@@ -359,18 +354,6 @@ class RatioBracketValue(NamedTuple):
 
     def equals(self, other: "RatioBracketValue") -> bool:
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __str__(self) -> str:
-        if self.num.is_zero:
-            return "0"
-        dens = " * ".join(
-            f"({_linear_poly(c, self.vars)})^{p}" if p > 1 else f"({_linear_poly(c, self.vars)})"
-            for c, p in self.den_factors)
-        return f"({self.num}) / ({dens})" if dens else str(self.num)
 
 
 def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],

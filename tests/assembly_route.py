@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey, Slot,
-                                    TensorNotInSectionSpace, _basis_slots, _overflow_details)
+                                    TensorNotInSectionSpace, _overflow_details)
 from artifact.curve_ring import CurveModel, SectionSpace
 from artifact.exact_core import Poly, poly_divmod_linear
 
@@ -218,7 +218,7 @@ def pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
     """Coefficient grid of bi over basis x basis.  Strict mode rejects a
     pole remainder or a slot past the basis, truncating mode drops it."""
     grid, problems = pair_grid(bi)
-    slots = _basis_slots(space)
+    slots = space.slots
     if not truncate:
         problems += _overflow_details(grid, slots)
         if problems:

@@ -4,9 +4,10 @@ The library reads the derivation image of each basis slot t^i x^u in
 closed form (bracket_forge._derivation_image).  This module keeps the
 general route it is cross-checked against: curve functions in a unique
 normal form (CurveElement), reduction of raw polynomial expressions in t
-and x, the canonical derivation extended by Leibniz and the quotient rule,
-and the reading of coordinates, in the section basis (membership_extract)
-or slot by slot with the pole remainders (section_coords).
+and x, the defining polynomial F(t, x) of a model (defining_poly), the
+canonical derivation extended by Leibniz and the quotient rule, and the
+reading of coordinates, in the section basis (membership_extract) or
+slot by slot with the pole remainders (section_coords).
 
 Curve functions are alpha + beta * x in the even parity and
 (alpha + beta * z) / (t+c)^m with z = (t+c) x and m minimal in the odd
@@ -206,6 +207,15 @@ def x_elem(model: CurveModel) -> CurveElement:
     if model.parity == "even":
         return CurveElement(model, 0, 1)
     return CurveElement(model, 0, 1, denom_power=1)
+
+
+def defining_poly(model: CurveModel) -> Poly:
+    """F(t, x) = tau x^2 - Q x - P over ("t", "x"), so the curve is F = 0;
+    tau is 1 (even) or t + c (odd)."""
+    ctx = ("t", "x")
+    x = Poly.var(ctx, "x")
+    tau, Q, P = (p.with_context(ctx) for p in (model.tau_poly(), model.Q, model.P))
+    return tau * x * x - Q * x - P
 
 
 def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],

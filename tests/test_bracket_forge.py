@@ -212,7 +212,7 @@ def _shifted_coeffs(coeffs, mu):
 
 def _unipotent(space, mu):
     """Rows t^i x^u -> (t + mu)^i x^u of the basis, as {index: coefficient}."""
-    slots = bracket_forge._basis_slots(space)
+    slots = space.slots
     return [{slots[(u, e)]: comb(i, e) * mu ** (i - e) for e in range(i + 1)}
             for (u, i) in slots]
 

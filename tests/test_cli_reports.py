@@ -421,6 +421,28 @@ def test_curve_commands_reject_k_below_one(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("c", ["5", "1/0"])
+@pytest.mark.parametrize("argv", [
+    ["bracket", "build", "--parity", "even", "--k", "2"],
+    ["szego", "check", "--parity", "even", "--P", "1,0,0,0,1"],
+    ["verify", "linearity", "--parity", "even", "--k", "1", "--samples", "1"],
+], ids=["build", "szego", "linearity"])
+def test_even_parity_rejects_pole_parameter(tmp_path, monkeypatch, capsys, argv, c):
+    """The even parity has no pole parameter: a nonzero or unreadable --c
+    exits 2 with no traceback and no artifact instead of being ignored,
+    while --c 0 runs exactly as no --c does, config digest included."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv + ["--c", c], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("config error: ") and "Traceback" not in err
+    if c == "5":
+        assert "the even parity has no pole parameter c" in err
+    assert not list(tmp_path.iterdir())
+    code, out, _ = run_cli(argv + ["--c", "0", "--json"], capsys)
+    assert code == 0
+    assert run_cli(argv + ["--json"], capsys)[1] == out
+
+
 def test_verify_independence_full_rank(tmp_path, monkeypatch, capsys):
     """The nine-member basis has rank nine over the rationals."""
     monkeypatch.chdir(tmp_path)

@@ -328,10 +328,55 @@ def test_ratio_bracket_antisymmetry_and_scaling():
     """Self-brackets vanish; common rescaling of a ratio changes nothing."""
     T = build_tensor(CurveModel.even(2, 0, [3]))
     e0, e1, e3 = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]
-    assert ratio_bracket(T, e0, e3, e0, e3).is_zero
+    assert ratio_bracket(T, e0, e3, e0, e3).num.is_zero
     base = ratio_bracket(T, e0, e3, e1, e3)
     scaled = ratio_bracket(T, [2, 0, 0, 0], [0, 0, 0, 2], e1, e3)
     assert scaled.equals(base)
+
+
+def _uncancelled_ratio(T, ctx, f, h, g, e):
+    """{f/h, g/e} as N / (h^2 e^2), nothing cancelled, with each form made
+    monic in its last nonzero coefficient.  N = {f,g} h e - g {f,e} h
+    - f {h,g} e + f g {h,e}, each bracket of linear forms summed off T.form."""
+    def linear(v):
+        return sum((Poly.var(ctx, name) * c for name, c in zip(ctx, v)), Poly(ctx))
+
+    def bracket(a, b):
+        out = Poly(ctx)
+        for i, j in combinations(range(T.n), 2):
+            for (u, v), val in T.form(i, j).items():
+                out = out + Poly.var(ctx, ctx[u]) * Poly.var(ctx, ctx[v]) * (
+                    val * (a[i] * b[j] - a[j] * b[i]))
+        return out
+
+    fp, hp, gp, ep = map(linear, (f, h, g, e))
+    num = (bracket(f, g) * hp * ep - bracket(f, e) * hp * gp
+           - bracket(h, g) * ep * fp + bracket(h, e) * fp * gp)
+    leads = [next(x for x in reversed(v) if x) for v in (h, e)]
+    monic = [tuple(F(c, lead) for c in v) for v, lead in zip((h, e), leads)]
+    return RatioBracketValue(num * (F(1) / (leads[0] ** 2 * leads[1] ** 2)),
+                             ((monic[0], 2), (monic[1], 2)), ctx), monic
+
+
+@pytest.mark.parametrize("model, f, h, g, e", [
+    (CurveModel.even(2, [1, -2, 3], [2, 1, -1, 3, 1]),
+     [1, 2, 0, -1], [0, 1, 1, 3], [2, -1, 1, 0], [1, 0, -2, -2]),
+    (CurveModel.odd(2, 1, [1, -2, 3], [2, 1, -1, 3]),
+     [1, 2, 0, -1, 1], [0, 1, 1, 2, 3], [2, -1, 1, 0, 1], [1, 0, -2, 0, -2]),
+], ids=["even", "odd"])
+def test_ratio_bracket_two_denominators(model, f, h, g, e):
+    """With two different denominator forms h != e (leads 3 and -2), the
+    ratio bracket equals the uncancelled quotient N / (h^2 e^2), and
+    den_factors lists h's form before e's where neither cancels."""
+    T = build_tensor(model)
+    val = ratio_bracket(T, f, h, g, e)
+    want, (h_hat, e_hat) = _uncancelled_ratio(T, val.vars, f, h, g, e)
+    assert h_hat != e_hat
+    assert val.equals(want)
+    assert [form for form, _ in val.den_factors] == [h_hat, e_hat]
+    swapped = ratio_bracket(T, g, e, f, h)
+    assert [form for form, _ in swapped.den_factors] == [e_hat, h_hat]
+    assert swapped.equals(RatioBracketValue(-want.num, want.den_factors, want.vars))
 
 
 def test_ratio_bracket_rejects_zero_denominator():

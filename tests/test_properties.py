@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
-                                    _basis_slots, _derivation_image, _five_term_forms,
+                                    _derivation_image, _five_term_forms,
                                     _kernel_curve, _kernel_grid, build_family, build_tensor)
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
@@ -212,7 +212,7 @@ def test_closed_form_kernel_matches_general_product(space, data):
     s2(1) s1(2), divided by t1 - t2."""
     coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
     c1, c2 = (data.draw(coords) for _ in range(2))
-    keys = list(_basis_slots(space))
+    keys = list(space.slots)
     kernel = _closed_kernel(space.model)
     summed = {}
     for a, x in enumerate(c1):
@@ -265,7 +265,7 @@ def test_kernel_grid_matches_w_basis_route(model):
     grid, and K(t s, t s') is K(s, s') shifted by ((0, 1), (0, 1))."""
     space = SectionSpace(model)
     basis = basis_elements(space)
-    keys = list(_basis_slots(space))
+    keys = list(space.slots)
     kernel = _closed_kernel(model)
     for a in range(space.dim):
         for b in range(a + 1, space.dim):
@@ -288,7 +288,7 @@ def test_kernel_grid_matches_division_route(model):
     (i + 1, j + 1), the closed-form quotients by t1 - t2 give the grid of
     the Poly blocks divided by synthetic division."""
     kernel = _closed_kernel(model)
-    keys = list(_basis_slots(SectionSpace(model)))
+    keys = list(SectionSpace(model).slots)
     for (u, i) in keys:
         for (v, j) in keys:
             for sa, sb in (((u, i), (v, j)), ((u, i + 1), (v, j + 1))):
@@ -328,7 +328,7 @@ def test_derivation_image_matches_curve_route(model):
     image plus that part, and the part is nonzero exactly when the oracle
     reports a pole."""
     space = SectionSpace(model)
-    slots = _basis_slots(space)
+    slots = space.slots
     c = model.c
     for slot, e in zip(slots, basis_elements(space)):
         image = _derivation_image(slot, model, model.tau_poly())
