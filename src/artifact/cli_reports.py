@@ -77,9 +77,9 @@ def _digest_value(value):
 class RunReport:
     """Per-run outcome; the JSON payload carries no timing data."""
 
-    def __init__(self, command: str, config_digest: str) -> None:
-        self.command = command
-        self.config_digest = config_digest
+    def __init__(self, cfg: JobConfig) -> None:
+        self.command = cfg.command
+        self.config_digest = cfg.digest()
         self.checks: List[dict] = []
         self.artifacts: List[str] = []
         self.data: Dict[str, object] = {}
@@ -192,7 +192,7 @@ def _finish(report: RunReport, args) -> int:
         for key, value in report.data.items():
             print(f"{key}: {value}")
         for check in report.checks:
-            suffix = f"  [{check['witness']}]" if check["status"] == "fail" else ""
+            suffix = f"  [{check.get('witness')}]" if check["status"] == "fail" else ""
             print(f"{check['name']}: {check['status']}{suffix}")
         for path in report.artifacts:
             print(f"wrote {path}")
@@ -210,7 +210,7 @@ def _run_bracket_build(args) -> int:
         tensor = flipped
     path = _resolve_out(cfg.out, "tensor.json")
     _write_json(path, tensor.to_json())
-    report = RunReport("bracket build", cfg.digest())
+    report = RunReport(cfg)
     report.artifacts.append(path)
     report.data["dimension"] = tensor.n
     report.data["nonzero coefficients"] = sum(len(f) for f in tensor.pi.values())
@@ -224,7 +224,7 @@ def _run_bracket_family(args) -> int:
     family = build_family(args.parity, args.k)
     path = _resolve_out(cfg.out, "family.json")
     _write_json(path, family.to_json())
-    report = RunReport("bracket family", cfg.digest())
+    report = RunReport(cfg)
     report.artifacts.append(path)
     report.data["members"] = len(family.tensors)
     report.data["dimension"] = family.tensors[0].n
@@ -238,7 +238,7 @@ def _run_verify_jacobi(args) -> int:
     cfg = JobConfig(command="verify jacobi", source=args.source)
     tensor = _load_artifact(args.source, BracketTensor, "tensor")
     verdict = jacobi_check(tensor)
-    report = RunReport("verify jacobi", cfg.digest())
+    report = RunReport(cfg)
     report.data["dimension"] = tensor.n
     report.data["charts"] = tensor.n
     report.add_check("jacobi", "pass" if verdict["holds"] else "fail",
@@ -248,7 +248,7 @@ def _run_verify_jacobi(args) -> int:
 
 def _run_verify_compat(args) -> int:
     from .bracket_forge import FamilyBasis
-    from .poisson_verify import compatibility_check, schouten_certificate
+    from .poisson_verify import jacobi_check, schouten_certificate
     cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
     family = _load_artifact(args.family, FamilyBasis, "family")
     members = family.tensors
@@ -259,8 +259,8 @@ def _run_verify_compat(args) -> int:
     if failures:
         i, j = failures[0]
         witness = {"pair": [i, j],
-                   "witness": compatibility_check(members[i], members[j])["witness"]}
-    report = RunReport("verify compat", cfg.digest())
+                   "witness": jacobi_check(members[i] + members[j])["witness"]}
+    report = RunReport(cfg)
     report.data["pairs"] = len(pairs)
     report.data["passed"] = len(pairs) - len(failures)
     report.add_check("compatibility", "fail" if failures else "pass", witness)
@@ -273,7 +273,7 @@ def _run_verify_independence(args) -> int:
     cfg = JobConfig(command="verify independence", source=args.family)
     family = _load_artifact(args.family, FamilyBasis, "family")
     rank = independence_rank(family)
-    report = RunReport("verify independence", cfg.digest())
+    report = RunReport(cfg)
     report.data["members"] = len(family.tensors)
     report.data["rank"] = rank
     full = rank == len(family.tensors)
@@ -310,7 +310,7 @@ def _run_verify_linearity(args) -> int:
         if not cross.is_zero:
             failed = {"sample": index, "Q": q1, "P": p1, "Q'": q2, "P'": p2}
             break
-    report = RunReport("verify linearity", cfg.digest())
+    report = RunReport(cfg)
     report.data["samples"] = args.samples
     report.add_check("affine linearity", "fail" if failed else "pass", failed)
     return _finish(report, args)
@@ -327,7 +327,7 @@ def _run_rank_scan(args) -> int:
     scan = rank_scan(tensor, args.samples, args.seed)
     path = _resolve_out(cfg.out, "rank_hist.csv")
     _write_lines(path, scan.csv_rows())
-    report = RunReport("rank scan", cfg.digest())
+    report = RunReport(cfg)
     report.artifacts.append(path)
     report.data["samples"] = args.samples
     report.data["histogram"] = {str(r): c for r, c in sorted(scan.histogram.items())}
@@ -343,7 +343,7 @@ def _run_szego_check(args) -> int:
     from .exact_core import rat_str
     cfg = _curve_config(args, "szego check")
     model = CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c)
-    report = RunReport("szego check", cfg.digest())
+    report = RunReport(cfg)
     try:
         cert = verify_szego_residues(model)
     except (ValueError, ArithmeticError) as exc:
@@ -376,7 +376,7 @@ def _run_helix_table(args) -> int:
     for n in range(span[0], span[1] + 1):
         cls = helix_class(n)
         rows.append({"n": n, "rank": cls.rank, "chi": cls.chi})
-    report = RunReport("helix", cfg.digest())
+    report = RunReport(cfg)
     if args.out is not None:
         path = _resolve_out(args.out, "helix.json")
         _write_json(path, {"rows": rows})
@@ -400,7 +400,7 @@ def _run_helix_solve(args) -> int:
         solution = solve_biham_params(args.d, args.r)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = RunReport("helix solve", cfg.digest())
+    report = RunReport(cfg)
     report.data["d"] = args.d
     report.data["r"] = args.r
     if solution is None:
@@ -448,10 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     build_p.add_argument("--flip-sign", action="store_true",
                          help="negate the global sign convention")
     _add_output_options(build_p)
+    build_p.set_defaults(run=_run_bracket_build)
     family_p = bracket_sub.add_parser("family", help="build the nine-member family")
     family_p.add_argument("--parity", required=True, choices=("even", "odd"))
     family_p.add_argument("--k", required=True, type=int)
     _add_output_options(family_p)
+    family_p.set_defaults(run=_run_bracket_family)
 
     verify = commands.add_parser("verify", help="certify stored artifacts")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -459,15 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     jacobi_p.add_argument("--in", dest="source", required=True,
                           help="tensor artifact to check")
     _add_output_options(jacobi_p)
+    jacobi_p.set_defaults(run=_run_verify_jacobi)
     compat_p = verify_sub.add_parser("compat", help="pairwise compatibility sweep")
     compat_p.add_argument("--family", required=True, help="family artifact")
     compat_p.add_argument("--jobs", type=int, default=0,
                           help="accepted for config compatibility and recorded "
                                "in the config digest; the sweep is sequential")
     _add_output_options(compat_p)
+    compat_p.set_defaults(run=_run_verify_compat)
     indep_p = verify_sub.add_parser("independence", help="family rank over Q")
     indep_p.add_argument("--family", required=True, help="family artifact")
     _add_output_options(indep_p)
+    indep_p.set_defaults(run=_run_verify_independence)
     linear_p = verify_sub.add_parser("linearity", help="cross-difference sweep")
     linear_p.add_argument("--parity", required=True, choices=("even", "odd"))
     linear_p.add_argument("--k", required=True, type=int)
@@ -475,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     linear_p.add_argument("--samples", type=int, default=5)
     linear_p.add_argument("--seed", type=int, default=42)
     _add_output_options(linear_p)
+    linear_p.set_defaults(run=_run_verify_linearity)
 
     rank = commands.add_parser("rank", help="pointwise rank surveys")
     rank_sub = rank.add_subparsers(dest="subcommand", required=True)
@@ -484,47 +490,35 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--samples", type=int, default=50)
     scan_p.add_argument("--seed", type=int, default=42)
     _add_output_options(scan_p)
+    scan_p.set_defaults(run=_run_rank_scan)
 
     szego = commands.add_parser("szego", help="kernel normalization checks")
     szego_sub = szego.add_subparsers(dest="subcommand", required=True)
     check_p = szego_sub.add_parser("check", help="residue certification")
     _add_curve_options(check_p, k_required=False)
     _add_output_options(check_p)
+    check_p.set_defaults(run=_run_szego_check)
 
     helix = commands.add_parser("helix", help="exceptional-class tables")
     helix.add_argument("--range", default="-5..5",
                        help="inclusive n range, for example -5..5")
     _add_output_options(helix)
-    helix_sub = helix.add_subparsers(dest="subcommand")
+    helix.set_defaults(run=_run_helix_table)
+    helix_sub = helix.add_subparsers()
     solve_p = helix_sub.add_parser("solve", help="ladder parameter witness")
     solve_p.add_argument("--d", required=True, type=int, help="degree")
     solve_p.add_argument("--r", required=True, type=int, help="rank, odd")
     _add_output_options(solve_p)
+    solve_p.set_defaults(run=_run_helix_solve)
 
     return parser
 
 
-_HANDLERS = {
-    ("bracket", "build"): _run_bracket_build,
-    ("bracket", "family"): _run_bracket_family,
-    ("verify", "jacobi"): _run_verify_jacobi,
-    ("verify", "compat"): _run_verify_compat,
-    ("verify", "independence"): _run_verify_independence,
-    ("verify", "linearity"): _run_verify_linearity,
-    ("rank", "scan"): _run_rank_scan,
-    ("szego", "check"): _run_szego_check,
-    ("helix", None): _run_helix_table,
-    ("helix", "solve"): _run_helix_solve,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        code = handler(args)
+        code = args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -157,7 +157,6 @@ class SectionSpace:
 class ResidueCertificate(NamedTuple):
     """Outcome of the Szego kernel residue checks for one curve."""
 
-    parity: str
     diagonal: Fraction
     at_infinity: Tuple[Fraction, Fraction]
 
@@ -184,4 +183,4 @@ def verify_szego_residues(model: CurveModel) -> ResidueCertificate:
     if not model.R.coeff((4,)):
         raise DegenerateDivisor("t^4 coefficient of R vanishes; divisor at infinity degenerates")
     half = Fraction(1, 2)
-    return ResidueCertificate(model.parity, Fraction(1), (half, half))
+    return ResidueCertificate(Fraction(1), (half, half))

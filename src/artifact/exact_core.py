@@ -99,10 +99,9 @@ class Poly:
         return cls(variables, {tuple(expo): Fraction(1)})
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[RationalLike], variables: Sequence[str], name: Optional[str] = None) -> "Poly":
+    def from_coeffs(cls, coeffs: Sequence[RationalLike], variables: Sequence[str], name: str) -> "Poly":
         """Univariate polynomial from an ascending coefficient list."""
         variables = tuple(variables)
-        name = name if name is not None else variables[0]
         slot = variables.index(name)
         terms = {}
         for power, c in enumerate(coeffs):
@@ -130,10 +129,9 @@ class Poly:
         """Terms in descending graded-lex order (canonical iteration order)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
-    def coeffs_univar(self, name: Optional[str] = None) -> List[Fraction]:
+    def coeffs_univar(self, name: str) -> List[Fraction]:
         """Ascending dense coefficient list; the polynomial must involve no
         variable other than `name`."""
-        name = name if name is not None else self.vars[0]
         slot = self.vars.index(name)
         for expo in self.terms:
             if any(e and i != slot for i, e in enumerate(expo)):

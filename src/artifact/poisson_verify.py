@@ -79,12 +79,6 @@ def _integer_forms(T: BracketTensor) -> Tuple[int, IntForms]:
     return den, {pair: {uv: next(ints) for uv in form} for pair, form in T.pi.items()}
 
 
-def _packed(forms: IntForms) -> Dict[Tuple[int, int], IntPoly]:
-    """Integer forms as packed polynomials."""
-    return {pair: {8 ** u + 8 ** v: val for (u, v), val in form.items()}
-            for pair, form in forms.items()}
-
-
 def _lift(T: BracketTensor) -> Tuple[int, IntForms]:
     """s and the forms of s pi~, s the common denominator of the lift.  A term
     v x_u x_w of pi^{dc} adds v to div[c][w] if u = d and to div[c][u] if w = d."""
@@ -113,16 +107,17 @@ def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
     return grad
 
 
-def _integer_jacobiator(forms: Dict[Tuple[int, int], IntPoly],
-                        n: int) -> Iterator[Tuple[Tuple[int, int, int], IntPoly]]:
-    """The nonzero Jac(pi)^{abc}, a < b < c in sorted order, of packed
-    integer forms.  Every term needs the rows of a, b and c, so only
+def _integer_jacobiator(forms: IntForms, n: int) -> Iterator[Tuple[Tuple[int, int, int], IntPoly]]:
+    """The nonzero Jac(pi)^{abc}, a < b < c in sorted order, of integer
+    forms, packed first.  Every term needs the rows of a, b and c, so only
     triples of indices with a nonempty row are walked."""
+    packed = {pair: {8 ** u + 8 ** v: val for (u, v), val in form.items()}
+              for pair, form in forms.items()}
     rows: List[Dict[int, IntPoly]] = [{} for _ in range(n)]
-    for (a, b), poly in forms.items():
+    for (a, b), poly in packed.items():
         rows[a][b] = poly
         rows[b][a] = {mono: -val for mono, val in poly.items()}
-    grads = {pair: _gradient(poly, n) for pair, poly in forms.items()}
+    grads = {pair: _gradient(poly, n) for pair, poly in packed.items()}
     for a, b, c in combinations([i for i in range(n) if rows[i]], 3):
         acc: IntPoly = {}
         for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
@@ -143,11 +138,12 @@ def _integer_jacobiator(forms: Dict[Tuple[int, int], IntPoly],
 def schouten_certificate(T: BracketTensor) -> bool:
     """True when the Jacobiator of the lift, cleared to ints, is empty: the
     Jacobi identity on projective space.  It stops at the first entry."""
-    return next(_integer_jacobiator(_packed(_lift(T)[1]), T.n), None) is None
+    return next(_integer_jacobiator(_lift(T)[1], T.n), None) is None
 
 
-def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
-    """First nonzero Jacobiator entry on chart 0, or None when T certifies.
+def jacobi_check(T: BracketTensor) -> dict:
+    """Jacobi verdict from Jac(pi~) = 0, with the first nonzero Jacobiator
+    entry on chart 0 as witness on failure.
 
     On the chart x_0 = 1, du_a = dx_a - u_a dx_0, so the chart Jacobiator
     J(u_a, u_b, u_c) is (E ^ Jac(pi~))^{0abc} at x_0 = 1, x_a = u_a, and the
@@ -156,9 +152,9 @@ def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
     x_0 W^{abcd} = x_a W^{0bcd} - x_b W^{0acd} + x_c W^{0abd} - x_d W^{0abc}.
     """
     scale, forms = _lift(T)
-    jac = dict(_integer_jacobiator(_packed(forms), T.n))
+    jac = dict(_integer_jacobiator(forms, T.n))
     if not jac:
-        return None
+        return {"holds": True, "witness": None}
     for a, b, c in combinations(range(1, T.n), 3):
         acc: IntPoly = {}
         for x, triple, sign in ((0, (a, b, c), 1), (a, (0, b, c), -1),
@@ -170,20 +166,9 @@ def _first_jacobi_witness(T: BracketTensor) -> Optional[dict]:
             ctx = tuple(f"u{i}" for i in range(1, T.n))
             terms = {tuple((mono >> (3 * i)) & 7 for i in range(1, T.n)):
                      Fraction(val, scale * scale) for mono, val in acc.items() if val}
-            return {"chart": 0, "triple": (a, b, c), "obstruction": str(Poly(ctx, terms))}
-    return None
-
-
-def jacobi_check(T: BracketTensor) -> dict:
-    """Jacobi verdict from Jac(pi~) = 0, with a chart witness on failure."""
-    witness = _first_jacobi_witness(T)
-    return {"holds": witness is None, "witness": witness}
-
-
-def compatibility_check(T1: BracketTensor, T2: BracketTensor) -> dict:
-    """Jacobi certificate of T1 + T2, with a chart witness on failure."""
-    witness = _first_jacobi_witness(T1 + T2)
-    return {"compatible": witness is None, "witness": witness}
+            witness = {"chart": 0, "triple": (a, b, c), "obstruction": str(Poly(ctx, terms))}
+            return {"holds": False, "witness": witness}
+    return {"holds": False, "witness": None}
 
 
 def independence_rank(F: FamilyBasis) -> int:
@@ -225,22 +210,16 @@ def _matrix_rank(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     return rank
 
 
-def rank_at_point(T: BracketTensor, phi: Sequence[RationalLike]) -> int:
+def _point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
     """Rank of the bracket matrix at phi, restricted transverse to phi.
 
-    Evaluates M_ab = pi_ab(phi), restricts the antisymmetric form to the
-    hyperplane of vectors orthogonal to phi (in the pairing sense), and
-    returns the exact rank there; radial directions never contribute.
-    The tensor and the point are scaled to ints by their common
-    denominators, and the restriction by the pivot coordinate, none of
+    Evaluates M_ab = pi_ab(phi) on the integer forms of a tensor, restricts
+    the antisymmetric form to the hyperplane of vectors orthogonal to phi
+    (in the pairing sense), and returns the exact rank there; radial
+    directions never contribute.  The point is scaled to ints by its common
+    denominator, and the restriction by the pivot coordinate, neither of
     which changes the rank.
     """
-    return _point_rank(_integer_forms(T)[1], T.n, phi)
-
-
-def _point_rank(forms: Dict[Tuple[int, int], Dict[Tuple[int, int], int]], n: int,
-                phi: Sequence[RationalLike]) -> int:
-    """rank_at_point on the integer forms of a tensor, cleared once per tensor."""
     point = [rat(x) for x in phi]
     if len(point) != n:
         raise ValueError("point size differs from the tensor size")
@@ -293,10 +272,6 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
             if any(probe) and _point_rank(forms, T.n, probe) < generic:
                 drops += 1
     return RankReport(points, ranks, histogram, generic, flagged, drops)
-
-
-def _phi_context(n: int) -> Tuple[str, ...]:
-    return tuple(f"phi{i}" for i in range(n))
 
 
 def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
@@ -365,7 +340,7 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
     over h^2 e^2 and cancels removable linear factors; the result only
     depends on the projective bracket (Euler modifications drop out).
     """
-    ctx = _phi_context(T.n)
+    ctx = tuple(f"phi{i}" for i in range(T.n))
     f = [rat(x) for x in f_num]
     h = [rat(x) for x in f_den]
     g = [rat(x) for x in g_num]
@@ -383,24 +358,17 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
            - _bracket_of_linear(T, f, e, ctx) * hp * gp
            - _bracket_of_linear(T, h, g, ctx) * ep * fp
            + _bracket_of_linear(T, h, e, ctx) * fp * gp)
-    factors: List[Tuple[Tuple[Fraction, ...], int]] = []
+    factors: Dict[Tuple[Fraction, ...], int] = {}
     for coeffs in (h, e):
         pivot = max(i for i, c in enumerate(coeffs) if c)
         lead = coeffs[pivot]
         monic = tuple(c / lead for c in coeffs)
         num = num * (Fraction(1) / lead ** 2)
-        merged = False
-        for idx, (known, power) in enumerate(factors):
-            if known == monic:
-                factors[idx] = (known, power + 2)
-                merged = True
-                break
-        if not merged:
-            factors.append((monic, 2))
+        factors[monic] = factors.get(monic, 0) + 2
     if num.is_zero:
         return RatioBracketValue(num, (), ctx)
     reduced: List[Tuple[Tuple[Fraction, ...], int]] = []
-    for coeffs, power in factors:
+    for coeffs, power in factors.items():
         while power > 0:
             candidate = _divide_linear_form(num, coeffs, ctx)
             if candidate is None:

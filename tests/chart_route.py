@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from artifact.bracket_forge import BracketTensor, FormDict
 from artifact.exact_core import Poly
 from artifact.poisson_verify import (IntPoly, _integer_forms, _integer_jacobiator,
-                                     _matrix_rank, _packed)
+                                     _matrix_rank, _point_rank)
 
 
 def _chart_context(n: int, m: int) -> Tuple[str, ...]:
@@ -127,7 +127,7 @@ def wedge_certificate(T: BracketTensor) -> bool:
     """E ^ Jac(pi) = 0 tested on every component a < b < c < d, on the raw
     tensor: the reference for the E ^ route that the library no longer
     takes for its verdict.  A triple missing from the Jacobiator is zero."""
-    jac = dict(_integer_jacobiator(_packed(_integer_forms(T)[1]), T.n))
+    jac = dict(_integer_jacobiator(_integer_forms(T)[1], T.n))
     for quad in combinations(range(T.n), 4):
         wedge: IntPoly = {}
         for pos, a in enumerate(quad):
@@ -152,3 +152,8 @@ def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -
             for T in tensors]
     keys = sorted({key for row in rows for key in row})
     return _matrix_rank([[row.get(key, Fraction(0)) for key in keys] for row in rows])
+
+
+def rank_at_point(T: BracketTensor, phi: Sequence) -> int:
+    """The library's point rank of T at phi, on the integer forms of T."""
+    return _point_rank(_integer_forms(T)[1], T.n, phi)

@@ -5,6 +5,7 @@ fixed argument list, and compares stdout and any written artifacts against
 files under tests/golden.  Set UPDATE_GOLDENS=1 to regenerate the files.
 """
 
+import argparse
 import json
 import os
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from artifact import bracket_forge, poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
-from artifact.cli_reports import main
+from artifact.cli_reports import build_parser, main
 
 from chart_route import chart_witness, descend_to_chart, jacobiator
 
@@ -153,6 +154,21 @@ def test_verify_jacobi_flags_corruption(tmp_path, monkeypatch, capsys):
     assert set(report["checks"][0]["witness"]) == {"chart", "triple", "obstruction"}
 
 
+def test_verify_jacobi_fails_without_witness(tmp_path, monkeypatch, capsys):
+    """A nonzero Jacobiator whose 0-components cancel exits 1 in both
+    output modes, with no traceback, though no chart-0 witness exists."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(BUILD_EVEN, capsys)
+    m = 2 * 8 ** 0 + 8 ** 1
+    jac = {(0, 1, 2): {m + 8 ** 2: 1}, (0, 1, 3): {m + 8 ** 3: 1}}
+    monkeypatch.setattr(poisson_verify, "_integer_jacobiator",
+                        lambda forms, n: iter(jac.items()))
+    code, out, _ = run_cli(["verify", "jacobi", "--in", "tensor.json"], capsys)
+    assert code == 1 and "jacobi: fail" in out
+    code, out, _ = run_cli(["verify", "jacobi", "--in", "tensor.json", "--json"], capsys)
+    assert code == 1 and json.loads(out)["checks"] == [{"name": "jacobi", "status": "fail"}]
+
+
 def test_verify_jacobi_missing_artifact(tmp_path, monkeypatch, capsys):
     """A nonexistent input file is a configuration error."""
     monkeypatch.chdir(tmp_path)
@@ -238,8 +254,8 @@ def test_verify_compat_builds_one_witness(tmp_path, monkeypatch, capsys):
                       for J in jacobiator(descend_to_chart(members[i] + members[j], m)).values())]
     assert len(failing) >= 2
     calls = []
-    original = poisson_verify._first_jacobi_witness
-    monkeypatch.setattr(poisson_verify, "_first_jacobi_witness",
+    original = poisson_verify.jacobi_check
+    monkeypatch.setattr(poisson_verify, "jacobi_check",
                         lambda T: calls.append(T) or original(T))
     code, out, _ = run_cli(["verify", "compat", "--family", "bad.json", "--json"],
                            capsys)
@@ -573,6 +589,26 @@ def test_helix_solve_invalid_rank(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["helix", "solve", "--d", "9", "--r", "4"], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_every_command_names_its_handler():
+    """Each parser a command line can end on, every leaf and helix with its
+    optional subcommand, sets its own callable run default, which main calls."""
+    handlers = {}
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs or not subs[0].required:
+            handlers[path] = parser.get_default("run")
+        for action in subs:
+            for name, sub in action.choices.items():
+                walk(sub, path + (name,))
+
+    walk(build_parser(), ())
+    assert ("helix",) in handlers and ("helix", "solve") in handlers
+    assert len(handlers) == 10
+    assert all(callable(run) for run in handlers.values()), handlers
+    assert len(set(handlers.values())) == len(handlers)
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch, capsys):

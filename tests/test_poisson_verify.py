@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from artifact import poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family, build_tensor
 from artifact.curve_ring import CurveModel
 from artifact.exact_core import Poly
@@ -15,18 +16,16 @@ from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
     _divide_linear_form,
-    compatibility_check,
     euler_tensor,
     independence_rank,
     jacobi_check,
-    rank_at_point,
     rank_scan,
     ratio_bracket,
     schouten_certificate,
 )
 
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, descend_to_chart,
-                         jacobiator, wedge_certificate)
+                         jacobiator, rank_at_point, wedge_certificate)
 
 F = Fraction
 
@@ -192,18 +191,29 @@ def test_jacobiator_agrees_with_sympy():
 def test_compatibility_self_and_perturbed():
     """T with itself passes; T against a broken tensor reports a witness."""
     T = build_tensor(CurveModel.even(2, [0, 1, 0], [1, 0, 2, 0, 0]))
-    res = compatibility_check(T, T)
-    assert res["compatible"] and res["witness"] is None
+    res = jacobi_check(T + T)
+    assert res["holds"] and res["witness"] is None
     bump = BracketTensor("even", 2, 4, {(0, 1): {(2, 2): F(1)}})
-    res = compatibility_check(T, T + bump)
-    assert not res["compatible"]
+    res = jacobi_check(T + (T + bump))
+    assert not res["holds"]
     assert set(res["witness"]) == {"chart", "triple", "obstruction"}
 
 
 def test_compatibility_size_mismatch():
-    """Tensors on different coordinate spaces cannot be compared."""
+    """Tensors on different coordinate spaces cannot be summed."""
     with pytest.raises(ValueError):
-        compatibility_check(_zero_like("even", 2, 4), _zero_like("even", 3, 6))
+        _zero_like("even", 2, 4) + _zero_like("even", 3, 6)
+
+
+def test_jacobi_verdict_reads_the_whole_jacobiator(monkeypatch):
+    """A nonzero Jacobiator fails even when every 0-component cancels.
+    With m = x0^2 x1, J012 = x2 m and J013 = x3 m leave only
+    (0,1,2,3) = x2 J013 - x3 J012 = 0, so no chart-0 witness exists."""
+    m = 2 * 8 ** 0 + 8 ** 1
+    jac = {(0, 1, 2): {m + 8 ** 2: 1}, (0, 1, 3): {m + 8 ** 3: 1}}
+    monkeypatch.setattr(poisson_verify, "_integer_jacobiator",
+                        lambda forms, n: iter(jac.items()))
+    assert jacobi_check(_zero_like("even", 2, 4)) == {"holds": False, "witness": None}
 
 
 def test_independence_ranks():
@@ -421,9 +431,7 @@ def test_certificate_matches_chart_route(parity, k):
         verdict = jacobi_check(T)
         assert verdict["holds"] == all_charts_jacobi_zero(T) == wedge_certificate(T)
         assert verdict["witness"] == chart_witness(T)
-        res = compatibility_check(members[1], T - members[1])
-        assert res["compatible"] == verdict["holds"]
-        assert res["witness"] == verdict["witness"]
+        assert jacobi_check(members[1] + (T - members[1])) == verdict
         verdicts.append(verdict["holds"])
     assert verdicts[0]
     if k >= 2:
@@ -445,8 +453,7 @@ def test_family_certifies_at_k5(parity):
     family = build_family(parity, 5)
     assert all(jacobi_check(T)["holds"] for T in family.tensors)
     for T1, T2 in combinations(family.tensors, 2):
-        res = compatibility_check(T1, T2)
-        assert res["compatible"]
+        assert jacobi_check(T1 + T2)["holds"]
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

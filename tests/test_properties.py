@@ -23,14 +23,13 @@ from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSecti
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (_form_poly, _lift, _matrix_rank, compatibility_check,
-                                     euler_tensor, independence_rank, jacobi_check,
-                                     rank_at_point, schouten_certificate)
+from artifact.poisson_verify import (_form_poly, _lift, _matrix_rank, euler_tensor,
+                                     independence_rank, jacobi_check, schouten_certificate)
 
 import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
                             pair_matrix, truncated_five_term)
-from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness,
+from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, rank_at_point,
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
                          element_from_coords, membership_extract, reduce, section_coords)
@@ -161,7 +160,7 @@ def test_szego_verdict_is_nonzero_top_coefficient(parity, k, c, q, p, top):
     model = CurveModel(parity, k, q, p, c if parity == "odd" else None)
     if p[-1] + q[2] ** 2 / 4:
         half = Fraction(1, 2)
-        assert verify_szego_residues(model) == ResidueCertificate(parity, 1, (half, half))
+        assert verify_szego_residues(model) == ResidueCertificate(1, (half, half))
     else:
         with pytest.raises(DegenerateDivisor, match=r"t\^4 coefficient of R vanishes"):
             verify_szego_residues(model)
@@ -479,8 +478,7 @@ def test_chart0_components_match_chart_route(T):
     assert verdict == {"holds": wedge_certificate(T), "witness": chart_witness(T)}
     assert schouten_certificate(T) == verdict["holds"]
     first = family.tensors[0]
-    assert compatibility_check(first, T - first) == {"compatible": verdict["holds"],
-                                                     "witness": verdict["witness"]}
+    assert jacobi_check(first + (T - first)) == verdict
     swapped = FamilyBasis(T.parity, T.k, family.tensors[:8] + (T,), family.labels)
     assert independence_rank(swapped) == chart_rank(swapped.tensors)
 

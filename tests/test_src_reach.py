@@ -5,22 +5,23 @@ argv, on a --flip-sign build, on the failing `verify jacobi` and `verify
 compat` inputs and on one usage error, then one call of each library name tests/test_acceptance.py
 imports, used as the acceptance tests use it, at k <= 2.  Under
 sys.setprofile every function, method, dunder and property getter defined
-in src/artifact must run, unless ORACLES names it with a reason.  An
-ORACLES entry must exist and must not run (a NamedTuple field: must not be
-read by src), so a stale entry fails too.  Names are "module.Class.method"
-and "module.outer.inner"; the members NamedTuple generates have no source
-in src and are not checked.
+in src/artifact must run, and every field of a src NamedTuple must be read
+by name (or all of them through _asdict), unless ORACLES names it with a
+reason.  An ORACLES entry must exist and must not run or be read, so a
+stale entry fails too.  Names are "module.Class.member" and
+"module.outer.inner"; the methods NamedTuple generates have no source in
+src and are not checked.
 
 What a run cannot see is checked statically: every module-level name is
-referenced by other src code or imported by the acceptance tests, every
-NamedTuple field is read by src (an attribute of its name is loaded, or
-its class reads _asdict), and every parameter is read in its function's
-body, protocol dunders aside.  Fields are matched by attribute name alone.
+referenced by other src code or imported by the acceptance tests, and
+every parameter is read in its function's body, protocol dunders aside.
 """
 
 import ast
+import importlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,6 @@ ORACLES = {
     "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
     "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
-    "poisson_verify.rank_at_point": "the one-point entry to the kernel rank_scan runs",
     "poisson_verify.RankReport.points": "the determinism test reads the drawn points",
     "poisson_verify.RankReport.ranks": "the determinism test reads the ranks per point",
     "helix_k0.generic_poisson_rank": "the closed form rank scans are tested against",
@@ -125,15 +125,60 @@ def _acceptance_traffic():
     assert solve_biham_params(7, 3) is not None
 
 
+def _namedtuples():
+    """module.Class -> class, for every NamedTuple src defines."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"artifact.{path.stem}")
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+                    and cls.__module__ == module.__name__):
+                found[f"{path.stem}.{name}"] = cls
+    return found
+
+
+@contextmanager
+def _recording_fields(read):
+    """Swap each src NamedTuple field descriptor for a property that adds
+    its name to read and delegates to tuple.__getitem__, and each _asdict
+    for one that adds all fields; the originals come back on exit."""
+    saved = []
+
+    def getter(name, index):
+        def get(self):
+            read.add(name)
+            return tuple.__getitem__(self, index)
+        return property(get)
+
+    def as_dict(names, original):
+        def wrapper(self):
+            read.update(names)
+            return original(self)
+        return wrapper
+
+    try:
+        for qual, cls in _namedtuples().items():
+            names = [f"{qual}.{field}" for field in cls._fields]
+            saved += [(cls, attr, cls.__dict__[attr]) for attr in cls._fields + ("_asdict",)]
+            for index, field in enumerate(cls._fields):
+                setattr(cls, field, getter(names[index], index))
+            cls._asdict = as_dict(names, cls.__dict__["_asdict"])
+        yield
+    finally:
+        for cls, attr, original in reversed(saved):
+            setattr(cls, attr, original)
+
+
 def _run_traffic(tmp_path):
-    """(path, first line) of every code object the traffic calls."""
-    seen = {}
+    """(path, first line) of every code object the traffic calls, and the
+    qualified name of every NamedTuple field it reads."""
+    seen, read = {}, set()
 
     def record(frame, event, arg):
         if event == "call":
             seen[id(frame.f_code)] = frame.f_code
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, _recording_fields(read):
         mp.chdir(tmp_path)
         mp.delenv("ARTIFACT_OUT_DIR", raising=False)
         previous = sys.getprofile()
@@ -143,12 +188,23 @@ def _run_traffic(tmp_path):
             _acceptance_traffic()
         finally:
             sys.setprofile(previous)
-    return {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in seen.values()}
+    ran = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in seen.values()}
+    return ran, read
 
 
 @pytest.fixture(scope="module")
-def ran(tmp_path_factory):
+def traffic(tmp_path_factory):
     return _run_traffic(tmp_path_factory.mktemp("traffic"))
+
+
+@pytest.fixture(scope="module")
+def ran(traffic):
+    return traffic[0]
+
+
+def _unread_fields(read):
+    return {f"{qual}.{field}" for qual, cls in _namedtuples().items()
+            for field in cls._fields} - read
 
 
 def _modules():
@@ -190,33 +246,6 @@ def _functions():
     return found
 
 
-def _fields():
-    """Qualified name -> field name of every NamedTuple field, with the
-    fields of a class that reads _asdict counted as read."""
-    fields, read = {}, set()
-    for module, _, tree in _modules():
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef)
-                    and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases)):
-                continue
-            as_dict = any(isinstance(n, ast.Attribute) and n.attr == "_asdict"
-                          for n in ast.walk(cls))
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    name = f"{module}.{cls.name}.{stmt.target.id}"
-                    fields[name] = stmt.target.id
-                    if as_dict:
-                        read.add(name)
-    return fields, read
-
-
-def _unread_fields():
-    fields, read = _fields()
-    loads = {n.attr for _, _, tree in _modules() for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return {name for name, attr in fields.items() if name not in read and attr not in loads}
-
-
 def _acceptance_api():
     tree = ast.parse((TESTS / "test_acceptance.py").read_text())
     return {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
@@ -233,11 +262,12 @@ def test_every_src_function_runs(ran):
     assert _unrun(ran) - set(ORACLES) == set()
 
 
-def test_oracles_exist_and_do_not_run(ran):
+def test_oracles_exist_and_do_not_run(traffic):
     """Each ORACLES entry carries a one-line reason and names a function
-    the traffic does not run, or a NamedTuple field src does not read."""
+    the traffic does not run, or a NamedTuple field it does not read."""
+    ran, read = traffic
     assert all(reason.strip() and "\n" not in reason for reason in ORACLES.values())
-    assert set(ORACLES) - _unrun(ran) - _unread_fields() == set()
+    assert set(ORACLES) - _unrun(ran) - _unread_fields(read) == set()
 
 
 def test_traffic_calls_the_acceptance_api():
@@ -281,9 +311,10 @@ def test_every_src_definition_is_reached_from_src():
     assert unreached - _acceptance_api() - top_oracles == set()
 
 
-def test_every_namedtuple_field_is_read_by_src():
-    """A field nothing in src reads is dead weight, unless it is an oracle."""
-    assert _unread_fields() - set(ORACLES) == set()
+def test_every_namedtuple_field_is_read_by_src(traffic):
+    """A field the traffic never reads, by name or through _asdict, is dead
+    weight, unless it is an oracle."""
+    assert _unread_fields(traffic[1]) - set(ORACLES) == set()
 
 
 def test_every_parameter_is_read():
