@@ -170,7 +170,7 @@ def _json_rational(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"coefficient {value!r} is neither an integer nor a rational string")
     try:
-        return Fraction(value)
+        return rat(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from exc
 

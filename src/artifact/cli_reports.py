@@ -107,8 +107,9 @@ class RunReport:
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
+    from .exact_core import rat
     try:
-        return Fraction(text.strip())
+        return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: cannot read {text!r} as a rational") from exc
 
@@ -126,14 +127,10 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
 
 
 def _pole_parameter(args) -> Optional[Fraction]:
-    """--c for the odd parity; the even parity has none, so a nonzero --c
-    is a configuration error there and the config records None."""
+    """--c for the odd parity; the even parity has none, so the config
+    records None there and CurveModel rejects a nonzero --c."""
     c = _parse_rational(args.c, "--c")
-    if args.parity == "odd":
-        return c
-    if c:
-        raise ConfigError("the even parity has no pole parameter c")
-    return None
+    return c if args.parity == "odd" or c else None
 
 
 def _curve_config(args, command: str) -> JobConfig:
@@ -334,7 +331,7 @@ def _run_rank_scan(args) -> int:
     report.data["generic_rank"] = scan.generic_rank
     report.data["pencil_drops"] = scan.pencil_drops
     report.add_check("deep rank drops", "recorded",
-                     {"flagged": len(scan.flagged)})
+                     {"flagged": scan.flagged})
     return _finish(report, args)
 
 

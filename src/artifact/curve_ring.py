@@ -54,7 +54,7 @@ def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
     if isinstance(value, Poly):
         return value.with_context(tvars)
     if isinstance(value, (list, tuple)):
-        return Poly.from_coeffs(value, tvars, "t")
+        return Poly(tvars, {(power,): c for power, c in enumerate(value)})
     return Poly.const(tvars, rat(value))
 
 

@@ -8,6 +8,7 @@ floating point in this module or anywhere downstream of it.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -20,9 +21,14 @@ class VariableContextMismatch(ValueError):
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or "p/q" string to an exact rational.
+
+    ValueError on any other string: Fraction would also read decimals and
+    exponents, and computes 10**exp with no digit limit."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip()):
+        raise ValueError(f"cannot read {value!r} as an integer or p/q")
     return Fraction(value)
 
 
@@ -30,10 +36,6 @@ def rat_str(value: RationalLike) -> str:
     """Serialize a rational as "p/q" in lowest terms with q > 0."""
     q = rat(value)
     return f"{q.numerator}/{q.denominator}"
-
-
-def _grlex_key(expo: Tuple[int, ...]) -> Tuple:
-    return (sum(expo), expo)
 
 
 def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
@@ -72,15 +74,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def _raw(cls, variables: Tuple[str, ...], terms: Dict[Tuple[int, ...], Fraction]) -> "Poly":
-        """Poly over `variables` taking `terms` as they are: tuple exponents
-        of the right width and nonzero Fraction coefficients."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "vars", variables)
-        object.__setattr__(out, "terms", terms)
-        return out
-
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -98,18 +91,6 @@ class Poly:
         expo[variables.index(name)] = power
         return cls(variables, {tuple(expo): Fraction(1)})
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[RationalLike], variables: Sequence[str], name: str) -> "Poly":
-        """Univariate polynomial from an ascending coefficient list."""
-        variables = tuple(variables)
-        slot = variables.index(name)
-        terms = {}
-        for power, c in enumerate(coeffs):
-            expo = [0] * len(variables)
-            expo[slot] = power
-            terms[tuple(expo)] = rat(c)
-        return cls(variables, terms)
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -124,10 +105,6 @@ class Poly:
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
-
-    def sorted_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
-        """Terms in descending graded-lex order (canonical iteration order)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
     def coeffs_univar(self, name: str) -> List[Fraction]:
         """Ascending dense coefficient list; the polynomial must involve no
@@ -170,17 +147,13 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
-            if s:
-                terms[expo] = s
-            else:
-                terms.pop(expo, None)
-        return Poly._raw(self.vars, terms)
+            terms[expo] = terms.get(expo, 0) + c
+        return Poly(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -191,21 +164,16 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return Poly._raw(self.vars, {e: k * c for e, k in self.terms.items()} if c else {})
+            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # Integer numerators over each operand's common denominator; one
-        # Fraction per output term.
-        den1, nums1 = clear_denominators(self.terms.values())
-        den2, nums2 = clear_denominators(other.terms.values())
-        sums: Dict[Tuple[int, ...], int] = {}
-        for e1, n1 in zip(self.terms, nums1):
-            for e2, n2 in zip(other.terms, nums2):
+        terms: Dict[Tuple[int, ...], Fraction] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 expo = tuple(map(add, e1, e2))
-                sums[expo] = sums.get(expo, 0) + n1 * n2
-        den = den1 * den2
-        return Poly._raw(self.vars, {e: Fraction(s, den) for e, s in sums.items() if s})
+                terms[expo] = terms.get(expo, 0) + c1 * c2
+        return Poly(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -282,7 +250,8 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for expo, c in self.sorted_terms():
+        grlex = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        for expo, c in grlex:
             factors = []
             for slot, power in enumerate(expo):
                 if power == 1:
@@ -335,4 +304,4 @@ def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> T
         for expo, c in acc.terms.items():
             terms[expo[:slot] + (power - 1,) + expo[slot + 1:]] = c
     remainder = buckets.get(0, zero) + acc * root
-    return Poly._raw(p.vars, terms), remainder
+    return Poly(p.vars, terms), remainder

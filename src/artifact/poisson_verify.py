@@ -51,11 +51,9 @@ def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
 class RankReport(NamedTuple):
     """Outcome of a pointwise rank scan of one bracket tensor."""
 
-    points: Tuple[Tuple[Fraction, ...], ...]
-    ranks: Tuple[int, ...]
     histogram: Dict[int, int]
     generic_rank: int
-    flagged: Tuple[int, ...]
+    flagged: int
     pencil_drops: int
 
     def csv_rows(self) -> List[str]:
@@ -248,7 +246,7 @@ def _random_point(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
 def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     """Deterministic random rank survey of one tensor.
 
-    Samples rational points, tabulates ranks, flags samples that fall
+    Samples rational points, tabulates ranks, counts samples that fall
     more than one even step below the observed generic value, and counts
     the points of a few random pencils where the rank drops.
     """
@@ -262,7 +260,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     for r in ranks:
         histogram[r] = histogram.get(r, 0) + 1
     generic = max(ranks)
-    flagged = tuple(i for i, r in enumerate(ranks) if r < generic - 2)
+    flagged = sum(r < generic - 2 for r in ranks)
     drops = 0
     for _ in range(3):
         base = _random_point(rng, T.n)
@@ -271,7 +269,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
             probe = tuple(b + step * d for b, d in zip(base, direction))
             if any(probe) and _point_rank(forms, T.n, probe) < generic:
                 drops += 1
-    return RankReport(points, ranks, histogram, generic, flagged, drops)
+    return RankReport(histogram, generic, flagged, drops)
 
 
 def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:

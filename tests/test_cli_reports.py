@@ -81,6 +81,17 @@ def test_bracket_build_rejects_overlong_coeffs(tmp_path, monkeypatch, capsys):
     assert "config error" in err
 
 
+def test_bracket_build_rejects_exponent_coeffs(tmp_path, monkeypatch, capsys):
+    """Coefficients are integers or p/q: an exponent is a configuration
+    error that writes no artifact."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["bracket", "build", "--parity", "even", "--k", "2",
+                              "--Q", "1e3"], capsys)
+    assert code == 2
+    assert out == "" and "--Q: cannot read '1e3' as a rational" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bracket_build_zero_curve_is_family_constant(tmp_path, monkeypatch, capsys):
     """The zero-coefficient curve reproduces the family's constant member."""
     monkeypatch.chdir(tmp_path)
@@ -309,8 +320,9 @@ def _corrupt_pair(entry):
     lambda pi: pi[0]["q"][0].update(v=50),
     lambda pi: pi[0]["q"][0].update(val=0.5),
     lambda pi: pi.append(dict(pi[0])),
+    lambda pi: pi[0]["q"][0].update(val="1e3"),
 ], ids=["pair-out-of-range", "pair-reversed", "zero-denominator",
-        "monomial-out-of-range", "float-coefficient", "pair-twice"])
+        "monomial-out-of-range", "float-coefficient", "pair-twice", "exponent-coefficient"])
 def test_verify_jacobi_rejects_corrupt_tensor(tmp_path, monkeypatch, capsys, corrupt):
     """Entries the certifier cannot read exit 2 with no traceback."""
     monkeypatch.chdir(tmp_path)

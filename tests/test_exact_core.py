@@ -2,6 +2,7 @@
 division that the curve-function oracle builds on it."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,15 @@ def test_rational_coercion_and_serialization():
     assert rat_str(5) == "5/1"
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(0) == "0/1"
+    assert rat(" 7/2 ") == Fraction(7, 2) and rat("+4/6") == Fraction(2, 3) and rat("-3") == -3
+    for text in ("1e3", "3.5", "1/2/3", "0x10", "1_000", "2/-3", ""):
+        with pytest.raises(ValueError):
+            rat(text)
+    # Fraction would compute 10**4000000 here; rat refuses before any work.
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        rat("1e4000000")
+    assert time.perf_counter() - started < 1
 
 
 def test_poly_product_univariate():
@@ -86,6 +96,13 @@ def test_poly_ring_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a * one == a
         assert a + (-a) == Poly(vs)
+        assert (a * 0).terms == {}
+        # Evaluation at a rational point is a ring map to Q, independent of
+        # how the ring combines terms.
+        pt = {v: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for v in vs}
+        assert (a * b).eval_all(pt) == a.eval_all(pt) * b.eval_all(pt)
+        assert (a + b).eval_all(pt) == a.eval_all(pt) + b.eval_all(pt)
+        assert (-a).eval_all(pt) == -a.eval_all(pt)
 
 
 def test_poly_with_context_rename_and_eval():

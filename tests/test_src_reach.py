@@ -43,8 +43,6 @@ ORACLES = {
     "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
     "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
-    "poisson_verify.RankReport.points": "the determinism test reads the drawn points",
-    "poisson_verify.RankReport.ranks": "the determinism test reads the ranks per point",
     "helix_k0.generic_poisson_rank": "the closed form rank scans are tested against",
 }
 
