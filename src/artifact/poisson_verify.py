@@ -78,18 +78,32 @@ def _integer_forms(T: BracketTensor) -> Tuple[int, IntForms]:
 
 
 def _lift(T: BracketTensor) -> Tuple[int, IntForms]:
-    """s and the forms of s pi~, s the common denominator of the lift.  A term
-    v x_u x_w of pi^{dc} adds v to div[c][w] if u = d and to div[c][u] if w = d."""
+    """s and the forms of s pi~, s the lowest common denominator of the lift.
+
+    On the integer forms F = D pi, a term v x_u x_w of F^{dc} adds v to the
+    sparse div[c][w] if u = d and to div[c][u] if w = d.  Then n D pi~^{ab}
+    = n F^{ab} - x_a div^b + x_b div^a, and the gcd with n D divides out."""
+    den, forms = _integer_forms(T)
     n = T.n
-    div: List[List[RationalLike]] = [[0] * n for _ in range(n)]
-    for (a, b), form in T.pi.items():
+    div: Dict[int, Dict[int, int]] = {}
+    for (a, b), form in forms.items():
         for (u, w), v in form.items():
             for d, c, val in ((a, b, v), (b, a, -v)):
-                if u == d:
-                    div[c][w] += val
-                if w == d:
-                    div[c][u] += val
-    return _integer_forms(T + euler_tensor(T, [[-x / n if x else 0 for x in row] for row in div]))
+                for x, y in ((u, w), (w, u)):
+                    if x == d:
+                        row = div.setdefault(c, {})
+                        row[y] = row.get(y, 0) + val
+    out = {pair: {uv: n * v for uv, v in form.items()} for pair, form in forms.items()}
+    for b, row in div.items():
+        for c, v in row.items():
+            for a in range(n) if v else ():
+                if a != b:
+                    form = out.setdefault((min(a, b), max(a, b)), {})
+                    uv = (min(a, c), max(a, c))
+                    form[uv] = form.get(uv, 0) + (v if a > b else -v)
+    g = gcd(n * den, *(v for form in out.values() for v in form.values()))
+    return n * den // g, {pair: {uv: v // g for uv, v in form.items() if v}
+                          for pair, form in out.items() if any(form.values())}
 
 
 def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
@@ -148,12 +162,17 @@ def jacobi_check(T: BracketTensor) -> dict:
     quartic monomials map one to one.  A nonzero Jac(pi~) has a nonzero
     0-component, as W = E ^ Jac vanishes with them: E ^ W = 0 gives
     x_0 W^{abcd} = x_a W^{0bcd} - x_b W^{0acd} + x_c W^{0abd} - x_d W^{0abc}.
+    W^{0abc} can be nonzero only on a key abc of Jac or on a triple holding
+    j and l of a key 0jl, so only those triples are walked, in sorted order.
     """
     scale, forms = _lift(T)
     jac = dict(_integer_jacobiator(forms, T.n))
     if not jac:
         return {"holds": True, "witness": None}
-    for a, b, c in combinations(range(1, T.n), 3):
+    candidates = {triple for triple in jac if triple[0]}
+    for _, i, j in (triple for triple in jac if not triple[0]):
+        candidates.update(tuple(sorted((i, j, x))) for x in range(1, T.n) if x not in (i, j))
+    for a, b, c in sorted(candidates):
         acc: IntPoly = {}
         for x, triple, sign in ((0, (a, b, c), 1), (a, (0, b, c), -1),
                                 (b, (0, a, c), 1), (c, (0, a, b), -1)):
@@ -214,24 +233,30 @@ def _point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
     Evaluates M_ab = pi_ab(phi) on the integer forms of a tensor, restricts
     the antisymmetric form to the hyperplane of vectors orthogonal to phi
     (in the pairing sense), and returns the exact rank there; radial
-    directions never contribute.  The point is scaled to ints by its common
-    denominator, and the restriction by the pivot coordinate, neither of
-    which changes the rank.
+    directions never contribute.  The restricted entry of two indices in no
+    pair of a form is 0, and that of such a j and an active i is -pt_j M_ip,
+    so those rows and columns are multiples of one: the active indices, plus
+    one inactive index with pt_j != 0, give the same rank.  The coordinates
+    read are scaled to ints by their common denominator, and the restriction
+    by the pivot coordinate p, neither of which changes the rank.
     """
     point = [rat(x) for x in phi]
     if len(point) != n:
         raise ValueError("point size differs from the tensor size")
     if not any(point):
         raise ZeroVector("rank evaluation needs a nonzero point")
-    pt = clear_denominators(point)[1]
-    M = [[0] * n for _ in range(n)]
+    p = next(i for i, x in enumerate(point) if x)
+    active = {i for pair in forms for i in pair}
+    idx = sorted(active - {p})
+    idx += [j for j, x in enumerate(point) if x and j != p and j not in active][:1]
+    read = {p, *idx, *(i for form in forms.values() for uv in form for i in uv)}
+    pt = dict(zip(read, clear_denominators(point[i] for i in read)[1]))
+    M: Dict[Tuple[int, int], int] = {}
     for (a, b), form in forms.items():
-        val = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
-        M[a][b], M[b][a] = val, -val
-    p = next(i for i, x in enumerate(pt) if x)
-    others = [i for i in range(n) if i != p]
-    restricted = [[pt[p] * M[i][j] - pt[j] * M[i][p] - pt[i] * M[p][j] for j in others]
-                  for i in others]
+        M[a, b] = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
+        M[b, a] = -M[a, b]
+    restricted = [[pt[p] * M.get((i, j), 0) - pt[j] * M.get((i, p), 0) - pt[i] * M.get((p, j), 0)
+                   for j in idx] for i in idx]
     return _matrix_rank(restricted)
 
 
@@ -266,7 +291,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
         base = _random_point(rng, T.n)
         direction = _random_point(rng, T.n)
         for step in range(7):
-            probe = tuple(b + step * d for b, d in zip(base, direction))
+            probe = tuple(x + d for x, d in zip(probe, direction)) if step else base
             if any(probe) and _point_rank(forms, T.n, probe) < generic:
                 drops += 1
     return RankReport(histogram, generic, flagged, drops)
@@ -376,26 +401,3 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
         if power:
             reduced.append((coeffs, power))
     return RatioBracketValue(num, tuple(reduced), ctx)
-
-
-def euler_tensor(template: BracketTensor, matrix: Sequence[Sequence[RationalLike]]) -> BracketTensor:
-    """Radial modification E ^ X for the linear field X_a = sum matrix[a][c] x_c.
-
-    (E ^ X)^{ab} = x_a X_b - x_b X_a, so each nonzero matrix[b][c] adds
-    x_a x_c to the (a, b) entry for every a != b.  Its lift is zero.
-    """
-    n = template.n
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError("matrix shape must match the tensor size")
-    pi: Dict[Tuple[int, int], FormDict] = {}
-    for b, row in enumerate(matrix):
-        for c, val in enumerate(row):
-            if not val:
-                continue
-            val = rat(val)
-            for a in range(n):
-                if a != b:
-                    form = pi.setdefault((min(a, b), max(a, b)), {})
-                    key = (min(a, c), max(a, c))
-                    form[key] = form.get(key, Fraction(0)) + (val if a < b else -val)
-    return BracketTensor(template.parity, template.k, template.n, pi, {"kind": "radial"})

@@ -5,8 +5,9 @@ divergence-free lift pi~ = pi - (1/n) E ^ div pi over ints, and forms
 E ^ only for the failure witness.  This module keeps the slower routes
 they are cross-checked against: chart descent to the ratio coordinates
 u_a = x_a/x_m over Fractions, the chart Jacobiator by the Leibniz rule,
-and the E ^ Jac(pi) wedge of the raw tensor on every component
-a < b < c < d.
+the E ^ Jac(pi) wedge of the raw tensor on every component a < b < c < d,
+the lift as the Fraction sum pi + E ^ (-div pi/n) of two tensors, and the
+point rank on the dense n x n bracket matrix.
 """
 
 from dataclasses import dataclass
@@ -15,9 +16,9 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from artifact.bracket_forge import BracketTensor, FormDict
-from artifact.exact_core import Poly
-from artifact.poisson_verify import (IntPoly, _integer_forms, _integer_jacobiator,
-                                     _matrix_rank, _point_rank)
+from artifact.exact_core import Poly, RationalLike, clear_denominators, rat
+from artifact.poisson_verify import (IntForms, IntPoly, ZeroVector, _integer_forms,
+                                     _integer_jacobiator, _matrix_rank, _point_rank)
 
 
 def _chart_context(n: int, m: int) -> Tuple[str, ...]:
@@ -157,3 +158,60 @@ def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -
 def rank_at_point(T: BracketTensor, phi: Sequence) -> int:
     """The library's point rank of T at phi, on the integer forms of T."""
     return _point_rank(_integer_forms(T)[1], T.n, phi)
+
+
+def euler_tensor(template: BracketTensor, matrix: Sequence[Sequence[RationalLike]]) -> BracketTensor:
+    """Radial modification E ^ X for the linear field X_a = sum matrix[a][c] x_c.
+
+    (E ^ X)^{ab} = x_a X_b - x_b X_a, so each nonzero matrix[b][c] adds
+    x_a x_c to the (a, b) entry for every a != b.  Its lift is zero.
+    """
+    n = template.n
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix shape must match the tensor size")
+    pi: Dict[Tuple[int, int], FormDict] = {}
+    for b, row in enumerate(matrix):
+        for c, val in enumerate(row):
+            if not val:
+                continue
+            val = rat(val)
+            for a in range(n):
+                if a != b:
+                    form = pi.setdefault((min(a, b), max(a, b)), {})
+                    key = (min(a, c), max(a, c))
+                    form[key] = form.get(key, Fraction(0)) + (val if a < b else -val)
+    return BracketTensor(template.parity, template.k, template.n, pi, {"kind": "radial"})
+
+
+def lift_via_euler(T: BracketTensor) -> Tuple[int, IntForms]:
+    """The library's _lift by the Fraction route: the dense matrix of div pi,
+    the tensor E ^ (-div pi/n) added to T, and the sum cleared to ints.  A
+    term v x_u x_w of pi^{dc} adds v to div[c][w] if u = d and to div[c][u]
+    if w = d."""
+    n = T.n
+    div: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    for (a, b), form in T.pi.items():
+        for (u, w), v in form.items():
+            for d, c, val in ((a, b, v), (b, a, -v)):
+                if u == d:
+                    div[c][w] += val
+                if w == d:
+                    div[c][u] += val
+    return _integer_forms(T + euler_tensor(T, [[-x / n for x in row] for row in div]))
+
+
+def dense_point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
+    """The library's _point_rank on the dense n x n bracket matrix, every
+    index of the hyperplane transverse to phi kept."""
+    point = [rat(x) for x in phi]
+    if not any(point):
+        raise ZeroVector("rank evaluation needs a nonzero point")
+    pt = clear_denominators(point)[1]
+    M = [[0] * n for _ in range(n)]
+    for (a, b), form in forms.items():
+        val = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
+        M[a][b], M[b][a] = val, -val
+    p = next(i for i, x in enumerate(pt) if x)
+    others = [i for i in range(n) if i != p]
+    return _matrix_rank([[pt[p] * M[i][j] - pt[j] * M[i][p] - pt[i] * M[p][j] for j in others]
+                         for i in others])

@@ -8,6 +8,8 @@ files under tests/golden.  Set UPDATE_GOLDENS=1 to regenerate the files.
 import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -207,6 +209,36 @@ def test_verify_jacobi_empty_artifact_is_quick(tmp_path, monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "jacobi: pass" in out
+
+
+LIMITED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1500 * 10**6, 1500 * 10**6))
+from artifact.cli_reports import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify", "jacobi", "--in", "huge.json"],
+                                  ["rank", "scan", "--in", "huge.json", "--samples", "1"]],
+                         ids=["verify-jacobi", "rank-scan"])
+def test_huge_empty_artifact_runs_in_bounded_memory(tmp_path, argv):
+    """Memory follows the stored terms, not n^2: on the 52-byte empty
+    artifact at k = 20000, in a child limited to 1.5 GB of address space,
+    the lift and the point rank allocate nothing n x n and exit 0."""
+    artifact = json.dumps({"parity": "even", "k": 20000, "n": 40000, "pi": []})
+    assert len(artifact) == 52
+    (tmp_path / "huge.json").write_text(artifact)
+    env = dict(os.environ)
+    env.pop("ARTIFACT_OUT_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent.parent / "src")]
+                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 10
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_compat_full_sweep(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Tests for chart descent, Jacobi checks, compatibility, ranks, ratios."""
 
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -16,7 +17,6 @@ from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
     _divide_linear_form,
-    euler_tensor,
     independence_rank,
     jacobi_check,
     rank_scan,
@@ -25,7 +25,7 @@ from artifact.poisson_verify import (
 )
 
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, descend_to_chart,
-                         jacobiator, rank_at_point, wedge_certificate)
+                         euler_tensor, jacobiator, rank_at_point, wedge_certificate)
 
 F = Fraction
 
@@ -255,7 +255,9 @@ def test_generic_rank_values():
 
 
 def test_rank_scan_histogram_and_determinism():
-    """Scan concentrates at the generic rank and is reproducible."""
+    """Scan concentrates at the generic rank and is reproducible.  On
+    x_0^2 d_1 ^ d_2, of rank 0 exactly on x_0 = 0, the histogram depends on
+    the points drawn, so a rerun must repeat them and another seed differs."""
     T = build_tensor(CurveModel.even(2, [1, 0, -1], [2, 1, 0, 0, 3]))
     report = rank_scan(T, 50, SEED)
     assert report.histogram == {2: 50}
@@ -263,6 +265,11 @@ def test_rank_scan_histogram_and_determinism():
     assert report.flagged == 0
     assert rank_scan(T, 50, SEED) == report
     assert report.csv_rows() == ["rank,count", "2,50"]
+    square = BracketTensor("even", 2, 4, {(1, 2): {(0, 0): 1}})
+    report = rank_scan(square, 3000, 0)
+    assert report.histogram == {2: 2999, 0: 1}
+    assert rank_scan(square, 3000, 0) == report
+    assert rank_scan(square, 3000, 1) != report
 
 
 def test_rank_scan_zero_tensor():
@@ -443,6 +450,18 @@ def test_certificate_ignores_radial_terms_and_scale():
     assert schouten_certificate(T + euler_tensor(T, X))
     broken = _bumped(T, 1).scale(F(2, 7))
     assert not schouten_certificate(broken)
+
+
+def test_failing_witness_walks_only_candidate_triples():
+    """x_198 x_199 d_196 ^ d_197 + x_196 x_197 d_198 ^ d_199 at n = 200 fails
+    on four indices; its witness comes without walking C(199, 3) triples."""
+    T = BracketTensor("even", 100, 200, {(196, 197): {(198, 199): 1},
+                                         (198, 199): {(196, 197): 1}})
+    start = time.perf_counter()
+    verdict = jacobi_check(T)
+    assert time.perf_counter() - start < 0.5
+    assert verdict == {"holds": False, "witness": {"chart": 0, "triple": (196, 197, 198),
+                                                   "obstruction": "u196*u197*u198"}}
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

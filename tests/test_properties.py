@@ -1,9 +1,9 @@
 """Property tests: exact division, polynomial products, curve normal form,
 coordinate extraction from two-point sections, the bilinear assembly, the
 closed-form kernel and the closed-form derivation images against their
-general references, the Szego residue verdict, tensor JSON, the Jacobi
-certificate on the divergence-free lift and the integer rank kernel, on
-inputs drawn by hypothesis.
+general references, the Szego residue verdict, tensor JSON, the integer
+divergence-free lift, the Jacobi certificate on it, the integer rank
+kernel and the sparse point rank, on inputs drawn by hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -23,14 +23,14 @@ from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSecti
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (_form_poly, _lift, _matrix_rank, euler_tensor,
+from artifact.poisson_verify import (_form_poly, _integer_forms, _lift, _matrix_rank,
                                      independence_rank, jacobi_check, schouten_certificate)
 
 import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
                             pair_matrix, truncated_five_term)
-from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, rank_at_point,
-                         wedge_certificate)
+from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dense_point_rank,
+                         euler_tensor, lift_via_euler, rank_at_point, wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
                          element_from_coords, membership_extract, reduce, section_coords)
 
@@ -453,6 +453,27 @@ def _divergence(T):
                 Poly(ctx)) for c in range(T.n)]
 
 
+@st.composite
+def lift_cases(draw):
+    """A member or a pair sum of a family of either parity at k <= 4, or the
+    build of a curve with rational coefficients."""
+    kind = draw(st.sampled_from(["member", "pair", "curve"]))
+    if kind == "curve":
+        return build_tensor(draw(kernel_curves()))
+    members = _family(draw(st.sampled_from(["even", "odd"])), draw(st.integers(1, 4))).tensors
+    i, j = draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True))
+    return members[i] if kind == "member" else members[i] + members[j]
+
+
+@PROPERTY
+@given(T=lift_cases())
+def test_lift_matches_euler_route(T):
+    """The one integer pass gives the lift of the Fraction route, pi plus
+    the tensor E ^ (-div pi/n) cleared to ints: the same lowest common
+    denominator and the same forms."""
+    assert _lift(T) == lift_via_euler(T)
+
+
 @FEW
 @given(case=with_radial(st.one_of(family_spans(), bumped_family_spans())))
 def test_certificate_matches_all_charts(case):
@@ -597,3 +618,29 @@ def test_rank_at_point_ignores_scaling(case, q, lam):
     """Rescaling the tensor or the point leaves the rank unchanged."""
     T, phi = case
     assert rank_at_point(T.scale(q), [lam * x for x in phi]) == rank_at_point(T, phi)
+
+
+@st.composite
+def sparse_embeddings(draw):
+    """A drawn tensor with its indices spread over a larger n, and a nonzero
+    point, often zero on inactive indices, whose first nonzero coordinate
+    (the pivot) sits at a drawn index, active or not."""
+    T = draw(tensors())
+    k = T.k + draw(st.integers(1, 3))
+    n = 2 * k + (T.parity == "odd")
+    pos = sorted(draw(st.lists(st.integers(0, n - 1), min_size=T.n, max_size=T.n, unique=True)))
+    pi = {(pos[a], pos[b]): {(pos[u], pos[v]): val for (u, v), val in form.items()}
+          for (a, b), form in T.pi.items()}
+    lead = draw(st.integers(0, n - 1))
+    rest = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                         min_size=n - lead - 1, max_size=n - lead - 1))
+    return BracketTensor(T.parity, k, n, pi), [Fraction(0)] * lead + [draw(nonzero_rationals)] + rest
+
+
+@PROPERTY
+@given(case=sparse_embeddings())
+def test_point_rank_matches_dense_route(case):
+    """The active indices bordered by one inactive index give the rank of
+    the dense n x n restriction."""
+    T, phi = case
+    assert rank_at_point(T, phi) == dense_point_rank(_integer_forms(T)[1], T.n, phi)
