@@ -74,9 +74,8 @@ class BracketTensor:
         self.parity = parity
         self.k = k
         self.n = n
-        self.pi = {pair: {mono: val for mono, val in form.items() if val}
-                   for pair, form in pi.items()}
-        self.pi = {pair: form for pair, form in self.pi.items() if form}
+        self.pi = {pair: kept for pair, form in pi.items()
+                   if (kept := {mono: val for mono, val in form.items() if val})}
         self.provenance = dict(provenance or {})
 
     def form(self, a: int, b: int) -> FormDict:
@@ -237,17 +236,17 @@ def _kernel_curve(model: CurveModel, tau: Poly) -> Tuple[int, KernelCurve]:
     return den, (tau_d, half_q, p_d)
 
 
-def _add_quotient(block: Dict[Tuple[int, int], int], coeff: int, a: int, b: int,
+def _add_quotient(grid: Grid, xs: Tuple[int, int], coeff: int, a: int, b: int,
                   e1: int = 0, e2: int = 0) -> None:
-    """block += coeff t1^e1 t2^e2 B(a, b)/(t1 - t2), B(a, b) = t1^a t2^b - t1^b t2^a.
-
-    For a > b the quotient is sum_{r=0}^{a-b-1} t1^(a-1-r) t2^(b+r), and
-    B(b, a) = -B(a, b)."""
+    """grid += coeff t1^e1 t2^e2 B(a, b)/(t1 - t2) in the x-block xs = (x1, x2),
+    B(a, b) = t1^a t2^b - t1^b t2^a.  For a > b the quotient is
+    sum_{r=0}^{a-b-1} t1^(a-1-r) t2^(b+r), and B(b, a) = -B(a, b)."""
     if a < b:
         a, b, coeff = b, a, -coeff
+    x1, x2 = xs
     for r in range(a - b):
-        key = (e1 + a - 1 - r, e2 + b + r)
-        block[key] = block.get(key, 0) + coeff
+        key = ((x1, e1 + a - 1 - r), (x2, e2 + b + r))
+        grid[key] = grid.get(key, 0) + coeff
 
 
 def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
@@ -274,26 +273,25 @@ def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     if (u, v) == (1, 0):
         return {(s2, s1): -val for (s1, s2), val in _kernel_grid(sb, sa, curve).items()}
     tau, half_q, p = curve
-    blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {key: {} for key in _BLOCK_TAGS}
+    grid: Grid = {}
     if u != v:
         for l, val in enumerate(p):
-            _add_quotient(blocks[(0, 0)], val, i, j + l)
+            _add_quotient(grid, (0, 0), val, i, j + l)
         for l, q in enumerate(half_q):
-            _add_quotient(blocks[(1, 0)], -q, l, 0, j, i)
-            _add_quotient(blocks[(0, 1)], -q, l, 0, i, j)
+            _add_quotient(grid, (1, 0), -q, l, 0, j, i)
+            _add_quotient(grid, (0, 1), -q, l, 0, i, j)
         for l, val in enumerate(tau):
-            _add_quotient(blocks[(1, 1)], val, i + l, j)
+            _add_quotient(grid, (1, 1), val, i + l, j)
     else:
         # x1 takes tau_l t1^l (u = 0) or P_l t2^l (u = 1), x2 the mirror.
-        sym, sign, side = (blocks[(1, 1)], 1, p) if u else (blocks[(0, 0)], -1, tau)
+        sym, sign, side = ((1, 1), 1, p) if u else ((0, 0), -1, tau)
         for l, q in enumerate(half_q):
-            _add_quotient(sym, sign * q, i, j, l, 0)
-            _add_quotient(sym, sign * q, i, j, 0, l)
+            _add_quotient(grid, sym, sign * q, i, j, l, 0)
+            _add_quotient(grid, sym, sign * q, i, j, 0, l)
         for l, val in enumerate(side):
-            _add_quotient(blocks[(1, 0)], val, i, j, *((0, l) if u else (l, 0)))
-            _add_quotient(blocks[(0, 1)], val, i, j, *((l, 0) if u else (0, l)))
-    return {((x1, a), (x2, b)): val for (x1, x2), block in blocks.items()
-            for (a, b), val in block.items() if val}
+            _add_quotient(grid, (1, 0), val, i, j, *((0, l) if u else (l, 0)))
+            _add_quotient(grid, (0, 1), val, i, j, *((l, 0) if u else (0, l)))
+    return {key: val for key, val in grid.items() if val}
 
 
 def _derivation_image(slot: Slot, model: CurveModel, tau: Poly) -> Dict[Slot, Fraction]:
@@ -337,8 +335,8 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     Reading a grid is linear and the derivation terms factor over the
     basis, so each D(s_b) is read once: symmetrized, the pair's form is n
     times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
-    2 D(s_a) in row b.  Kernel grids and images are ints over one common
-    denominator, and each output coefficient is one Fraction.
+    2 D(s_a) in row b.  Grids are linear in the curve, which is scaled once,
+    by n onto the images' denominator, so each form is summed in ints.
     The odd parity truncates: its derivation images carry no pole part,
     and out-of-basis slots are dropped.  The even parity is strict: it
     rejects a pair whose summed grid has an entry outside the basis, where
@@ -352,7 +350,7 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     images = [_derivation_image(s, space.model, tau) for s in keys]
     kernel_den, curve = _kernel_curve(space.model, tau)
     den = math.lcm(kernel_den, *(val.denominator for image in images for val in image.values()))
-    kernel_scale = n * (den // kernel_den)
+    curve = tuple([n * (den // kernel_den) * val for val in part] for part in curve)
     images = [{s: val.numerator * (den // val.denominator) for s, val in image.items()}
               for image in images]
     inside = [{slots[s]: val for s, val in image.items() if s in slots} for image in images]
@@ -366,13 +364,13 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
                 if s1 in slots and s2 in slots:
                     u, v = slots[s1], slots[s2]
                     key = (u, v) if u <= v else (v, u)
-                    form[key] = form.get(key, 0) + kernel_scale * val
+                    form[key] = form.get(key, 0) + val
             for row, image, sign in ((a, inside[b], 2), (b, inside[a], -2)):
                 for u, val in image.items():
                     key = (row, u) if row <= u else (u, row)
                     form[key] = form.get(key, 0) + sign * val
             if strict:
-                overflow = {key: kernel_scale * val for key, val in grid.items()
+                overflow = {key: val for key, val in grid.items()
                             if not (key[0] in slots and key[1] in slots)}
                 for row, image, sign in ((keys[a], outside[b], 1), (keys[b], outside[a], -1)):
                     for s, val in image.items():
@@ -409,12 +407,6 @@ def build_tensor(model: CurveModel) -> BracketTensor:
                          dict(model.to_json(), assembly=assembly))
 
 
-def _unit_coeffs(i: int, size: int) -> List[int]:
-    out = [0] * size
-    out[i] = 1
-    return out
-
-
 def build_family(parity: str, k: int) -> FamilyBasis:
     """Nine-tensor basis of the bracket family at level k.
 
@@ -424,9 +416,9 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     """
     b0 = build_tensor(CurveModel(parity, k, 0, 0))
     directions = [("c", CurveModel.odd(k, 1, 0, 0))] if parity == "odd" else []
-    directions += [(f"Q:t^{i}", CurveModel(parity, k, _unit_coeffs(i, Q_LEN), 0))
+    directions += [(f"Q:t^{i}", CurveModel(parity, k, [int(i == l) for l in range(Q_LEN)], 0))
                    for i in range(Q_LEN)]
-    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, _unit_coeffs(j, P_LEN[parity])))
+    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, [int(j == l) for l in range(P_LEN[parity])]))
                    for j in range(P_LEN[parity])]
     tensors = [b0] + [build_tensor(model) - b0 for _, model in directions]
     labels = ["const"] + [label for label, _ in directions]

@@ -106,39 +106,29 @@ def _lift(T: BracketTensor) -> Tuple[int, IntForms]:
                           for pair, form in out.items() if any(form.values())}
 
 
-def _gradient(poly: IntPoly, n: int) -> Dict[int, IntPoly]:
-    """d -> the linear form d poly / d x_d of a quadratic poly."""
-    grad: Dict[int, IntPoly] = {}
-    for mono, val in poly.items():
-        for d in range(n):
-            power = (mono >> (3 * d)) & 7
-            if power:
-                lin = grad.setdefault(d, {})
-                rest = mono - 8 ** d
-                lin[rest] = lin.get(rest, 0) + power * val
-    return grad
-
-
-def _integer_jacobiator(forms: IntForms, n: int) -> Iterator[Tuple[Tuple[int, int, int], IntPoly]]:
+def _integer_jacobiator(forms: IntForms) -> Iterator[Tuple[Tuple[int, int, int], IntPoly]]:
     """The nonzero Jac(pi)^{abc}, a < b < c in sorted order, of integer
-    forms, packed first.  Every term needs the rows of a, b and c, so only
-    triples of indices with a nonempty row are walked."""
-    packed = {pair: {8 ** u + 8 ** v: val for (u, v), val in form.items()}
-              for pair, form in forms.items()}
-    rows: List[Dict[int, IntPoly]] = [{} for _ in range(n)]
-    for (a, b), poly in packed.items():
-        rows[a][b] = poly
-        rows[b][a] = {mono: -val for mono, val in poly.items()}
-    grads = {pair: _gradient(poly, n) for pair, poly in packed.items()}
-    for a, b, c in combinations([i for i in range(n) if rows[i]], 3):
+    forms.  One pass packs each form into the rows of its pair, signed, and
+    forms its gradient: val x_u x_v adds val x_v to d_u and val x_u to d_v.
+    Every term needs the rows of a, b and c, so only triples of indices
+    with a row are walked."""
+    rows: Dict[int, Dict[int, IntPoly]] = {}
+    grads: Dict[Tuple[int, int], Dict[int, IntPoly]] = {}
+    for (a, b), form in forms.items():
+        rows.setdefault(a, {})[b] = quad = {}
+        grads[a, b] = grad = {}
+        for (u, v), val in form.items():
+            quad[8 ** u + 8 ** v] = val
+            for d, w in ((u, v), (v, u)):
+                lin = grad.setdefault(d, {})
+                lin[8 ** w] = lin.get(8 ** w, 0) + val
+        rows.setdefault(b, {})[a] = {mono: -val for mono, val in quad.items()}
+    for a, b, c in combinations(sorted(rows), 3):
         acc: IntPoly = {}
         for i, pair, sign in ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)):
             row = rows[i]
             for d, lin in grads.get(pair, {}).items():
-                quad = row.get(d)
-                if quad is None:
-                    continue
-                for m1, v1 in quad.items():
+                for m1, v1 in row.get(d, {}).items():
                     for m2, v2 in lin.items():
                         key = m1 + m2
                         acc[key] = acc.get(key, 0) + sign * v1 * v2
@@ -150,7 +140,7 @@ def _integer_jacobiator(forms: IntForms, n: int) -> Iterator[Tuple[Tuple[int, in
 def schouten_certificate(T: BracketTensor) -> bool:
     """True when the Jacobiator of the lift, cleared to ints, is empty: the
     Jacobi identity on projective space.  It stops at the first entry."""
-    return next(_integer_jacobiator(_lift(T)[1], T.n), None) is None
+    return next(_integer_jacobiator(_lift(T)[1]), None) is None
 
 
 def jacobi_check(T: BracketTensor) -> dict:
@@ -166,7 +156,7 @@ def jacobi_check(T: BracketTensor) -> dict:
     j and l of a key 0jl, so only those triples are walked, in sorted order.
     """
     scale, forms = _lift(T)
-    jac = dict(_integer_jacobiator(forms, T.n))
+    jac = dict(_integer_jacobiator(forms))
     if not jac:
         return {"holds": True, "witness": None}
     candidates = {triple for triple in jac if triple[0]}
@@ -271,21 +261,20 @@ def _random_point(rng: random.Random, n: int) -> Tuple[Fraction, ...]:
 def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     """Deterministic random rank survey of one tensor.
 
-    Samples rational points, tabulates ranks, counts samples that fall
-    more than one even step below the observed generic value, and counts
-    the points of a few random pencils where the rank drops.
+    Draws and ranks rational points one at a time, tabulates the ranks,
+    counts samples more than one even step below the observed generic
+    value, and counts the points of a few random pencils where it drops.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    points = tuple(_random_point(rng, T.n) for _ in range(samples))
     forms = _integer_forms(T)[1]
-    ranks = tuple(_point_rank(forms, T.n, p) for p in points)
     histogram: Dict[int, int] = {}
-    for r in ranks:
+    for _ in range(samples):
+        r = _point_rank(forms, T.n, _random_point(rng, T.n))
         histogram[r] = histogram.get(r, 0) + 1
-    generic = max(ranks)
-    flagged = sum(r < generic - 2 for r in ranks)
+    generic = max(histogram)
+    flagged = sum(c for r, c in histogram.items() if r < generic - 2)
     drops = 0
     for _ in range(3):
         base = _random_point(rng, T.n)

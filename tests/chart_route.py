@@ -128,7 +128,7 @@ def wedge_certificate(T: BracketTensor) -> bool:
     """E ^ Jac(pi) = 0 tested on every component a < b < c < d, on the raw
     tensor: the reference for the E ^ route that the library no longer
     takes for its verdict.  A triple missing from the Jacobiator is zero."""
-    jac = dict(_integer_jacobiator(_integer_forms(T)[1], T.n))
+    jac = dict(_integer_jacobiator(_integer_forms(T)[1]))
     for quad in combinations(range(T.n), 4):
         wedge: IntPoly = {}
         for pos, a in enumerate(quad):

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -212,7 +213,7 @@ def test_jacobi_verdict_reads_the_whole_jacobiator(monkeypatch):
     m = 2 * 8 ** 0 + 8 ** 1
     jac = {(0, 1, 2): {m + 8 ** 2: 1}, (0, 1, 3): {m + 8 ** 3: 1}}
     monkeypatch.setattr(poisson_verify, "_integer_jacobiator",
-                        lambda forms, n: iter(jac.items()))
+                        lambda forms: iter(jac.items()))
     assert jacobi_check(_zero_like("even", 2, 4)) == {"holds": False, "witness": None}
 
 
@@ -277,6 +278,20 @@ def test_rank_scan_zero_tensor():
     report = rank_scan(_zero_like("even", 2, 4), 5, SEED)
     assert report.histogram == {0: 5}
     assert report.generic_rank == 0
+
+
+def test_rank_scan_holds_one_sample_at_a_time():
+    """The scan's peak memory does not grow with the samples drawn: 50
+    points of 2000 Fractions each, held at once, would take about 10 MB."""
+    T = _zero_like("even", 1000, 2000)
+    tracemalloc.start()
+    try:
+        report = rank_scan(T, 50, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.histogram == {0: 50}
+    assert peak < 3_000_000, peak
 
 
 def test_rank_scan_validates_samples():
