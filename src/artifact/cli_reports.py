@@ -168,7 +168,7 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {path} ({exc})") from exc
 
 

@@ -114,14 +114,11 @@ class CurveModel:
         return f"CurveModel({core})"
 
     def to_json(self) -> Dict[str, object]:
-        p_len = P_LEN[self.parity]
-        qs = self.Q.coeffs_univar("t") + [Fraction(0)] * Q_LEN
-        ps = self.P.coeffs_univar("t") + [Fraction(0)] * p_len
         out: Dict[str, object] = {
             "parity": self.parity,
             "k": self.k_param,
-            "Q": [rat_str(q) for q in qs[:Q_LEN]],
-            "P": [rat_str(p) for p in ps[:p_len]],
+            "Q": [rat_str(self.Q.coeff((i,))) for i in range(Q_LEN)],
+            "P": [rat_str(self.P.coeff((i,))) for i in range(P_LEN[self.parity])],
         }
         if self.parity == "odd":
             out["c"] = rat_str(self.c)

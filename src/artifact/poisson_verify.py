@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat
 from .bracket_forge import BracketTensor, FamilyBasis, FormDict
@@ -217,8 +217,8 @@ def _matrix_rank(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     return rank
 
 
-def _point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
-    """Rank of the bracket matrix at phi, restricted transverse to phi.
+def _point_rank(forms: IntForms, n: int, coordinate: Callable[[int], Union[int, Fraction]]) -> int:
+    """Rank of the bracket matrix at phi_i = coordinate(i), restricted transverse to phi.
 
     Evaluates M_ab = pi_ab(phi) on the integer forms of a tensor, restricts
     the antisymmetric form to the hyperplane of vectors orthogonal to phi
@@ -226,21 +226,19 @@ def _point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
     directions never contribute.  The restricted entry of two indices in no
     pair of a form is 0, and that of such a j and an active i is -pt_j M_ip,
     so those rows and columns are multiples of one: the active indices, plus
-    one inactive index with pt_j != 0, give the same rank.  The coordinates
-    read are scaled to ints by their common denominator, and the restriction
-    by the pivot coordinate p, neither of which changes the rank.
+    one inactive index with pt_j != 0, give the same rank.  Coordinates are
+    read on demand, only at the pivot p (the first nonzero one), that index
+    and the indices of the forms, and scaled to ints by their common
+    denominator; the restriction is scaled by pt_p.  Neither changes the
+    rank.  The caller guarantees phi != 0.
     """
-    point = [rat(x) for x in phi]
-    if len(point) != n:
-        raise ValueError("point size differs from the tensor size")
-    if not any(point):
-        raise ZeroVector("rank evaluation needs a nonzero point")
-    p = next(i for i, x in enumerate(point) if x)
+    p = next(i for i in range(n) if coordinate(i))
     active = {i for pair in forms for i in pair}
     idx = sorted(active - {p})
-    idx += [j for j, x in enumerate(point) if x and j != p and j not in active][:1]
+    border = next((j for j in range(n) if j != p and j not in active and coordinate(j)), None)
+    idx += [] if border is None else [border]
     read = {p, *idx, *(i for form in forms.values() for uv in form for i in uv)}
-    pt = dict(zip(read, clear_denominators(point[i] for i in read)[1]))
+    pt = dict(zip(read, clear_denominators(coordinate(i) for i in read)[1]))
     M: Dict[Tuple[int, int], int] = {}
     for (a, b), form in forms.items():
         M[a, b] = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
@@ -264,6 +262,8 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     Draws and ranks rational points one at a time, tabulates the ranks,
     counts samples more than one even step below the observed generic
     value, and counts the points of a few random pencils where it drops.
+    Every point is drawn in full, for the RNG order, but a pencil point
+    base + step * direction is formed only on the coordinates read.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -271,7 +271,7 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
     forms = _integer_forms(T)[1]
     histogram: Dict[int, int] = {}
     for _ in range(samples):
-        r = _point_rank(forms, T.n, _random_point(rng, T.n))
+        r = _point_rank(forms, T.n, _random_point(rng, T.n).__getitem__)
         histogram[r] = histogram.get(r, 0) + 1
     generic = max(histogram)
     flagged = sum(c for r, c in histogram.items() if r < generic - 2)
@@ -280,8 +280,9 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
         base = _random_point(rng, T.n)
         direction = _random_point(rng, T.n)
         for step in range(7):
-            probe = tuple(x + d for x, d in zip(probe, direction)) if step else base
-            if any(probe) and _point_rank(forms, T.n, probe) < generic:
+            def probe(i: int) -> Fraction:
+                return base[i] + step * direction[i]
+            if any(probe(i) for i in range(T.n)) and _point_rank(forms, T.n, probe) < generic:
                 drops += 1
     return RankReport(histogram, generic, flagged, drops)
 

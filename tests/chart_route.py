@@ -6,10 +6,12 @@ E ^ only for the failure witness.  This module keeps the slower routes
 they are cross-checked against: chart descent to the ratio coordinates
 u_a = x_a/x_m over Fractions, the chart Jacobiator by the Leibniz rule,
 the E ^ Jac(pi) wedge of the raw tensor on every component a < b < c < d,
-the lift as the Fraction sum pi + E ^ (-div pi/n) of two tensors, and the
-point rank on the dense n x n bracket matrix.
+the lift as the Fraction sum pi + E ^ (-div pi/n) of two tensors, the
+point rank on the dense n x n bracket matrix, and the rank scan on it with
+every point formed in full.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -17,8 +19,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from artifact.bracket_forge import BracketTensor, FormDict
 from artifact.exact_core import Poly, RationalLike, clear_denominators, rat
-from artifact.poisson_verify import (IntForms, IntPoly, ZeroVector, _integer_forms,
-                                     _integer_jacobiator, _matrix_rank, _point_rank)
+from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, _integer_forms,
+                                     _integer_jacobiator, _matrix_rank, _point_rank,
+                                     _random_point)
 
 
 def _chart_context(n: int, m: int) -> Tuple[str, ...]:
@@ -156,8 +159,9 @@ def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -
 
 
 def rank_at_point(T: BracketTensor, phi: Sequence) -> int:
-    """The library's point rank of T at phi, on the integer forms of T."""
-    return _point_rank(_integer_forms(T)[1], T.n, phi)
+    """The library's point rank of T at the nonzero point phi, on the
+    integer forms of T."""
+    return _point_rank(_integer_forms(T)[1], T.n, phi.__getitem__)
 
 
 def euler_tensor(template: BracketTensor, matrix: Sequence[Sequence[RationalLike]]) -> BracketTensor:
@@ -215,3 +219,25 @@ def dense_point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> in
     others = [i for i in range(n) if i != p]
     return _matrix_rank([[pt[p] * M[i][j] - pt[j] * M[i][p] - pt[i] * M[p][j] for j in others]
                          for i in others])
+
+
+def reference_rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
+    """The library's rank_scan with the same draws, every pencil point formed
+    as a full tuple and every point ranked by dense_point_rank."""
+    rng = random.Random(seed)
+    forms = _integer_forms(T)[1]
+    histogram: Dict[int, int] = {}
+    for _ in range(samples):
+        r = dense_point_rank(forms, T.n, _random_point(rng, T.n))
+        histogram[r] = histogram.get(r, 0) + 1
+    generic = max(histogram)
+    flagged = sum(c for r, c in histogram.items() if r < generic - 2)
+    drops = 0
+    for _ in range(3):
+        base = _random_point(rng, T.n)
+        direction = _random_point(rng, T.n)
+        for step in range(7):
+            probe = tuple(x + step * d for x, d in zip(base, direction))
+            if any(probe) and dense_point_rank(forms, T.n, probe) < generic:
+                drops += 1
+    return RankReport(histogram, generic, flagged, drops)

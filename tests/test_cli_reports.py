@@ -219,6 +219,16 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_child(tmp_path, args):
+    """python args in tmp_path with this checkout's src on the path."""
+    env = dict(os.environ)
+    env.pop("ARTIFACT_OUT_DIR", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent.parent / "src")]
+                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [["verify", "jacobi", "--in", "huge.json"],
                                   ["rank", "scan", "--in", "huge.json", "--samples", "1"]],
                          ids=["verify-jacobi", "rank-scan"])
@@ -229,16 +239,26 @@ def test_huge_empty_artifact_runs_in_bounded_memory(tmp_path, argv):
     artifact = json.dumps({"parity": "even", "k": 20000, "n": 40000, "pi": []})
     assert len(artifact) == 52
     (tmp_path / "huge.json").write_text(artifact)
-    env = dict(os.environ)
-    env.pop("ARTIFACT_OUT_DIR", None)
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent.parent / "src")]
-                                        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", LIMITED_CHILD, *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_child(tmp_path, ["-c", LIMITED_CHILD, *argv])
     assert time.perf_counter() - start < 10
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "jacobi", "--in", "deep.json"],
+                                  ["verify", "compat", "--family", "deep.json"],
+                                  ["verify", "independence", "--family", "deep.json"],
+                                  ["rank", "scan", "--in", "deep.json"]],
+                         ids=["verify-jacobi", "verify-compat", "verify-independence",
+                              "rank-scan"])
+def test_deeply_nested_artifact_is_a_config_error(tmp_path, argv):
+    """100000 nested brackets exceed the JSON reader's recursion limit:
+    every command that loads an artifact exits 2, with no traceback."""
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    proc = _run_child(tmp_path, ["-m", "artifact.cli_reports", *argv])
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_compat_full_sweep(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ coordinate extraction from two-point sections, the bilinear assembly, the
 closed-form kernel and the closed-form derivation images against their
 general references, the Szego residue verdict, tensor JSON, the integer
 divergence-free lift, the Jacobi certificate on it, the integer rank
-kernel and the sparse point rank, on inputs drawn by hypothesis.
+kernel, the sparse point rank and the rank scan, on inputs drawn by
+hypothesis.
 
 Examples are few and derandomized so that the suite stays quick and
 reproducible; every property is exact, so one counterexample is a bug.
@@ -24,13 +25,15 @@ from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertifica
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.poisson_verify import (_form_poly, _integer_forms, _lift, _matrix_rank,
-                                     independence_rank, jacobi_check, schouten_certificate)
+                                     independence_rank, jacobi_check, rank_scan,
+                                     schouten_certificate)
 
 import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
                             pair_matrix, truncated_five_term)
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dense_point_rank,
-                         euler_tensor, lift_via_euler, rank_at_point, wedge_certificate)
+                         euler_tensor, lift_via_euler, rank_at_point, reference_rank_scan,
+                         wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
                          element_from_coords, membership_extract, reduce, section_coords)
 
@@ -644,3 +647,12 @@ def test_point_rank_matches_dense_route(case):
     the dense n x n restriction."""
     T, phi = case
     assert rank_at_point(T, phi) == dense_point_rank(_integer_forms(T)[1], T.n, phi)
+
+
+@PROPERTY
+@given(T=st.one_of(tensors(), family_spans(), sparse_embeddings().map(lambda case: case[0])),
+       samples=st.integers(1, 4), seed=st.integers(0, 2))
+def test_rank_scan_matches_reference_scan(T, samples, seed):
+    """The scan, pencil counts included, equals the reference scan that
+    forms every point in full and ranks it on the dense matrix."""
+    assert rank_scan(T, samples, seed) == reference_rank_scan(T, samples, seed)
