@@ -17,8 +17,9 @@ Every x-block of the kernel numerator is a sum of (curve coefficient)
 
 so the kernel term needs no polynomial product and no division, and the
 block list sits in _kernel_grid.  The curve data and the derivation
-images are cleared to integers once per build; each pair's form is summed
-in ints and each output coefficient is one Fraction.
+images are cleared to integers together, by one clear_denominators per
+build; each pair's form is summed in ints and each output coefficient is
+one Fraction.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly, and the assembly is strict.  For odd parity the
@@ -33,11 +34,10 @@ downstream check certifies.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .exact_core import Poly, RationalLike, poly_divmod_linear, rat, rat_str
+from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
 from .curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace, dimension
 
 PairKey = Tuple[int, int]
@@ -220,23 +220,12 @@ Scalar = Union[int, Fraction]
 Grid = Dict[Tuple[Slot, Slot], Scalar]
 # tau, Q/2 and P of the curve tau x^2 = Q x + P: ascending coefficient
 # lists in t, all times one scale.
-KernelCurve = Tuple[List[int], List[int], List[int]]
+KernelCurve = Tuple[List[Scalar], List[Scalar], List[Scalar]]
 
 _BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
 
 
-def _kernel_curve(model: CurveModel, tau: Poly) -> Tuple[int, KernelCurve]:
-    """(D, curve) with curve = D (tau, Q/2, P) of the curve tau x^2 = Q x + P
-    as int coefficient lists and D = 2 lcm of the denominators, so the
-    grids _kernel_grid reads off curve are D times the kernel's."""
-    parts = [p.coeffs_univar("t") for p in (tau, model.Q, model.P)]
-    den = 2 * math.lcm(*(val.denominator for part in parts for val in part))
-    tau_d, half_q, p_d = ([val.numerator * (scale // val.denominator) for val in part]
-                          for part, scale in zip(parts, (den, den // 2, den)))
-    return den, (tau_d, half_q, p_d)
-
-
-def _add_quotient(grid: Grid, xs: Tuple[int, int], coeff: int, a: int, b: int,
+def _add_quotient(grid: Grid, xs: Tuple[int, int], coeff: Scalar, a: int, b: int,
                   e1: int = 0, e2: int = 0) -> None:
     """grid += coeff t1^e1 t2^e2 B(a, b)/(t1 - t2) in the x-block xs = (x1, x2),
     B(a, b) = t1^a t2^b - t1^b t2^a.  For a > b the quotient is
@@ -252,7 +241,8 @@ def _add_quotient(grid: Grid, xs: Tuple[int, int], coeff: int, a: int, b: int,
 def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     """Grid of K = S (s_a(1) s_b(2) - s_b(1) s_a(2)) for the monomials
     s_a = t^i x^u and s_b = t^j x^v of slots (u, i) and (v, j), read off
-    x-coordinates in closed form, times the scale of curve (_kernel_curve).
+    x-coordinates in closed form, times the scale of curve: _five_term_forms
+    passes it cleared to ints together with the derivation images.
 
     With w = tau x - Q/2, S = (w1 + w2)/(t1 - t2) and M the antisymmetric
     product, (w1 + w2) M = (tau1 x1 + tau2 x2 - (Q1 + Q2)/2) M.  An x_l^2
@@ -335,8 +325,9 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     Reading a grid is linear and the derivation terms factor over the
     basis, so each D(s_b) is read once: symmetrized, the pair's form is n
     times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
-    2 D(s_a) in row b.  Grids are linear in the curve, which is scaled once,
-    by n onto the images' denominator, so each form is summed in ints.
+    2 D(s_a) in row b.  The curve (tau, Q/2, P) and the images are cleared
+    together by one clear_denominators; grids are linear in the curve, so
+    its part is also scaled by n, and each form is summed in ints.
     The odd parity truncates: its derivation images carry no pole part,
     and out-of-basis slots are dropped.  The even parity is strict: it
     rejects a pair whose summed grid has an entry outside the basis, where
@@ -347,12 +338,12 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     labels = space.labels()
     slots = space.slots
     keys = list(slots)
+    curve = [p.coeffs_univar("t") for p in (tau, space.model.Q * Fraction(1, 2), space.model.P)]
     images = [_derivation_image(s, space.model, tau) for s in keys]
-    kernel_den, curve = _kernel_curve(space.model, tau)
-    den = math.lcm(kernel_den, *(val.denominator for image in images for val in image.values()))
-    curve = tuple([n * (den // kernel_den) * val for val in part] for part in curve)
-    images = [{s: val.numerator * (den // val.denominator) for s, val in image.items()}
-              for image in images]
+    den, ints = clear_denominators(val for part in (*curve, *map(dict.values, images)) for val in part)
+    ints = iter(ints)
+    curve = tuple([n * next(ints) for _ in part] for part in curve)
+    images = [{s: next(ints) for s in image} for image in images]
     inside = [{slots[s]: val for s, val in image.items() if s in slots} for image in images]
     outside = [{s: val for s, val in image.items() if s not in slots} for image in images]
     pi: Dict[PairKey, FormDict] = {}

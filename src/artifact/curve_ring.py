@@ -138,8 +138,8 @@ class SectionSpace:
         self.model = model
         self.k = model.k_param
         self.dim = dimension(model.parity, self.k)
-        self.x_deg_max = self.dim - self.k - 2
-        keys = [(0, i) for i in range(self.k + 1)] + [(1, j) for j in range(self.x_deg_max + 1)]
+        x_deg_max = self.dim - self.k - 2
+        keys = [(0, i) for i in range(self.k + 1)] + [(1, j) for j in range(x_deg_max + 1)]
         self.slots: Dict[Tuple[int, int], int] = {slot: index for index, slot in enumerate(keys)}
 
     def labels(self) -> List[str]:

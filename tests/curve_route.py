@@ -288,11 +288,11 @@ def curve_derivation(e: CurveElement) -> CurveElement:
 
 
 def basis_elements(space: SectionSpace) -> List[CurveElement]:
-    """The section basis 1, t, ..., t^k, x, t x, ..., t^(x_deg_max) x."""
+    """The section basis 1, t, ..., t^k, x, t x, ..., t^(dim - k - 2) x."""
     model = space.model
     out = [t_elem(model, i) for i in range(space.k + 1)]
     cur = x_elem(model)
-    for _ in range(space.x_deg_max + 1):
+    for _ in range(space.dim - space.k - 1):
         out.append(cur)
         cur = cur * t_elem(model)
     return out
@@ -327,7 +327,8 @@ def membership_extract(e: CurveElement, space: SectionSpace) -> List[Fraction]:
         if bad:
             raise NotInSpace(f"pole part does not cancel: remainder(s) {', '.join(bad)}")
     coords = [Fraction(0)] * space.dim
-    for poly, offset, dmax, tag in ((A, 0, space.k, ""), (B, space.k + 1, space.x_deg_max, "*x")):
+    x_deg_max = space.dim - space.k - 2
+    for poly, offset, dmax, tag in ((A, 0, space.k, ""), (B, space.k + 1, x_deg_max, "*x")):
         if poly.is_zero:
             continue
         try:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from artifact.bracket_forge import _kernel_curve, _kernel_grid
+from artifact.bracket_forge import _kernel_grid
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, SectionSpace, dimension,
                                  verify_szego_residues)
 from artifact.exact_core import Poly
@@ -202,8 +202,8 @@ def test_derivation_raises_section_level_odd():
 
 def _numerator_grid(model):
     """Kernel grid of the pair (t, 1): S (t1 - t2) = w1 + w2 in x-coordinates."""
-    scale, curve = _kernel_curve(model, model.tau_poly())
-    return {key: Fraction(val, scale) for key, val in _kernel_grid((0, 1), (0, 0), curve).items()}
+    curve = [p.coeffs_univar("t") for p in (model.tau_poly(), model.Q * Fraction(1, 2), model.P)]
+    return _kernel_grid((0, 1), (0, 0), curve)
 
 
 def test_szego_numerator_even():

@@ -313,6 +313,25 @@ def test_rank_scan_reads_few_coordinates(monkeypatch):
     assert max(reads) <= 6, reads
 
 
+def test_rank_scan_tallies_scripted_ranks(monkeypatch):
+    """With the point rank scripted, the scan tallies the samples, takes the
+    largest as generic, flags a sample more than one even step below it
+    (rank 2, not rank 4) and counts the pencil points of lower rank."""
+    samples = [6, 6, 2, 4, 6]
+    pencils = [6, 4, 6, 6, 6, 6, 6] + [6, 6, 2, 6, 6, 0, 6] + [6, 6, 6, 6, 6, 6, 4]
+    ranks = iter(samples + pencils)
+    calls = []
+
+    def scripted(forms, n, coordinate):
+        calls.append(n)
+        return next(ranks)
+
+    monkeypatch.setattr(poisson_verify, "_point_rank", scripted)
+    report = rank_scan(_zero_like("even", 4, 8), 5, SEED)
+    assert report == ({6: 3, 2: 1, 4: 1}, 6, 1, 4)
+    assert len(calls) == 26
+
+
 def test_rank_scan_validates_samples():
     """At least one sample point is required."""
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
                                     _derivation_image, _five_term_forms,
-                                    _kernel_curve, _kernel_grid, build_family, build_tensor)
+                                    _kernel_grid, build_family, build_tensor)
 from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
                                  verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
@@ -229,12 +229,12 @@ def test_closed_form_kernel_matches_general_product(space, data):
 
 
 def _closed_kernel(model):
-    """The library's integer kernel grids of the model's own curve, divided
-    by their scale."""
-    scale, curve = _kernel_curve(model, model.tau_poly())
+    """The library's closed-form kernel grids of the model's own curve, read
+    at scale 1 off its rational tau, Q/2 and P."""
+    curve = [p.coeffs_univar("t") for p in (model.tau_poly(), model.Q * Fraction(1, 2), model.P)]
 
     def kernel(sa, sb):
-        return {key: Fraction(val, scale) for key, val in _kernel_grid(sa, sb, curve).items()}
+        return _kernel_grid(sa, sb, curve)
     return kernel
 
 

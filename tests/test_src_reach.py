@@ -13,8 +13,9 @@ stale entry fails too.  Names are "module.Class.member" and
 src and are not checked.
 
 What a run cannot see is checked statically: every module-level name is
-referenced by other src code or imported by the acceptance tests, and
-every parameter is read in its function's body, protocol dunders aside.
+referenced by other src code or imported by the acceptance tests, every
+parameter is read in its function's body, protocol dunders aside, and
+only exact_core splits a rational into integers.
 """
 
 import ast
@@ -329,3 +330,20 @@ def test_every_parameter_is_read():
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         unread |= {f"{name}({param})" for param in params if param not in loads}
     assert unread == set()
+
+
+def test_only_exact_core_splits_rationals():
+    """Outside exact_core no src module calls math.lcm or reads .numerator
+    or .denominator: clearing denominators has one implementation,
+    exact_core.clear_denominators."""
+    split = set()
+    for module, _, tree in _modules():
+        if module == "exact_core":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("lcm", "numerator", "denominator"):
+                split.add(f"{module}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                split |= {f"{module}:{node.lineno} import {alias.name}"
+                          for alias in node.names if alias.name == "lcm"}
+    assert split == set()
