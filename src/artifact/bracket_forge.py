@@ -6,9 +6,8 @@ The forms come from a five-term combination of the multiplication kernel and
 the canonical derivation.  Both terms are read off x-coordinates of basis
 monomials t^i x^u in closed form, so the library holds no type for curve
 functions.  Reading coordinates is linear, so the assembly uses
-bilinearity: the kernel term of each pair is read per pair, and the n
-derivation images are read once each and added to the rows of the two
-coordinates of the pair.
+bilinearity: the n derivation images are read once each, and each pair is
+summed in one slot grid, its kernel term plus two images.
 
 Every x-block of the kernel numerator is a sum of (curve coefficient)
 (monomial) B(a, b), B(a, b) = t1^a t2^b - t1^b t2^a, and for a > b
@@ -18,7 +17,7 @@ Every x-block of the kernel numerator is a sum of (curve coefficient)
 so the kernel term needs no polynomial product and no division, and the
 block list sits in _kernel_grid.  The curve data and the derivation
 images are cleared to integers together, by one clear_denominators per
-build; each pair's form is summed in ints and each output coefficient is
+build; each pair's grid is summed in ints and each output coefficient is
 one Fraction.
 
 For even parity the five-term combination lands in the tensor square of the
@@ -30,12 +29,25 @@ recentred by a fixed curve-independent correction folded into the same
 assembly (build_tensor).  The recentred tensor agrees, after the chart
 descent, with the closed-form chart brackets, and it is what every
 downstream check certifies.
+
+The projective bracket is the kernel term alone.  Read as linear forms,
+the derivation part of pair (a, b) is 2 x_a D(s_b) - 2 x_b D(s_a), that is
+E ^ X with X^b = 2 D(s_b) and E the Euler field; truncation only drops
+slots of an image, so the odd part is radial too.  The lift
+pi~ = pi - (1/n) E ^ div pi of poisson_verify is linear and kills radial
+bivectors, so lift(pi) = n lift(K), K the kernel grids read on basis x
+basis: no verdict or rank reads the derivation term, which only makes the
+raw even tensor land in the basis.  The kernel grid is linear in
+(tau, Q/2, P), and the odd tau = t + c - (2/n)(t - 1) is ((n-2)/n)(t + c'),
+c' = s c + 2/(2k-1) with s = n/(n-2) = (2k+1)/(2k-1).  So the odd bracket
+is, projectively, the uncorrected kernel bracket of the curve
+C'_k: (t + c') x^2 = s (Q x + P).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
 from .curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace, dimension
@@ -45,11 +57,17 @@ FormDict = Dict[Tuple[int, int], Fraction]
 
 
 class TensorNotInSectionSpace(ValueError):
-    """The assembled pair tensor has a component outside the section basis."""
+    """The assembled pair tensor has a component outside the section basis.
 
-    def __init__(self, pair: str, details: Sequence[str]):
+    details names each nonzero entry of the pair's slot grid outside
+    basis x basis, in block order."""
+
+    def __init__(self, pair: str, grid: Grid, slots: Dict[Slot, int]):
+        out = sorted((2 * v + u, i, j) for ((u, i), (v, j)), val in grid.items()
+                     if val and not ((u, i) in slots and (v, j) in slots))
         self.pair = pair
-        self.details = tuple(details)
+        self.details = tuple(f"term t1^{i}*t2^{j} of the {_BLOCK_TAGS[(b % 2, b // 2)]} block "
+                             "outside the basis" for b, i, j in out)
         super().__init__(f"pair {pair}: " + "; ".join(self.details))
 
 
@@ -77,14 +95,6 @@ class BracketTensor:
         self.pi = {pair: kept for pair, form in pi.items()
                    if (kept := {mono: val for mono, val in form.items() if val})}
         self.provenance = dict(provenance or {})
-
-    def form(self, a: int, b: int) -> FormDict:
-        """Quadratic form of the (a, b) bracket entry, sign included."""
-        if a == b:
-            return {}
-        if a < b:
-            return dict(self.pi.get((a, b), {}))
-        return {mono: -val for mono, val in self.pi.get((b, a), {}).items()}
 
     @property
     def is_zero(self) -> bool:
@@ -309,29 +319,22 @@ def _derivation_image(slot: Slot, model: CurveModel, tau: Poly) -> Dict[Slot, Fr
     return {(x, e): val for x, block in enumerate(blocks) for (e,), val in block.terms.items()}
 
 
-def _overflow_details(grid: Grid, slots: Dict[Slot, int]) -> List[str]:
-    """The nonzero entries of grid outside basis x basis, in block order."""
-    out = sorted((2 * v + u, i, j) for ((u, i), (v, j)), val in grid.items()
-                 if val and not ((u, i) in slots and (v, j) in slots))
-    return [f"term t1^{i}*t2^{j} of the {_BLOCK_TAGS[(b % 2, b // 2)]} block outside the basis"
-            for b, i, j in out]
-
-
 def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation,
     on the curve tau x^2 = Q x + P of the space's Q and P.
 
-    Reading a grid is linear and the derivation terms factor over the
-    basis, so each D(s_b) is read once: symmetrized, the pair's form is n
-    times the symmetrized kernel grid, plus 2 D(s_b) in row a, minus
-    2 D(s_a) in row b.  The curve (tau, Q/2, P) and the images are cleared
+    Reading a grid is linear, so each D(s) is read once, and each pair is
+    summed in one slot grid: n times the kernel grid, plus D(s_b) at
+    (s_a, s) and (s, s_a), minus D(s_a) at (s_b, s) and (s, s_b), for every
+    slot s of the image.  The curve (tau, Q/2, P) and the images are cleared
     together by one clear_denominators; grids are linear in the curve, so
-    its part is also scaled by n, and each form is summed in ints.
-    The odd parity truncates: its derivation images carry no pole part,
-    and out-of-basis slots are dropped.  The even parity is strict: it
-    rejects a pair whose summed grid has an entry outside the basis, where
-    kernel and derivation overflow may cancel; neither term has a pole there.
+    its part is also scaled by n, and each grid is summed in ints.  One pass
+    reads the grid: an entry on basis x basis adds to the symmetrized form;
+    one off it is dropped in the odd parity, which truncates (its images
+    carry no pole part), and rejects the pair in the even parity, which is
+    strict: there kernel and derivation overflow may cancel, and neither
+    term has a pole.
     """
     n = space.dim
     strict = space.model.parity == "even"
@@ -344,32 +347,22 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     ints = iter(ints)
     curve = tuple([n * next(ints) for _ in part] for part in curve)
     images = [{s: next(ints) for s in image} for image in images]
-    inside = [{slots[s]: val for s, val in image.items() if s in slots} for image in images]
-    outside = [{s: val for s, val in image.items() if s not in slots} for image in images]
     pi: Dict[PairKey, FormDict] = {}
     for a in range(n):
         for b in range(a + 1, n):
             grid = _kernel_grid(keys[a], keys[b], curve)
+            for row, image, sign in ((keys[a], images[b], 1), (keys[b], images[a], -1)):
+                for s, val in image.items():
+                    for key in ((row, s), (s, row)):
+                        grid[key] = grid.get(key, 0) + sign * val
             form: Dict[PairKey, int] = {}
             for (s1, s2), val in grid.items():
                 if s1 in slots and s2 in slots:
                     u, v = slots[s1], slots[s2]
                     key = (u, v) if u <= v else (v, u)
                     form[key] = form.get(key, 0) + val
-            for row, image, sign in ((a, inside[b], 2), (b, inside[a], -2)):
-                for u, val in image.items():
-                    key = (row, u) if row <= u else (u, row)
-                    form[key] = form.get(key, 0) + sign * val
-            if strict:
-                overflow = {key: val for key, val in grid.items()
-                            if not (key[0] in slots and key[1] in slots)}
-                for row, image, sign in ((keys[a], outside[b], 1), (keys[b], outside[a], -1)):
-                    for s, val in image.items():
-                        for key in ((row, s), (s, row)):
-                            overflow[key] = overflow.get(key, 0) + sign * val
-                problems = _overflow_details(overflow, slots)
-                if problems:
-                    raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", problems)
+                elif strict and val:
+                    raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", grid, slots)
             form = {key: Fraction(val, den) for key, val in form.items() if val}
             if form:
                 pi[(a, b)] = form

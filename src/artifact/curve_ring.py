@@ -32,7 +32,7 @@ class DegenerateDivisor(ValueError):
     """The divisor at infinity is not a pair of distinct points."""
 
 
-PolyLike = Union[Poly, Sequence[RationalLike], RationalLike]
+PolyLike = Union[Sequence[RationalLike], RationalLike]
 
 # Coefficients of Q (deg <= 2) and of P (deg <= 4 even, <= 3 odd).
 Q_LEN = 3
@@ -51,8 +51,6 @@ def dimension(parity: str, k: int) -> int:
 
 
 def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
-    if isinstance(value, Poly):
-        return value.with_context(tvars)
     if isinstance(value, (list, tuple)):
         return Poly(tvars, {(power,): c for power, c in enumerate(value)})
     return Poly.const(tvars, rat(value))
@@ -100,12 +98,6 @@ class CurveModel:
         if self.parity == "even":
             return Poly.const(self.tvars, 1)
         return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CurveModel):
-            return NotImplemented
-        return (self.parity == other.parity and self.k_param == other.k_param
-                and self.Q == other.Q and self.P == other.P and self.c == other.c)
 
     def __repr__(self) -> str:
         core = f"parity={self.parity}, k={self.k_param}, Q={self.Q}, P={self.P}"

@@ -23,13 +23,15 @@ class VariableContextMismatch(ValueError):
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
-    ValueError on any other string: Fraction would also read decimals and
-    exponents, and computes 10**exp with no digit limit."""
+    ValueError on anything else: Fraction would also read floats, Decimals,
+    decimal strings and exponents, the last with 10**exp computed with no
+    digit limit."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip()):
-        raise ValueError(f"cannot read {value!r} as an integer or p/q")
-    return Fraction(value)
+    if isinstance(value, int) or (isinstance(value, str)
+                                  and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip())):
+        return Fraction(value)
+    raise ValueError(f"cannot read {value!r} as an integer or p/q")
 
 
 def rat_str(value: RationalLike) -> str:
@@ -192,7 +194,7 @@ class Poly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    # -- calculus, evaluation and renaming ------------------------------
+    # -- calculus -----------------------------------------------------
 
     def derivative(self, name: str) -> "Poly":
         slot = self.vars.index(name)
@@ -203,46 +205,6 @@ class Poly:
                 reduced = expo[:slot] + (p - 1,) + expo[slot + 1:]
                 terms[reduced] = terms.get(reduced, Fraction(0)) + c * p
         return Poly(self.vars, terms)
-
-    def eval_all(self, point: Dict[str, RationalLike]) -> Fraction:
-        """Full evaluation at a rational point."""
-        acc = Fraction(0)
-        vals = {n: rat(v) for n, v in point.items()}
-        for expo, c in self.terms.items():
-            term = c
-            for slot, power in enumerate(expo):
-                if power:
-                    term *= vals[self.vars[slot]] ** power
-            acc += term
-        return acc
-
-    def with_context(self, variables: Sequence[str], rename: Optional[Dict[str, str]] = None) -> "Poly":
-        """Re-embed into another variable tuple.
-
-        Each variable goes to the variable of the same name, or to
-        rename[name]; exponents sent to one target add, so renaming t1 and
-        t2 to t restricts to the diagonal.  A variable this polynomial uses
-        must have a target.
-        """
-        variables = tuple(variables)
-        rename = rename or {}
-        positions = []
-        for slot, name in enumerate(self.vars):
-            target = rename.get(name, name)
-            if target in variables:
-                positions.append(variables.index(target))
-            else:
-                if any(e[slot] for e in self.terms):
-                    raise VariableContextMismatch(f"{name} has no target in {variables}")
-                positions.append(None)
-        terms = {}
-        for expo, c in self.terms.items():
-            new = [0] * len(variables)
-            for slot, power in enumerate(expo):
-                if power:
-                    new[positions[slot]] += power
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
-        return Poly(variables, terms)
 
     # -- display -------------------------------------------------------
 

@@ -20,12 +20,12 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey, Slot,
-                                    TensorNotInSectionSpace, _overflow_details)
+                                    TensorNotInSectionSpace)
 from artifact.curve_ring import CurveModel, SectionSpace
 from artifact.exact_core import Poly, poly_divmod_linear
 
 from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
-                         poly_div_linear_power)
+                         poly_div_linear_power, with_context)
 
 
 _W_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -77,12 +77,12 @@ class BiCurveElement:
         bivars = ("t1", "t2")
         a1, b1, m1 = w_parts(e1)
         a2, b2, m2 = w_parts(e2)
-        A1, B1 = (p.with_context(bivars, {"t": "t1"}) for p in (a1, b1))
-        A2, B2 = (p.with_context(bivars, {"t": "t2"}) for p in (a2, b2))
+        A1, B1 = (with_context(p, bivars, {"t": "t1"}) for p in (a1, b1))
+        A2, B2 = (with_context(p, bivars, {"t": "t2"}) for p in (a2, b2))
         return cls(model, A1 * A2, B1 * A2, A1 * B2, B1 * B2, m1, m2)
 
     def slot_poly(self, p: Poly, var: str) -> Poly:
-        return p.with_context(self.bivars, {"t": var})
+        return with_context(p, self.bivars, {"t": var})
 
     @property
     def is_zero(self) -> bool:
@@ -114,14 +114,14 @@ class BiCurveElement:
 
     def swap_slots(self) -> "BiCurveElement":
         swap = {"t1": "t2", "t2": "t1"}
-        return BiCurveElement(self.model, *(p.with_context(self.bivars, swap) for p in
+        return BiCurveElement(self.model, *(with_context(p, self.bivars, swap) for p in
                                             (self.c00, self.c01, self.c10, self.c11)),
                               m1=self.m2, m2=self.m1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiCurveElement):
             return NotImplemented
-        if self.model != other.model:
+        if self.model.to_json() != other.model.to_json():
             return False
         m1, m2 = max(self.m1, other.m1), max(self.m2, other.m2)
         return self.lift(m1, m2) == other.lift(m1, m2)
@@ -216,13 +216,16 @@ def pair_grid(bi: BiCurveElement) -> Tuple[Grid, List[str]]:
 def pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
                 pair_label: str) -> Dict[PairKey, Fraction]:
     """Coefficient grid of bi over basis x basis.  Strict mode rejects a
-    pole remainder or a slot past the basis, truncating mode drops it."""
+    pole remainder (NonzeroRemainder) or a slot past the basis
+    (TensorNotInSectionSpace), truncating mode drops it."""
     grid, problems = pair_grid(bi)
     slots = space.slots
     if not truncate:
-        problems += _overflow_details(grid, slots)
         if problems:
-            raise TensorNotInSectionSpace(pair_label, problems)
+            raise NonzeroRemainder(f"pair {pair_label}: " + "; ".join(problems))
+        rejection = TensorNotInSectionSpace(pair_label, grid, slots)
+        if rejection.details:
+            raise rejection
     return {(slots[s1], slots[s2]): val for (s1, s2), val in grid.items()
             if s1 in slots and s2 in slots}
 
@@ -261,7 +264,7 @@ def division_kernel_grid(sa: Slot, sb: Slot, model: CurveModel) -> Grid:
     with tau_l x_l^2 = Q_l x_l + P_l, each block divided once by t1 - t2 by
     synthetic division with the Poly root t2."""
     (u, i), (v, j) = sa, sb
-    sides = [[p.with_context(_BIVARS, {"t": var}) for p in (model.tau_poly(), model.Q, model.P)]
+    sides = [[with_context(p, _BIVARS, {"t": var}) for p in (model.tau_poly(), model.Q, model.P)]
              for var in _BIVARS]
     const = (sides[0][1] + sides[1][1]) * Fraction(-1, 2)
     product = {(u, v): Poly(_BIVARS, {(i, j): 1})}

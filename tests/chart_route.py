@@ -24,6 +24,15 @@ from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, 
                                      _random_point)
 
 
+def form(T: BracketTensor, a: int, b: int) -> FormDict:
+    """Quadratic form of the (a, b) bracket entry of T, sign included."""
+    if a == b:
+        return {}
+    if a < b:
+        return dict(T.pi.get((a, b), {}))
+    return {mono: -val for mono, val in T.pi.get((b, a), {}).items()}
+
+
 def _chart_context(n: int, m: int) -> Tuple[str, ...]:
     return tuple(f"u{a}" for a in range(n) if a != m)
 
@@ -79,9 +88,9 @@ def descend_to_chart(T: BracketTensor, m: int) -> ChartBracket:
             if b == m:
                 continue
             u_b = Poly.var(ctx, f"u{b}")
-            poly = _form_poly(T.form(a, b), ctx, slot_of)
-            poly = poly - u_a * _form_poly(T.form(m, b), ctx, slot_of)
-            poly = poly + u_b * _form_poly(T.form(m, a), ctx, slot_of)
+            poly = _form_poly(form(T, a, b), ctx, slot_of)
+            poly = poly - u_a * _form_poly(form(T, m, b), ctx, slot_of)
+            poly = poly + u_b * _form_poly(form(T, m, a), ctx, slot_of)
             if not poly.is_zero:
                 funcs[(a, b)] = poly
     return ChartBracket(m, T.n, ctx, funcs)

@@ -7,7 +7,10 @@ normal form (CurveElement), reduction of raw polynomial expressions in t
 and x, the defining polynomial F(t, x) of a model (defining_poly), the
 canonical derivation extended by Leibniz and the quotient rule, and the
 reading of coordinates, in the section basis (membership_extract) or
-slot by slot with the pole remainders (section_coords).
+slot by slot with the pole remainders (section_coords).  It also keeps the
+two Poly helpers only the test routes use: re-embedding a polynomial in
+another variable tuple (with_context) and evaluating it at a rational
+point (eval_all).
 
 Curve functions are alpha + beta * x in the even parity and
 (alpha + beta * z) / (t+c)^m with z = (t+c) x and m minimal in the odd
@@ -18,9 +21,52 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from artifact.curve_ring import CurveModel, PolyLike, SectionSpace, _coerce_t_poly
-from artifact.exact_core import Poly, RationalLike, poly_divmod_linear, rat
+from artifact.exact_core import Poly, RationalLike, VariableContextMismatch, poly_divmod_linear, rat
 
 Slot = Tuple[int, int]
+
+
+def eval_all(p: Poly, point: Dict[str, RationalLike]) -> Fraction:
+    """Full evaluation of p at a rational point."""
+    acc = Fraction(0)
+    vals = {n: rat(v) for n, v in point.items()}
+    for expo, c in p.terms.items():
+        term = c
+        for slot, power in enumerate(expo):
+            if power:
+                term *= vals[p.vars[slot]] ** power
+        acc += term
+    return acc
+
+
+def with_context(p: Poly, variables: Sequence[str],
+                 rename: Optional[Dict[str, str]] = None) -> Poly:
+    """Re-embed p into another variable tuple.
+
+    Each variable goes to the variable of the same name, or to
+    rename[name]; exponents sent to one target add, so renaming t1 and
+    t2 to t restricts to the diagonal.  A variable p uses must have a
+    target.
+    """
+    variables = tuple(variables)
+    rename = rename or {}
+    positions = []
+    for slot, name in enumerate(p.vars):
+        target = rename.get(name, name)
+        if target in variables:
+            positions.append(variables.index(target))
+        else:
+            if any(e[slot] for e in p.terms):
+                raise VariableContextMismatch(f"{name} has no target in {variables}")
+            positions.append(None)
+    terms = {}
+    for expo, c in p.terms.items():
+        new = [0] * len(variables)
+        for slot, power in enumerate(expo):
+            if power:
+                new[positions[slot]] += power
+        terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
+    return Poly(variables, terms)
 
 
 class NotInSpace(ValueError):
@@ -52,7 +98,8 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tup
 
 
 def check_models(a: CurveModel, b: CurveModel) -> None:
-    if a is not b and a != b:
+    """Two elements share a model: to_json holds every field of one."""
+    if a is not b and a.to_json() != b.to_json():
         raise ValueError("elements belong to different curve models")
 
 
@@ -81,10 +128,12 @@ class CurveElement:
 
     __slots__ = ("model", "alpha", "beta", "denom_power")
 
-    def __init__(self, model: CurveModel, alpha: PolyLike, beta: PolyLike = 0, denom_power: int = 0):
+    def __init__(self, model: CurveModel, alpha: Union[Poly, PolyLike],
+                 beta: Union[Poly, PolyLike] = 0, denom_power: int = 0):
         self.model = model
-        alpha = _coerce_t_poly(alpha, model.tvars)
-        beta = _coerce_t_poly(beta, model.tvars)
+        # A Poly is re-embedded in t; anything else is read as the model reads Q and P.
+        alpha, beta = (with_context(p, model.tvars) if isinstance(p, Poly)
+                       else _coerce_t_poly(p, model.tvars) for p in (alpha, beta))
         if denom_power < 0:
             raise ValueError("denom_power must be nonnegative")
         if model.parity == "even" and denom_power:
@@ -214,7 +263,7 @@ def defining_poly(model: CurveModel) -> Poly:
     tau is 1 (even) or t + c (odd)."""
     ctx = ("t", "x")
     x = Poly.var(ctx, "x")
-    tau, Q, P = (p.with_context(ctx) for p in (model.tau_poly(), model.Q, model.P))
+    tau, Q, P = (with_context(p, ctx) for p in (model.tau_poly(), model.Q, model.P))
     return tau * x * x - Q * x - P
 
 
@@ -230,7 +279,7 @@ def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],
     """
     ctx = ("t", "x")
     if isinstance(numerator, Poly):
-        numerator = numerator.with_context(ctx)
+        numerator = with_context(numerator, ctx)
     else:
         numerator = Poly.const(ctx, rat(numerator))
     buckets = numerator.as_univar("x")
@@ -240,12 +289,12 @@ def reduce(model: CurveModel, numerator: Union[Poly, RationalLike],
         # Horner in x over the t-coefficient ring
         for power in range(max(buckets), -1, -1):
             coeff = buckets.get(power)
-            term = CurveElement(model, coeff.with_context(model.tvars)) if coeff else zero(model)
+            term = CurveElement(model, with_context(coeff, model.tvars)) if coeff else zero(model)
             out = out * x + term
     if denominator is None:
         return out
     if isinstance(denominator, Poly):
-        den = denominator.with_context(model.tvars)
+        den = with_context(denominator, model.tvars)
     else:
         den = Poly.const(model.tvars, rat(denominator))
     if den.is_zero:

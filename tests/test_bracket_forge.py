@@ -21,6 +21,7 @@ from artifact.curve_ring import CurveModel, SectionSpace
 import assembly_route
 import curve_route
 from assembly_route import truncated_five_term
+from chart_route import form
 
 F = Fraction
 
@@ -139,10 +140,9 @@ def test_build_never_rejects_its_own_assembly():
 def test_form_sign_convention():
     """form(b, a) is the negation of form(a, b); the diagonal is empty."""
     T = build_tensor(CurveModel.even(2, [1, 0, 2], [0, 1, 0, 0, 3]))
-    for (a, b), form in T.pi.items():
-        flipped = T.form(b, a)
-        assert flipped == {key: -val for key, val in form.items()}
-    assert T.form(1, 1) == {}
+    for (a, b), entry in T.pi.items():
+        assert form(T, b, a) == {key: -val for key, val in entry.items()}
+    assert form(T, 1, 1) == {}
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -224,14 +224,14 @@ def _push_forward(T, space, mu):
     pi = {}
     for a in range(T.n):
         for b in range(a + 1, T.n):
-            form = pi.setdefault((a, b), {})
+            target = pi.setdefault((a, b), {})
             for c, x in A[a].items():
                 for d, y in A[b].items():
-                    for (g, h), val in T.form(c, d).items():
+                    for (g, h), val in form(T, c, d).items():
                         for e, z in A_inv[g].items():
                             for f, w in A_inv[h].items():
                                 key = (min(e, f), max(e, f))
-                                form[key] = form.get(key, 0) + x * y * z * w * val
+                                target[key] = target.get(key, 0) + x * y * z * w * val
     return BracketTensor(T.parity, T.k, T.n, pi)
 
 

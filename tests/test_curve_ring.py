@@ -17,7 +17,7 @@ from artifact.exact_core import Poly
 from assembly_route import BiCurveElement, mult_kernel_antisym, szego_kernel
 from curve_route import (CurveElement, DivisionByNonUnit, NotInSpace, basis_elements,
                          curve_derivation, defining_poly, element_from_coords,
-                         membership_extract, one, reduce, t_elem, x_elem)
+                         membership_extract, one, reduce, t_elem, with_context, x_elem)
 
 SEED = 42
 
@@ -121,15 +121,15 @@ def test_derivation_square_rule_even():
     model = _even_model()
     ctx = TX
     got = curve_derivation(t_elem(model) * t_elem(model))
-    expected = reduce(model, 2 * _t(ctx) * (2 * _x(ctx) - model.Q.with_context(ctx)))
+    expected = reduce(model, 2 * _t(ctx) * (2 * _x(ctx) - with_context(model.Q, ctx)))
     assert got == expected
 
 
 def test_derivation_generator_rules_odd():
     model = _odd_model()
     ctx = TX
-    Q = model.Q.with_context(ctx)
-    P = model.P.with_context(ctx)
+    Q = with_context(model.Q, ctx)
+    P = with_context(model.P, ctx)
     tau = _t(ctx) + Poly.const(ctx, model.c)
     assert curve_derivation(t_elem(model)) == reduce(model, 2 * tau * _x(ctx) - Q)
     dx_expected = P.derivative("t") + Q.derivative("t") * _x(ctx) - _x(ctx) ** 2

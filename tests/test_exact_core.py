@@ -1,12 +1,15 @@
 """Tests for the exact arithmetic kernel, and for the repeated linear
-division that the curve-function oracle builds on it."""
+division, the evaluation and the re-embedding that the curve-function
+oracle builds on it."""
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from artifact.curve_ring import CurveModel
 from artifact.exact_core import (
     Poly,
     VariableContextMismatch,
@@ -15,7 +18,7 @@ from artifact.exact_core import (
     rat_str,
 )
 
-from curve_route import poly_div_linear_power
+from curve_route import eval_all, poly_div_linear_power, with_context
 
 SEED = 42
 
@@ -44,6 +47,17 @@ def test_rational_coercion_and_serialization():
     with pytest.raises(ValueError):
         rat("1e4000000")
     assert time.perf_counter() - started < 1
+
+
+def test_rat_refuses_inexact_and_symbolic_values():
+    """Only ints, Fractions and p/q strings are read: a binary float or a
+    Decimal would carry a value the caller did not write, and a Poly is
+    not a number."""
+    for value in (0.1, 0.5, Decimal("0.5"), Poly.var(("t",), "t"), Poly.const(("t",), 1)):
+        with pytest.raises(ValueError):
+            rat(value)
+    with pytest.raises(ValueError):
+        CurveModel.even(2, [0.1, 0, 0], [1, 0, 0, 0, 1])
 
 
 def test_poly_product_univariate():
@@ -76,9 +90,9 @@ def test_poly_derivative_difference_quotient_oracle():
     dp = p.derivative("t")
     assert dp == 3 * t ** 2 + 2
     for t0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5)):
-        q, r = poly_divmod_linear(p - p.eval_all({"t": t0}), "t", t0)
+        q, r = poly_divmod_linear(p - eval_all(p, {"t": t0}), "t", t0)
         assert r.is_zero
-        assert q.eval_all({"t": t0}) == dp.eval_all({"t": t0})
+        assert eval_all(q, {"t": t0}) == eval_all(dp, {"t": t0})
 
 
 def test_poly_ring_axioms_randomized():
@@ -100,9 +114,9 @@ def test_poly_ring_axioms_randomized():
         # Evaluation at a rational point is a ring map to Q, independent of
         # how the ring combines terms.
         pt = {v: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for v in vs}
-        assert (a * b).eval_all(pt) == a.eval_all(pt) * b.eval_all(pt)
-        assert (a + b).eval_all(pt) == a.eval_all(pt) + b.eval_all(pt)
-        assert (-a).eval_all(pt) == -a.eval_all(pt)
+        assert eval_all(a * b, pt) == eval_all(a, pt) * eval_all(b, pt)
+        assert eval_all(a + b, pt) == eval_all(a, pt) + eval_all(b, pt)
+        assert eval_all(-a, pt) == -eval_all(a, pt)
 
 
 def test_poly_with_context_rename_and_eval():
@@ -110,21 +124,21 @@ def test_poly_with_context_rename_and_eval():
     t = Poly.var(vs, "t")
     c = Poly.var(vs, "c")
     p = t ** 2 + c
-    assert p.eval_all({"t": Fraction(2), "c": Fraction(-1)}) == 3
+    assert eval_all(p, {"t": Fraction(2), "c": Fraction(-1)}) == 3
     bv = ("t1", "t2")
     t1, t2 = Poly.var(bv, "t1"), Poly.var(bv, "t2")
-    q = (t ** 2 + 3 * t).with_context(bv, {"t": "t1"})
+    q = with_context(t ** 2 + 3 * t, bv, {"t": "t1"})
     assert q == t1 ** 2 + 3 * t1
     mixed = t1 ** 2 * t2 + 5 * t2 ** 3
-    assert mixed.with_context(bv, {"t1": "t2", "t2": "t1"}) == t2 ** 2 * t1 + 5 * t1 ** 3
+    assert with_context(mixed, bv, {"t1": "t2", "t2": "t1"}) == t2 ** 2 * t1 + 5 * t1 ** 3
     # exponents sent to one target add: the diagonal restriction
-    merged = (mixed + t1 * t2 ** 2 - t1 ** 3).with_context(("t",), {"t1": "t", "t2": "t"})
+    merged = with_context(mixed + t1 * t2 ** 2 - t1 ** 3, ("t",), {"t1": "t", "t2": "t"})
     assert merged == 6 * Poly.var(("t",), "t", 3)
-    assert (t1 - t2).with_context(("t",), {"t1": "t", "t2": "t"}).is_zero
+    assert with_context(t1 - t2, ("t",), {"t1": "t", "t2": "t"}).is_zero
     # c is used and has no target; unused variables are dropped
     with pytest.raises(VariableContextMismatch):
-        p.with_context(bv, {"t": "t1"})
-    assert (t ** 2).with_context(bv, {"t": "t2"}) == t2 ** 2
+        with_context(p, bv, {"t": "t1"})
+    assert with_context(t ** 2, bv, {"t": "t2"}) == t2 ** 2
 
 
 def test_poly_context_mismatch_raises():
@@ -136,11 +150,11 @@ def test_poly_context_mismatch_raises():
 
 def test_poly_with_context_embedding():
     p = Poly.var(("t",), "t") ** 2
-    q = p.with_context(("t", "x"))
+    q = with_context(p, ("t", "x"))
     assert q == Poly.var(("t", "x"), "t") ** 2
     r = Poly.var(("t", "x"), "x")
     with pytest.raises(VariableContextMismatch):
-        r.with_context(("t",))
+        with_context(r, ("t",))
 
 
 def test_exact_div_linear_difference_of_squares():

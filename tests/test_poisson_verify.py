@@ -26,7 +26,8 @@ from artifact.poisson_verify import (
 )
 
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, descend_to_chart,
-                         euler_tensor, jacobiator, rank_at_point, wedge_certificate)
+                         euler_tensor, form, jacobiator, rank_at_point, wedge_certificate)
+from curve_route import eval_all
 
 F = Fraction
 
@@ -118,7 +119,7 @@ def test_descend_rehomogenize_pointwise():
         s, s2 = pair
         point = {f"u{a}": phi[a] / phi[m] for a in range(n) if a != m}
         chart_side = sum(
-            cb.structure(a, b).eval_all(point) * (s[a] * s2[b] - s[b] * s2[a])
+            eval_all(cb.structure(a, b), point) * (s[a] * s2[b] - s[b] * s2[a])
             for a in range(n) for b in range(a + 1, n)
             if a != m and b != m) * phi[m] ** 2
         tensor_side = F(0)
@@ -412,7 +413,7 @@ def _uncancelled_ratio(T, ctx, f, h, g, e):
     def bracket(a, b):
         out = Poly(ctx)
         for i, j in combinations(range(T.n), 2):
-            for (u, v), val in T.form(i, j).items():
+            for (u, v), val in form(T, i, j).items():
                 out = out + Poly.var(ctx, ctx[u]) * Poly.var(ctx, ctx[v]) * (
                     val * (a[i] * b[j] - a[j] * b[i]))
         return out

@@ -32,10 +32,11 @@ import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
                             pair_matrix, truncated_five_term)
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dense_point_rank,
-                         euler_tensor, lift_via_euler, rank_at_point, reference_rank_scan,
+                         euler_tensor, form, lift_via_euler, rank_at_point, reference_rank_scan,
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
-                         element_from_coords, membership_extract, reduce, section_coords)
+                         element_from_coords, eval_all, membership_extract, reduce,
+                         section_coords)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -96,7 +97,7 @@ def _grid(bi, space, truncate):
     """pair_matrix of bi, or "rejected" when strict mode refuses it."""
     try:
         return pair_matrix(bi, space, truncate, "(a, b)")
-    except TensorNotInSectionSpace:
+    except (TensorNotInSectionSpace, assembly_route.NonzeroRemainder):
         return "rejected"
 
 
@@ -159,9 +160,9 @@ def test_szego_verdict_is_nonzero_top_coefficient(parity, k, c, q, p, top):
     if top == "zero":
         q[2] = p[-1] = Fraction(0)
     elif top == "cancel":
-        p[-1] = -q[2] ** 2 / 4
+        p[-1] = -Fraction(q[2]) ** 2 / 4
     model = CurveModel(parity, k, q, p, c if parity == "odd" else None)
-    if p[-1] + q[2] ** 2 / 4:
+    if p[-1] + Fraction(q[2]) ** 2 / 4:
         half = Fraction(1, 2)
         assert verify_szego_residues(model) == ResidueCertificate(1, (half, half))
     else:
@@ -243,15 +244,56 @@ def _shifted(grid):
 
 
 @st.composite
-def kernel_curves(draw, max_k=4):
-    """A curve of drawn parity at k <= max_k with rational c, Q and P; odd
-    ones include c = 0 and c = -1."""
+def kernel_curves(draw, max_k=4, coeffs=rationals):
+    """A curve of drawn parity at k <= max_k with c, Q and P drawn from
+    coeffs; odd ones include c = 0 and c = -1."""
     k = draw(st.integers(1, max_k))
-    Q = draw(st.lists(rationals, min_size=3, max_size=3))
+    Q = draw(st.lists(coeffs, min_size=3, max_size=3))
     if draw(st.booleans()):
-        return CurveModel.even(k, Q, draw(st.lists(rationals, min_size=5, max_size=5)))
-    c = draw(st.one_of(st.sampled_from((0, -1)), rationals))
-    return CurveModel.odd(k, c, Q, draw(st.lists(rationals, min_size=4, max_size=4)))
+        return CurveModel.even(k, Q, draw(st.lists(coeffs, min_size=5, max_size=5)))
+    c = draw(st.one_of(st.sampled_from((0, -1)), coeffs))
+    return CurveModel.odd(k, c, Q, draw(st.lists(coeffs, min_size=4, max_size=4)))
+
+
+def _kernel_tensor(space, tau, half_q, p):
+    """K: the kernel grid of every basis pair a < b on the curve
+    tau x^2 = 2 half_q x + p (ascending coefficient lists in t), read on
+    basis x basis and symmetrized, as the assembly reads it."""
+    keys, slots = list(space.slots), space.slots
+    pi = {}
+    for a in range(space.dim):
+        for b in range(a + 1, space.dim):
+            form = pi.setdefault((a, b), {})
+            for (s1, s2), val in _kernel_grid(keys[a], keys[b], (tau, half_q, p)).items():
+                if s1 in slots and s2 in slots:
+                    key = tuple(sorted((slots[s1], slots[s2])))
+                    form[key] = form.get(key, 0) + val
+    return BracketTensor(space.model.parity, space.k, space.dim, pi)
+
+
+@PROPERTY
+@example(model=CurveModel.even(4, [1, -2, 3], [2, 1, -1, 3, 1]))
+@example(model=CurveModel.odd(4, 1, [1, -2, 3], [2, 1, -1, 3]))
+@example(model=CurveModel.odd(3, Fraction(1, 2), 0, 0))
+@given(model=kernel_curves(coeffs=coefficients))
+def test_projective_bracket_is_the_kernel_term(model):
+    """The derivation part of a build is radial, so the lift of a build is
+    n times the lift of its kernel term K alone, read with the tau the
+    build uses.  Odd, tau = t + c - (2/n)(t - 1) = ((n-2)/n)(t + c'), so
+    the lift is (n - 2) = 2k - 1 times that of the uncorrected kernel on
+    C'_k: (t + c') x^2 = s (Q x + P), s = (2k+1)/(2k-1), c' = s c + 2/(2k-1)."""
+    space = SectionSpace(model)
+    n, k, c = space.dim, space.k, model.c
+    half_q, p = (part.coeffs_univar("t") for part in (model.Q * Fraction(1, 2), model.P))
+    tau = [c + Fraction(2, n), 1 - Fraction(2, n)] if model.parity == "odd" else [1]
+    build = build_tensor(model)
+    assert _lift(build - _kernel_tensor(space, tau, half_q, p).scale(n))[1] == {}
+    if model.parity == "odd":
+        s = Fraction(2 * k + 1, 2 * k - 1)
+        moved = _kernel_tensor(space, [s * c + Fraction(2, 2 * k - 1), 1],
+                               [s * v for v in half_q], [s * v for v in p])
+        assert _lift(moved)[1]
+        assert _lift(build - moved.scale(2 * k - 1))[1] == {}
 
 
 @PROPERTY
@@ -346,7 +388,7 @@ def test_derivation_image_matches_curve_route(model):
             assert pole is None and coords == [image.get(s, 0) for s in slots], slot
         u, j = slot
         odd_x = model.parity == "odd" and u == 1
-        dropped = [(-c) ** j * p.eval_all({"t": -c}) if odd_x else 0 for p in (model.P, model.Q)]
+        dropped = [(-c) ** j * eval_all(p, {"t": -c}) if odd_x else 0 for p in (model.P, model.Q)]
         assert (pole is not None) == any(dropped), slot
         read = reduce(model, Poly(("t", "x"), {(i, u): val for (u, i), val in image.items()}))
         if any(dropped):
@@ -373,7 +415,7 @@ def test_form_is_antisymmetric(T):
     """The (b, a) form is the negated (a, b) form."""
     for a in range(T.n):
         for b in range(T.n):
-            assert T.form(b, a) == {m: -v for m, v in T.form(a, b).items()}
+            assert form(T, b, a) == {m: -v for m, v in form(T, a, b).items()}
 
 
 @PROPERTY
@@ -452,7 +494,7 @@ def _lifted(T):
 def _divergence(T):
     """(div pi)^c = sum_d d pi^{dc} / d x_d, by Poly derivatives."""
     ctx = tuple(f"x{i}" for i in range(T.n))
-    return [sum((_form_poly(T.form(d, c), ctx).derivative(ctx[d]) for d in range(T.n)),
+    return [sum((_form_poly(form(T, d, c), ctx).derivative(ctx[d]) for d in range(T.n)),
                 Poly(ctx)) for c in range(T.n)]
 
 

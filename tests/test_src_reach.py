@@ -14,8 +14,9 @@ src and are not checked.
 
 What a run cannot see is checked statically: every module-level name is
 referenced by other src code or imported by the acceptance tests, every
-parameter is read in its function's body, protocol dunders aside, and
-only exact_core splits a rational into integers.
+name a module imports is referenced in it, every parameter is read in its
+function's body, protocol dunders aside, and only exact_core splits a
+rational into integers.
 """
 
 import ast
@@ -32,15 +33,11 @@ SRC = TESTS.parent / "src" / "artifact"
 
 ORACLES = {
     "exact_core.Poly.__setattr__": "the immutability guard; only a test assigns to a Poly",
-    "exact_core.Poly.__pow__": "pole powers in the curve-function and assembly routes",
+    "exact_core.Poly.__pow__": "ring API: tests write t ** 2 and the routes raise poles to powers",
     "exact_core.Poly.__repr__": "debugging and assertion messages",
-    "exact_core.Poly.eval_all": "compares routes at rational points",
-    "exact_core.Poly.with_context": "moves polynomials between the contexts of the test routes",
-    "curve_ring.CurveModel.__eq__": "the curve-function route checks two elements share a model",
     "curve_ring.CurveModel.__repr__": "debugging and assertion messages",
     "bracket_forge.TensorNotInSectionSpace.__init__":
         "the strict rejection, forced only by test_bracket_build_rejection_exits_one",
-    "bracket_forge.BracketTensor.form": "the signed entry the chart route descends",
     "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
     "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
@@ -308,6 +305,22 @@ def test_every_src_definition_is_reached_from_src():
                             if other is not node)}
     top_oracles = {key.split(".")[1] for key in ORACLES if key.count(".") == 1}
     assert unreached - _acceptance_api() - top_oracles == set()
+
+
+def test_every_import_is_used():
+    """Each name a src module imports, __future__ aside, is referenced in
+    the function that imports it, or in the module for a module-level
+    import (an import statement itself binds no Name)."""
+    unused = set()
+    for module, _, tree in _modules():
+        for scope in [tree] + [node for node in ast.walk(tree) if isinstance(node, FUNCS)]:
+            used = _referenced(scope)
+            unused |= {f"{module}:{node.lineno} {name}" for node in ast.walk(scope)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                       if name not in used}
+    assert unused == set()
 
 
 def test_every_namedtuple_field_is_read_by_src(traffic):
