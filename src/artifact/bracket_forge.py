@@ -3,11 +3,17 @@
 A bracket tensor on the dual of a section space stores, for every pair of
 coordinates (a, b) with a < b, a symmetric quadratic form in the coordinates.
 The forms come from a five-term combination of the multiplication kernel and
-the canonical derivation.  Both terms are read off x-coordinates of basis
-monomials t^i x^u in closed form, so the library holds no type for curve
-functions.  Reading coordinates is linear, so the assembly uses
-bilinearity: the n derivation images are read once each, and each pair is
-summed in one slot grid, its kernel term plus two images.
+the canonical derivation, both read off x-coordinates of basis monomials
+t^i x^u in closed form from the lists (tau, Q/2, P) of tau x^2 = Q x + P,
+with no Poly arithmetic.  Reading coordinates is linear, so the n
+derivation images are read once each, and each pair is summed in one slot
+grid, its kernel term plus two images.
+
+The one assembly, _five_term_forms, is linear in the lists at a fixed
+pole.  Family member i, first defined as build(C_i) - build(0) with C_i
+the unit curve, is the assembly at the difference of the lists, as every
+C_i has its pole at t = 0.  So a build has span coordinates (1, c, Q, P):
+exactly if even, or odd with c = 0 or Q = P = 0, and on the lift always.
 
 Every x-block of the kernel numerator is a sum of (curve coefficient)
 (monomial) B(a, b), B(a, b) = t1^a t2^b - t1^b t2^a, and for a > b
@@ -15,20 +21,18 @@ Every x-block of the kernel numerator is a sum of (curve coefficient)
     B(a, b)/(t1 - t2) = sum_{r=0}^{a-b-1} t1^(a-1-r) t2^(b+r),
 
 so the kernel term needs no polynomial product and no division, and the
-block list sits in _kernel_grid.  The curve data and the derivation
+block list sits in _kernel_grid.  The curve lists and the derivation
 images are cleared to integers together, by one clear_denominators per
-build; each pair's grid is summed in ints and each output coefficient is
-one Fraction.
+assembly; each pair's grid is summed in ints and each output coefficient
+is one Fraction.
 
 For even parity the five-term combination lands in the tensor square of the
 section space exactly, and the assembly is strict.  For odd parity the
 derivation picks up a double pole at the distinguished point over the moved
-branch point, so the raw combination does not land there; the assembly
-truncates, dropping the pole parts and the out-of-range monomials, and is
-recentred by a fixed curve-independent correction folded into the same
-assembly (build_tensor).  The recentred tensor agrees, after the chart
-descent, with the closed-form chart brackets, and it is what every
-downstream check certifies.
+branch point; the assembly truncates, dropping the pole parts and the
+out-of-range monomials, and a fixed curve-independent correction folded
+into the same assembly (build_tensor) recentres it to the tensor that
+agrees with the chart brackets and that every downstream check certifies.
 
 The projective bracket is the kernel term alone.  Read as linear forms,
 the derivation part of pair (a, b) is 2 x_a D(s_b) - 2 x_b D(s_a), that is
@@ -46,10 +50,11 @@ C'_k: (t + c') x^2 = s (Q x + P).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat, rat_str
+from .exact_core import RationalLike, clear_denominators, rat, rat_str
 from .curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace, dimension
 
 PairKey = Tuple[int, int]
@@ -294,40 +299,44 @@ def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     return {key: val for key, val in grid.items() if val}
 
 
-def _derivation_image(slot: Slot, model: CurveModel, tau: Poly) -> Dict[Slot, Fraction]:
-    """D(t^i x^u) by slot, for slot (u, i), read in closed form on the curve
-    tau x^2 = Q x + P; in the odd parity the pole part at t = -c is dropped.
+def _derivation_image(slot: Slot, curve: KernelCurve, c: Optional[Scalar]) -> Dict[Slot, Scalar]:
+    """D(t^i x^u) by slot, for slot (u, i), read in closed form off the
+    lists (tau, Q/2, P); for a pole c (odd) the pole part at -c is dropped.
 
     The derivation is D(t) = 2 tau x - Q and D(x) = P' + Q' x - tau' x^2.
     So D(t^i) = i t^(i-1) (2 tau x - Q), and as 2 tau x^2 - Q x = Q x + 2P,
-    D(t^j x) = j t^(j-1) (Q x + 2P) + t^j (P' + Q' x) - tau' t^j x^2.
-    Even, tau' = 0.  Odd, tau' t^j x^2 = t^j (Q x + P)/(t + c): its
-    polynomial part is kept, and its pole part
-    (-c)^j (Q(-c) x + P(-c))/(t + c) is dropped.  Only D(t^i) reads tau.
+    D(t^j x) = j t^(j-1) (Q x + 2P) + t^j (P' + Q' x) - tau' t^j x^2: the
+    coefficient of t^(j+l-1) is (2j + l) P_l in x^0 and (j + l) Q_l in x^1.
+    Even, tau' = 0.  Odd, tau' t^j x^2 = t^j (Q x + P)/(t + c), and of each
+    t^m/(t + c) the polynomial part sum_{r<m} (-c)^r t^(m-1-r) is kept.
     """
     u, i = slot
-    Q, P = model.Q, model.P
-    s = Poly.var(model.tvars, "t", i)
-    ds = s.derivative("t")
+    tau, half_q, p = curve
+    image: Dict[Slot, Scalar] = defaultdict(int)
     if u == 0:
-        blocks = [-ds * Q, 2 * ds * tau]
+        for x, part, scale in ((0, half_q, -2 * i), (1, tau, 2 * i)):
+            for l, val in enumerate(part):
+                image[(x, i + l - 1)] += scale * val
     else:
-        blocks = [2 * ds * P + s * P.derivative("t"), ds * Q + s * Q.derivative("t")]
-        if model.parity == "odd":
-            blocks = [block - poly_divmod_linear(s * p, "t", -model.c)[0]
-                      for block, p in zip(blocks, (P, Q))]
-    return {(x, e): val for x, block in enumerate(blocks) for (e,), val in block.terms.items()}
+        for x, part in ((0, p), (1, [2 * q for q in half_q])):
+            for l, val in enumerate(part):
+                image[(x, i + l - 1)] += ((2 - x) * i + l) * val
+                for r in range(i + l if c is not None else 0):
+                    image[(x, i + l - 1 - r)] -= (-c) ** r * val
+    return {s: val for s, val in image.items() if val}
 
 
-def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
+def _five_term_forms(space: SectionSpace, curve: KernelCurve,
+                     c: Optional[Scalar]) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation,
-    on the curve tau x^2 = Q x + P of the space's Q and P.
+    on the curve of the lists (tau, Q/2, P), pole at t = -c (odd) or none
+    (c None, even).
 
     Reading a grid is linear, so each D(s) is read once, and each pair is
     summed in one slot grid: n times the kernel grid, plus D(s_b) at
     (s_a, s) and (s, s_a), minus D(s_a) at (s_b, s) and (s, s_b), for every
-    slot s of the image.  The curve (tau, Q/2, P) and the images are cleared
+    slot s of the image.  The curve lists and the images are cleared
     together by one clear_denominators; grids are linear in the curve, so
     its part is also scaled by n, and each grid is summed in ints.  One pass
     reads the grid: an entry on basis x basis adds to the symmetrized form;
@@ -337,12 +346,9 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
     term has a pole.
     """
     n = space.dim
-    strict = space.model.parity == "even"
-    labels = space.labels()
     slots = space.slots
     keys = list(slots)
-    curve = [p.coeffs_univar("t") for p in (tau, space.model.Q * Fraction(1, 2), space.model.P)]
-    images = [_derivation_image(s, space.model, tau) for s in keys]
+    images = [_derivation_image(s, curve, c) for s in keys]
     den, ints = clear_denominators(val for part in (*curve, *map(dict.values, images)) for val in part)
     ints = iter(ints)
     curve = tuple([n * next(ints) for _ in part] for part in curve)
@@ -361,7 +367,8 @@ def _five_term_forms(space: SectionSpace, tau: Poly) -> Dict[PairKey, FormDict]:
                     u, v = slots[s1], slots[s2]
                     key = (u, v) if u <= v else (v, u)
                     form[key] = form.get(key, 0) + val
-                elif strict and val:
+                elif c is None and val:
+                    labels = space.labels()
                     raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", grid, slots)
             form = {key: Fraction(val, den) for key, val in form.items() if val}
             if form:
@@ -375,19 +382,20 @@ def build_tensor(model: CurveModel) -> BracketTensor:
     Even parity: strict five-term assembly (every component must land in
     the section basis, otherwise TensorNotInSectionSpace).  Odd parity:
     the truncated five-term assembly W(c, Q, P) plus the fixed recentering
-    correction -(2/(2k+1)) W(-1, 0, 0), built as one assembly.  W is linear
-    in (tau, Q, P) at a fixed pole t = -c, its pole part vanishes for
-    Q = P = 0 and truncation is linear, so the sum is W with tau replaced
-    by tau - (2/(2k+1)) (t - 1) and the pole kept at t = -c.  With the
-    correction the odd tensor matches the closed-form chart brackets and
-    satisfies the Jacobi identity.
+    correction -(2/n) W(-1, 0, 0), as one assembly: W is linear in the
+    lists at the pole t = -c and its pole part vanishes for Q = P = 0, so
+    the sum is W at tau = t + c - (2/n) (t - 1) = [c + 2/n, 1 - 2/n].  With
+    it the odd tensor matches the chart brackets and satisfies Jacobi.
     """
     space = SectionSpace(model)
-    tau, assembly = model.tau_poly(), "five-term"
-    if model.parity == "odd":
-        tau = tau - (Poly.var(model.tvars, "t") - 1) * Fraction(2, space.dim)
-        assembly = "five-term, pole-corrected"
-    return BracketTensor(model.parity, space.k, space.dim, _five_term_forms(space, tau),
+    half_q, p = [val / 2 for val in model.Q.coeffs_univar("t")], model.P.coeffs_univar("t")
+    if model.parity == "even":
+        tau, c, assembly = [1], None, "five-term"
+    else:
+        shift = Fraction(2, space.dim)
+        tau, c, assembly = [model.c + shift, 1 - shift], model.c, "five-term, pole-corrected"
+    return BracketTensor(model.parity, space.k, space.dim,
+                         _five_term_forms(space, (tau, half_q, p), c),
                          dict(model.to_json(), assembly=assembly))
 
 
@@ -397,15 +405,19 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     Index 0 is the tensor of the zero curve data; the rest are unit
     directions: for odd parity the moved-branch-point direction first,
     then the three Q monomials, then the P monomials (five even, four odd).
+    Each is one assembly at the pole t = 0 (odd), on lists: const has
+    tau = 1 (even) or [2/n, 1 - 2/n] (odd); c has tau = [1], as with
+    Q = P = 0 moving c moves only tau; the rest a unit Q (1/2 in Q/2) or P.
     """
-    b0 = build_tensor(CurveModel(parity, k, 0, 0))
-    directions = [("c", CurveModel.odd(k, 1, 0, 0))] if parity == "odd" else []
-    directions += [(f"Q:t^{i}", CurveModel(parity, k, [int(i == l) for l in range(Q_LEN)], 0))
-                   for i in range(Q_LEN)]
-    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, [int(j == l) for l in range(P_LEN[parity])]))
-                   for j in range(P_LEN[parity])]
-    tensors = [b0] + [build_tensor(model) - b0 for _, model in directions]
-    labels = ["const"] + [label for label, _ in directions]
-    for tensor, label in zip(tensors, labels):
-        tensor.provenance = {"family": parity, "k": k, "direction": label}
-    return FamilyBasis(parity, k, tuple(tensors), tuple(labels))
+    space = SectionSpace(CurveModel(parity, k, 0, 0))
+    if parity == "even":
+        c, members = None, [("const", ([1], [], []))]
+    else:
+        shift = Fraction(2, space.dim)
+        c, members = 0, [("const", ([shift, 1 - shift], [], [])), ("c", ([1], [], []))]
+    members += [(f"Q:t^{i}", ([], [0] * i + [Fraction(1, 2)], [])) for i in range(Q_LEN)]
+    members += [(f"P:t^{j}", ([], [], [0] * j + [1])) for j in range(P_LEN[parity])]
+    tensors = tuple(BracketTensor(parity, k, space.dim, _five_term_forms(space, curve, c),
+                                  {"family": parity, "k": k, "direction": label})
+                    for label, curve in members)
+    return FamilyBasis(parity, k, tensors, tuple(label for label, _ in members))

@@ -23,13 +23,13 @@ class VariableContextMismatch(ValueError):
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
-    ValueError on anything else: Fraction would also read floats, Decimals,
-    decimal strings and exponents, the last with 10**exp computed with no
-    digit limit."""
+    ValueError on anything else, a bool included: Fraction would also read
+    bools, floats, Decimals, decimal strings and exponents, the last with
+    10**exp computed with no digit limit."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) or (isinstance(value, str)
-                                  and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip())):
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip())):
         return Fraction(value)
     raise ValueError(f"cannot read {value!r} as an integer or p/q")
 
@@ -193,18 +193,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    # -- calculus -----------------------------------------------------
-
-    def derivative(self, name: str) -> "Poly":
-        slot = self.vars.index(name)
-        terms = {}
-        for expo, c in self.terms.items():
-            p = expo[slot]
-            if p:
-                reduced = expo[:slot] + (p - 1,) + expo[slot + 1:]
-                terms[reduced] = terms.get(reduced, Fraction(0)) + c * p
-        return Poly(self.vars, terms)
 
     # -- display -------------------------------------------------------
 

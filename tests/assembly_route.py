@@ -12,16 +12,18 @@ the five two-point terms summed with pole orders lifted, converted to
 x-blocks and read once after dividing by (t1+c)^m1 (t2+c)^m2.  On
 x-coordinates: the kernel term as x-blocks of Poly products, each divided
 by t1 - t2 by synthetic division (division_kernel_grid).  It also keeps the
-raw truncated odd assembly and the odd recentering correction in its
-first form, two zero-curve assemblies.
+raw truncated odd assembly, the odd recentering correction in its first
+form, two zero-curve assemblies, and the family in its first form, each
+member a build minus the zero-curve build (family_by_subtraction).
 """
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FormDict, Grid, PairKey, Slot,
-                                    TensorNotInSectionSpace)
-from artifact.curve_ring import CurveModel, SectionSpace
+from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FamilyBasis, FormDict, Grid,
+                                    KernelCurve, PairKey, Slot, TensorNotInSectionSpace,
+                                    build_tensor)
+from artifact.curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace
 from artifact.exact_core import Poly, poly_divmod_linear
 
 from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
@@ -310,3 +312,31 @@ def odd_shift_two_assemblies(k: int) -> BracketTensor:
     def W(c: int) -> BracketTensor:
         return truncated_five_term(CurveModel.odd(k, c, 0, 0))
     return (W(1) - W(0).scale(2)).scale(Fraction(2, 2 * k + 1))
+
+
+def own_curve(model: CurveModel) -> Tuple[KernelCurve, Optional[Fraction]]:
+    """The lists (tau, Q/2, P) of the model's own curve, tau = 1 (even) or
+    t + c (odd) with no recentering, and the assembly's pole: c (odd) or
+    None (even)."""
+    half_q, p = (part.coeffs_univar("t") for part in (model.Q * Fraction(1, 2), model.P))
+    if model.parity == "even":
+        return ([1], half_q, p), None
+    return ([model.c, 1], half_q, p), model.c
+
+
+def family_by_subtraction(parity: str, k: int) -> FamilyBasis:
+    """The family as first defined: the zero-curve build, then for each unit
+    direction (c for odd, the Q monomials, the P monomials) the build of the
+    unit curve minus the zero-curve build, with the library's labels and
+    provenance."""
+    b0 = build_tensor(CurveModel(parity, k, 0, 0))
+    directions = [("c", CurveModel.odd(k, 1, 0, 0))] if parity == "odd" else []
+    directions += [(f"Q:t^{i}", CurveModel(parity, k, [int(i == l) for l in range(Q_LEN)], 0))
+                   for i in range(Q_LEN)]
+    directions += [(f"P:t^{j}", CurveModel(parity, k, 0, [int(j == l) for l in range(P_LEN[parity])]))
+                   for j in range(P_LEN[parity])]
+    tensors = [b0] + [build_tensor(model) - b0 for _, model in directions]
+    labels = ["const"] + [label for label, _ in directions]
+    for tensor, label in zip(tensors, labels):
+        tensor.provenance = {"family": parity, "k": k, "direction": label}
+    return FamilyBasis(parity, k, tuple(tensors), tuple(labels))

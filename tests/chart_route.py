@@ -23,6 +23,8 @@ from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, 
                                      _integer_jacobiator, _matrix_rank, _point_rank,
                                      _random_point)
 
+from curve_route import derivative
+
 
 def form(T: BracketTensor, a: int, b: int) -> FormDict:
     """Quadratic form of the (a, b) bracket entry of T, sign included."""
@@ -102,7 +104,7 @@ def _chart_bracket_of(cb: ChartBracket, i: int, F: Poly) -> Poly:
     for j in cb.indices:
         if j == i:
             continue
-        dF = F.derivative(f"u{j}")
+        dF = derivative(F, f"u{j}")
         if dF.is_zero:
             continue
         out = out + dF * cb.structure(i, j)

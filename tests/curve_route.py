@@ -8,9 +8,9 @@ and x, the defining polynomial F(t, x) of a model (defining_poly), the
 canonical derivation extended by Leibniz and the quotient rule, and the
 reading of coordinates, in the section basis (membership_extract) or
 slot by slot with the pole remainders (section_coords).  It also keeps the
-two Poly helpers only the test routes use: re-embedding a polynomial in
-another variable tuple (with_context) and evaluating it at a rational
-point (eval_all).
+three Poly helpers only the test routes use: re-embedding a polynomial in
+another variable tuple (with_context), evaluating it at a rational point
+(eval_all) and differentiating it in one variable (derivative).
 
 Curve functions are alpha + beta * x in the even parity and
 (alpha + beta * z) / (t+c)^m with z = (t+c) x and m minimal in the odd
@@ -37,6 +37,18 @@ def eval_all(p: Poly, point: Dict[str, RationalLike]) -> Fraction:
                 term *= vals[p.vars[slot]] ** power
         acc += term
     return acc
+
+
+def derivative(p: Poly, name: str) -> Poly:
+    """The partial derivative of p in the variable name."""
+    slot = p.vars.index(name)
+    terms = {}
+    for expo, c in p.terms.items():
+        power = expo[slot]
+        if power:
+            reduced = expo[:slot] + (power - 1,) + expo[slot + 1:]
+            terms[reduced] = terms.get(reduced, Fraction(0)) + c * power
+    return Poly(p.vars, terms)
 
 
 def with_context(p: Poly, variables: Sequence[str],
@@ -322,10 +334,10 @@ def curve_derivation(e: CurveElement) -> CurveElement:
     model = e.model
     a, b, m = e.alpha, e.beta, e.denom_power
     Q, P = model.Q, model.P
-    da = a.derivative("t")
-    db = b.derivative("t")
-    dQ = Q.derivative("t")
-    dP = P.derivative("t")
+    da = derivative(a, "t")
+    db = derivative(b, "t")
+    dQ = derivative(Q, "t")
+    dP = derivative(P, "t")
     if model.parity == "even":
         const = -da * Q + 2 * db * P + b * dP
         lin = 2 * da + db * Q + b * dQ

@@ -20,7 +20,7 @@ from artifact.curve_ring import CurveModel, SectionSpace
 
 import assembly_route
 import curve_route
-from assembly_route import truncated_five_term
+from assembly_route import family_by_subtraction, own_curve, truncated_five_term
 from chart_route import form
 
 F = Fraction
@@ -81,9 +81,9 @@ def test_even_k1_tensor_vanishes():
 
 def _truncated_both_routes(model):
     """W(c, Q, P) by the per-pair oracle, after checking that the library
-    assembly on the curve's own tau gives the same forms."""
+    assembly on the curve's own lists and pole gives the same forms."""
     W = truncated_five_term(model)
-    assert _five_term_forms(SectionSpace(model), model.tau_poly()) == W.pi
+    assert _five_term_forms(SectionSpace(model), *own_curve(model)) == W.pi
     return W
 
 
@@ -152,8 +152,8 @@ def test_strict_mode_rejects_doubled_derivation(monkeypatch, k):
     on the doubled oracle derivation name the same first pair and details."""
     closed_form = bracket_forge._derivation_image
 
-    def doubled_image(slot, model, tau):
-        return {s: 2 * val for s, val in closed_form(slot, model, tau).items()}
+    def doubled_image(slot, curve, c):
+        return {s: 2 * val for s, val in closed_form(slot, curve, c).items()}
 
     def doubled(e):
         return curve_route.curve_derivation(e) * 2
@@ -277,6 +277,15 @@ def test_family_reconstruction_odd_linear_locus():
         combo = sum((m.scale(x) for x, m in zip([c] + q + p, fam.tensors[1:])),
                     fam.tensors[0])
         assert combo == build_tensor(CurveModel.odd(1, c, q, p))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_family_members_are_unit_builds_minus_the_zero_build(parity):
+    """Each member, assembled at the lists of its unit direction, is the
+    build of the unit curve minus the zero-curve build, labels and
+    provenance included, at k = 1..8; the digests pin only k <= 4."""
+    for k in range(1, 9):
+        assert build_family(parity, k).to_json() == family_by_subtraction(parity, k).to_json(), k
 
 
 def test_tensor_linear_algebra():

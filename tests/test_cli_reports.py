@@ -120,8 +120,8 @@ def test_bracket_build_rejection_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     closed_form = bracket_forge._derivation_image
 
-    def doubled_image(slot, model, tau):
-        return {s: 2 * val for s, val in closed_form(slot, model, tau).items()}
+    def doubled_image(slot, curve, c):
+        return {s: 2 * val for s, val in closed_form(slot, curve, c).items()}
 
     monkeypatch.setattr(bracket_forge, "_derivation_image", doubled_image)
     code, out, err = run_cli(["bracket", "build", "--parity", "even", "--k", "2",

@@ -14,9 +14,9 @@ from artifact.curve_ring import (CurveModel, DegenerateDivisor, SectionSpace, di
                                  verify_szego_residues)
 from artifact.exact_core import Poly
 
-from assembly_route import BiCurveElement, mult_kernel_antisym, szego_kernel
+from assembly_route import BiCurveElement, mult_kernel_antisym, own_curve, szego_kernel
 from curve_route import (CurveElement, DivisionByNonUnit, NotInSpace, basis_elements,
-                         curve_derivation, defining_poly, element_from_coords,
+                         curve_derivation, defining_poly, derivative, element_from_coords,
                          membership_extract, one, reduce, t_elem, with_context, x_elem)
 
 SEED = 42
@@ -132,7 +132,7 @@ def test_derivation_generator_rules_odd():
     P = with_context(model.P, ctx)
     tau = _t(ctx) + Poly.const(ctx, model.c)
     assert curve_derivation(t_elem(model)) == reduce(model, 2 * tau * _x(ctx) - Q)
-    dx_expected = P.derivative("t") + Q.derivative("t") * _x(ctx) - _x(ctx) ** 2
+    dx_expected = derivative(P, "t") + derivative(Q, "t") * _x(ctx) - _x(ctx) ** 2
     assert curve_derivation(x_elem(model)) == reduce(model, dx_expected)
 
 
@@ -140,12 +140,12 @@ def test_derivation_matches_gradient_route():
     rng = random.Random(SEED)
     for model in (_even_model(), _odd_model()):
         F = defining_poly(model)
-        Fx = F.derivative("x")
-        Ft = F.derivative("t")
+        Fx = derivative(F, "x")
+        Ft = derivative(F, "t")
         for _ in range(12):
             p = _rand_tx_poly(rng)
             lhs = curve_derivation(reduce(model, p))
-            rhs = reduce(model, Fx * p.derivative("t") - Ft * p.derivative("x"))
+            rhs = reduce(model, Fx * derivative(p, "t") - Ft * derivative(p, "x"))
             assert lhs == rhs
 
 
@@ -165,7 +165,7 @@ def test_derivation_tangent_to_curve():
         # chain rule: F_t D(t) + F_x D(x) must die on the curve
         dt = curve_derivation(t_elem(model))
         dx = curve_derivation(x_elem(model))
-        total = reduce(model, F.derivative("t")) * dt + reduce(model, F.derivative("x")) * dx
+        total = reduce(model, derivative(F, "t")) * dt + reduce(model, derivative(F, "x")) * dx
         assert total.is_zero
 
 
@@ -202,8 +202,7 @@ def test_derivation_raises_section_level_odd():
 
 def _numerator_grid(model):
     """Kernel grid of the pair (t, 1): S (t1 - t2) = w1 + w2 in x-coordinates."""
-    curve = [p.coeffs_univar("t") for p in (model.tau_poly(), model.Q * Fraction(1, 2), model.P)]
-    return _kernel_grid((0, 1), (0, 0), curve)
+    return _kernel_grid((0, 1), (0, 0), own_curve(model)[0])
 
 
 def test_szego_numerator_even():

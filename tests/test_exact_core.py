@@ -18,7 +18,7 @@ from artifact.exact_core import (
     rat_str,
 )
 
-from curve_route import eval_all, poly_div_linear_power, with_context
+from curve_route import derivative, eval_all, poly_div_linear_power, with_context
 
 SEED = 42
 
@@ -51,13 +51,15 @@ def test_rational_coercion_and_serialization():
 
 def test_rat_refuses_inexact_and_symbolic_values():
     """Only ints, Fractions and p/q strings are read: a binary float or a
-    Decimal would carry a value the caller did not write, and a Poly is
-    not a number."""
-    for value in (0.1, 0.5, Decimal("0.5"), Poly.var(("t",), "t"), Poly.const(("t",), 1)):
+    Decimal would carry a value the caller did not write, a bool is a
+    truth value, not a coefficient, and a Poly is not a number."""
+    for value in (0.1, 0.5, Decimal("0.5"), True, False, Poly.var(("t",), "t"),
+                  Poly.const(("t",), 1)):
         with pytest.raises(ValueError):
             rat(value)
-    with pytest.raises(ValueError):
-        CurveModel.even(2, [0.1, 0, 0], [1, 0, 0, 0, 1])
+    for Q in ([0.1, 0, 0], [True, 0, 0]):
+        with pytest.raises(ValueError):
+            CurveModel.even(2, Q, [1, 0, 0, 0, 1])
 
 
 def test_poly_product_univariate():
@@ -75,8 +77,8 @@ def test_poly_product_bivariate():
 def test_poly_derivative_basic():
     t = Poly.var(("t", "a0"), "t")
     a0 = Poly.var(("t", "a0"), "a0")
-    assert (t ** 4).derivative("t") == 4 * t ** 3
-    assert a0.derivative("t") == Poly(("t", "a0"))
+    assert derivative(t ** 4, "t") == 4 * t ** 3
+    assert derivative(a0, "t") == Poly(("t", "a0"))
 
 
 def test_poly_derivative_difference_quotient_oracle():
@@ -87,7 +89,7 @@ def test_poly_derivative_difference_quotient_oracle():
     """
     t = Poly.var(("t",), "t")
     p = t ** 3 + 2 * t
-    dp = p.derivative("t")
+    dp = derivative(p, "t")
     assert dp == 3 * t ** 2 + 2
     for t0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5)):
         q, r = poly_divmod_linear(p - eval_all(p, {"t": t0}), "t", t0)

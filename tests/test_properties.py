@@ -29,14 +29,14 @@ from artifact.poisson_verify import (_form_poly, _integer_forms, _lift, _matrix_
                                      schouten_certificate)
 
 import assembly_route
-from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, pair_grid,
-                            pair_matrix, truncated_five_term)
+from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, own_curve,
+                            pair_grid, pair_matrix, truncated_five_term)
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dense_point_rank,
                          euler_tensor, form, lift_via_euler, rank_at_point, reference_rank_scan,
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
-                         element_from_coords, eval_all, membership_extract, reduce,
-                         section_coords)
+                         derivative, element_from_coords, eval_all, membership_extract,
+                         reduce, section_coords)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -202,7 +202,7 @@ def test_bilinear_assembly_matches_per_pair_route(space):
     even, and in strict mode its rejection: the same first pair and
     details."""
     truncate = space.model.parity == "odd"
-    assert (_forms_or_rejection(lambda: _five_term_forms(space, space.model.tau_poly()))
+    assert (_forms_or_rejection(lambda: _five_term_forms(space, *own_curve(space.model)))
             == _forms_or_rejection(lambda: assembly_route.five_term_forms(space, truncate)))
 
 
@@ -232,7 +232,7 @@ def test_closed_form_kernel_matches_general_product(space, data):
 def _closed_kernel(model):
     """The library's closed-form kernel grids of the model's own curve, read
     at scale 1 off its rational tau, Q/2 and P."""
-    curve = [p.coeffs_univar("t") for p in (model.tau_poly(), model.Q * Fraction(1, 2), model.P)]
+    curve = own_curve(model)[0]
 
     def kernel(sa, sb):
         return _kernel_grid(sa, sb, curve)
@@ -243,15 +243,19 @@ def _shifted(grid):
     return {((u, i + 1), (v, j + 1)): val for ((u, i), (v, j)), val in grid.items()}
 
 
+# m + 1/d with d >= 2 is never an integer.
+non_integers = st.builds(lambda m, d: m + Fraction(1, d), st.integers(-5, 4), st.integers(2, 4))
+
+
 @st.composite
-def kernel_curves(draw, max_k=4, coeffs=rationals):
-    """A curve of drawn parity at k <= max_k with c, Q and P drawn from
-    coeffs; odd ones include c = 0 and c = -1."""
+def kernel_curves(draw, max_k=4, coeffs=rationals, poles=None):
+    """A curve of drawn parity at k <= max_k with Q and P drawn from coeffs
+    and c from poles; by default c is drawn from coeffs, 0 and -1."""
     k = draw(st.integers(1, max_k))
     Q = draw(st.lists(coeffs, min_size=3, max_size=3))
     if draw(st.booleans()):
         return CurveModel.even(k, Q, draw(st.lists(coeffs, min_size=5, max_size=5)))
-    c = draw(st.one_of(st.sampled_from((0, -1)), coeffs))
+    c = draw(st.one_of(st.sampled_from((0, -1)), coeffs) if poles is None else poles)
     return CurveModel.odd(k, c, Q, draw(st.lists(coeffs, min_size=4, max_size=4)))
 
 
@@ -362,20 +366,23 @@ def test_odd_build_is_truncated_assembly_plus_shift(model):
 @example(model=CurveModel.odd(5, -1, 0, 0))
 @example(model=CurveModel.odd(4, Fraction(2, 3), 0, 0))
 @example(model=CurveModel.odd(3, -1, [1, 0, 2], [Fraction(1, 2), 0, -1, 3]))
-@given(model=kernel_curves(max_k=6))
+@example(model=CurveModel.odd(5, Fraction(-3, 2), [Fraction(1, 3), -1, 2], [2, Fraction(-1, 2), 0, 3]))
+@given(model=kernel_curves(max_k=6, poles=st.one_of(small_ints, non_integers)))
 def test_derivation_image_matches_curve_route(model):
-    """On every basis slot, the closed-form derivation image equals the
-    oracle's curve_derivation read slot by slot, inside and outside the
-    basis, and membership_extract refuses that derivative exactly when it
-    has a pole or a slot past the basis.  The image of an odd slot t^j x
-    drops the pole part (-c)^j (Q(-c) x + P(-c))/(t + c): D is exactly the
-    image plus that part, and the part is nonzero exactly when the oracle
-    reports a pole."""
+    """On every basis slot, the closed-form derivation image read off the
+    curve's own lists (tau, Q/2, P) and pole equals the oracle's
+    curve_derivation read slot by slot, inside and outside the basis, and
+    membership_extract refuses that derivative exactly when it has a pole
+    or a slot past the basis.  The image of an odd slot t^j x drops the
+    pole part (-c)^j (Q(-c) x + P(-c))/(t + c): D is exactly the image plus
+    that part, and the part is nonzero exactly when the oracle reports a
+    pole.  Poles are drawn rational, integer or not."""
     space = SectionSpace(model)
     slots = space.slots
     c = model.c
+    curve = own_curve(model)
     for slot, e in zip(slots, basis_elements(space)):
-        image = _derivation_image(slot, model, model.tau_poly())
+        image = _derivation_image(slot, *curve)
         derivative = curve_derivation(e)
         expected, pole = section_coords(derivative)
         assert image == expected, slot
@@ -494,7 +501,7 @@ def _lifted(T):
 def _divergence(T):
     """(div pi)^c = sum_d d pi^{dc} / d x_d, by Poly derivatives."""
     ctx = tuple(f"x{i}" for i in range(T.n))
-    return [sum((_form_poly(form(T, d, c), ctx).derivative(ctx[d]) for d in range(T.n)),
+    return [sum((derivative(_form_poly(form(T, d, c), ctx), ctx[d]) for d in range(T.n)),
                 Poly(ctx)) for c in range(T.n)]
 
 

@@ -16,7 +16,7 @@ What a run cannot see is checked statically: every module-level name is
 referenced by other src code or imported by the acceptance tests, every
 name a module imports is referenced in it, every parameter is read in its
 function's body, protocol dunders aside, and only exact_core splits a
-rational into integers.
+rational into integers, and the assembly does no Poly arithmetic.
 """
 
 import ast
@@ -36,6 +36,8 @@ ORACLES = {
     "exact_core.Poly.__pow__": "ring API: tests write t ** 2 and the routes raise poles to powers",
     "exact_core.Poly.__repr__": "debugging and assertion messages",
     "curve_ring.CurveModel.__repr__": "debugging and assertion messages",
+    "curve_ring.SectionSpace.labels":
+        "names the pair of a strict rejection, forced only by test_bracket_build_rejection_exits_one",
     "bracket_forge.TensorNotInSectionSpace.__init__":
         "the strict rejection, forced only by test_bracket_build_rejection_exits_one",
     "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
@@ -360,3 +362,25 @@ def test_only_exact_core_splits_rationals():
                 split |= {f"{module}:{node.lineno} import {alias.name}"
                           for alias in node.names if alias.name == "lcm"}
     assert split == set()
+
+
+def test_assembly_does_no_poly_arithmetic():
+    """bracket_forge imports neither Poly nor poly_divmod_linear, reads a
+    curve model's Q and P only as the receivers of coeffs_univar, and
+    never its tau_poly or R: the assembly is a linear map of plain
+    coefficient lists."""
+    tree = next(tree for module, _, tree in _modules() if module == "bracket_forge")
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    poly = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            poly |= {f"{node.lineno} import {alias.name}" for alias in node.names
+                     if alias.name in ("Poly", "poly_divmod_linear")}
+        elif isinstance(node, ast.Name) and node.id in ("Poly", "poly_divmod_linear"):
+            poly.add(f"{node.lineno} {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("Q", "P", "tau_poly", "R"):
+            reader = parents[node]
+            if not (node.attr in ("Q", "P") and isinstance(reader, ast.Attribute)
+                    and reader.attr == "coeffs_univar"):
+                poly.add(f"{node.lineno} .{node.attr}")
+    assert poly == set()
