@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .exact_core import RationalLike, clear_denominators, rat, rat_str
-from .curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace, dimension
+from .curve_ring import P_LEN, Q_LEN, CurveModel, dimension, section_slots
 
 PairKey = Tuple[int, int]
 FormDict = Dict[Tuple[int, int], Fraction]
@@ -64,15 +64,18 @@ FormDict = Dict[Tuple[int, int], Fraction]
 class TensorNotInSectionSpace(ValueError):
     """The assembled pair tensor has a component outside the section basis.
 
-    details names each nonzero entry of the pair's slot grid outside
-    basis x basis, in block order."""
+    pair names the basis pair a < b, details each nonzero entry of its slot
+    grid outside basis x basis, in block order."""
 
-    def __init__(self, pair: str, grid: Grid, slots: Dict[Slot, int]):
+    def __init__(self, a: int, b: int, grid: Grid, slots: Dict[Slot, int]):
         out = sorted((2 * v + u, i, j) for ((u, i), (v, j)), val in grid.items()
                      if val and not ((u, i) in slots and (v, j) in slots))
-        self.pair = pair
-        self.details = tuple(f"term t1^{i}*t2^{j} of the {_BLOCK_TAGS[(b % 2, b // 2)]} block "
-                             "outside the basis" for b, i, j in out)
+        keys = list(slots)
+        names = ["*".join(filter(None, (f"t^{i}" if i > 1 else "t" * i, "x" * u))) or "1"
+                 for u, i in (keys[a], keys[b])]
+        self.pair = pair = f"({names[0]}, {names[1]})"
+        self.details = tuple(f"term t1^{i}*t2^{j} of the {_BLOCK_TAGS[(x % 2, x // 2)]} block "
+                             "outside the basis" for x, i, j in out)
         super().__init__(f"pair {pair}: " + "; ".join(self.details))
 
 
@@ -228,7 +231,7 @@ class FamilyBasis:
         return cls(data["parity"], _json_int(data["k"]), tensors, tuple(labels))
 
 
-# A slot of a two-point grid: (power of x, power of t).  SectionSpace.slots
+# A slot of a two-point grid: (power of x, power of t).  section_slots
 # gives the basis index of each slot in range.
 Slot = Tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -326,7 +329,7 @@ def _derivation_image(slot: Slot, curve: KernelCurve, c: Optional[Scalar]) -> Di
     return {s: val for s, val in image.items() if val}
 
 
-def _five_term_forms(space: SectionSpace, curve: KernelCurve,
+def _five_term_forms(slots: Dict[Slot, int], curve: KernelCurve,
                      c: Optional[Scalar]) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b over every basis pair a < b, D the canonical derivation,
@@ -345,8 +348,7 @@ def _five_term_forms(space: SectionSpace, curve: KernelCurve,
     strict: there kernel and derivation overflow may cancel, and neither
     term has a pole.
     """
-    n = space.dim
-    slots = space.slots
+    n = len(slots)
     keys = list(slots)
     images = [_derivation_image(s, curve, c) for s in keys]
     den, ints = clear_denominators(val for part in (*curve, *map(dict.values, images)) for val in part)
@@ -368,8 +370,7 @@ def _five_term_forms(space: SectionSpace, curve: KernelCurve,
                     key = (u, v) if u <= v else (v, u)
                     form[key] = form.get(key, 0) + val
                 elif c is None and val:
-                    labels = space.labels()
-                    raise TensorNotInSectionSpace(f"({labels[a]}, {labels[b]})", grid, slots)
+                    raise TensorNotInSectionSpace(a, b, grid, slots)
             form = {key: Fraction(val, den) for key, val in form.items() if val}
             if form:
                 pi[(a, b)] = form
@@ -387,15 +388,15 @@ def build_tensor(model: CurveModel) -> BracketTensor:
     the sum is W at tau = t + c - (2/n) (t - 1) = [c + 2/n, 1 - 2/n].  With
     it the odd tensor matches the chart brackets and satisfies Jacobi.
     """
-    space = SectionSpace(model)
+    slots = section_slots(model.parity, model.k_param)
     half_q, p = [val / 2 for val in model.Q.coeffs_univar("t")], model.P.coeffs_univar("t")
     if model.parity == "even":
         tau, c, assembly = [1], None, "five-term"
     else:
-        shift = Fraction(2, space.dim)
+        shift = Fraction(2, len(slots))
         tau, c, assembly = [model.c + shift, 1 - shift], model.c, "five-term, pole-corrected"
-    return BracketTensor(model.parity, space.k, space.dim,
-                         _five_term_forms(space, (tau, half_q, p), c),
+    return BracketTensor(model.parity, model.k_param, len(slots),
+                         _five_term_forms(slots, (tau, half_q, p), c),
                          dict(model.to_json(), assembly=assembly))
 
 
@@ -409,15 +410,15 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     tau = 1 (even) or [2/n, 1 - 2/n] (odd); c has tau = [1], as with
     Q = P = 0 moving c moves only tau; the rest a unit Q (1/2 in Q/2) or P.
     """
-    space = SectionSpace(CurveModel(parity, k, 0, 0))
+    slots = section_slots(parity, k)
     if parity == "even":
         c, members = None, [("const", ([1], [], []))]
     else:
-        shift = Fraction(2, space.dim)
+        shift = Fraction(2, len(slots))
         c, members = 0, [("const", ([shift, 1 - shift], [], [])), ("c", ([1], [], []))]
     members += [(f"Q:t^{i}", ([], [0] * i + [Fraction(1, 2)], [])) for i in range(Q_LEN)]
     members += [(f"P:t^{j}", ([], [], [0] * j + [1])) for j in range(P_LEN[parity])]
-    tensors = tuple(BracketTensor(parity, k, space.dim, _five_term_forms(space, curve, c),
+    tensors = tuple(BracketTensor(parity, k, len(slots), _five_term_forms(slots, curve, c),
                                   {"family": parity, "k": k, "direction": label})
                     for label, curve in members)
     return FamilyBasis(parity, k, tensors, tuple(label for label, _ in members))

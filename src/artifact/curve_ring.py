@@ -1,5 +1,5 @@
-"""Genus-one plane curve models, their section spaces and the Szego
-residue certificate.
+"""Genus-one plane curve models, the section basis and the Szego residue
+certificate.
 
 Two chart parities are supported.  The even model is the affine curve
 x^2 = Q(t) x + P(t) with deg Q <= 2, deg P <= 4; the odd model is
@@ -16,14 +16,14 @@ closed form here.
 
 Curves are numeric: Q and P have rational coefficients in t.  The module
 owns the shape rules every other module reads: Q_LEN and P_LEN count the
-coefficients of Q and P, and dimension(parity, k) is the size of the
-level-k section space.
+coefficients of Q and P, and section_slots(parity, k) orders the level-k
+section basis, of size dimension(parity, k), that all its curves share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import Poly, RationalLike, rat, rat_str
 
@@ -117,30 +117,16 @@ class CurveModel:
         return out
 
 
-class SectionSpace:
-    """Ordered basis of the level-k section space of a curve model.
+def section_slots(parity: str, k: int) -> Dict[Tuple[int, int], int]:
+    """{slot (u, i) of t^i x^u: basis index} of the level-k section basis,
+    in basis order: the one copy of that order.
 
     Even basis: 1, t, ..., t^k, x, t x, ..., t^(k-2) x (dimension 2k).
     Odd basis:  1, t, ..., t^k, x, t x, ..., t^(k-1) x (dimension 2k+1).
-    slots maps the slot (u, i) of the monomial t^i x^u to its basis index,
-    in basis order; it is the one copy of that order.
     """
-
-    def __init__(self, model: CurveModel):
-        self.model = model
-        self.k = model.k_param
-        self.dim = dimension(model.parity, self.k)
-        x_deg_max = self.dim - self.k - 2
-        keys = [(0, i) for i in range(self.k + 1)] + [(1, j) for j in range(x_deg_max + 1)]
-        self.slots: Dict[Tuple[int, int], int] = {slot: index for index, slot in enumerate(keys)}
-
-    def labels(self) -> List[str]:
-        """Names of the basis monomials: 1, t, t^2, ..., x, t*x, t^2*x, ..."""
-        names = []
-        for u, i in self.slots:
-            parts = ("" if i == 0 else "t" if i == 1 else f"t^{i}", "x" * u)
-            names.append("*".join(part for part in parts if part) or "1")
-        return names
+    x_deg_max = dimension(parity, k) - k - 2
+    keys = [(0, i) for i in range(k + 1)] + [(1, j) for j in range(x_deg_max + 1)]
+    return {slot: index for index, slot in enumerate(keys)}
 
 
 class ResidueCertificate(NamedTuple):

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from artifact.bracket_forge import (_BLOCK_TAGS, BracketTensor, FamilyBasis, FormDict, Grid,
                                     KernelCurve, PairKey, Slot, TensorNotInSectionSpace,
                                     build_tensor)
-from artifact.curve_ring import P_LEN, Q_LEN, CurveModel, SectionSpace
+from artifact.curve_ring import P_LEN, Q_LEN, CurveModel, dimension, section_slots
 from artifact.exact_core import Poly, poly_divmod_linear
 
 from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
@@ -215,17 +215,17 @@ def pair_grid(bi: BiCurveElement) -> Tuple[Grid, List[str]]:
     return grid, problems
 
 
-def pair_matrix(bi: BiCurveElement, space: SectionSpace, truncate: bool,
-                pair_label: str) -> Dict[PairKey, Fraction]:
-    """Coefficient grid of bi over basis x basis.  Strict mode rejects a
-    pole remainder (NonzeroRemainder) or a slot past the basis
-    (TensorNotInSectionSpace), truncating mode drops it."""
+def pair_matrix(bi: BiCurveElement, truncate: bool, a: int, b: int) -> Dict[PairKey, Fraction]:
+    """Coefficient grid of bi over basis x basis of its model, for the basis
+    pair a < b.  Strict mode rejects a pole remainder (NonzeroRemainder) or
+    a slot past the basis (TensorNotInSectionSpace), truncating mode drops
+    it."""
     grid, problems = pair_grid(bi)
-    slots = space.slots
+    slots = section_slots(bi.model.parity, bi.model.k_param)
     if not truncate:
         if problems:
-            raise NonzeroRemainder(f"pair {pair_label}: " + "; ".join(problems))
-        rejection = TensorNotInSectionSpace(pair_label, grid, slots)
+            raise NonzeroRemainder(f"pair ({a}, {b}): " + "; ".join(problems))
+        rejection = TensorNotInSectionSpace(a, b, grid, slots)
         if rejection.details:
             raise rejection
     return {(slots[s1], slots[s2]): val for (s1, s2), val in grid.items()
@@ -240,21 +240,21 @@ def symmetrize(matrix: Dict[PairKey, Fraction]) -> FormDict:
     return {key: val for key, val in form.items() if val}
 
 
-def five_term_forms(space: SectionSpace, truncate: bool) -> Dict[PairKey, FormDict]:
+def five_term_forms(model: CurveModel, truncate: bool) -> Dict[PairKey, FormDict]:
     """Forms of n*S(s_a^s_b) + s_a (x) D(s_b) + D(s_b) (x) s_a - s_b (x) D(s_a)
     - D(s_a) (x) s_b, one summed BiCurveElement per pair."""
-    labels = space.labels()
-    basis = basis_elements(space)
+    basis = basis_elements(model)
+    n = len(basis)
     derivs = [curve_derivation(e) for e in basis]
     pi: Dict[PairKey, FormDict] = {}
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
-            T = mult_kernel_antisym(basis[a], basis[b]).scale(space.dim)
+    for a in range(n):
+        for b in range(a + 1, n):
+            T = mult_kernel_antisym(basis[a], basis[b]).scale(n)
             T = T + BiCurveElement.from_sections(basis[a], derivs[b])
             T = T + BiCurveElement.from_sections(derivs[b], basis[a])
             T = T - BiCurveElement.from_sections(basis[b], derivs[a])
             T = T - BiCurveElement.from_sections(derivs[a], basis[b])
-            form = symmetrize(pair_matrix(T, space, truncate, f"({labels[a]}, {labels[b]})"))
+            form = symmetrize(pair_matrix(T, truncate, a, b))
             if form:
                 pi[(a, b)] = form
     return pi
@@ -302,8 +302,8 @@ def truncated_five_term(model: CurveModel) -> BracketTensor:
     ingredient of the odd build, not itself a Poisson tensor in general."""
     if model.parity != "odd":
         raise ValueError("the truncated assembly needs an odd curve")
-    space = SectionSpace(model)
-    return BracketTensor("odd", space.k, space.dim, five_term_forms(space, truncate=True))
+    return BracketTensor("odd", model.k_param, dimension("odd", model.k_param),
+                         five_term_forms(model, truncate=True))
 
 
 def odd_shift_two_assemblies(k: int) -> BracketTensor:

@@ -142,7 +142,7 @@ def wedge_certificate(T: BracketTensor) -> bool:
     """E ^ Jac(pi) = 0 tested on every component a < b < c < d, on the raw
     tensor: the reference for the E ^ route that the library no longer
     takes for its verdict.  A triple missing from the Jacobiator is zero."""
-    jac = dict(_integer_jacobiator(_integer_forms(T)[1]))
+    jac = dict(_integer_jacobiator(_integer_forms(T)[1], set(range(T.n))))
     for quad in combinations(range(T.n), 4):
         wedge: IntPoly = {}
         for pos, a in enumerate(quad):

@@ -20,7 +20,7 @@ parity; z satisfies z^2 = Q z + (t+c) P.
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from artifact.curve_ring import CurveModel, PolyLike, SectionSpace, _coerce_t_poly
+from artifact.curve_ring import CurveModel, PolyLike, _coerce_t_poly, dimension
 from artifact.exact_core import Poly, RationalLike, VariableContextMismatch, poly_divmod_linear, rat
 
 Slot = Tuple[int, int]
@@ -348,37 +348,40 @@ def curve_derivation(e: CurveElement) -> CurveElement:
     return CurveElement(model, const, lin, m + 1)
 
 
-def basis_elements(space: SectionSpace) -> List[CurveElement]:
-    """The section basis 1, t, ..., t^k, x, t x, ..., t^(dim - k - 2) x."""
-    model = space.model
-    out = [t_elem(model, i) for i in range(space.k + 1)]
+def basis_elements(model: CurveModel) -> List[CurveElement]:
+    """The section basis 1, t, ..., t^k, x, t x, ..., t^(dim - k - 2) x of
+    the model's level k."""
+    k = model.k_param
+    out = [t_elem(model, i) for i in range(k + 1)]
     cur = x_elem(model)
-    for _ in range(space.dim - space.k - 1):
+    for _ in range(dimension(model.parity, k) - k - 1):
         out.append(cur)
         cur = cur * t_elem(model)
     return out
 
 
-def element_from_coords(space: SectionSpace, coords: Sequence[RationalLike]) -> CurveElement:
-    if len(coords) != space.dim:
-        raise ValueError(f"expected {space.dim} coordinates")
-    out = zero(space.model)
-    for c, e in zip(coords, basis_elements(space)):
+def element_from_coords(model: CurveModel, coords: Sequence[RationalLike]) -> CurveElement:
+    basis = basis_elements(model)
+    if len(coords) != len(basis):
+        raise ValueError(f"expected {len(basis)} coordinates")
+    out = zero(model)
+    for c, e in zip(coords, basis):
         c = rat(c)
         if c:
-            out = out + CurveElement(space.model, c) * e
+            out = out + CurveElement(model, c) * e
     return out
 
 
-def membership_extract(e: CurveElement, space: SectionSpace) -> List[Fraction]:
-    """Coordinates of e in the section basis; NotInSpace when it fails.
+def membership_extract(e: CurveElement) -> List[Fraction]:
+    """Coordinates of e in the section basis of its model's level k;
+    NotInSpace when it fails.
 
     Works through the x-representation: the element must equal
     a(t) + b(t) x with deg a <= k and deg b <= k-2 (even) or k-1 (odd),
     after the (t+c)^m pole cancels exactly.
     """
-    check_models(e.model, space.model)
     model = e.model
+    k, dim = model.k_param, dimension(model.parity, model.k_param)
     A, B, m = e.x_parts()
     if m:
         root = -model.c
@@ -387,9 +390,8 @@ def membership_extract(e: CurveElement, space: SectionSpace) -> List[Fraction]:
         bad = [str(r) for r in (ra, rb) if not r.is_zero]
         if bad:
             raise NotInSpace(f"pole part does not cancel: remainder(s) {', '.join(bad)}")
-    coords = [Fraction(0)] * space.dim
-    x_deg_max = space.dim - space.k - 2
-    for poly, offset, dmax, tag in ((A, 0, space.k, ""), (B, space.k + 1, x_deg_max, "*x")):
+    coords = [Fraction(0)] * dim
+    for poly, offset, dmax, tag in ((A, 0, k, ""), (B, k + 1, dim - k - 2, "*x")):
         if poly.is_zero:
             continue
         try:

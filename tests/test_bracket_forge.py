@@ -16,7 +16,7 @@ from artifact.bracket_forge import (
     build_family,
     build_tensor,
 )
-from artifact.curve_ring import CurveModel, SectionSpace
+from artifact.curve_ring import CurveModel, section_slots
 
 import assembly_route
 import curve_route
@@ -83,7 +83,7 @@ def _truncated_both_routes(model):
     """W(c, Q, P) by the per-pair oracle, after checking that the library
     assembly on the curve's own lists and pole gives the same forms."""
     W = truncated_five_term(model)
-    assert _five_term_forms(SectionSpace(model), *own_curve(model)) == W.pi
+    assert _five_term_forms(section_slots("odd", model.k_param), *own_curve(model)) == W.pi
     return W
 
 
@@ -164,7 +164,7 @@ def test_strict_mode_rejects_doubled_derivation(monkeypatch, k):
     with pytest.raises(TensorNotInSectionSpace) as new:
         build_tensor(model)
     with pytest.raises(TensorNotInSectionSpace) as old:
-        assembly_route.five_term_forms(SectionSpace(model), truncate=False)
+        assembly_route.five_term_forms(model, truncate=False)
     assert (new.value.pair, new.value.details) == (old.value.pair, old.value.details)
     assert new.value.pair == f"(1, t^{k})"
     assert all(" block outside the basis" in d for d in new.value.details)
@@ -210,17 +210,17 @@ def _shifted_coeffs(coeffs, mu):
     return out
 
 
-def _unipotent(space, mu):
+def _unipotent(slots, mu):
     """Rows t^i x^u -> (t + mu)^i x^u of the basis, as {index: coefficient}."""
-    slots = space.slots
     return [{slots[(u, e)]: comb(i, e) * mu ** (i - e) for e in range(i + 1)}
             for (u, i) in slots]
 
 
-def _push_forward(T, space, mu):
+def _push_forward(T, mu):
     """T, given on coordinates t'^i x^u, rewritten on t^i x^u = (t' - mu)^i x^u:
     {y_a, y_b} = sum A_ac A_bd pi_cd(y'), with y = A y' and y' = A^-1 y."""
-    A, A_inv = _unipotent(space, -mu), _unipotent(space, mu)
+    slots = section_slots(T.parity, T.k)
+    A, A_inv = _unipotent(slots, -mu), _unipotent(slots, mu)
     pi = {}
     for a in range(T.n):
         for b in range(a + 1, T.n):
@@ -243,7 +243,7 @@ def test_even_build_is_natural_under_translation(mu):
     Q, P = [1, -2, F(3, 2)], [2, 1, -1, 3, F(1, 3)]
     for k in range(1, 5):
         moved = CurveModel.even(k, _shifted_coeffs(Q, mu), _shifted_coeffs(P, mu))
-        pushed = _push_forward(build_tensor(moved), SectionSpace(moved), mu)
+        pushed = _push_forward(build_tensor(moved), mu)
         assert pushed == build_tensor(CurveModel.even(k, Q, P)), k
 
 
@@ -286,6 +286,20 @@ def test_family_members_are_unit_builds_minus_the_zero_build(parity):
     provenance included, at k = 1..8; the digests pin only k <= 4."""
     for k in range(1, 9):
         assert build_family(parity, k).to_json() == family_by_subtraction(parity, k).to_json(), k
+
+
+def test_family_builds_no_curve(monkeypatch):
+    """Every curve of a (parity, k) shares the section basis, so the family
+    is assembled with CurveModel unusable, and equals the usual one."""
+    families = {(parity, k): build_family(parity, k).to_json()
+                for parity in ("even", "odd") for k in range(1, 5)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_family made a CurveModel")
+
+    monkeypatch.setattr(CurveModel, "__init__", refuse)
+    for (parity, k), family in families.items():
+        assert build_family(parity, k).to_json() == family, (parity, k)
 
 
 def test_tensor_linear_algebra():

@@ -175,7 +175,7 @@ def test_verify_jacobi_fails_without_witness(tmp_path, monkeypatch, capsys):
     m = 2 * 8 ** 0 + 8 ** 1
     jac = {(0, 1, 2): {m + 8 ** 2: 1}, (0, 1, 3): {m + 8 ** 3: 1}}
     monkeypatch.setattr(poisson_verify, "_integer_jacobiator",
-                        lambda forms: iter(jac.items()))
+                        lambda forms, support: iter(jac.items()))
     code, out, _ = run_cli(["verify", "jacobi", "--in", "tensor.json"], capsys)
     assert code == 1 and "jacobi: fail" in out
     code, out, _ = run_cli(["verify", "jacobi", "--in", "tensor.json", "--json"], capsys)

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from artifact.bracket_forge import _kernel_grid
-from artifact.curve_ring import (CurveModel, DegenerateDivisor, SectionSpace, dimension,
+from artifact.bracket_forge import TensorNotInSectionSpace, _kernel_grid
+from artifact.curve_ring import (CurveModel, DegenerateDivisor, dimension, section_slots,
                                  verify_szego_residues)
 from artifact.exact_core import Poly
 
@@ -51,7 +51,7 @@ def _rand_tx_poly(rng, max_tdeg=3, max_xdeg=2):
 
 def test_dimension_is_the_one_shape_rule():
     """dimension is 2k even, 2k + 1 odd, and refuses any other parity or a
-    k that is not an int >= 1; models and section spaces read it."""
+    k that is not an int >= 1; models and the section basis read it."""
     assert [dimension(parity, k) for parity in ("even", "odd") for k in (1, 2, 3)] == [
         2, 4, 6, 3, 5, 7]
     for parity, k in (("flat", 2), ("even", 0), ("odd", -1), ("even", True), ("odd", 1.0)):
@@ -59,7 +59,9 @@ def test_dimension_is_the_one_shape_rule():
             dimension(parity, k)
         with pytest.raises(ValueError):
             CurveModel(parity, k, 0, 0)
-    assert SectionSpace(CurveModel.odd(3, 1, 0, 0)).dim == 7
+        with pytest.raises(ValueError):
+            section_slots(parity, k)
+    assert len(section_slots("odd", 3)) == 7
 
 
 def test_reduce_even_square_is_constant():
@@ -176,9 +178,9 @@ def _on(model, e):
 
 def test_derivation_raises_section_level_even():
     for k in (1, 2, 3):
-        target = SectionSpace(_even_model(k + 1))
-        for e in basis_elements(SectionSpace(_even_model(k))):
-            membership_extract(_on(target.model, curve_derivation(e)), target)  # must not raise
+        target = _even_model(k + 1)
+        for e in basis_elements(_even_model(k)):
+            membership_extract(_on(target, curve_derivation(e)))  # must not raise
 
 
 def test_derivation_raises_section_level_odd():
@@ -187,17 +189,16 @@ def test_derivation_raises_section_level_odd():
     creates at the distinguished point over t = -c."""
     ctx = TX
     for k in (1, 2, 3):
-        target = SectionSpace(_odd_model(k + 1))
-        model = target.model
-        basis = [_on(model, e) for e in basis_elements(SectionSpace(_odd_model(k)))]
+        model = _odd_model(k + 1)
+        basis = [_on(model, e) for e in basis_elements(_odd_model(k))]
         for e in basis[: k + 1]:
-            membership_extract(curve_derivation(e), target)
+            membership_extract(curve_derivation(e))
         for j, e in enumerate(basis[k + 1:]):
             pole_fix = reduce(model, _t(ctx) ** j * _x(ctx) ** 2)
-            membership_extract(curve_derivation(e) + pole_fix, target)
+            membership_extract(curve_derivation(e) + pole_fix)
         # the raw derivative of an x-type element genuinely leaves the chain
         with pytest.raises(NotInSpace):
-            membership_extract(curve_derivation(basis[k + 1]), target)
+            membership_extract(curve_derivation(basis[k + 1]))
 
 
 def _numerator_grid(model):
@@ -254,8 +255,7 @@ def test_mult_kernel_antisym_one_x_dies():
 def test_mult_kernel_antisym_bilinear_antisymmetric():
     rng = random.Random(SEED)
     for model in (_even_model(), _odd_model(2)):
-        space = SectionSpace(model)
-        basis = basis_elements(space)
+        basis = basis_elements(model)
         for _ in range(5):
             pick = rng.sample(range(len(basis)), 3)
             a, b, c = (basis[i] for i in pick)
@@ -269,44 +269,50 @@ def test_mult_kernel_antisym_bilinear_antisymmetric():
 
 def test_membership_basis_vector():
     model = _even_model(2)
-    space = SectionSpace(model)
-    assert membership_extract(t_elem(model) * t_elem(model), space) == [0, 0, 1, 0]
+    assert membership_extract(t_elem(model) * t_elem(model)) == [0, 0, 1, 0]
 
 
 def test_membership_degree_overflow():
     model = _even_model(2)
-    space = SectionSpace(model)
     with pytest.raises(NotInSpace):
-        membership_extract(t_elem(model) ** 3, space)
+        membership_extract(t_elem(model) ** 3)
 
 
 def test_membership_odd_pole_and_x():
     model = CurveModel.odd(1, 0, 0, [1, 0, 0, 2])
-    space = SectionSpace(model)
-    assert membership_extract(x_elem(model), space) == [0, 0, 1]
+    assert membership_extract(x_elem(model)) == [0, 0, 1]
     bad = reduce(model, Poly(TX, {(0, 0): 5, (2, 1): 1}), denominator=_t(("t",)))
     with pytest.raises(NotInSpace):
-        membership_extract(bad, space)
+        membership_extract(bad)
 
 
 def test_membership_roundtrip_randomized():
     rng = random.Random(SEED)
     for model in (_even_model(3), _odd_model(2)):
-        space = SectionSpace(model)
+        n = dimension(model.parity, model.k_param)
         for _ in range(10):
-            coords = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(space.dim)]
-            e = element_from_coords(space, coords)
-            assert membership_extract(e, space) == coords
+            coords = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
+            e = element_from_coords(model, coords)
+            assert membership_extract(e) == coords
+
+
+def _labels(slots):
+    """Basis names as a strict rejection states them, (1, s) for each s."""
+    return ["1"] + [TensorNotInSectionSpace(0, b, {}, slots).pair[4:-1]
+                    for b in range(1, len(slots))]
 
 
 def test_section_space_shapes():
-    even = SectionSpace(_even_model(2))
-    assert even.dim == 4
-    assert even.labels() == ["1", "t", "t^2", "x"]
-    odd = SectionSpace(_odd_model(2))
-    assert odd.dim == 5
-    assert odd.labels() == ["1", "t", "t^2", "x", "t*x"]
-    assert SectionSpace(_even_model(1)).dim == 2
+    """section_slots orders the basis 1, t, ..., t^k, x, t x, ...; a
+    rejection names basis monomials in that order."""
+    even = section_slots("even", 2)
+    assert even == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3}
+    assert _labels(even) == ["1", "t", "t^2", "x"]
+    odd = section_slots("odd", 2)
+    assert list(odd) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert _labels(odd) == ["1", "t", "t^2", "x", "t*x"]
+    assert TensorNotInSectionSpace(3, 4, {}, odd).pair == "(x, t*x)"
+    assert len(section_slots("even", 1)) == 2
 
 
 def test_residue_certificate_quartic():

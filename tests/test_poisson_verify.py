@@ -214,7 +214,7 @@ def test_jacobi_verdict_reads_the_whole_jacobiator(monkeypatch):
     m = 2 * 8 ** 0 + 8 ** 1
     jac = {(0, 1, 2): {m + 8 ** 2: 1}, (0, 1, 3): {m + 8 ** 3: 1}}
     monkeypatch.setattr(poisson_verify, "_integer_jacobiator",
-                        lambda forms: iter(jac.items()))
+                        lambda forms, support: iter(jac.items()))
     assert jacobi_check(_zero_like("even", 2, 4)) == {"holds": False, "witness": None}
 
 
@@ -516,6 +516,17 @@ def test_failing_witness_walks_only_candidate_triples():
     assert time.perf_counter() - start < 0.5
     assert verdict == {"holds": False, "witness": {"chart": 0, "triple": (196, 197, 198),
                                                    "obstruction": "u196*u197*u198"}}
+
+
+def test_one_term_tensor_walks_its_support():
+    """x_0 x_1 d_0 ^ d_1 at n = 400 lifts to nonzero forms on every pair
+    (0, b) and (1, b), but its support is {0, 1}: Jacobi walks the 398
+    triples (0, 1, b), not C(400, 3), and passes within a second."""
+    T = BracketTensor("even", 200, 400, {(0, 1): {(0, 1): 1}})
+    start = time.perf_counter()
+    verdict = jacobi_check(T)
+    assert time.perf_counter() - start < 1
+    assert verdict == {"holds": True, "witness": None}
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from artifact.bracket_forge import (BracketTensor, FamilyBasis, TensorNotInSectionSpace,
                                     _derivation_image, _five_term_forms,
                                     _kernel_grid, build_family, build_tensor)
-from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, SectionSpace,
-                                 verify_szego_residues)
+from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertificate, dimension,
+                                 section_slots, verify_szego_residues)
 from artifact.exact_core import Poly, poly_divmod_linear
-from artifact.poisson_verify import (_form_poly, _integer_forms, _lift, _matrix_rank,
-                                     independence_rank, jacobi_check, rank_scan,
+from artifact import poisson_verify
+from artifact.poisson_verify import (_form_poly, _integer_forms, _integer_jacobiator, _lift,
+                                     _matrix_rank, independence_rank, jacobi_check, rank_scan,
                                      schouten_certificate)
 
 import assembly_route
@@ -81,22 +82,20 @@ def test_curve_element_normal_form(c, alpha, beta, m, j):
 
 @st.composite
 def curves(draw, parities=("even", "odd"), max_k=2):
-    """A small numeric curve of a drawn parity, with its section space."""
+    """A small numeric curve of a drawn parity."""
     parity = draw(st.sampled_from(parities))
     k = draw(st.integers(1, max_k))
     Q = draw(st.lists(small_ints, min_size=3, max_size=3))
     if parity == "even":
-        model = CurveModel.even(k, Q, draw(st.lists(small_ints, min_size=5, max_size=5)))
-    else:
-        P = draw(st.lists(small_ints, min_size=4, max_size=4))
-        model = CurveModel.odd(k, draw(rationals), Q, P)
-    return SectionSpace(model)
+        return CurveModel.even(k, Q, draw(st.lists(small_ints, min_size=5, max_size=5)))
+    P = draw(st.lists(small_ints, min_size=4, max_size=4))
+    return CurveModel.odd(k, draw(rationals), Q, P)
 
 
-def _grid(bi, space, truncate):
+def _grid(bi, truncate):
     """pair_matrix of bi, or "rejected" when strict mode refuses it."""
     try:
-        return pair_matrix(bi, space, truncate, "(a, b)")
+        return pair_matrix(bi, truncate, 0, 1)
     except (TensorNotInSectionSpace, assembly_route.NonzeroRemainder):
         return "rejected"
 
@@ -105,18 +104,18 @@ def _grid(bi, space, truncate):
 def five_term_pairs(draw):
     """The five-term element of one basis pair of a small odd curve, as
     the assembly builds it, lifted by extra (t1+c)^j1 (t2+c)^j2."""
-    space = draw(curves(parities=("odd",)))
-    basis = basis_elements(space)
-    a, b = sorted(draw(st.lists(st.integers(0, space.dim - 1), min_size=2, max_size=2,
+    model = draw(curves(parities=("odd",)))
+    basis = basis_elements(model)
+    a, b = sorted(draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=2,
                                 unique=True)))
     sa, sb = basis[a], basis[b]
     da, db = curve_derivation(sa), curve_derivation(sb)
-    bi = (mult_kernel_antisym(sa, sb).scale(space.dim)
+    bi = (mult_kernel_antisym(sa, sb).scale(len(basis))
           + BiCurveElement.from_sections(sa, db) + BiCurveElement.from_sections(db, sa)
           - BiCurveElement.from_sections(sb, da) - BiCurveElement.from_sections(da, sb))
     j1, j2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     m1, m2 = bi.m1 + j1, bi.m2 + j2
-    return space, bi, BiCurveElement(space.model, *bi.lift(m1, m2), m1=m1, m2=m2)
+    return bi, BiCurveElement(model, *bi.lift(m1, m2), m1=m1, m2=m2)
 
 
 @PROPERTY
@@ -124,25 +123,26 @@ def five_term_pairs(draw):
 def test_extra_poles_change_nothing(case):
     """Non-minimal pole orders are the same function and the same grid;
     strict mode rejects on both sides or neither."""
-    space, bi, lifted = case
+    bi, lifted = case
     assert lifted == bi
     for truncate in (False, True):
-        assert _grid(lifted, space, truncate) == _grid(bi, space, truncate)
+        assert _grid(lifted, truncate) == _grid(bi, truncate)
 
 
 @PROPERTY
-@given(space=curves(), data=st.data())
-def test_pair_matrix_matches_slotwise_extraction(space, data):
+@given(model=curves(), data=st.data())
+def test_pair_matrix_matches_slotwise_extraction(model, data):
     """The one-pass grid of e1(x)e2 is the outer product of the slot-wise
     coordinates that membership_extract reads, odd poles included."""
-    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
-    e1 = element_from_coords(space, data.draw(coords))
-    e2 = element_from_coords(space, data.draw(coords))
-    c1, c2 = membership_extract(e1, space), membership_extract(e2, space)
+    n = dimension(model.parity, model.k_param)
+    coords = st.lists(small_ints, min_size=n, max_size=n)
+    e1 = element_from_coords(model, data.draw(coords))
+    e2 = element_from_coords(model, data.draw(coords))
+    c1, c2 = membership_extract(e1), membership_extract(e2)
     outer = {(u, v): x * y for u, x in enumerate(c1) for v, y in enumerate(c2) if x * y}
     bi = BiCurveElement.from_sections(e1, e2)
     for truncate in (False, True):
-        assert pair_matrix(bi, space, truncate, "(a, b)") == outer
+        assert pair_matrix(bi, truncate, 0, 1) == outer
 
 
 @PROPERTY
@@ -174,17 +174,15 @@ coefficients = st.one_of(small_ints, rationals)
 
 
 @st.composite
-def assembly_spaces(draw):
+def assembly_curves(draw):
     """A curve of drawn parity at k <= 3 with integer or rational
-    coefficients, odd ones with c != 0, and its section space."""
+    coefficients, odd ones with c != 0."""
     k = draw(st.integers(1, 3))
     Q = draw(st.lists(coefficients, min_size=3, max_size=3))
     if draw(st.booleans()):
-        model = CurveModel.even(k, Q, draw(st.lists(coefficients, min_size=5, max_size=5)))
-    else:
-        P = draw(st.lists(coefficients, min_size=4, max_size=4))
-        model = CurveModel.odd(k, draw(rationals.filter(bool)), Q, P)
-    return SectionSpace(model)
+        return CurveModel.even(k, Q, draw(st.lists(coefficients, min_size=5, max_size=5)))
+    P = draw(st.lists(coefficients, min_size=4, max_size=4))
+    return CurveModel.odd(k, draw(rationals.filter(bool)), Q, P)
 
 
 def _forms_or_rejection(assemble):
@@ -195,35 +193,35 @@ def _forms_or_rejection(assemble):
 
 
 @PROPERTY
-@given(space=assembly_spaces())
-def test_bilinear_assembly_matches_per_pair_route(space):
+@given(model=assembly_curves())
+def test_bilinear_assembly_matches_per_pair_route(model):
     """Reading each closed-form derivation image once gives the per-pair
     route's forms in the mode of the parity, truncating odd and strict
     even, and in strict mode its rejection: the same first pair and
     details."""
-    truncate = space.model.parity == "odd"
-    assert (_forms_or_rejection(lambda: _five_term_forms(space, *own_curve(space.model)))
-            == _forms_or_rejection(lambda: assembly_route.five_term_forms(space, truncate)))
+    slots, truncate = section_slots(model.parity, model.k_param), model.parity == "odd"
+    assert (_forms_or_rejection(lambda: _five_term_forms(slots, *own_curve(model)))
+            == _forms_or_rejection(lambda: assembly_route.five_term_forms(model, truncate)))
 
 
 @PROPERTY
-@given(space=assembly_spaces(), data=st.data())
-def test_closed_form_kernel_matches_general_product(space, data):
+@given(model=assembly_curves(), data=st.data())
+def test_closed_form_kernel_matches_general_product(model, data):
     """The closed-form kernel grids of the basis pairs, summed bilinearly
     over the coordinates of two drawn sections, give the grid of the
     general w-basis product of the Szego numerator with s1(1) s2(2) -
     s2(1) s1(2), divided by t1 - t2."""
-    coords = st.lists(small_ints, min_size=space.dim, max_size=space.dim)
+    keys = list(section_slots(model.parity, model.k_param))
+    coords = st.lists(small_ints, min_size=len(keys), max_size=len(keys))
     c1, c2 = (data.draw(coords) for _ in range(2))
-    keys = list(space.slots)
-    kernel = _closed_kernel(space.model)
+    kernel = _closed_kernel(model)
     summed = {}
     for a, x in enumerate(c1):
         for b, y in enumerate(c2):
             if x * y:
                 for key, val in kernel(keys[a], keys[b]).items():
                     summed[key] = summed.get(key, 0) + x * y * val
-    s1, s2 = (element_from_coords(space, c) for c in (c1, c2))
+    s1, s2 = (element_from_coords(model, c) for c in (c1, c2))
     grid, poles = pair_grid(mult_kernel_antisym(s1, s2))
     assert poles == []
     assert {key: val for key, val in summed.items() if val} == grid
@@ -259,20 +257,21 @@ def kernel_curves(draw, max_k=4, coeffs=rationals, poles=None):
     return CurveModel.odd(k, c, Q, draw(st.lists(coeffs, min_size=4, max_size=4)))
 
 
-def _kernel_tensor(space, tau, half_q, p):
-    """K: the kernel grid of every basis pair a < b on the curve
-    tau x^2 = 2 half_q x + p (ascending coefficient lists in t), read on
-    basis x basis and symmetrized, as the assembly reads it."""
-    keys, slots = list(space.slots), space.slots
+def _kernel_tensor(model, tau, half_q, p):
+    """K: the kernel grid of every basis pair a < b of the model's level on
+    the curve tau x^2 = 2 half_q x + p (ascending coefficient lists in t),
+    read on basis x basis and symmetrized, as the assembly reads it."""
+    slots = section_slots(model.parity, model.k_param)
+    keys, n = list(slots), len(slots)
     pi = {}
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
+    for a in range(n):
+        for b in range(a + 1, n):
             form = pi.setdefault((a, b), {})
             for (s1, s2), val in _kernel_grid(keys[a], keys[b], (tau, half_q, p)).items():
                 if s1 in slots and s2 in slots:
                     key = tuple(sorted((slots[s1], slots[s2])))
                     form[key] = form.get(key, 0) + val
-    return BracketTensor(space.model.parity, space.k, space.dim, pi)
+    return BracketTensor(model.parity, model.k_param, n, pi)
 
 
 @PROPERTY
@@ -286,15 +285,15 @@ def test_projective_bracket_is_the_kernel_term(model):
     build uses.  Odd, tau = t + c - (2/n)(t - 1) = ((n-2)/n)(t + c'), so
     the lift is (n - 2) = 2k - 1 times that of the uncorrected kernel on
     C'_k: (t + c') x^2 = s (Q x + P), s = (2k+1)/(2k-1), c' = s c + 2/(2k-1)."""
-    space = SectionSpace(model)
-    n, k, c = space.dim, space.k, model.c
+    k, c = model.k_param, model.c
+    n = dimension(model.parity, k)
     half_q, p = (part.coeffs_univar("t") for part in (model.Q * Fraction(1, 2), model.P))
     tau = [c + Fraction(2, n), 1 - Fraction(2, n)] if model.parity == "odd" else [1]
     build = build_tensor(model)
-    assert _lift(build - _kernel_tensor(space, tau, half_q, p).scale(n))[1] == {}
+    assert _lift(build - _kernel_tensor(model, tau, half_q, p).scale(n))[1] == {}
     if model.parity == "odd":
         s = Fraction(2 * k + 1, 2 * k - 1)
-        moved = _kernel_tensor(space, [s * c + Fraction(2, 2 * k - 1), 1],
+        moved = _kernel_tensor(model, [s * c + Fraction(2, 2 * k - 1), 1],
                                [s * v for v in half_q], [s * v for v in p])
         assert _lift(moved)[1]
         assert _lift(build - moved.scale(2 * k - 1))[1] == {}
@@ -311,12 +310,11 @@ def test_kernel_grid_matches_w_basis_route(model):
     the grid the w-basis route reads after its (t+c) pole division, with
     no pole remainder.  The swapped pair gives the transposed, negated
     grid, and K(t s, t s') is K(s, s') shifted by ((0, 1), (0, 1))."""
-    space = SectionSpace(model)
-    basis = basis_elements(space)
-    keys = list(space.slots)
+    basis = basis_elements(model)
+    keys = list(section_slots(model.parity, model.k_param))
     kernel = _closed_kernel(model)
-    for a in range(space.dim):
-        for b in range(a + 1, space.dim):
+    for a in range(len(keys)):
+        for b in range(a + 1, len(keys)):
             grid = kernel(keys[a], keys[b])
             assert pair_grid(mult_kernel_antisym(basis[a], basis[b])) == (grid, []), (a, b)
             swapped = kernel(keys[b], keys[a])
@@ -336,7 +334,7 @@ def test_kernel_grid_matches_division_route(model):
     (i + 1, j + 1), the closed-form quotients by t1 - t2 give the grid of
     the Poly blocks divided by synthetic division."""
     kernel = _closed_kernel(model)
-    keys = list(SectionSpace(model).slots)
+    keys = list(section_slots(model.parity, model.k_param))
     for (u, i) in keys:
         for (v, j) in keys:
             for sa, sb in (((u, i), (v, j)), ((u, i + 1), (v, j + 1))):
@@ -377,17 +375,16 @@ def test_derivation_image_matches_curve_route(model):
     pole part (-c)^j (Q(-c) x + P(-c))/(t + c): D is exactly the image plus
     that part, and the part is nonzero exactly when the oracle reports a
     pole.  Poles are drawn rational, integer or not."""
-    space = SectionSpace(model)
-    slots = space.slots
+    slots = section_slots(model.parity, model.k_param)
     c = model.c
     curve = own_curve(model)
-    for slot, e in zip(slots, basis_elements(space)):
+    for slot, e in zip(slots, basis_elements(model)):
         image = _derivation_image(slot, *curve)
         derivative = curve_derivation(e)
         expected, pole = section_coords(derivative)
         assert image == expected, slot
         try:
-            coords = membership_extract(derivative, space)
+            coords = membership_extract(derivative)
         except NotInSpace as exc:
             refusal = "pole" if str(exc).startswith("pole part") else "overflow"
             assert refusal == ("pole" if pole else "overflow" if set(image) - set(slots) else None)
@@ -492,7 +489,7 @@ def bumped_family_spans(draw, shapes=SMALL_FAMILIES):
 
 def _lifted(T):
     """The divergence-free lift of T as a tensor."""
-    scale, forms = _lift(T)
+    scale, forms, _ = _lift(T)
     return BracketTensor(T.parity, T.k, T.n, {pair: {uv: Fraction(val, scale)
                                                      for uv, val in form.items()}
                                               for pair, form in forms.items()})
@@ -523,7 +520,7 @@ def test_lift_matches_euler_route(T):
     """The one integer pass gives the lift of the Fraction route, pi plus
     the tensor E ^ (-div pi/n) cleared to ints: the same lowest common
     denominator and the same forms."""
-    assert _lift(T) == lift_via_euler(T)
+    assert _lift(T)[:2] == lift_via_euler(T)
 
 
 @FEW
@@ -536,7 +533,7 @@ def test_certificate_matches_all_charts(case):
     assert schouten_certificate(T) == wedge_certificate(T) == all_charts_jacobi_zero(T)
     lifted = _lifted(T)
     assert all(p.is_zero for p in _divergence(lifted))
-    assert _lift(lifted) == _lift(T)
+    assert _lift(lifted)[:2] == _lift(T)[:2]
     assert _lift(euler_tensor(T, X))[1] == {}
 
 
@@ -554,6 +551,43 @@ def test_chart0_components_match_chart_route(T):
     assert jacobi_check(first + (T - first)) == verdict
     swapped = FamilyBasis(T.parity, T.k, family.tensors[:8] + (T,), family.labels)
     assert independence_rank(swapped) == chart_rank(swapped.tensors)
+
+
+@st.composite
+def sparse_tensors(draw):
+    """One to four terms on a tensor of either parity at k = 2..6, so that
+    most indices are in no pair."""
+    parity = draw(st.sampled_from(["even", "odd"]))
+    k = draw(st.integers(2, 6))
+    n = dimension(parity, k)
+    index = st.integers(0, n - 1)
+    pairs = st.tuples(index, index).filter(lambda ab: ab[0] < ab[1])
+    monos = st.tuples(index, index).map(lambda uv: tuple(sorted(uv)))
+    pi = {}
+    for pair, mono, val in draw(st.lists(st.tuples(pairs, monos, rationals.filter(bool)),
+                                         min_size=1, max_size=4)):
+        pi.setdefault(pair, {})[mono] = val
+    return BracketTensor(parity, k, n, pi)
+
+
+@PROPERTY
+@example(T=BracketTensor("odd", 6, 13, {(0, 1): {(0, 1): 1}}))
+@example(T=BracketTensor("even", 3, 6, {(0, 1): {(0, 1): 1}, (0, 2): {(1, 3): 1}}))
+@given(T=sparse_tensors())
+def test_support_walk_matches_full_walk(T):
+    """Walking only the triples with two indices in the lift's support S
+    gives the Jacobiator of the walk over every triple, entry for entry,
+    and jacobi_check the same verdict and witness.  The first example
+    passes; the second fails on the triple (1, 2, 3), 3 not in S."""
+    _, forms, support = _lift(T)
+    full = dict(_integer_jacobiator(forms, set(range(T.n))))
+    assert dict(_integer_jacobiator(forms, support)) == full
+    verdict = jacobi_check(T)
+    assert verdict["holds"] == (not full)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson_verify, "_integer_jacobiator",
+                   lambda forms, _: _integer_jacobiator(forms, set(range(T.n))))
+        assert jacobi_check(T) == verdict
 
 
 def _schoolbook_product(p, q):

@@ -15,8 +15,10 @@ src and are not checked.
 What a run cannot see is checked statically: every module-level name is
 referenced by other src code or imported by the acceptance tests, every
 name a module imports is referenced in it, every parameter is read in its
-function's body, protocol dunders aside, and only exact_core splits a
-rational into integers, and the assembly does no Poly arithmetic.
+function's body, protocol dunders aside, every attribute a src class sets
+on self is loaded by src or the acceptance tests, unless UNREAD_ATTRIBUTES
+names it, only exact_core splits a rational into integers, and the
+assembly does no Poly arithmetic.
 """
 
 import ast
@@ -36,14 +38,19 @@ ORACLES = {
     "exact_core.Poly.__pow__": "ring API: tests write t ** 2 and the routes raise poles to powers",
     "exact_core.Poly.__repr__": "debugging and assertion messages",
     "curve_ring.CurveModel.__repr__": "debugging and assertion messages",
-    "curve_ring.SectionSpace.labels":
-        "names the pair of a strict rejection, forced only by test_bracket_build_rejection_exits_one",
     "bracket_forge.TensorNotInSectionSpace.__init__":
         "the strict rejection, forced only by test_bracket_build_rejection_exits_one",
     "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
     "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
     "helix_k0.generic_poisson_rank": "the closed form rank scans are tested against",
+}
+
+# Attributes a src class sets on self that no src code and no acceptance
+# test loads, each with a one-line reason.
+UNREAD_ATTRIBUTES = {
+    "bracket_forge.TensorNotInSectionSpace.pair":
+        "the rejection's witness: its message states it, and tests compare it",
 }
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -384,3 +391,34 @@ def test_assembly_does_no_poly_arithmetic():
                     and reader.attr == "coeffs_univar"):
                 poly.add(f"{node.lineno} .{node.attr}")
     assert poly == set()
+
+
+def _set_attributes():
+    """module.Class.name of every attribute a src class sets on self, by
+    assignment or by object.__setattr__(self, "name", value)."""
+    found = set()
+    for module, _, tree in _modules():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    found.add(f"{module}.{cls.name}.{node.attr}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "__setattr__" and len(node.args) == 3
+                      and isinstance(node.args[0], ast.Name) and node.args[0].id == "self"
+                      and isinstance(node.args[1], ast.Constant)):
+                    found.add(f"{module}.{cls.name}.{node.args[1].value}")
+    return found
+
+
+def test_every_set_attribute_is_read():
+    """Each attribute a src class sets on self is loaded, as an attribute of
+    anything, somewhere in src or in tests/test_acceptance.py, or is listed
+    in UNREAD_ATTRIBUTES; a stale entry fails too."""
+    trees = [tree for _, _, tree in _modules()]
+    trees.append(ast.parse((TESTS / "test_acceptance.py").read_text()))
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {name for name in _set_attributes() if name.rsplit(".", 1)[1] not in loaded}
+    assert all(reason.strip() and "\n" not in reason for reason in UNREAD_ATTRIBUTES.values())
+    assert unread == set(UNREAD_ATTRIBUTES)
