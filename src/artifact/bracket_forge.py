@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import RationalLike, clear_denominators, rat, rat_str
 from .curve_ring import P_LEN, Q_LEN, CurveModel, dimension, section_slots
@@ -238,7 +238,7 @@ Scalar = Union[int, Fraction]
 Grid = Dict[Tuple[Slot, Slot], Scalar]
 # tau, Q/2 and P of the curve tau x^2 = Q x + P: ascending coefficient
 # lists in t, all times one scale.
-KernelCurve = Tuple[List[Scalar], List[Scalar], List[Scalar]]
+KernelCurve = Tuple[Sequence[Scalar], Sequence[Scalar], Sequence[Scalar]]
 
 _BLOCK_TAGS = {(0, 0): "1x1", (1, 0): "x1", (0, 1): "x2", (1, 1): "x1*x2"}
 
@@ -377,6 +377,12 @@ def _five_term_forms(slots: Dict[Slot, int], curve: KernelCurve,
     return pi
 
 
+def _tau(parity: str, n: int, c: Scalar) -> List[Scalar]:
+    """tau of the assembly: 1 (even), or t + c - (2/n) (t - 1), the odd
+    curve's t + c with the recentering correction folded in (build_tensor)."""
+    return [1] if parity == "even" else [c + Fraction(2, n), 1 - Fraction(2, n)]
+
+
 def build_tensor(model: CurveModel) -> BracketTensor:
     """Bracket tensor of the curve on its level-k coordinate space.
 
@@ -389,15 +395,12 @@ def build_tensor(model: CurveModel) -> BracketTensor:
     it the odd tensor matches the chart brackets and satisfies Jacobi.
     """
     slots = section_slots(model.parity, model.k_param)
-    half_q, p = [val / 2 for val in model.Q.coeffs_univar("t")], model.P.coeffs_univar("t")
-    if model.parity == "even":
-        tau, c, assembly = [1], None, "five-term"
-    else:
-        shift = Fraction(2, len(slots))
-        tau, c, assembly = [model.c + shift, 1 - shift], model.c, "five-term, pole-corrected"
+    curve = (_tau(model.parity, len(slots), model.c), [q / 2 for q in model.Q], model.P)
+    odd = model.parity == "odd"
     return BracketTensor(model.parity, model.k_param, len(slots),
-                         _five_term_forms(slots, (tau, half_q, p), c),
-                         dict(model.to_json(), assembly=assembly))
+                         _five_term_forms(slots, curve, model.c if odd else None),
+                         dict(model.to_json(),
+                              assembly="five-term, pole-corrected" if odd else "five-term"))
 
 
 def build_family(parity: str, k: int) -> FamilyBasis:
@@ -406,16 +409,14 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     Index 0 is the tensor of the zero curve data; the rest are unit
     directions: for odd parity the moved-branch-point direction first,
     then the three Q monomials, then the P monomials (five even, four odd).
-    Each is one assembly at the pole t = 0 (odd), on lists: const has
-    tau = 1 (even) or [2/n, 1 - 2/n] (odd); c has tau = [1], as with
-    Q = P = 0 moving c moves only tau; the rest a unit Q (1/2 in Q/2) or P.
+    Each is one assembly at the pole t = 0 (odd), on lists: const has the
+    tau of build_tensor at c = 0; c has tau = [1], as with Q = P = 0
+    moving c moves only tau; the rest a unit Q (1/2 in Q/2) or P.
     """
     slots = section_slots(parity, k)
-    if parity == "even":
-        c, members = None, [("const", ([1], [], []))]
-    else:
-        shift = Fraction(2, len(slots))
-        c, members = 0, [("const", ([shift, 1 - shift], [], [])), ("c", ([1], [], []))]
+    c = None if parity == "even" else 0
+    members = [("const", (_tau(parity, len(slots), 0), [], []))]
+    members += [("c", ([1], [], []))] if parity == "odd" else []
     members += [(f"Q:t^{i}", ([], [0] * i + [Fraction(1, 2)], [])) for i in range(Q_LEN)]
     members += [(f"P:t^{j}", ([], [], [0] * j + [1])) for j in range(P_LEN[parity])]
     tensors = tuple(BracketTensor(parity, k, len(slots), _five_term_forms(slots, curve, c),

@@ -197,10 +197,14 @@ def _finish(report: RunReport, args) -> int:
 
 
 def _run_bracket_build(args) -> int:
-    from .bracket_forge import build_tensor
+    from .bracket_forge import TensorNotInSectionSpace, build_tensor
     from .curve_ring import CurveModel
     cfg = _curve_config(args, "bracket build")
-    tensor = build_tensor(CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c))
+    try:
+        tensor = build_tensor(CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c))
+    except TensorNotInSectionSpace as exc:
+        print(f"build rejected: {exc}", file=sys.stderr)
+        return 1
     if cfg.flip_sign:
         flipped = tensor.scale(-1)
         flipped.provenance = dict(tensor.provenance, sign="flipped")
@@ -368,6 +372,13 @@ def _parse_span(text: str) -> Tuple[int, int]:
 def _run_helix_table(args) -> int:
     from .helix_k0 import helix_class
     span = _parse_span(args.range)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    for n in span if limit else ():
+        # Class fields grow with |n| on each side of 0, and |chi| >= 2^(|n| - 1),
+        # which has more than limit digits once |n| > 4 limit.
+        if abs(n) > 4 * limit or max(map(abs, helix_class(n))) >= 10 ** limit:
+            raise ConfigError(f"--range reaches n={n}, whose class has more than "
+                              f"{limit} digits, the most an integer may print")
     cfg = JobConfig(command="helix", span=span, out=args.out)
     rows = []
     for n in range(span[0], span[1] + 1):
@@ -516,14 +527,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     try:
         code = args.run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        from .bracket_forge import TensorNotInSectionSpace
-        if isinstance(exc, TensorNotInSectionSpace):
-            print(f"build rejected: {exc}", file=sys.stderr)
-            return 1
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

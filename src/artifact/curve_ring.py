@@ -14,10 +14,12 @@ S = (w1 + w2)/(t1 - t2) and the canonical derivation, off x-coordinates
 of basis monomials in closed form.  The residues of S are proved in
 closed form here.
 
-Curves are numeric: Q and P have rational coefficients in t.  The module
-owns the shape rules every other module reads: Q_LEN and P_LEN count the
-coefficients of Q and P, and section_slots(parity, k) orders the level-k
-section basis, of size dimension(parity, k), that all its curves share.
+Curves are numeric: a model keeps Q and P as tuples of their rational
+coefficients in t, and forms the polynomial R only when it is read.  The
+module owns the shape rules every other module reads: Q_LEN and P_LEN
+count the coefficients of Q and P, and section_slots(parity, k) orders
+the level-k section basis, of size dimension(parity, k), that all its
+curves share.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class DegenerateDivisor(ValueError):
     """The divisor at infinity is not a pair of distinct points."""
 
 
-PolyLike = Union[Sequence[RationalLike], RationalLike]
+# Q or P as given: one coefficient, or an ascending list of them.
+Coefficients = Union[Sequence[RationalLike], RationalLike]
 
 # Coefficients of Q (deg <= 2) and of P (deg <= 4 even, <= 3 odd).
 Q_LEN = 3
@@ -50,46 +53,42 @@ def dimension(parity: str, k: int) -> int:
     return 2 * k + (parity == "odd")
 
 
-def _coerce_t_poly(value: PolyLike, tvars: Tuple[str, ...]) -> Poly:
-    if isinstance(value, (list, tuple)):
-        return Poly(tvars, {(power,): c for power, c in enumerate(value)})
-    return Poly.const(tvars, rat(value))
-
-
 class CurveModel:
     """One plane curve in either parity, with its derived data.
 
-    `k_param` selects the section space (see dimension).
-    Q and P are numeric polynomials in t.
+    `k_param` selects the section space (see dimension).  Q and P are the
+    ascending coefficient tuples of numeric polynomials in t, of lengths
+    Q_LEN and P_LEN[parity]: a scalar or a short list is padded with
+    zeros, and a longer list must end in zeros.
     """
 
     tvars = ("t",)
 
-    def __init__(self, parity: str, k_param: int, Q: PolyLike, P: PolyLike,
+    def __init__(self, parity: str, k_param: int, Q: Coefficients, P: Coefficients,
                  c: Optional[RationalLike] = None):
         dimension(parity, k_param)  # raises on a bad parity or k
         self.parity = parity
         self.k_param = k_param
-        self.Q = _coerce_t_poly(Q, self.tvars)
-        self.P = _coerce_t_poly(P, self.tvars)
-        if self.Q.degree_in("t") >= Q_LEN:
+        q, p = ([rat(v) for v in (x if isinstance(x, (list, tuple)) else [x])] for x in (Q, P))
+        if any(q[Q_LEN:]):
             raise ValueError(f"deg Q must be at most {Q_LEN - 1}")
-        if self.P.degree_in("t") >= P_LEN[parity]:
+        if any(p[P_LEN[parity]:]):
             raise ValueError(f"deg P must be at most {P_LEN[parity] - 1} in the {parity} parity")
+        self.Q = tuple(q + [Fraction(0)] * Q_LEN)[:Q_LEN]
+        self.P = tuple(p + [Fraction(0)] * P_LEN[parity])[:P_LEN[parity]]
         if parity == "even":
             if c not in (None, 0):
                 raise ValueError("the even parity has no pole parameter c")
             self.c = Fraction(0)
         else:
             self.c = rat(0 if c is None else c)
-        self.R = self.tau_poly() * self.P + self.Q * self.Q * Fraction(1, 4)
 
     @classmethod
-    def even(cls, k_param: int, Q: PolyLike, P: PolyLike) -> "CurveModel":
+    def even(cls, k_param: int, Q: Coefficients, P: Coefficients) -> "CurveModel":
         return cls("even", k_param, Q, P)
 
     @classmethod
-    def odd(cls, k_param: int, c: RationalLike, Q: PolyLike, P: PolyLike) -> "CurveModel":
+    def odd(cls, k_param: int, c: RationalLike, Q: Coefficients, P: Coefficients) -> "CurveModel":
         return cls("odd", k_param, Q, P, c=c)
 
     def tau_poly(self) -> Poly:
@@ -99,18 +98,22 @@ class CurveModel:
             return Poly.const(self.tvars, 1)
         return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
 
+    @property
+    def R(self) -> Poly:
+        """R = tau P + Q^2/4 of w^2 = R(t), formed when read."""
+        q, p = (Poly(self.tvars, {(i,): v for i, v in enumerate(part)})
+                for part in (self.Q, self.P))
+        return self.tau_poly() * p + q * q * Fraction(1, 4)
+
     def __repr__(self) -> str:
-        core = f"parity={self.parity}, k={self.k_param}, Q={self.Q}, P={self.P}"
-        if self.parity == "odd":
-            core += f", c={self.c}"
-        return f"CurveModel({core})"
+        return f"CurveModel({self.to_json()})"
 
     def to_json(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "parity": self.parity,
             "k": self.k_param,
-            "Q": [rat_str(self.Q.coeff((i,))) for i in range(Q_LEN)],
-            "P": [rat_str(self.P.coeff((i,))) for i in range(P_LEN[self.parity])],
+            "Q": [rat_str(v) for v in self.Q],
+            "P": [rat_str(v) for v in self.P],
         }
         if self.parity == "odd":
             out["c"] = rat_str(self.c)

@@ -108,19 +108,6 @@ class Poly:
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
 
-    def coeffs_univar(self, name: str) -> List[Fraction]:
-        """Ascending dense coefficient list; the polynomial must involve no
-        variable other than `name`."""
-        slot = self.vars.index(name)
-        for expo in self.terms:
-            if any(e and i != slot for i, e in enumerate(expo)):
-                raise ValueError(f"{self} is not univariate in {name}")
-        deg = self.degree_in(name)
-        out = [Fraction(0)] * (deg + 1)
-        for expo, c in self.terms.items():
-            out[expo[slot]] = c
-        return out if out else [Fraction(0)]
-
     def as_univar(self, name: str) -> Dict[int, "Poly"]:
         """View as a polynomial in `name` with Poly coefficients (same
         context, exponent of `name` cleared)."""

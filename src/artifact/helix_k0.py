@@ -31,12 +31,15 @@ LINE_BUNDLE_2 = K0Class(rank=1, degree=2, chi=6)
 
 
 def fib(n: int) -> int:
-    """Fibonacci number with f0 = 0, f1 = 1."""
+    """Fibonacci number with f0 = 0, f1 = 1, by fast doubling:
+    f(2m) = f(m) (2 f(m+1) - f(m)) and f(2m+1) = f(m)^2 + f(m+1)^2."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
+    a, b = 0, 1  # f(m), f(m+1) for m the leading bits of n read so far
+    for bit in f"{n:b}":
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
     return a
 
 

@@ -27,7 +27,7 @@ from artifact.curve_ring import P_LEN, Q_LEN, CurveModel, dimension, section_slo
 from artifact.exact_core import Poly, poly_divmod_linear
 
 from curve_route import (CurveElement, basis_elements, check_models, curve_derivation,
-                         poly_div_linear_power, with_context)
+                         poly_div_linear_power, t_poly, with_context)
 
 
 _W_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -40,7 +40,7 @@ class NonzeroRemainder(ArithmeticError):
 
 def w_parts(e: CurveElement) -> Tuple[Poly, Poly, int]:
     """(alpha_w, beta_w, m) with the numerator of e written as alpha_w + beta_w * w."""
-    return e.alpha + e.beta * e.model.Q * Fraction(1, 2), e.beta, e.denom_power
+    return e.alpha + e.beta * t_poly(e.model.Q) * Fraction(1, 2), e.beta, e.denom_power
 
 
 class BiCurveElement:
@@ -184,8 +184,8 @@ def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
     w_i = (t_i+c) x_i - Q(t_i)/2 (odd) or x_i - Q(t_i)/2 (even)."""
     model = bi.model
     half = Fraction(1, 2)
-    Q1 = bi.slot_poly(model.Q, "t1")
-    Q2 = bi.slot_poly(model.Q, "t2")
+    Q1 = bi.slot_poly(t_poly(model.Q), "t1")
+    Q2 = bi.slot_poly(t_poly(model.Q), "t2")
     A = bi.c00 - bi.c10 * Q1 * half - bi.c01 * Q2 * half + bi.c11 * Q1 * Q2 * Fraction(1, 4)
     B = bi.c10 - bi.c11 * Q2 * half
     C = bi.c01 - bi.c11 * Q1 * half
@@ -266,7 +266,8 @@ def division_kernel_grid(sa: Slot, sb: Slot, model: CurveModel) -> Grid:
     with tau_l x_l^2 = Q_l x_l + P_l, each block divided once by t1 - t2 by
     synthetic division with the Poly root t2."""
     (u, i), (v, j) = sa, sb
-    sides = [[with_context(p, _BIVARS, {"t": var}) for p in (model.tau_poly(), model.Q, model.P)]
+    sides = [[with_context(p, _BIVARS, {"t": var})
+              for p in (model.tau_poly(), t_poly(model.Q), t_poly(model.P))]
              for var in _BIVARS]
     const = (sides[0][1] + sides[1][1]) * Fraction(-1, 2)
     product = {(u, v): Poly(_BIVARS, {(i, j): 1})}
@@ -318,7 +319,7 @@ def own_curve(model: CurveModel) -> Tuple[KernelCurve, Optional[Fraction]]:
     """The lists (tau, Q/2, P) of the model's own curve, tau = 1 (even) or
     t + c (odd) with no recentering, and the assembly's pole: c (odd) or
     None (even)."""
-    half_q, p = (part.coeffs_univar("t") for part in (model.Q * Fraction(1, 2), model.P))
+    half_q, p = [q / 2 for q in model.Q], model.P
     if model.parity == "even":
         return ([1], half_q, p), None
     return ([model.c, 1], half_q, p), model.c

@@ -8,9 +8,11 @@ and x, the defining polynomial F(t, x) of a model (defining_poly), the
 canonical derivation extended by Leibniz and the quotient rule, and the
 reading of coordinates, in the section basis (membership_extract) or
 slot by slot with the pole remainders (section_coords).  It also keeps the
-three Poly helpers only the test routes use: re-embedding a polynomial in
-another variable tuple (with_context), evaluating it at a rational point
-(eval_all) and differentiating it in one variable (derivative).
+Poly helpers only the test routes use: viewing a model's coefficient tuple
+as a polynomial in t (t_poly) and reading one back (coeffs_univar),
+re-embedding a polynomial in another variable tuple (with_context),
+evaluating it at a rational point (eval_all) and differentiating it in one
+variable (derivative).
 
 Curve functions are alpha + beta * x in the even parity and
 (alpha + beta * z) / (t+c)^m with z = (t+c) x and m minimal in the odd
@@ -20,10 +22,31 @@ parity; z satisfies z^2 = Q z + (t+c) P.
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from artifact.curve_ring import CurveModel, PolyLike, _coerce_t_poly, dimension
+from artifact.curve_ring import Coefficients, CurveModel, dimension
 from artifact.exact_core import Poly, RationalLike, VariableContextMismatch, poly_divmod_linear, rat
 
 Slot = Tuple[int, int]
+
+
+def t_poly(value: Coefficients) -> Poly:
+    """A scalar or an ascending coefficient list, such as a model's Q or P,
+    as a polynomial in t."""
+    if isinstance(value, (list, tuple)):
+        return Poly(CurveModel.tvars, {(power,): c for power, c in enumerate(value)})
+    return Poly.const(CurveModel.tvars, rat(value))
+
+
+def coeffs_univar(p: Poly, name: str) -> List[Fraction]:
+    """Ascending dense coefficient list of p; p must involve no variable
+    other than name."""
+    slot = p.vars.index(name)
+    for expo in p.terms:
+        if any(e and i != slot for i, e in enumerate(expo)):
+            raise ValueError(f"{p} is not univariate in {name}")
+    out = [Fraction(0)] * (p.degree_in(name) + 1)
+    for expo, c in p.terms.items():
+        out[expo[slot]] = c
+    return out or [Fraction(0)]
 
 
 def eval_all(p: Poly, point: Dict[str, RationalLike]) -> Fraction:
@@ -140,12 +163,12 @@ class CurveElement:
 
     __slots__ = ("model", "alpha", "beta", "denom_power")
 
-    def __init__(self, model: CurveModel, alpha: Union[Poly, PolyLike],
-                 beta: Union[Poly, PolyLike] = 0, denom_power: int = 0):
+    def __init__(self, model: CurveModel, alpha: Union[Poly, Coefficients],
+                 beta: Union[Poly, Coefficients] = 0, denom_power: int = 0):
         self.model = model
-        # A Poly is re-embedded in t; anything else is read as the model reads Q and P.
-        alpha, beta = (with_context(p, model.tvars) if isinstance(p, Poly)
-                       else _coerce_t_poly(p, model.tvars) for p in (alpha, beta))
+        # A Poly is re-embedded in t; anything else is read as coefficients.
+        alpha, beta = (with_context(p, model.tvars) if isinstance(p, Poly) else t_poly(p)
+                       for p in (alpha, beta))
         if denom_power < 0:
             raise ValueError("denom_power must be nonnegative")
         if model.parity == "even" and denom_power:
@@ -208,8 +231,8 @@ class CurveElement:
             return NotImplemented
         a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
         # (a1 + b1 z)(a2 + b2 z) with z = tau x, so z^2 = Q z + tau P
-        const = a1 * a2 + b1 * b2 * self.model.tau_poly() * self.model.P
-        lin = a1 * b2 + a2 * b1 + b1 * b2 * self.model.Q
+        const = a1 * a2 + b1 * b2 * self.model.tau_poly() * t_poly(self.model.P)
+        lin = a1 * b2 + a2 * b1 + b1 * b2 * t_poly(self.model.Q)
         return CurveElement(self.model, const, lin, self.denom_power + other.denom_power)
 
     __rmul__ = __mul__
@@ -275,7 +298,8 @@ def defining_poly(model: CurveModel) -> Poly:
     tau is 1 (even) or t + c (odd)."""
     ctx = ("t", "x")
     x = Poly.var(ctx, "x")
-    tau, Q, P = (with_context(p, ctx) for p in (model.tau_poly(), model.Q, model.P))
+    tau, Q, P = (with_context(p, ctx)
+                 for p in (model.tau_poly(), t_poly(model.Q), t_poly(model.P)))
     return tau * x * x - Q * x - P
 
 
@@ -333,7 +357,7 @@ def curve_derivation(e: CurveElement) -> CurveElement:
     """
     model = e.model
     a, b, m = e.alpha, e.beta, e.denom_power
-    Q, P = model.Q, model.P
+    Q, P = t_poly(model.Q), t_poly(model.P)
     da = derivative(a, "t")
     db = derivative(b, "t")
     dQ = derivative(Q, "t")
@@ -395,7 +419,7 @@ def membership_extract(e: CurveElement) -> List[Fraction]:
         if poly.is_zero:
             continue
         try:
-            cs = poly.coeffs_univar("t")
+            cs = coeffs_univar(poly, "t")
         except ValueError:
             raise NotInSpace(f"coefficients of {poly} are not numeric in t")
         excess = [f"t^{i}{tag}" for i, cf in enumerate(cs) if cf and i > dmax]

@@ -353,8 +353,51 @@ def test_family_json_shape():
 
 
 def test_symbolic_model_is_rejected():
-    """Curves are numeric: a coefficient in another variable is refused
-    when the model is constructed."""
+    """Curves are numeric and of bounded degree: a coefficient in another
+    variable, or a nonzero one past deg Q <= 2 or deg P <= 4 (even), 3
+    (odd), is refused when the model is constructed.  Q and P are kept as
+    tuples of Fractions of lengths 3 and 5 (even) or 4 (odd): a scalar or a
+    short list is padded with zeros, and a longer list with a zero tail is
+    read as its head."""
     from artifact.exact_core import Poly
     with pytest.raises(ValueError):
         CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"))
+    for parity, q, p, kept in (
+            ("even", 2, F(1, 3), ((2, 0, 0), (F(1, 3), 0, 0, 0, 0))),
+            ("even", [1], [1, 2], ((1, 0, 0), (1, 2, 0, 0, 0))),
+            ("odd", [], 5, ((0, 0, 0), (5, 0, 0, 0))),
+            ("odd", [1, 2, 3, 0, 0], [1, 0, 0, 4, 0], ((1, 2, 3), (1, 0, 0, 4)))):
+        model = CurveModel(parity, 1, q, p)
+        assert (model.Q, model.P) == kept
+        assert all(type(v) is F for v in model.Q + model.P)
+    for parity, q, p, message in (
+            ("even", [0, 0, 0, 1], 0, "deg Q must be at most 2"),
+            ("odd", 0, [0, 0, 0, 0, 1], "deg P must be at most 3 in the odd parity"),
+            ("even", 0, [0, 0, 0, 0, 0, 1, 0], "deg P must be at most 4 in the even parity")):
+        with pytest.raises(ValueError, match=message):
+            CurveModel(parity, 1, q, p)
+
+
+def test_builds_make_no_poly(tmp_path, monkeypatch):
+    """No build makes a Poly: build_tensor of both parities on scalar,
+    short and full coefficients, build_family, and `bracket build` through
+    main construct none, as the assembly reads the model's tuples."""
+    from artifact.cli_reports import main
+    from artifact.exact_core import Poly
+    made = []
+    init = Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARTIFACT_OUT_DIR", raising=False)
+    for parity, full_p in (("even", [3, 1, 0, 2, 1]), ("odd", [3, 1, 0, 2])):
+        for q, p in ((1, 2), ([1, -1], [3, F(1, 2)]), ([1, -1, 2], full_p)):
+            build_tensor(CurveModel(parity, 2, q, p, c=F(1, 3) if parity == "odd" else None))
+        build_family(parity, 2)
+    assert main(["bracket", "build", "--parity", "odd", "--k", "2", "--c", "1/3",
+                 "--Q", "1,-1,2", "--P", "3,1,0,2"]) == 0
+    assert made == []

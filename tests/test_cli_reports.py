@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ import pytest
 from artifact import bracket_forge, poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
 from artifact.cli_reports import build_parser, main
+from artifact.helix_k0 import helix_class
 
 from chart_route import chart_witness, descend_to_chart, jacobiator
 
@@ -626,6 +627,32 @@ def test_helix_bad_range(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(["helix", "--range=5..-5"], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_helix_range_past_the_print_limit(tmp_path, monkeypatch, capsys):
+    """A --range that reaches a class with more digits than an integer may
+    print is refused, fast and before any row, on either side of 0; the
+    class just below that edge prints."""
+    monkeypatch.chdir(tmp_path)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        started = time.perf_counter()
+        code, out, err = run_cli(["helix", "--range=0..12000"], capsys)
+        assert time.perf_counter() - started < 5
+        assert code == 2 and out == ""
+        assert err == ("config error: --range reaches n=12000, whose class has more than "
+                       "4300 digits, the most an integer may print\n")
+        sys.set_int_max_str_digits(640)
+        for sign in (1, -1):
+            edge = sign * next(n for n in count(1) if any(
+                abs(v) >= 10 ** 640 for v in helix_class(sign * n)))
+            below = edge - sign
+            assert run_cli(["helix", f"--range={below}..{below}", "--json"], capsys)[0] == 0
+            code, _, err = run_cli(["helix", f"--range={min(0, edge)}..{max(0, edge)}"], capsys)
+            assert code == 2 and f"--range reaches n={edge}," in err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_helix_solve_transcript(tmp_path, monkeypatch, capsys):

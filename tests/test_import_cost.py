@@ -53,12 +53,13 @@ def loaded(argv, cwd):
     (["helix", "solve", "--d", "7", "--r", "3"], 0, {"helix_k0"}),
     (["szego", "check", "--parity", "even", "--Q", "0,0,0", "--P", "1,0,0,0,1"], 0,
      {"curve_ring", "exact_core"}),
+    (["szego", "check", "--parity", "even", "--k", "0"], 2, {"curve_ring", "exact_core"}),
     (BUILD, 0, {"bracket_forge", "curve_ring", "exact_core"}),
     (["bracket", "build", "--parity", "even", "--k", "0"], 2,
      {"bracket_forge", "curve_ring", "exact_core"}),
     (["rank", "scan", "--in", "tensor.json", "--samples", "2"], 0,
      {"poisson_verify", "bracket_forge", "curve_ring", "exact_core"}),
-], ids=["bare-import", "usage-error", "helix", "helix-solve", "szego-check",
+], ids=["bare-import", "usage-error", "helix", "helix-solve", "szego-check", "szego-k0",
         "bracket-build", "build-k0", "rank-scan"])
 def test_command_loads_only_its_modules(tmp_path, argv, code, library):
     if argv[:2] == ["rank", "scan"]:

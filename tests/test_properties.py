@@ -37,7 +37,7 @@ from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dens
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
                          derivative, element_from_coords, eval_all, membership_extract,
-                         reduce, section_coords)
+                         reduce, section_coords, t_poly)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 FEW = settings(max_examples=10, deadline=None, derandomize=True)
@@ -287,7 +287,7 @@ def test_projective_bracket_is_the_kernel_term(model):
     C'_k: (t + c') x^2 = s (Q x + P), s = (2k+1)/(2k-1), c' = s c + 2/(2k-1)."""
     k, c = model.k_param, model.c
     n = dimension(model.parity, k)
-    half_q, p = (part.coeffs_univar("t") for part in (model.Q * Fraction(1, 2), model.P))
+    half_q, p = [q / 2 for q in model.Q], model.P
     tau = [c + Fraction(2, n), 1 - Fraction(2, n)] if model.parity == "odd" else [1]
     build = build_tensor(model)
     assert _lift(build - _kernel_tensor(model, tau, half_q, p).scale(n))[1] == {}
@@ -392,7 +392,8 @@ def test_derivation_image_matches_curve_route(model):
             assert pole is None and coords == [image.get(s, 0) for s in slots], slot
         u, j = slot
         odd_x = model.parity == "odd" and u == 1
-        dropped = [(-c) ** j * eval_all(p, {"t": -c}) if odd_x else 0 for p in (model.P, model.Q)]
+        dropped = [(-c) ** j * eval_all(t_poly(p), {"t": -c}) if odd_x else 0
+                   for p in (model.P, model.Q)]
         assert (pole is not None) == any(dropped), slot
         read = reduce(model, Poly(("t", "x"), {(i, u): val for (u, i), val in image.items()}))
         if any(dropped):

@@ -373,9 +373,10 @@ def test_only_exact_core_splits_rationals():
 
 def test_assembly_does_no_poly_arithmetic():
     """bracket_forge imports neither Poly nor poly_divmod_linear, reads a
-    curve model's Q and P only as the receivers of coeffs_univar, and
-    never its tau_poly or R: the assembly is a linear map of plain
-    coefficient lists."""
+    curve model's Q and P only as plain sequences (no attribute or method
+    of theirs), and never its tau_poly or R; and no src module defines or
+    calls coeffs_univar: the assembly is a linear map of plain coefficient
+    lists, and a model keeps its lists as they are."""
     tree = next(tree for module, _, tree in _modules() if module == "bracket_forge")
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     poly = set()
@@ -386,10 +387,12 @@ def test_assembly_does_no_poly_arithmetic():
         elif isinstance(node, ast.Name) and node.id in ("Poly", "poly_divmod_linear"):
             poly.add(f"{node.lineno} {node.id}")
         elif isinstance(node, ast.Attribute) and node.attr in ("Q", "P", "tau_poly", "R"):
-            reader = parents[node]
-            if not (node.attr in ("Q", "P") and isinstance(reader, ast.Attribute)
-                    and reader.attr == "coeffs_univar"):
+            if node.attr in ("tau_poly", "R") or isinstance(parents[node], ast.Attribute):
                 poly.add(f"{node.lineno} .{node.attr}")
+    for module, _, tree in _modules():
+        poly |= {f"{module}:{node.lineno} coeffs_univar" for node in ast.walk(tree)
+                 if (isinstance(node, FUNCS) and node.name == "coeffs_univar")
+                 or (isinstance(node, ast.Attribute) and node.attr == "coeffs_univar")}
     assert poly == set()
 
 
