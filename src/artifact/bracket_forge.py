@@ -258,9 +258,10 @@ def _add_quotient(grid: Grid, xs: Tuple[int, int], coeff: Scalar, a: int, b: int
 
 def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
     """Grid of K = S (s_a(1) s_b(2) - s_b(1) s_a(2)) for the monomials
-    s_a = t^i x^u and s_b = t^j x^v of slots (u, i) and (v, j), read off
-    x-coordinates in closed form, times the scale of curve: _five_term_forms
-    passes it cleared to ints together with the derivation images.
+    s_a = t^i x^u and s_b = t^j x^v of slots (u, i) and (v, j), u <= v, read
+    off x-coordinates in closed form, times the scale of curve: _five_term_forms
+    passes the pairs in slot order, t-slots first, and the curve cleared to
+    ints together with the derivation images.
 
     With w = tau x - Q/2, S = (w1 + w2)/(t1 - t2) and M the antisymmetric
     product, (w1 + w2) M = (tau1 x1 + tau2 x2 - (Q1 + Q2)/2) M.  An x_l^2
@@ -274,12 +275,9 @@ def _kernel_grid(sa: Slot, sb: Slot, curve: KernelCurve) -> Grid:
       1/2 sum Q_l (t1^l + t2^l) B(i, j) (x1 x2).
     (u, v) = (0, 1): sum P_l B(i, j + l) (1), -1/2 sum Q_l t1^j t2^i B(l, 0)
       (x1), -1/2 sum Q_l t1^i t2^j B(l, 0) (x2), sum tau_l B(i + l, j) (x1 x2).
-    (u, v) = (1, 0) is the negated transpose of (0, 1).  The (t1, t2)
-    exponents of a quotient are the t-powers of the two slots.
+    The (t1, t2) exponents of a quotient are the t-powers of the two slots.
     """
     (u, i), (v, j) = sa, sb
-    if (u, v) == (1, 0):
-        return {(s2, s1): -val for (s1, s2), val in _kernel_grid(sb, sa, curve).items()}
     tau, half_q, p = curve
     grid: Grid = {}
     if u != v:

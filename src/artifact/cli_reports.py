@@ -29,7 +29,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
 
@@ -72,38 +72,6 @@ def _digest_value(value):
         from .exact_core import rat_str
         return rat_str(value)
     return value
-
-
-class RunReport:
-    """Per-run outcome; the JSON payload carries no timing data."""
-
-    def __init__(self, cfg: JobConfig) -> None:
-        self.command = cfg.command
-        self.config_digest = cfg.digest()
-        self.checks: List[dict] = []
-        self.artifacts: List[str] = []
-        self.data: Dict[str, object] = {}
-
-    def add_check(self, name: str, status: str, witness=None) -> None:
-        entry: Dict[str, object] = {"name": name, "status": status}
-        if witness is not None:
-            entry["witness"] = witness
-        self.checks.append(entry)
-
-    @property
-    def ok(self) -> bool:
-        return all(check["status"] != "fail" for check in self.checks)
-
-    def to_json(self) -> dict:
-        payload: Dict[str, object] = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "checks": self.checks,
-            "artifacts": self.artifacts,
-        }
-        if self.data:
-            payload["data"] = self.data
-        return payload
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -153,8 +121,7 @@ def _resolve_out(path: Optional[str], default_name: str) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _write_lines(path: str, lines: Sequence[str]) -> None:
@@ -163,9 +130,20 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
 
 
 def _load_json(path: str, what: str) -> dict:
+    """The JSON file at path; ConfigError if it is missing, not JSON, or
+    repeats a key in one object, since the reader would keep only the last."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            from collections import Counter
+            counts = Counter(key for key, _ in pairs)
+            repeated = next(key for key, count in counts.items() if count > 1)
+            raise ConfigError(f"{what} repeats the key {repeated!r}: {path}")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -182,18 +160,33 @@ def _load_artifact(path: str, cls, what: str):
         raise ConfigError(f"{what} artifact malformed: {path} ({exc})") from exc
 
 
-def _finish(report: RunReport, args) -> int:
+def _check(name: str, status: str, witness=None) -> dict:
+    """One check entry; it has a witness key only when a witness is given."""
+    entry = {"name": name, "status": status}
+    if witness is not None:
+        entry["witness"] = witness
+    return entry
+
+
+def _finish(cfg: JobConfig, args, data: dict, checks: Sequence[dict] = (),
+            artifacts: Sequence[str] = ()) -> int:
+    """Print the run's report, which carries no timing data, and return its
+    exit code: 1 if a check failed, else 0."""
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        payload = {"command": cfg.command, "config_digest": cfg.digest(),
+                   "checks": checks, "artifacts": artifacts}
+        if data:
+            payload["data"] = data
+        print(json.dumps(payload, indent=2))
     else:
-        for key, value in report.data.items():
+        for key, value in data.items():
             print(f"{key}: {value}")
-        for check in report.checks:
+        for check in checks:
             suffix = f"  [{check.get('witness')}]" if check["status"] == "fail" else ""
             print(f"{check['name']}: {check['status']}{suffix}")
-        for path in report.artifacts:
+        for path in artifacts:
             print(f"wrote {path}")
-    return 0 if report.ok else 1
+    return 1 if any(check["status"] == "fail" for check in checks) else 0
 
 
 def _run_bracket_build(args) -> int:
@@ -211,11 +204,9 @@ def _run_bracket_build(args) -> int:
         tensor = flipped
     path = _resolve_out(cfg.out, "tensor.json")
     _write_json(path, tensor.to_json())
-    report = RunReport(cfg)
-    report.artifacts.append(path)
-    report.data["dimension"] = tensor.n
-    report.data["nonzero coefficients"] = sum(len(f) for f in tensor.pi.values())
-    return _finish(report, args)
+    data = {"dimension": tensor.n,
+            "nonzero coefficients": sum(len(f) for f in tensor.pi.values())}
+    return _finish(cfg, args, data, artifacts=[path])
 
 
 def _run_bracket_family(args) -> int:
@@ -225,12 +216,9 @@ def _run_bracket_family(args) -> int:
     family = build_family(args.parity, args.k)
     path = _resolve_out(cfg.out, "family.json")
     _write_json(path, family.to_json())
-    report = RunReport(cfg)
-    report.artifacts.append(path)
-    report.data["members"] = len(family.tensors)
-    report.data["dimension"] = family.tensors[0].n
-    report.data["labels"] = ",".join(family.labels)
-    return _finish(report, args)
+    data = {"members": len(family.tensors), "dimension": family.tensors[0].n,
+            "labels": ",".join(family.labels)}
+    return _finish(cfg, args, data, artifacts=[path])
 
 
 def _run_verify_jacobi(args) -> int:
@@ -239,12 +227,8 @@ def _run_verify_jacobi(args) -> int:
     cfg = JobConfig(command="verify jacobi", source=args.source)
     tensor = _load_artifact(args.source, BracketTensor, "tensor")
     verdict = jacobi_check(tensor)
-    report = RunReport(cfg)
-    report.data["dimension"] = tensor.n
-    report.data["charts"] = tensor.n
-    report.add_check("jacobi", "pass" if verdict["holds"] else "fail",
-                     verdict["witness"])
-    return _finish(report, args)
+    check = _check("jacobi", "pass" if verdict["holds"] else "fail", verdict["witness"])
+    return _finish(cfg, args, {"dimension": tensor.n, "charts": tensor.n}, [check])
 
 
 def _run_verify_compat(args) -> int:
@@ -261,11 +245,9 @@ def _run_verify_compat(args) -> int:
         i, j = failures[0]
         witness = {"pair": [i, j],
                    "witness": jacobi_check(members[i] + members[j])["witness"]}
-    report = RunReport(cfg)
-    report.data["pairs"] = len(pairs)
-    report.data["passed"] = len(pairs) - len(failures)
-    report.add_check("compatibility", "fail" if failures else "pass", witness)
-    return _finish(report, args)
+    data = {"pairs": len(pairs), "passed": len(pairs) - len(failures)}
+    check = _check("compatibility", "fail" if failures else "pass", witness)
+    return _finish(cfg, args, data, [check])
 
 
 def _run_verify_independence(args) -> int:
@@ -274,13 +256,10 @@ def _run_verify_independence(args) -> int:
     cfg = JobConfig(command="verify independence", source=args.family)
     family = _load_artifact(args.family, FamilyBasis, "family")
     rank = independence_rank(family)
-    report = RunReport(cfg)
-    report.data["members"] = len(family.tensors)
-    report.data["rank"] = rank
     full = rank == len(family.tensors)
-    report.add_check("independence", "pass" if full else "fail",
-                     None if full else {"rank": rank})
-    return _finish(report, args)
+    check = _check("independence", "pass" if full else "fail",
+                   None if full else {"rank": rank})
+    return _finish(cfg, args, {"members": len(family.tensors), "rank": rank}, [check])
 
 
 def _run_verify_linearity(args) -> int:
@@ -311,10 +290,8 @@ def _run_verify_linearity(args) -> int:
         if not cross.is_zero:
             failed = {"sample": index, "Q": q1, "P": p1, "Q'": q2, "P'": p2}
             break
-    report = RunReport(cfg)
-    report.data["samples"] = args.samples
-    report.add_check("affine linearity", "fail" if failed else "pass", failed)
-    return _finish(report, args)
+    check = _check("affine linearity", "fail" if failed else "pass", failed)
+    return _finish(cfg, args, {"samples": args.samples}, [check])
 
 
 def _run_rank_scan(args) -> int:
@@ -328,15 +305,12 @@ def _run_rank_scan(args) -> int:
     scan = rank_scan(tensor, args.samples, args.seed)
     path = _resolve_out(cfg.out, "rank_hist.csv")
     _write_lines(path, scan.csv_rows())
-    report = RunReport(cfg)
-    report.artifacts.append(path)
-    report.data["samples"] = args.samples
-    report.data["histogram"] = {str(r): c for r, c in sorted(scan.histogram.items())}
-    report.data["generic_rank"] = scan.generic_rank
-    report.data["pencil_drops"] = scan.pencil_drops
-    report.add_check("deep rank drops", "recorded",
-                     {"flagged": scan.flagged})
-    return _finish(report, args)
+    data = {"samples": args.samples,
+            "histogram": {str(r): c for r, c in sorted(scan.histogram.items())},
+            "generic_rank": scan.generic_rank,
+            "pencil_drops": scan.pencil_drops}
+    check = _check("deep rank drops", "recorded", {"flagged": scan.flagged})
+    return _finish(cfg, args, data, [check], [path])
 
 
 def _run_szego_check(args) -> int:
@@ -344,16 +318,13 @@ def _run_szego_check(args) -> int:
     from .exact_core import rat_str
     cfg = _curve_config(args, "szego check")
     model = CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c)
-    report = RunReport(cfg)
     try:
         cert = verify_szego_residues(model)
     except (ValueError, ArithmeticError) as exc:
-        report.add_check("szego residues", "fail", str(exc))
-        return _finish(report, args)
-    report.data["diagonal"] = rat_str(cert.diagonal)
-    report.data["at_infinity"] = [rat_str(v) for v in cert.at_infinity]
-    report.add_check("szego residues", "pass")
-    return _finish(report, args)
+        return _finish(cfg, args, {}, [_check("szego residues", "fail", str(exc))])
+    data = {"diagonal": rat_str(cert.diagonal),
+            "at_infinity": [rat_str(v) for v in cert.at_infinity]}
+    return _finish(cfg, args, data, [_check("szego residues", "pass")])
 
 
 def _parse_span(text: str) -> Tuple[int, int]:
@@ -384,21 +355,14 @@ def _run_helix_table(args) -> int:
     for n in range(span[0], span[1] + 1):
         cls = helix_class(n)
         rows.append({"n": n, "rank": cls.rank, "chi": cls.chi})
-    report = RunReport(cfg)
-    if args.out is not None:
-        path = _resolve_out(args.out, "helix.json")
+    artifacts = [] if args.out is None else [_resolve_out(args.out, "helix.json")]
+    for path in artifacts:
         _write_json(path, {"rows": rows})
-        report.artifacts.append(path)
-    if args.json:
-        report.data["rows"] = rows
-        return _finish(report, args)
-    header = f"{'n':>4} {'rank':>10} {'chi':>10}"
-    print(header)
-    for row in rows:
-        print(f"{row['n']:>4} {row['rank']:>10} {row['chi']:>10}")
-    for path in report.artifacts:
-        print(f"wrote {path}")
-    return 0
+    if not args.json:
+        print(f"{'n':>4} {'rank':>10} {'chi':>10}")
+        for row in rows:
+            print(f"{row['n']:>4} {row['rank']:>10} {row['chi']:>10}")
+    return _finish(cfg, args, {"rows": rows} if args.json else {}, artifacts=artifacts)
 
 
 def _run_helix_solve(args) -> int:
@@ -408,18 +372,15 @@ def _run_helix_solve(args) -> int:
         solution = solve_biham_params(args.d, args.r)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = RunReport(cfg)
-    report.data["d"] = args.d
-    report.data["r"] = args.r
     if solution is None:
-        report.data["solution"] = "none (d is not +-1 mod r)"
+        text = "none (d is not +-1 mod r)"
     else:
-        report.data["solution"] = (f"m={solution['m']} k={solution['k']} "
-                                   f"sign={'+' if solution['sign'] > 0 else '-'} "
-                                   f"n={solution['n']}")
+        text = (f"m={solution['m']} k={solution['k']} "
+                f"sign={'+' if solution['sign'] > 0 else '-'} n={solution['n']}")
+    data = {"d": args.d, "r": args.r, "solution": text}
     if args.json:
-        report.data["solution_fields"] = solution
-    return _finish(report, args)
+        data["solution_fields"] = solution
+    return _finish(cfg, args, data)
 
 
 def _add_curve_options(parser: argparse.ArgumentParser, k_required: bool = True) -> None:

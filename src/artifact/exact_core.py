@@ -214,19 +214,15 @@ class Poly:
         return f"Poly({self})"
 
 
-def poly_divmod_linear(p: Poly, name: str, root: Union[Poly, RationalLike]) -> Tuple[Poly, Poly]:
+def poly_divmod_linear(p: Poly, name: str, root: Poly) -> Tuple[Poly, Poly]:
     """Divide by the monic linear factor (name - root).
 
-    The root is a rational or a Poly of p's context free of `name`.
-    Synthetic division on the `name`-coefficients (which may involve the
-    other variables).  Returns (quotient, remainder); the remainder is free
-    of `name`.
+    The root is a Poly of p's context free of `name`.  Synthetic division
+    on the `name`-coefficients (which may involve the other variables).
+    Returns (quotient, remainder); the remainder is free of `name`.
     """
-    if isinstance(root, Poly):
-        if root.degree_in(name) > 0:
-            raise ValueError(f"root {root} involves {name}")
-    else:
-        root = rat(root)
+    if root.degree_in(name) > 0:
+        raise ValueError(f"root {root} involves {name}")
     buckets = p.as_univar(name)
     if not buckets:
         return Poly(p.vars), Poly(p.vars)

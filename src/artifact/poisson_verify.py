@@ -201,15 +201,15 @@ def independence_rank(F: FamilyBasis) -> int:
     return _matrix_rank([[row.get(key, 0) for key in keys] for row in rows])
 
 
-def _matrix_rank(matrix: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Exact rank by fraction-free elimination over ints.
+def _matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact rank of an integer matrix by fraction-free elimination.
 
-    Each row is first scaled by the lcm of its denominators.  Eliminating
-    with pivot row `top` replaces a row whose entry f in the pivot column
-    is nonzero by lead*row - f*top, divided by its content; rows with a
-    zero there are left untouched.  Nonzero scalings keep the rank.
+    Eliminating with pivot row `top` replaces a row whose entry f in the
+    pivot column is nonzero by lead*row - f*top, divided by its content;
+    rows with a zero there are left untouched.  Nonzero scalings keep the
+    rank.
     """
-    work = [clear_denominators(row)[1] for row in matrix if any(row)]
+    work = [row for row in matrix if any(row)]
     rank = 0
     for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)

@@ -158,7 +158,7 @@ def wedge_certificate(T: BracketTensor) -> bool:
 
 def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -> int:
     """Rank of the members' structure functions on the given charts, stacked
-    into one Fraction row per member."""
+    into one row per member, cleared to ints."""
     charts = tuple(charts)
     rows = [{(m, a, b, expo): val
              for m in charts
@@ -166,7 +166,7 @@ def chart_rank(tensors: Sequence[BracketTensor], charts: Iterable[int] = (0,)) -
              for expo, val in poly.terms.items()}
             for T in tensors]
     keys = sorted({key for row in rows for key in row})
-    return _matrix_rank([[row.get(key, Fraction(0)) for key in keys] for row in rows])
+    return _matrix_rank([clear_denominators(row.get(key, 0) for key in keys)[1] for row in rows])
 
 
 def rank_at_point(T: BracketTensor, phi: Sequence) -> int:

@@ -120,10 +120,10 @@ def poly_div_linear_power(p: Poly, name: str, root: RationalLike, m: int) -> Tup
     """
     if m < 0:
         raise ValueError("negative power")
-    root = rat(root)
+    root = Poly.const(p.vars, rat(root))
     rem_total = Poly(p.vars)
     factor = Poly.const(p.vars, 1)
-    linear = Poly.var(p.vars, name) - Poly.const(p.vars, root)
+    linear = Poly.var(p.vars, name) - root
     q = p
     for _ in range(m):
         q, r = poly_divmod_linear(q, name, root)
@@ -145,7 +145,7 @@ def cancel_poles(numerators: List[Poly], var: str, root: RationalLike,
     while m > 0:
         quotients = []
         for p in numerators:
-            q, r = poly_divmod_linear(p, var, root)
+            q, r = poly_divmod_linear(p, var, Poly.const(p.vars, root))
             if not r.is_zero:
                 return numerators, m
             quotients.append(q)

@@ -461,6 +461,45 @@ def test_verify_rejects_non_list_entries(tmp_path, monkeypatch, capsys, corrupt,
         assert "pass" not in out
 
 
+def _first_member_twice(data):
+    data["basis"][1] = data["basis"][0]
+
+
+@pytest.mark.parametrize("key, corrupt", [
+    ("pi", lambda data: data["pi"][0]["q"][0].update(val="1/1")),
+    ("basis", _first_member_twice),
+    ("val", lambda data: data["pi"][0]["q"][0].update(val="1/1")),
+], ids=["pi-in-tensor", "basis-in-family", "val-in-q-entry"])
+def test_repeated_key_is_a_config_error(tmp_path, monkeypatch, capsys, key, corrupt):
+    """A JSON reader keeps the last of two equal keys, so an artifact whose
+    first copy is corrupted and whose last is valid would pass unread.  Such
+    an artifact exits 2 naming the key, with no traceback, while the
+    corrupted copy alone fails its check."""
+    monkeypatch.chdir(tmp_path)
+    if key == "basis":
+        run_cli(FAMILY_ODD, capsys)
+        source = "family.json"
+        commands = (["verify", "independence", "--family", "bad.json"],
+                    ["verify", "compat", "--family", "bad.json"])
+    else:
+        run_cli(BUILD_EVEN, capsys)
+        source = "tensor.json"
+        commands = (["verify", "jacobi", "--in", "bad.json"],
+                    ["rank", "scan", "--in", "bad.json", "--samples", "2"])
+    text = Path(source).read_text()
+    data = json.loads(text)
+    corrupt(data)
+    Path("bad.json").write_text(json.dumps(data))
+    assert run_cli(commands[0], capsys)[0] == 1
+    first = '"1/1"' if key == "val" else json.dumps(data[key])
+    Path("bad.json").write_text(text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1))
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"repeats the key '{key}'" in err and "Traceback" not in err
+        assert "pass" not in out
+
+
 @pytest.mark.parametrize("k, n", [(0, 0), (-1, -2)], ids=["k0", "k-1"])
 def test_artifacts_below_level_one_are_rejected(tmp_path, monkeypatch, capsys, k, n):
     """A tensor or family artifact with k < 1 is malformed even when n

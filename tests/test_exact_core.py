@@ -92,7 +92,7 @@ def test_poly_derivative_difference_quotient_oracle():
     dp = derivative(p, "t")
     assert dp == 3 * t ** 2 + 2
     for t0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5)):
-        q, r = poly_divmod_linear(p - eval_all(p, {"t": t0}), "t", t0)
+        q, r = poly_divmod_linear(p - eval_all(p, {"t": t0}), "t", Poly.const(("t",), t0))
         assert r.is_zero
         assert eval_all(q, {"t": t0}) == eval_all(dp, {"t": t0})
 
@@ -200,7 +200,7 @@ def test_poly_divmod_linear():
     t = Poly.var(("t", "c"), "t")
     c = Poly.var(("t", "c"), "c")
     p = (t - 2) * (t ** 2 + c) + 5
-    q, r = poly_divmod_linear(p, "t", 2)
+    q, r = poly_divmod_linear(p, "t", Poly.const(("t", "c"), 2))
     assert q == t ** 2 + c
     assert r == Poly.const(("t", "c"), 5)
 

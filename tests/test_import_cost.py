@@ -3,8 +3,9 @@
 Every case runs a fresh interpreter that imports artifact.cli_reports,
 calls main(argv) and prints the modules that appeared since it started,
 so modules the interpreter itself loads at start-up do not count.  The
-cases cover all six modules of the package between them, and none of
-them may load dataclasses or inspect.
+cases cover every command and all six modules of the package between
+them, and none of them may load dataclasses or inspect.  A command that
+reads an artifact runs after the build that writes it.
 """
 
 import os
@@ -31,6 +32,9 @@ print(code, *sorted(set(sys.modules) - before))
 BASE = {"artifact", "artifact.cli_reports"}
 BUILD = ["bracket", "build", "--parity", "even", "--k", "2", "--Q", "1,-1,2",
          "--P", "3,1,0,0,2"]
+FAMILY = ["bracket", "family", "--parity", "even", "--k", "2"]
+FORGE = {"bracket_forge", "curve_ring", "exact_core"}
+VERIFY = FORGE | {"poisson_verify"}
 
 
 def loaded(argv, cwd):
@@ -54,16 +58,21 @@ def loaded(argv, cwd):
     (["szego", "check", "--parity", "even", "--Q", "0,0,0", "--P", "1,0,0,0,1"], 0,
      {"curve_ring", "exact_core"}),
     (["szego", "check", "--parity", "even", "--k", "0"], 2, {"curve_ring", "exact_core"}),
-    (BUILD, 0, {"bracket_forge", "curve_ring", "exact_core"}),
-    (["bracket", "build", "--parity", "even", "--k", "0"], 2,
-     {"bracket_forge", "curve_ring", "exact_core"}),
-    (["rank", "scan", "--in", "tensor.json", "--samples", "2"], 0,
-     {"poisson_verify", "bracket_forge", "curve_ring", "exact_core"}),
+    (BUILD, 0, FORGE),
+    (["bracket", "build", "--parity", "even", "--k", "0"], 2, FORGE),
+    (FAMILY, 0, FORGE),
+    (["verify", "linearity", "--parity", "even", "--k", "2", "--samples", "1"], 0, FORGE),
+    (["verify", "jacobi", "--in", "tensor.json"], 0, VERIFY),
+    (["verify", "compat", "--family", "family.json"], 0, VERIFY),
+    (["verify", "independence", "--family", "family.json"], 0, VERIFY),
+    (["rank", "scan", "--in", "tensor.json", "--samples", "2"], 0, VERIFY),
 ], ids=["bare-import", "usage-error", "helix", "helix-solve", "szego-check", "szego-k0",
-        "bracket-build", "build-k0", "rank-scan"])
+        "bracket-build", "build-k0", "bracket-family", "verify-linearity", "verify-jacobi",
+        "verify-compat", "verify-independence", "rank-scan"])
 def test_command_loads_only_its_modules(tmp_path, argv, code, library):
-    if argv[:2] == ["rank", "scan"]:
-        assert loaded(BUILD, tmp_path)[0] == 0
+    for flag, build in (("--in", BUILD), ("--family", FAMILY)):
+        if flag in argv:
+            assert loaded(build, tmp_path)[0] == 0
     got_code, modules = loaded(argv, tmp_path)
     assert got_code == code
     assert {m for m in modules if m.split(".")[0] == "artifact"} == (
