@@ -128,11 +128,7 @@ class BracketTensor:
         return self._combine(other, Fraction(-1))
 
     def scale(self, factor: RationalLike) -> "BracketTensor":
-        factor = rat(factor)
-        pi = {pair: {mono: factor * val for mono, val in form.items()}
-              for pair, form in self.pi.items()}
-        return BracketTensor(self.parity, self.k, self.n, pi,
-                             {"combination": "scaled"})
+        return BracketTensor(self.parity, self.k, self.n, {})._combine(self, rat(factor))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BracketTensor):

@@ -9,7 +9,7 @@ sorted, the seed is explicit, and no timing data enters any payload.
 Elapsed time is written to stderr only.
 
 Exit codes: 0 all checks pass, 1 a normative check failed or a build was
-rejected, 2 usage or configuration error.
+rejected, 2 usage or configuration error, running out of memory included.
 
 Each handler imports the library modules it uses in its own body, so a
 command loads only those: a usage error loads none, `helix` only
@@ -286,8 +286,7 @@ def _run_verify_linearity(args) -> int:
         q1, p1 = draw()
         q2, p2 = draw()
         summed = [a + b for a, b in zip(q1, q2)], [a + b for a, b in zip(p1, p2)]
-        cross = tensor(*summed) - tensor(q1, p1) - tensor(q2, p2) + base
-        if not cross.is_zero:
+        if tensor(*summed) + base != tensor(q1, p1) + tensor(q2, p2):
             failed = {"sample": index, "Q": q1, "P": p1, "Q'": q2, "P'": p2}
             break
     check = _check("affine linearity", "fail" if failed else "pass", failed)
@@ -342,7 +341,7 @@ def _parse_span(text: str) -> Tuple[int, int]:
 
 def _run_helix_table(args) -> int:
     from .helix_k0 import helix_class
-    span = _parse_span(args.range)
+    span = _parse_span("-5..5" if args.range is None else args.range)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     for n in span if limit else ():
         # Class fields grow with |n| on each side of 0, and |chi| >= 2^(|n| - 1),
@@ -367,11 +366,11 @@ def _run_helix_table(args) -> int:
 
 def _run_helix_solve(args) -> int:
     from .helix_k0 import solve_biham_params
+    for option, value in (("--range", args.range), ("--out", args.out)):
+        if value is not None:
+            raise ConfigError(f"{option} applies to the helix table, not to helix solve")
     cfg = JobConfig(command="helix solve", degree=args.d, rank=args.r)
-    try:
-        solution = solve_biham_params(args.d, args.r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    solution = solve_biham_params(args.d, args.r)
     if solution is None:
         text = "none (d is not +-1 mod r)"
     else:
@@ -397,9 +396,11 @@ def _add_curve_options(parser: argparse.ArgumentParser, k_required: bool = True)
                         help="value used by the a0-only shorthand")
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None,
-                        help=f"artifact path (directory via ${ENV_OUT_DIR})")
+def _add_output_options(parser: argparse.ArgumentParser, writes: bool = False) -> None:
+    """--json, and --out for a command that writes an artifact."""
+    if writes:
+        parser.add_argument("--out", default=None,
+                            help=f"artifact path (directory via ${ENV_OUT_DIR})")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
 
@@ -416,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_options(build_p)
     build_p.add_argument("--flip-sign", action="store_true",
                          help="negate the global sign convention")
-    _add_output_options(build_p)
+    _add_output_options(build_p, writes=True)
     build_p.set_defaults(run=_run_bracket_build)
     family_p = bracket_sub.add_parser("family", help="build the nine-member family")
     family_p.add_argument("--parity", required=True, choices=("even", "odd"))
     family_p.add_argument("--k", required=True, type=int)
-    _add_output_options(family_p)
+    _add_output_options(family_p, writes=True)
     family_p.set_defaults(run=_run_bracket_family)
 
     verify = commands.add_parser("verify", help="certify stored artifacts")
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tensor artifact to scan")
     scan_p.add_argument("--samples", type=int, default=50)
     scan_p.add_argument("--seed", type=int, default=42)
-    _add_output_options(scan_p)
+    _add_output_options(scan_p, writes=True)
     scan_p.set_defaults(run=_run_rank_scan)
 
     szego = commands.add_parser("szego", help="kernel normalization checks")
@@ -469,15 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.set_defaults(run=_run_szego_check)
 
     helix = commands.add_parser("helix", help="exceptional-class tables")
-    helix.add_argument("--range", default="-5..5",
-                       help="inclusive n range, for example -5..5")
-    _add_output_options(helix)
+    helix.add_argument("--range", default=None,
+                       help="inclusive n range (default -5..5)")
+    _add_output_options(helix, writes=True)
     helix.set_defaults(run=_run_helix_table)
     helix_sub = helix.add_subparsers()
     solve_p = helix_sub.add_parser("solve", help="ladder parameter witness")
     solve_p.add_argument("--d", required=True, type=int, help="degree")
     solve_p.add_argument("--r", required=True, type=int, help="rank, odd")
-    _add_output_options(solve_p)
+    # Unset unless given here, so a --json before solve is kept.
+    solve_p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                         help="machine-readable report on stdout")
     solve_p.set_defaults(run=_run_helix_solve)
 
     return parser
@@ -493,6 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("config error: out of memory", file=sys.stderr)
         return 2
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

@@ -80,11 +80,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: RationalLike) -> "Poly":
-        variables = tuple(variables)
-        v = rat(value)
-        if not v:
-            return cls(variables)
-        return cls(variables, {(0,) * len(variables): v})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str, power: int = 1) -> "Poly":

@@ -35,17 +35,11 @@ from math import gcd
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat
-from .bracket_forge import BracketTensor, FamilyBasis, FormDict
+from .bracket_forge import BracketTensor, FamilyBasis
 
 
 class ZeroVector(ValueError):
     """A nonzero coordinate vector was required."""
-
-
-def _form_poly(form: FormDict, ctx: Tuple[str, ...]) -> Poly:
-    """The quadratic form with x_i -> ctx[i]."""
-    return Poly(ctx, {tuple((u == i) + (v == i) for i in range(len(ctx))): val
-                      for (u, v), val in form.items()})
 
 
 class RankReport(NamedTuple):
@@ -299,37 +293,33 @@ def rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport:
 
 
 def _linear_poly(coeffs: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            expo = [0] * len(ctx)
-            expo[i] = 1
-            terms[tuple(expo)] = c
-    return Poly(ctx, terms)
+    return Poly(ctx, {tuple(int(i == j) for j in range(len(ctx))): c
+                      for i, c in enumerate(coeffs)})
 
 
 def _bracket_of_linear(T: BracketTensor, f: Sequence[Fraction],
                        g: Sequence[Fraction], ctx: Tuple[str, ...]) -> Poly:
-    out = Poly(ctx)
+    """{f, g} = sum over pairs a < b of (f_a g_b - f_b g_a) pi^{ab}, x_i -> ctx[i]."""
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     for (a, b), form in T.pi.items():
         factor = f[a] * g[b] - f[b] * g[a]
-        if factor:
-            out = out + _form_poly(form, ctx) * factor
-    return out
+        for (u, v), val in form.items() if factor else ():
+            expo = tuple((u == i) + (v == i) for i in range(len(ctx)))
+            terms[expo] = terms.get(expo, 0) + factor * val
+    return Poly(ctx, terms)
 
 
 def _divide_linear_form(p: Poly, coeffs: Sequence[Fraction],
                         ctx: Tuple[str, ...]) -> Optional[Poly]:
-    """Exact quotient of p by the linear form, or None.
+    """Exact quotient of p by the monic linear form, or None.
 
-    With pivot the last nonzero coefficient, the form is
-    lead * (phi_pivot - root) for root = -sum_{i != pivot} (c_i/lead) phi_i.
+    With pivot the last nonzero coefficient, which is 1, the form is
+    phi_pivot - root for root = -sum_{i != pivot} c_i phi_i.
     """
     pivot = max(i for i, c in enumerate(coeffs) if c)
-    lead = coeffs[pivot]
-    root = _linear_poly([-c / lead if i != pivot else 0 for i, c in enumerate(coeffs)], ctx)
+    root = _linear_poly([-c if i != pivot else 0 for i, c in enumerate(coeffs)], ctx)
     quotient, remainder = poly_divmod_linear(p, ctx[pivot], root)
-    return quotient * (1 / lead) if remainder.is_zero else None
+    return quotient if remainder.is_zero else None
 
 
 class RatioBracketValue(NamedTuple):
@@ -347,8 +337,7 @@ class RatioBracketValue(NamedTuple):
     def den_poly(self) -> Poly:
         out = Poly.const(self.vars, 1)
         for coeffs, power in self.den_factors:
-            for _ in range(power):
-                out = out * _linear_poly(coeffs, self.vars)
+            out = out * _linear_poly(coeffs, self.vars) ** power
         return out
 
     def equals(self, other: "RatioBracketValue") -> bool:

@@ -216,11 +216,21 @@ def _unipotent(slots, mu):
             for (u, i) in slots]
 
 
-def _push_forward(T, mu):
-    """T, given on coordinates t'^i x^u, rewritten on t^i x^u = (t' - mu)^i x^u:
+def _diagonal(slots, weight):
+    """Rows t^i x^u -> weight(u, i) t^i x^u of the basis."""
+    return [{slots[slot]: weight(*slot)} for slot in slots]
+
+
+def _shear(slots, r):
+    """Rows t^j x^u -> t^j (x + r(t))^u of the basis, u <= 1, r ascending."""
+    return [{slots[(u, j)]: 1, **({slots[(0, j + l)]: c for l, c in enumerate(r)} if u else {})}
+            for (u, j) in slots]
+
+
+def _push_forward(T, A, A_inv):
+    """T, given on coordinates y' of the primed basis, rewritten on the
+    basis whose row a of A gives its element a in the primed one:
     {y_a, y_b} = sum A_ac A_bd pi_cd(y'), with y = A y' and y' = A^-1 y."""
-    slots = section_slots(T.parity, T.k)
-    A, A_inv = _unipotent(slots, -mu), _unipotent(slots, mu)
     pi = {}
     for a in range(T.n):
         for b in range(a + 1, T.n):
@@ -235,16 +245,94 @@ def _push_forward(T, mu):
     return BracketTensor(T.parity, T.k, T.n, pi)
 
 
+NATURAL_Q, NATURAL_P = [1, -2, F(3, 2)], [2, 1, -1, 3, F(1, 3)]
+
+
 @pytest.mark.parametrize("mu", [F(1), F(1, 2)])
 def test_even_build_is_natural_under_translation(mu):
     """The curve x^2 = Q(t - mu) x + P(t - mu) is x^2 = Q x + P moved by
     t' = t + mu; its tensor, pushed forward by t^i x^u -> (t' - mu)^i x^u,
     is the tensor of the unmoved curve."""
-    Q, P = [1, -2, F(3, 2)], [2, 1, -1, 3, F(1, 3)]
+    Q, P = NATURAL_Q, NATURAL_P
     for k in range(1, 5):
         moved = CurveModel.even(k, _shifted_coeffs(Q, mu), _shifted_coeffs(P, mu))
-        pushed = _push_forward(build_tensor(moved), mu)
+        slots = section_slots("even", k)
+        pushed = _push_forward(build_tensor(moved), _unipotent(slots, -mu), _unipotent(slots, mu))
         assert pushed == build_tensor(CurveModel.even(k, Q, P)), k
+
+
+def _times(a, b):
+    """Ascending coefficients of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _plus(*polys):
+    """Ascending coefficients of the sum of polynomials."""
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for i, c in enumerate(poly):
+            out[i] += c
+    return out
+
+
+@pytest.mark.parametrize("lam", [F(2), F(-1, 3)])
+def test_even_build_is_natural_under_scaling(lam):
+    """t = lam t', x = lam^2 x' takes x^2 = Q x + P to the curve with
+    Q'_i = lam^(i-2) Q_i and P'_j = lam^(j-4) P_j, and t^i x^u to
+    lam^(i+2u) t'^i x'^u; the pushed tensor is the build scaled by 1/lam."""
+    Q = [lam ** (i - 2) * q for i, q in enumerate(NATURAL_Q)]
+    P = [lam ** (j - 4) * p for j, p in enumerate(NATURAL_P)]
+    for k in range(1, 7):
+        slots = section_slots("even", k)
+        A = _diagonal(slots, lambda u, i: lam ** (i + 2 * u))
+        A_inv = _diagonal(slots, lambda u, i: lam ** -(i + 2 * u))
+        pushed = _push_forward(build_tensor(CurveModel.even(k, Q, P)), A, A_inv)
+        assert pushed == build_tensor(CurveModel.even(k, NATURAL_Q, NATURAL_P)).scale(1 / lam), k
+
+
+@pytest.mark.parametrize("r", [[1], [0, 2], [F(1, 2), -1, 3]])
+def test_even_build_is_natural_under_shears(r):
+    """x = x' + r(t) takes x^2 = Q x + P to the curve with Q' = Q - 2r and
+    P' = P + Q r - r^2, and t^j x to t^j x' + sum r_l t^(j+l); the pushed
+    tensor is the build itself."""
+    minus_r = [-c for c in r]
+    Q = _plus(NATURAL_Q, _times([-2], r))
+    P = _plus(NATURAL_P, _times(NATURAL_Q, r), _times(minus_r, r))
+    for k in range(1, 7):
+        slots = section_slots("even", k)
+        pushed = _push_forward(build_tensor(CurveModel.even(k, Q, P)),
+                               _shear(slots, r), _shear(slots, minus_r))
+        assert pushed == build_tensor(CurveModel.even(k, NATURAL_Q, NATURAL_P)), k
+
+
+def test_even_build_is_natural_under_inversion():
+    """t = 1/t', x = x'/t'^2 takes x^2 = Q x + P to the curve of the
+    reversed lists, and t^i x^u, times t'^k, to t'^(k-i-2u) x'^u; the
+    pushed tensor is the build negated."""
+    for k in range(1, 7):
+        slots = section_slots("even", k)
+        A = [{slots[(u, k - i - 2 * u)]: 1} for (u, i) in slots]
+        pushed = _push_forward(build_tensor(CurveModel.even(k, NATURAL_Q[::-1], NATURAL_P[::-1])),
+                               A, A)
+        assert pushed == build_tensor(CurveModel.even(k, NATURAL_Q, NATURAL_P)).scale(-1), k
+
+
+@pytest.mark.parametrize("mu", [F(2), F(-3, 5)])
+def test_even_build_is_natural_under_fibre_scaling(mu):
+    """x = mu x' takes x^2 = Q x + P to the curve with Q' = Q/mu and
+    P' = P/mu^2, and t^i x^u to mu^u t^i x'^u; the pushed tensor is the
+    build scaled by 1/mu."""
+    Q = [q / mu for q in NATURAL_Q]
+    P = [p / mu ** 2 for p in NATURAL_P]
+    for k in range(1, 7):
+        slots = section_slots("even", k)
+        A, A_inv = _diagonal(slots, lambda u, i: mu ** u), _diagonal(slots, lambda u, i: mu ** -u)
+        pushed = _push_forward(build_tensor(CurveModel.even(k, Q, P)), A, A_inv)
+        assert pushed == build_tensor(CurveModel.even(k, NATURAL_Q, NATURAL_P)).scale(1 / mu), k
 
 
 def test_family_shapes_and_labels():

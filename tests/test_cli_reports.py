@@ -10,12 +10,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from io import StringIO
 from itertools import combinations, count
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import bracket_forge, poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family
@@ -245,6 +251,15 @@ def test_huge_empty_artifact_runs_in_bounded_memory(tmp_path, argv):
     assert time.perf_counter() - start < 10
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
+
+
+def test_out_of_memory_is_a_config_error(tmp_path):
+    """A build at k = 10^8 runs out of a 1.5 GB address space: main exits
+    2 with one line on stderr and no traceback."""
+    proc = _run_child(tmp_path, ["-c", LIMITED_CHILD, "bracket", "build", "--parity", "even",
+                                 "--k", "100000000"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "config error: out of memory\n"
 
 
 @pytest.mark.parametrize("argv", [["verify", "jacobi", "--in", "deep.json"],
@@ -500,6 +515,62 @@ def test_repeated_key_is_a_config_error(tmp_path, monkeypatch, capsys, key, corr
         assert "pass" not in out
 
 
+def _json_paths(value, path=()):
+    """The path of every node below the root of a JSON tree."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+# Each artifact kind: its valid golden instance and the commands that
+# read it.  No replacement is an integer above 64, so no
+# mutated artifact asks for work in proportion to a large k or n.
+MUTATED = {
+    "tensor": ("tensor_even_k2.json", (["verify", "jacobi", "--in"],
+                                       ["rank", "scan", "--samples", "2", "--in"])),
+    "family": ("family_odd_k1.json", (["verify", "compat", "--family"],
+                                      ["verify", "independence", "--family"])),
+}
+REPLACEMENTS = (None, True, "x", "", -1, 0, 3, 1.5, [], {}, "1/0", "9" * 5000)
+
+
+@st.composite
+def mutated_artifacts(draw):
+    """(kind, artifact) with one node of a valid artifact deleted, replaced
+    or wrapped in a list."""
+    kind = draw(st.sampled_from(sorted(MUTATED)))
+    data = json.loads((GOLDEN / MUTATED[kind][0]).read_text())
+    *head, last = draw(st.sampled_from(list(_json_paths(data))))
+    parent = reduce(lambda node, key: node[key], head, data)
+    how = draw(st.sampled_from(["delete", "wrap", "replace"]))
+    if how == "delete":
+        del parent[last]
+    elif how == "wrap":
+        parent[last] = [parent[last]]
+    else:
+        parent[last] = draw(st.sampled_from(REPLACEMENTS))
+    return kind, data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=mutated_artifacts())
+def test_mutated_artifact_exits_with_a_documented_code(case):
+    """Every command that reads an artifact, given a valid one with one
+    node deleted, replaced or wrapped, exits 0, 1 or 2 and raises nothing."""
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "artifact.json")
+        Path(source).write_text(json.dumps(data))
+        for argv in MUTATED[kind][1]:
+            argv = argv + [source, "--json"] + (["--out", os.path.join(tmp, "hist.csv")]
+                                                if argv[0] == "rank" else [])
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+
+
 @pytest.mark.parametrize("k, n", [(0, 0), (-1, -2)], ids=["k0", "k-1"])
 def test_artifacts_below_level_one_are_rejected(tmp_path, monkeypatch, capsys, k, n):
     """A tensor or family artifact with k < 1 is malformed even when n
@@ -721,24 +792,84 @@ def test_helix_solve_invalid_rank(tmp_path, monkeypatch, capsys):
     assert "config error" in err
 
 
-def test_every_command_names_its_handler():
-    """Each parser a command line can end on, every leaf and helix with its
-    optional subcommand, sets its own callable run default, which main calls."""
-    handlers = {}
+def _commands():
+    """{command words: parser} of each parser a command line can end on:
+    every leaf, and helix with its optional subcommand."""
+    commands = {}
 
     def walk(parser, path):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs or not subs[0].required:
-            handlers[path] = parser.get_default("run")
+            commands[path] = parser
         for action in subs:
             for name, sub in action.choices.items():
                 walk(sub, path + (name,))
 
     walk(build_parser(), ())
+    return commands
+
+
+def test_every_command_names_its_handler():
+    """Each parser a command line can end on sets its own callable run
+    default, which main calls."""
+    handlers = {path: parser.get_default("run") for path, parser in _commands().items()}
     assert ("helix",) in handlers and ("helix", "solve") in handlers
     assert len(handlers) == 10
     assert all(callable(run) for run in handlers.values()), handlers
     assert len(set(handlers.values())) == len(handlers)
+
+
+# The rest of a passing command line for each command, run beside the
+# golden tensor and family artifacts.
+COMMAND_TAILS = {
+    ("bracket", "build"): ["--parity", "even", "--k", "1"],
+    ("bracket", "family"): ["--parity", "odd", "--k", "1"],
+    ("verify", "jacobi"): ["--in", "tensor.json"],
+    ("verify", "compat"): ["--family", "family.json"],
+    ("verify", "independence"): ["--family", "family.json"],
+    ("verify", "linearity"): ["--parity", "even", "--k", "1", "--samples", "1"],
+    ("rank", "scan"): ["--in", "tensor.json", "--samples", "1"],
+    ("szego", "check"): ["--parity", "even"],
+    ("helix",): ["--range=0..1"],
+    ("helix", "solve"): ["--d", "7", "--r", "3"],
+}
+
+
+def test_out_only_where_an_artifact_is_written(tmp_path, monkeypatch, capsys):
+    """A command that offers --out writes the file it names; every other
+    command refuses --out as a usage error and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    Path("tensor.json").write_text((GOLDEN / "tensor_even_k2.json").read_text())
+    Path("family.json").write_text((GOLDEN / "family_odd_k1.json").read_text())
+    commands = _commands()
+    assert set(commands) == set(COMMAND_TAILS)
+    for path, parser in commands.items():
+        argv = [*path, *COMMAND_TAILS[path], "--out", "named.out"]
+        if any("--out" in action.option_strings for action in parser._actions):
+            assert run_cli(argv, capsys)[0] == 0, path
+            assert Path("named.out").exists(), path
+            Path("named.out").unlink()
+        else:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, path
+            assert "unrecognized arguments: --out" in capsys.readouterr().err
+            assert not Path("named.out").exists(), path
+
+
+def test_helix_solve_refuses_the_table_options(tmp_path, monkeypatch, capsys):
+    """--range and --out before solve belong to the table: solve exits 2,
+    names the option and writes nothing.  A --json there is honoured."""
+    monkeypatch.chdir(tmp_path)
+    for option in ("--range", "--out"):
+        code, out, err = run_cli(["helix", f"{option}=1..2", "solve", "--d", "7", "--r", "3"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {option} applies to the helix table, not to helix solve\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(["helix", "--json", "solve", "--d", "7", "--r", "3"], capsys)
+    assert code == 0
+    check_golden("helix_solve.stdout.json", out)
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch, capsys):

@@ -25,15 +25,15 @@ from artifact.curve_ring import (CurveModel, DegenerateDivisor, ResidueCertifica
                                  section_slots, verify_szego_residues)
 from artifact.exact_core import Poly, clear_denominators, poly_divmod_linear
 from artifact import poisson_verify
-from artifact.poisson_verify import (_form_poly, _integer_forms, _integer_jacobiator, _lift,
+from artifact.poisson_verify import (_integer_forms, _integer_jacobiator, _lift,
                                      _matrix_rank, independence_rank, jacobi_check, rank_scan,
                                      schouten_certificate)
 
 import assembly_route
 from assembly_route import (BiCurveElement, division_kernel_grid, mult_kernel_antisym, own_curve,
                             pair_grid, pair_matrix, truncated_five_term)
-from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, dense_point_rank,
-                         euler_tensor, form, lift_via_euler, rank_at_point, reference_rank_scan,
+from chart_route import (_form_poly, all_charts_jacobi_zero, chart_rank, chart_witness,
+                         dense_point_rank, euler_tensor, form, lift_via_euler, rank_at_point, reference_rank_scan,
                          wedge_certificate)
 from curve_route import (CurveElement, NotInSpace, basis_elements, curve_derivation,
                          derivative, element_from_coords, eval_all, membership_extract,
@@ -505,8 +505,9 @@ def _lifted(T):
 def _divergence(T):
     """(div pi)^c = sum_d d pi^{dc} / d x_d, by Poly derivatives."""
     ctx = tuple(f"x{i}" for i in range(T.n))
-    return [sum((derivative(_form_poly(form(T, d, c), ctx), ctx[d]) for d in range(T.n)),
-                Poly(ctx)) for c in range(T.n)]
+    identity = {i: i for i in range(T.n)}
+    return [sum((derivative(_form_poly(form(T, d, c), ctx, identity), ctx[d])
+                 for d in range(T.n)), Poly(ctx)) for c in range(T.n)]
 
 
 @st.composite

@@ -35,12 +35,10 @@ SRC = TESTS.parent / "src" / "artifact"
 
 ORACLES = {
     "exact_core.Poly.__setattr__": "the immutability guard; only a test assigns to a Poly",
-    "exact_core.Poly.__pow__": "ring API: tests write t ** 2 and the routes raise poles to powers",
     "exact_core.Poly.__repr__": "debugging and assertion messages",
     "curve_ring.CurveModel.__repr__": "debugging and assertion messages",
     "bracket_forge.TensorNotInSectionSpace.__init__":
         "the strict rejection, forced only by test_bracket_build_rejection_exits_one",
-    "bracket_forge.BracketTensor.__eq__": "tests compare routes and round trips",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
     "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
     "helix_k0.generic_poisson_rank": "the closed form rank scans are tested against",
