@@ -205,12 +205,6 @@ class FamilyBasis:
         self.tensors = tensors
         self.labels = labels
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FamilyBasis):
-            return NotImplemented
-        return ((self.parity, self.k, self.tensors, self.labels)
-                == (other.parity, other.k, other.tensors, other.labels))
-
     def to_json(self) -> dict:
         return {"parity": self.parity, "k": self.k,
                 "basis": [t.to_json() for t in self.tensors],

@@ -29,7 +29,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
 
@@ -38,40 +38,18 @@ class ConfigError(ValueError):
     """Invalid command-line configuration."""
 
 
-class JobConfig(NamedTuple):
-    """Validated parameters of one run, hashable into a digest."""
-
-    command: str
-    parity: Optional[str] = None
-    k: Optional[int] = None
-    q: Optional[Tuple[Fraction, ...]] = None
-    p: Optional[Tuple[Fraction, ...]] = None
-    c: Optional[Fraction] = None
-    seed: int = 42
-    samples: Optional[int] = None
-    out: Optional[str] = None
-    flip_sign: bool = False
-    jobs: int = 0
-    source: Optional[str] = None
-    span: Optional[Tuple[int, int]] = None
-    degree: Optional[int] = None
-    rank: Optional[int] = None
-
-    def digest(self) -> str:
-        record = {key: _digest_value(value) for key, value in self._asdict().items()
-                  if value is not None}
-        blob = json.dumps(record, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _digest_value(value):
-    """Rationals as "p/q" strings, tuples as lists, anything else as is."""
-    if isinstance(value, tuple):
-        return [_digest_value(v) for v in value]
-    if isinstance(value, Fraction):
+def _digest(record: dict) -> str:
+    """First 12 hex digits of the SHA-256 of a run's record as sorted JSON,
+    None values dropped and rationals written "p/q".  Every record carries
+    seed, jobs and flip_sign, at these defaults unless it sets them."""
+    def rational(value):
         from .exact_core import rat_str
         return rat_str(value)
-    return value
+
+    record = {key: value for key, value in
+              {"seed": 42, "jobs": 0, "flip_sign": False, **record}.items() if value is not None}
+    blob = json.dumps(record, sort_keys=True, default=rational).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -95,20 +73,21 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
 
 
 def _pole_parameter(args) -> Optional[Fraction]:
-    """--c for the odd parity; the even parity has none, so the config
-    records None there and CurveModel rejects a nonzero --c."""
+    """--c for the odd parity; the even parity has none, so the record
+    holds None there and CurveModel rejects a nonzero --c."""
     c = _parse_rational(args.c, "--c")
     return c if args.parity == "odd" or c else None
 
 
-def _curve_config(args, command: str) -> JobConfig:
-    from .curve_ring import P_LEN, Q_LEN
+def _curve(args, command: str):
+    """The run's record and the CurveModel of the curve options."""
+    from .curve_ring import P_LEN, Q_LEN, CurveModel
     a0 = _parse_rational(args.a0, "--a0")
-    q = _parse_coeffs(args.Q, a0, Q_LEN, "--Q")
-    p = _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P")
-    return JobConfig(command=command, parity=args.parity, k=args.k, q=q, p=p,
-                     c=_pole_parameter(args), out=getattr(args, "out", None),
-                     flip_sign=getattr(args, "flip_sign", False))
+    record = {"command": command, "parity": args.parity, "k": args.k,
+              "q": _parse_coeffs(args.Q, a0, Q_LEN, "--Q"),
+              "p": _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P"),
+              "c": _pole_parameter(args)}
+    return record, CurveModel(args.parity, args.k, record["q"], record["p"], c=record["c"])
 
 
 def _resolve_out(path: Optional[str], default_name: str) -> str:
@@ -168,12 +147,12 @@ def _check(name: str, status: str, witness=None) -> dict:
     return entry
 
 
-def _finish(cfg: JobConfig, args, data: dict, checks: Sequence[dict] = (),
+def _finish(record: dict, args, data: dict, checks: Sequence[dict] = (),
             artifacts: Sequence[str] = ()) -> int:
-    """Print the run's report, which carries no timing data, and return its
-    exit code: 1 if a check failed, else 0."""
+    """Print the report of the run that record describes, which carries no
+    timing data, and return its exit code: 1 if a check failed, else 0."""
     if args.json:
-        payload = {"command": cfg.command, "config_digest": cfg.digest(),
+        payload = {"command": record["command"], "config_digest": _digest(record),
                    "checks": checks, "artifacts": artifacts}
         if data:
             payload["data"] = data
@@ -191,50 +170,50 @@ def _finish(cfg: JobConfig, args, data: dict, checks: Sequence[dict] = (),
 
 def _run_bracket_build(args) -> int:
     from .bracket_forge import TensorNotInSectionSpace, build_tensor
-    from .curve_ring import CurveModel
-    cfg = _curve_config(args, "bracket build")
+    record, model = _curve(args, "bracket build")
+    record.update(out=args.out, flip_sign=args.flip_sign)
     try:
-        tensor = build_tensor(CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c))
+        tensor = build_tensor(model)
     except TensorNotInSectionSpace as exc:
         print(f"build rejected: {exc}", file=sys.stderr)
         return 1
-    if cfg.flip_sign:
+    if args.flip_sign:
         flipped = tensor.scale(-1)
         flipped.provenance = dict(tensor.provenance, sign="flipped")
         tensor = flipped
-    path = _resolve_out(cfg.out, "tensor.json")
+    path = _resolve_out(args.out, "tensor.json")
     _write_json(path, tensor.to_json())
     data = {"dimension": tensor.n,
             "nonzero coefficients": sum(len(f) for f in tensor.pi.values())}
-    return _finish(cfg, args, data, artifacts=[path])
+    return _finish(record, args, data, artifacts=[path])
 
 
 def _run_bracket_family(args) -> int:
     from .bracket_forge import build_family
-    cfg = JobConfig(command="bracket family", parity=args.parity, k=args.k,
-                    out=args.out)
+    record = {"command": "bracket family", "parity": args.parity, "k": args.k,
+              "out": args.out}
     family = build_family(args.parity, args.k)
-    path = _resolve_out(cfg.out, "family.json")
+    path = _resolve_out(args.out, "family.json")
     _write_json(path, family.to_json())
     data = {"members": len(family.tensors), "dimension": family.tensors[0].n,
             "labels": ",".join(family.labels)}
-    return _finish(cfg, args, data, artifacts=[path])
+    return _finish(record, args, data, artifacts=[path])
 
 
 def _run_verify_jacobi(args) -> int:
     from .bracket_forge import BracketTensor
     from .poisson_verify import jacobi_check
-    cfg = JobConfig(command="verify jacobi", source=args.source)
+    record = {"command": "verify jacobi", "source": args.source}
     tensor = _load_artifact(args.source, BracketTensor, "tensor")
     verdict = jacobi_check(tensor)
     check = _check("jacobi", "pass" if verdict["holds"] else "fail", verdict["witness"])
-    return _finish(cfg, args, {"dimension": tensor.n, "charts": tensor.n}, [check])
+    return _finish(record, args, {"dimension": tensor.n, "charts": tensor.n}, [check])
 
 
 def _run_verify_compat(args) -> int:
     from .bracket_forge import FamilyBasis
     from .poisson_verify import jacobi_check, schouten_certificate
-    cfg = JobConfig(command="verify compat", source=args.family, jobs=args.jobs)
+    record = {"command": "verify compat", "source": args.family, "jobs": args.jobs}
     family = _load_artifact(args.family, FamilyBasis, "family")
     members = family.tensors
     pairs = list(combinations(range(len(members)), 2))
@@ -247,19 +226,19 @@ def _run_verify_compat(args) -> int:
                    "witness": jacobi_check(members[i] + members[j])["witness"]}
     data = {"pairs": len(pairs), "passed": len(pairs) - len(failures)}
     check = _check("compatibility", "fail" if failures else "pass", witness)
-    return _finish(cfg, args, data, [check])
+    return _finish(record, args, data, [check])
 
 
 def _run_verify_independence(args) -> int:
     from .bracket_forge import FamilyBasis
     from .poisson_verify import independence_rank
-    cfg = JobConfig(command="verify independence", source=args.family)
+    record = {"command": "verify independence", "source": args.family}
     family = _load_artifact(args.family, FamilyBasis, "family")
     rank = independence_rank(family)
     full = rank == len(family.tensors)
     check = _check("independence", "pass" if full else "fail",
                    None if full else {"rank": rank})
-    return _finish(cfg, args, {"members": len(family.tensors), "rank": rank}, [check])
+    return _finish(record, args, {"members": len(family.tensors), "rank": rank}, [check])
 
 
 def _run_verify_linearity(args) -> int:
@@ -268,8 +247,8 @@ def _run_verify_linearity(args) -> int:
     if args.samples < 1:
         raise ConfigError("samples must be positive")
     c = _pole_parameter(args)
-    cfg = JobConfig(command="verify linearity", parity=args.parity, k=args.k,
-                    c=c, seed=args.seed, samples=args.samples)
+    record = {"command": "verify linearity", "parity": args.parity, "k": args.k, "c": c,
+              "seed": args.seed, "samples": args.samples}
     rng = random.Random(args.seed)
     p_len = P_LEN[args.parity]
 
@@ -290,7 +269,7 @@ def _run_verify_linearity(args) -> int:
             failed = {"sample": index, "Q": q1, "P": p1, "Q'": q2, "P'": p2}
             break
     check = _check("affine linearity", "fail" if failed else "pass", failed)
-    return _finish(cfg, args, {"samples": args.samples}, [check])
+    return _finish(record, args, {"samples": args.samples}, [check])
 
 
 def _run_rank_scan(args) -> int:
@@ -298,32 +277,31 @@ def _run_rank_scan(args) -> int:
     from .poisson_verify import rank_scan
     if args.samples < 1:
         raise ConfigError("samples must be positive")
-    cfg = JobConfig(command="rank scan", source=args.source, seed=args.seed,
-                    samples=args.samples, out=args.out)
+    record = {"command": "rank scan", "source": args.source, "seed": args.seed,
+              "samples": args.samples, "out": args.out}
     tensor = _load_artifact(args.source, BracketTensor, "tensor")
     scan = rank_scan(tensor, args.samples, args.seed)
-    path = _resolve_out(cfg.out, "rank_hist.csv")
+    path = _resolve_out(args.out, "rank_hist.csv")
     _write_lines(path, scan.csv_rows())
     data = {"samples": args.samples,
             "histogram": {str(r): c for r, c in sorted(scan.histogram.items())},
             "generic_rank": scan.generic_rank,
             "pencil_drops": scan.pencil_drops}
     check = _check("deep rank drops", "recorded", {"flagged": scan.flagged})
-    return _finish(cfg, args, data, [check], [path])
+    return _finish(record, args, data, [check], [path])
 
 
 def _run_szego_check(args) -> int:
-    from .curve_ring import CurveModel, verify_szego_residues
+    from .curve_ring import verify_szego_residues
     from .exact_core import rat_str
-    cfg = _curve_config(args, "szego check")
-    model = CurveModel(cfg.parity, cfg.k, cfg.q, cfg.p, c=cfg.c)
+    record, model = _curve(args, "szego check")
     try:
         cert = verify_szego_residues(model)
     except (ValueError, ArithmeticError) as exc:
-        return _finish(cfg, args, {}, [_check("szego residues", "fail", str(exc))])
+        return _finish(record, args, {}, [_check("szego residues", "fail", str(exc))])
     data = {"diagonal": rat_str(cert.diagonal),
             "at_infinity": [rat_str(v) for v in cert.at_infinity]}
-    return _finish(cfg, args, data, [_check("szego residues", "pass")])
+    return _finish(record, args, data, [_check("szego residues", "pass")])
 
 
 def _parse_span(text: str) -> Tuple[int, int]:
@@ -349,7 +327,7 @@ def _run_helix_table(args) -> int:
         if abs(n) > 4 * limit or max(map(abs, helix_class(n))) >= 10 ** limit:
             raise ConfigError(f"--range reaches n={n}, whose class has more than "
                               f"{limit} digits, the most an integer may print")
-    cfg = JobConfig(command="helix", span=span, out=args.out)
+    record = {"command": "helix", "span": span, "out": args.out}
     rows = []
     for n in range(span[0], span[1] + 1):
         cls = helix_class(n)
@@ -361,7 +339,7 @@ def _run_helix_table(args) -> int:
         print(f"{'n':>4} {'rank':>10} {'chi':>10}")
         for row in rows:
             print(f"{row['n']:>4} {row['rank']:>10} {row['chi']:>10}")
-    return _finish(cfg, args, {"rows": rows} if args.json else {}, artifacts=artifacts)
+    return _finish(record, args, {"rows": rows} if args.json else {}, artifacts=artifacts)
 
 
 def _run_helix_solve(args) -> int:
@@ -369,7 +347,7 @@ def _run_helix_solve(args) -> int:
     for option, value in (("--range", args.range), ("--out", args.out)):
         if value is not None:
             raise ConfigError(f"{option} applies to the helix table, not to helix solve")
-    cfg = JobConfig(command="helix solve", degree=args.d, rank=args.r)
+    record = {"command": "helix solve", "degree": args.d, "rank": args.r}
     solution = solve_biham_params(args.d, args.r)
     if solution is None:
         text = "none (d is not +-1 mod r)"
@@ -379,7 +357,7 @@ def _run_helix_solve(args) -> int:
     data = {"d": args.d, "r": args.r, "solution": text}
     if args.json:
         data["solution_fields"] = solution
-    return _finish(cfg, args, data)
+    return _finish(record, args, data)
 
 
 def _add_curve_options(parser: argparse.ArgumentParser, k_required: bool = True) -> None:

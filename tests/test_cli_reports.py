@@ -891,3 +891,58 @@ def test_artifacts_byte_identical_across_reruns(tmp_path, monkeypatch, capsys):
     _, out2, _ = run_cli(BUILD_EVEN + ["--json", "--out", "a.json"], capsys)
     assert Path("a.json").read_bytes() == first
     assert out1 == out2
+
+
+# Option variants the goldens do not cover, with the config_digest each
+# has printed since the run record was a NamedTuple.  In this order every
+# artifact is written before a command reads it.
+DIGEST_MATRIX = [
+    (BUILD_EVEN + ["--a0", "5", "--json"], "0154196466cd"),
+    (BUILD_EVEN + ["--flip-sign", "--out", "flipped.json", "--json"], "297209f61a03"),
+    (["bracket", "build", "--parity", "odd", "--k", "1", "--c=-3/2", "--Q=1", "--P=0,1,2,3",
+      "--json"], "af1859a76c58"),
+    (["bracket", "build", "--parity", "even", "--k", "2", "--Q=1/2,-2", "--P=1",
+      "--out", "rational.json", "--json"], "f275d6e59926"),
+    (FAMILY_ODD + ["--out", "f.json", "--json"], "1986ee4290db"),
+    (["verify", "jacobi", "--in", "flipped.json", "--json"], "cc9df864121b"),
+    (["verify", "compat", "--family", "f.json", "--jobs", "0", "--json"], "85675db35209"),
+    (["verify", "compat", "--family", "f.json", "--jobs", "3", "--json"], "387176b38c1e"),
+    (["verify", "independence", "--family", "f.json", "--json"], "237b1400d80a"),
+    (["verify", "linearity", "--parity", "even", "--k", "2", "--c", "0", "--samples", "1",
+      "--json"], "e56caedbeb8f"),
+    (["verify", "linearity", "--parity", "odd", "--k", "1", "--c", "1/2", "--samples", "1",
+      "--seed", "3", "--json"], "bcf9f0e4edeb"),
+    (["rank", "scan", "--in", "tensor.json", "--samples", "3", "--json"], "95b3da2d5a15"),
+    (["rank", "scan", "--in", "tensor.json", "--samples", "3", "--seed", "5", "--out", "r.csv",
+      "--json"], "cbc2790a797d"),
+    (["szego", "check", "--parity", "even", "--k", "4", "--Q", "1,-2,3", "--P", "2,1,-1,3,1",
+      "--json"], "4f4e6f70d24e"),
+    (["szego", "check", "--parity", "odd", "--c", "1", "--Q", "1,-2,3", "--P", "2,1,-1,3",
+      "--json"], "daef4aaa0f9d"),
+    (["helix", "--range=-2..2", "--out", "h.json", "--json"], "9bae29ad6a7c"),
+    (["helix", "--json", "solve", "--d", "7", "--r", "3"], "a16074a45b82"),
+    (["helix", "solve", "--d", "7", "--r", "3", "--json"], "a16074a45b82"),
+]
+
+
+def test_config_digest_across_options(tmp_path, monkeypatch, capsys):
+    """Each option variant keeps its pinned config_digest; rank scan
+    with and without --out, helix solve with --json on either side."""
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in DIGEST_MATRIX:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, argv
+        assert json.loads(out)["config_digest"] == digest, argv
+
+
+def test_empty_coefficients_read_as_zero(tmp_path, monkeypatch, capsys):
+    """--Q= is the zero polynomial: the same tensor and config_digest as --Q=0."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for q in ("--Q=", "--Q=0"):
+        code, out, _ = run_cli(["bracket", "build", "--parity", "even", "--k", "1", q, "--P=1",
+                                "--out", "e.json", "--json"], capsys)
+        assert code == 0
+        runs.append((json.loads(out)["config_digest"], Path("e.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == "5f37accfc35c"

@@ -150,6 +150,15 @@ def test_poly_context_mismatch_raises():
         a + b
 
 
+def test_poly_is_immutable():
+    """Assigning to either slot of a Poly raises, and the Poly keeps its value."""
+    p = Poly.var(("t",), "t") ** 2
+    for name, value in (("terms", {}), ("vars", ("s",))):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, value)
+    assert p == Poly.var(("t",), "t") ** 2 and p.vars == ("t",)
+
+
 def test_poly_with_context_embedding():
     p = Poly.var(("t",), "t") ** 2
     q = with_context(p, ("t", "x"))

@@ -573,3 +573,20 @@ def test_rank_scan_reaches_feigin_odesskii_rank(parity, k):
     model = CurveModel.even(k, 0, [1]) if parity == "even" else CurveModel.odd(k, 0, 0, [1])
     T = build_tensor(model)
     assert rank_scan(T, 20, SEED).histogram == {generic_poisson_rank(T.n, 1): 20}
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_rank_scan_generic_rank_on_seeded_curves(parity):
+    """On two seeded rational curves at each k = 1..4, the scan's generic
+    rank is the closed form generic_poisson_rank(n, 1)."""
+    rng = random.Random(SEED)
+
+    def draw(count):
+        return [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(count)]
+
+    for k in range(1, 5):
+        for _ in range(2):
+            c = draw(1)[0] if parity == "odd" else None
+            T = build_tensor(CurveModel(parity, k, draw(3), draw(5 if parity == "even" else 4),
+                                        c=c))
+            assert rank_scan(T, 6, SEED).generic_rank == generic_poisson_rank(T.n, 1), (k, T)

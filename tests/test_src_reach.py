@@ -40,7 +40,6 @@ ORACLES = {
     "bracket_forge.TensorNotInSectionSpace.__init__":
         "the strict rejection, forced only by test_bracket_build_rejection_exits_one",
     "bracket_forge.BracketTensor.__repr__": "debugging and assertion messages",
-    "bracket_forge.FamilyBasis.__eq__": "tests compare round trips",
     "helix_k0.generic_poisson_rank": "the closed form rank scans are tested against",
 }
 
