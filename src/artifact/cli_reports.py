@@ -292,12 +292,12 @@ def _run_rank_scan(args) -> int:
 
 
 def _run_szego_check(args) -> int:
-    from .curve_ring import verify_szego_residues
+    from .curve_ring import DegenerateDivisor, verify_szego_residues
     from .exact_core import rat_str
     record, model = _curve(args, "szego check")
     try:
         cert = verify_szego_residues(model)
-    except (ValueError, ArithmeticError) as exc:
+    except DegenerateDivisor as exc:
         return _finish(record, args, {}, [_check("szego residues", "fail", str(exc))])
     data = {"diagonal": rat_str(cert.diagonal),
             "at_infinity": [rat_str(v) for v in cert.at_infinity]}

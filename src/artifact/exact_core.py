@@ -83,10 +83,10 @@ class Poly:
         return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
-    def var(cls, variables: Sequence[str], name: str, power: int = 1) -> "Poly":
+    def var(cls, variables: Sequence[str], name: str) -> "Poly":
         variables = tuple(variables)
         expo = [0] * len(variables)
-        expo[variables.index(name)] = power
+        expo[variables.index(name)] = 1
         return cls(variables, {tuple(expo): Fraction(1)})
 
     # -- basic queries ------------------------------------------------
@@ -96,10 +96,8 @@ class Poly:
         return not self.terms
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
         slot = self.vars.index(name)
-        return max(e[slot] for e in self.terms)
+        return max((e[slot] for e in self.terms), default=-1)
 
     def coeff(self, expo: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(expo), Fraction(0))
@@ -147,9 +145,6 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return Poly(self.vars, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -220,9 +215,7 @@ def poly_divmod_linear(p: Poly, name: str, root: Poly) -> Tuple[Poly, Poly]:
     if root.degree_in(name) > 0:
         raise ValueError(f"root {root} involves {name}")
     buckets = p.as_univar(name)
-    if not buckets:
-        return Poly(p.vars), Poly(p.vars)
-    top = max(buckets)
+    top = max(buckets, default=0)
     zero = Poly(p.vars)
     acc = zero
     slot = p.vars.index(name)

@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_linear, rat
 from .bracket_forge import BracketTensor, FamilyBasis
@@ -309,19 +309,6 @@ def _bracket_of_linear(T: BracketTensor, f: Sequence[Fraction],
     return Poly(ctx, terms)
 
 
-def _divide_linear_form(p: Poly, coeffs: Sequence[Fraction],
-                        ctx: Tuple[str, ...]) -> Optional[Poly]:
-    """Exact quotient of p by the monic linear form, or None.
-
-    With pivot the last nonzero coefficient, which is 1, the form is
-    phi_pivot - root for root = -sum_{i != pivot} c_i phi_i.
-    """
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    root = _linear_poly([-c if i != pivot else 0 for i, c in enumerate(coeffs)], ctx)
-    quotient, remainder = poly_divmod_linear(p, ctx[pivot], root)
-    return quotient if remainder.is_zero else None
-
-
 class RatioBracketValue(NamedTuple):
     """Bracket of two ratio functions, as numerator over form powers.
 
@@ -363,6 +350,12 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
             raise ZeroVector(f"{tag} denominator must be a nonzero form")
     if len(f) != T.n or len(g) != T.n:
         raise ValueError("numerator forms must match the tensor size")
+    # f/h = (f/l)/(h/l) for l the last nonzero coefficient of h, so both
+    # denominator forms are monic from the start.
+    lead_h = next(c for c in reversed(h) if c)
+    lead_e = next(c for c in reversed(e) if c)
+    f, h = [c / lead_h for c in f], [c / lead_h for c in h]
+    g, e = [c / lead_e for c in g], [c / lead_e for c in e]
     fp = _linear_poly(f, ctx)
     hp = _linear_poly(h, ctx)
     gp = _linear_poly(g, ctx)
@@ -372,21 +365,17 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
            - _bracket_of_linear(T, h, g, ctx) * ep * fp
            + _bracket_of_linear(T, h, e, ctx) * fp * gp)
     factors: Dict[Tuple[Fraction, ...], int] = {}
-    for coeffs in (h, e):
-        pivot = max(i for i, c in enumerate(coeffs) if c)
-        lead = coeffs[pivot]
-        monic = tuple(c / lead for c in coeffs)
-        num = num * (Fraction(1) / lead ** 2)
-        factors[monic] = factors.get(monic, 0) + 2
-    if num.is_zero:
-        return RatioBracketValue(num, (), ctx)
+    for coeffs in (tuple(h), tuple(e)):
+        factors[coeffs] = factors.get(coeffs, 0) + 2
     reduced: List[Tuple[Tuple[Fraction, ...], int]] = []
     for coeffs, power in factors.items():
-        while power > 0:
-            candidate = _divide_linear_form(num, coeffs, ctx)
-            if candidate is None:
+        pivot = max(i for i, c in enumerate(coeffs) if c)
+        root = Poly.var(ctx, ctx[pivot]) - _linear_poly(coeffs, ctx)
+        while power:
+            quotient, remainder = poly_divmod_linear(num, ctx[pivot], root)
+            if not remainder.is_zero:
                 break
-            num = candidate
+            num = quotient
             power -= 1
         if power:
             reduced.append((coeffs, power))

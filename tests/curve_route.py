@@ -284,7 +284,7 @@ def one(model: CurveModel) -> CurveElement:
 
 
 def t_elem(model: CurveModel, power: int = 1) -> CurveElement:
-    return CurveElement(model, Poly.var(model.tvars, "t", power))
+    return CurveElement(model, Poly.var(model.tvars, "t") ** power)
 
 
 def x_elem(model: CurveModel) -> CurveElement:

@@ -712,6 +712,23 @@ def test_szego_check_degenerate_curve_fails(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["checks"][0]["status"] == "fail"
 
 
+def test_szego_check_internal_error_is_not_a_check(tmp_path, monkeypatch, capsys):
+    """Only DegenerateDivisor is a failed certificate: any other ValueError
+    from the certificate is a config error, exit 2, with no check line."""
+    from artifact import curve_ring
+
+    def broken(model):
+        raise ValueError("internal slip")
+
+    monkeypatch.setattr(curve_ring, "verify_szego_residues", broken)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["szego", "check", "--parity", "even",
+                              "--P", "1,0,0,0,1", "--json"], capsys)
+    assert code == 2
+    assert "config error" in err and "internal slip" in err
+    assert out == ""
+
+
 def test_helix_table_transcript(tmp_path, monkeypatch, capsys):
     """The class table over a symmetric window matches the golden text."""
     monkeypatch.chdir(tmp_path)

@@ -135,7 +135,7 @@ def test_poly_with_context_rename_and_eval():
     assert with_context(mixed, bv, {"t1": "t2", "t2": "t1"}) == t2 ** 2 * t1 + 5 * t1 ** 3
     # exponents sent to one target add: the diagonal restriction
     merged = with_context(mixed + t1 * t2 ** 2 - t1 ** 3, ("t",), {"t1": "t", "t2": "t"})
-    assert merged == 6 * Poly.var(("t",), "t", 3)
+    assert merged == 6 * Poly.var(("t",), "t") ** 3
     assert with_context(t1 - t2, ("t",), {"t1": "t", "t2": "t"}).is_zero
     # c is used and has no target; unused variables are dropped
     with pytest.raises(VariableContextMismatch):
@@ -212,6 +212,27 @@ def test_poly_divmod_linear():
     q, r = poly_divmod_linear(p, "t", Poly.const(("t", "c"), 2))
     assert q == t ** 2 + c
     assert r == Poly.const(("t", "c"), 5)
+
+
+def test_poly_zero_paths_are_the_general_ones():
+    """A zero dividend divides to (0, 0), and the zero Poly has degree -1,
+    through the same code as any other Poly."""
+    vs = ("t", "c")
+    zero = Poly(vs)
+    assert poly_divmod_linear(zero, "t", Poly.var(vs, "c")) == (zero, zero)
+    assert zero.degree_in("t") == -1 and zero.degree_in("c") == -1
+
+
+def test_poly_scalar_product():
+    """Scalars multiply as constant Polys on either side; a bool is refused."""
+    t = Poly.var(("t", "c"), "t")
+    p = t ** 2 - 3 * t + Poly.var(("t", "c"), "c")
+    assert (p * 0).is_zero and (0 * p).is_zero
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p
+    assert (p * Fraction(1, 2)).coeff((1, 0)) == Fraction(-3, 2)
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            p * flag
 
 
 def test_poly_div_linear_power():

@@ -11,13 +11,12 @@ import pytest
 
 from artifact import poisson_verify
 from artifact.bracket_forge import BracketTensor, FamilyBasis, build_family, build_tensor
-from artifact.curve_ring import CurveModel
-from artifact.exact_core import Poly
+from artifact.curve_ring import CurveModel, section_slots
+from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.helix_k0 import generic_poisson_rank
 from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
-    _divide_linear_form,
     independence_rank,
     jacobi_check,
     rank_scan,
@@ -378,26 +377,29 @@ def test_ratio_bracket_odd_identity():
         assert val.den_factors == want.den_factors
 
 
-def test_divide_linear_form_exact_quotient():
+def test_linear_form_division_exact_quotient():
     """Division by a monic linear form with other terms, as ratio_bracket
-    passes it: the quotient of L * q is q, and L * q + 1 does not divide."""
+    runs it: with root = phi_pivot - L for the last coordinate as pivot,
+    L * q divides to (q, 0), and L * q + 1 leaves a nonzero remainder."""
     rng = random.Random(SEED + 5)
     ctx = ("x0", "x1", "x2", "x3")
     for _ in range(20):
         coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
         coeffs.append(F(1))
         form = sum((Poly.var(ctx, name) * c for name, c in zip(ctx, coeffs)), Poly(ctx))
+        root = Poly.var(ctx, "x3") - form
         q = _poly(ctx, {tuple(rng.randint(0, 2) for _ in ctx): F(rng.randint(-5, 5), rng.randint(1, 4))
                         for _ in range(4)})
-        assert _divide_linear_form(form * q, coeffs, ctx) == q
-        assert _divide_linear_form(form * q + 1, coeffs, ctx) is None
+        assert poly_divmod_linear(form * q, "x3", root) == (q, Poly(ctx))
+        assert not poly_divmod_linear(form * q + 1, "x3", root)[1].is_zero
 
 
 def test_ratio_bracket_antisymmetry_and_scaling():
     """Self-brackets vanish; common rescaling of a ratio changes nothing."""
     T = build_tensor(CurveModel.even(2, 0, [3]))
     e0, e1, e3 = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]
-    assert ratio_bracket(T, e0, e3, e0, e3).num.is_zero
+    self_bracket = ratio_bracket(T, e0, e3, e0, e3)
+    assert self_bracket.num.is_zero and self_bracket.den_factors == ()
     base = ratio_bracket(T, e0, e3, e1, e3)
     scaled = ratio_bracket(T, [2, 0, 0, 0], [0, 0, 0, 2], e1, e3)
     assert scaled.equals(base)
@@ -590,3 +592,66 @@ def test_rank_scan_generic_rank_on_seeded_curves(parity):
             T = build_tensor(CurveModel(parity, k, draw(3), draw(5 if parity == "even" else 4),
                                         c=c))
             assert rank_scan(T, 6, SEED).generic_rank == generic_poisson_rank(T.n, 1), (k, T)
+
+
+SECANT_Q = (1, -2, 3)
+SECANT_POINTS = ((0, 1), (1, 2), (2, -1), (3, 1), (-1, 2))
+
+
+def _interpolate(points, value):
+    """Ascending coefficients of the polynomial of degree < len(points)
+    that takes value(t, x) at t for each point (t, x)."""
+    out = [F(0)] * len(points)
+    for j, (tj, xj) in enumerate(points):
+        basis, scale = [F(1)], F(value(tj, xj))
+        for m, (tm, _) in enumerate(points):
+            if m != j:
+                basis = [a - tm * b for a, b in zip([F(0)] + basis, basis + [F(0)])]
+                scale /= tj - tm
+        out = [o + scale * b for o, b in zip(out, basis)]
+    return out
+
+
+def _secant_ranks(model, points):
+    """Point rank of build(model) at sum_{i<p} (i+2)/(i+3) v(p_i), p = 1..len(points),
+    where v(t, x) = (t^i x^u) in section_slots order."""
+    T = build_tensor(model)
+    slots = section_slots(model.parity, model.k_param)
+    phi, ranks = [F(0)] * T.n, []
+    for i, (t, x) in enumerate(points):
+        for (u, power), index in slots.items():
+            phi[index] += F(i + 2, i + 3) * F(t) ** power * F(x) ** u
+        ranks.append(rank_at_point(T, phi))
+    return ranks
+
+
+def _q_at(t):
+    return sum(q * t ** i for i, q in enumerate(SECANT_Q))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_even_rank_on_secant_points(k):
+    """Even builds drop to rank 2(p - 1) on the p-secant variety of their
+    own curve x^2 = Qx + P, up to the generic n - 2."""
+    P = _interpolate(SECANT_POINTS, lambda t, x: x * x - _q_at(t) * x)
+    n = 2 * k
+    assert _secant_ranks(CurveModel.even(k, SECANT_Q, P), SECANT_POINTS) == [
+        min(2 * (p - 1), n - 2) for p in range(1, 6)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("c", [F(0), F(1, 2), F(1)])
+def test_odd_rank_on_secant_points(k, c):
+    """Odd builds drop to rank 2(p - 1) on the p-secant variety of
+    C'_k: (t + c') x^2 = s (Qx + P), s = (2k+1)/(2k-1), c' = s c + 2/(2k-1),
+    up to the generic n - 1; on their own curve (t + c) x^2 = Qx + P
+    the rank at a point of the curve is 2, not 0."""
+    points = SECANT_POINTS[:4]
+    s = F(2 * k + 1, 2 * k - 1)
+    c_prime = s * c + F(2, 2 * k - 1)
+    P = _interpolate(points, lambda t, x: (t + c_prime) * x * x / s - _q_at(t) * x)
+    n = 2 * k + 1
+    assert _secant_ranks(CurveModel.odd(k, c, SECANT_Q, P), points) == [
+        min(2 * (p - 1), n - 1) for p in range(1, 5)]
+    own_P = _interpolate(points, lambda t, x: (t + c) * x * x - _q_at(t) * x)
+    assert _secant_ranks(CurveModel.odd(k, c, SECANT_Q, own_P), points)[0] == 2
