@@ -365,30 +365,32 @@ def _five_term_forms(slots: Dict[Slot, int], curve: KernelCurve,
     return pi
 
 
-def _tau(parity: str, n: int, c: Scalar) -> List[Scalar]:
-    """tau of the assembly: 1 (even), or t + c - (2/n) (t - 1), the odd
-    curve's t + c with the recentering correction folded in (build_tensor)."""
-    return [1] if parity == "even" else [c + Fraction(2, n), 1 - Fraction(2, n)]
+def _tau(tau: Sequence[Scalar], n: int) -> List[Scalar]:
+    """tau - (2/n) (tau - tau(1)): the recentering correction of build_tensor
+    folded into tau, [c + 2/n, 1 - 2/n] for the odd t + c, 1 for the even 1."""
+    s = Fraction(2, n)
+    out = [(1 - s) * v for v in tau]
+    out[0] += s * sum(tau)
+    return out
 
 
 def build_tensor(model: CurveModel) -> BracketTensor:
     """Bracket tensor of the curve on its level-k coordinate space.
 
-    Even parity: strict five-term assembly (every component must land in
-    the section basis, otherwise TensorNotInSectionSpace).  Odd parity:
-    the truncated five-term assembly W(c, Q, P) plus the fixed recentering
-    correction -(2/n) W(-1, 0, 0), as one assembly: W is linear in the
-    lists at the pole t = -c and its pole part vanishes for Q = P = 0, so
-    the sum is W at tau = t + c - (2/n) (t - 1) = [c + 2/n, 1 - 2/n].  With
-    it the odd tensor matches the chart brackets and satisfies Jacobi.
+    Even parity, no pole: strict five-term assembly (every component must
+    land in the section basis, otherwise TensorNotInSectionSpace).  Odd
+    parity: the truncated five-term assembly W(c, Q, P) plus the fixed
+    recentering correction -(2/n) W(-1, 0, 0), as one assembly: W is linear
+    in the lists at the pole t = -c and its pole part vanishes for Q = P = 0,
+    so the sum is W at tau - (2/n) (tau - tau(1)) (_tau), which leaves the
+    even tau = 1 as it is.  With it the odd tensor satisfies Jacobi.
     """
     slots = section_slots(model.parity, model.k_param)
-    curve = (_tau(model.parity, len(slots), model.c), [q / 2 for q in model.Q], model.P)
-    odd = model.parity == "odd"
+    curve = (_tau(model.tau, len(slots)), [q / 2 for q in model.Q], model.P)
     return BracketTensor(model.parity, model.k_param, len(slots),
-                         _five_term_forms(slots, curve, model.c if odd else None),
-                         dict(model.to_json(),
-                              assembly="five-term, pole-corrected" if odd else "five-term"))
+                         _five_term_forms(slots, curve, model.c),
+                         dict(model.to_json(), assembly="five-term" if model.c is None
+                              else "five-term, pole-corrected"))
 
 
 def build_family(parity: str, k: int) -> FamilyBasis:
@@ -403,7 +405,7 @@ def build_family(parity: str, k: int) -> FamilyBasis:
     """
     slots = section_slots(parity, k)
     c = None if parity == "even" else 0
-    members = [("const", (_tau(parity, len(slots), 0), [], []))]
+    members = [("const", (_tau([1] if c is None else [c, 1], len(slots)), [], []))]
     members += [("c", ([1], [], []))] if parity == "odd" else []
     members += [(f"Q:t^{i}", ([], [0] * i + [Fraction(1, 2)], [])) for i in range(Q_LEN)]
     members += [(f"P:t^{j}", ([], [], [0] * j + [1])) for j in range(P_LEN[parity])]

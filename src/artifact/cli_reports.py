@@ -72,22 +72,17 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
     return coeffs
 
 
-def _pole_parameter(args) -> Optional[Fraction]:
-    """--c for the odd parity; the even parity has none, so the record
-    holds None there and CurveModel rejects a nonzero --c."""
-    c = _parse_rational(args.c, "--c")
-    return c if args.parity == "odd" or c else None
-
-
 def _curve(args, command: str):
-    """The run's record and the CurveModel of the curve options."""
+    """The run's record and the CurveModel of the curve options; the record
+    holds the model's c, None in the even parity, which rejects a nonzero --c."""
     from .curve_ring import P_LEN, Q_LEN, CurveModel
     a0 = _parse_rational(args.a0, "--a0")
     record = {"command": command, "parity": args.parity, "k": args.k,
               "q": _parse_coeffs(args.Q, a0, Q_LEN, "--Q"),
-              "p": _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P"),
-              "c": _pole_parameter(args)}
-    return record, CurveModel(args.parity, args.k, record["q"], record["p"], c=record["c"])
+              "p": _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P")}
+    model = CurveModel(args.parity, args.k, record["q"], record["p"],
+                       c=_parse_rational(args.c, "--c"))
+    return dict(record, c=model.c), model
 
 
 def _resolve_out(path: Optional[str], default_name: str) -> str:
@@ -243,23 +238,22 @@ def _run_verify_independence(args) -> int:
 
 def _run_verify_linearity(args) -> int:
     from .bracket_forge import build_tensor
-    from .curve_ring import P_LEN, Q_LEN, CurveModel
+    from .curve_ring import CurveModel
     if args.samples < 1:
         raise ConfigError("samples must be positive")
-    c = _pole_parameter(args)
-    record = {"command": "verify linearity", "parity": args.parity, "k": args.k, "c": c,
-              "seed": args.seed, "samples": args.samples}
+    zero = CurveModel(args.parity, args.k, 0, 0, c=_parse_rational(args.c, "--c"))
+    record = {"command": "verify linearity", "parity": args.parity, "k": args.k,
+              "c": zero.c, "seed": args.seed, "samples": args.samples}
     rng = random.Random(args.seed)
-    p_len = P_LEN[args.parity]
 
     def tensor(q, p):
-        return build_tensor(CurveModel(args.parity, args.k, q, p, c=c))
+        return build_tensor(CurveModel(args.parity, args.k, q, p, c=zero.c))
 
     def draw() -> Tuple[List[int], List[int]]:
-        return ([rng.randrange(-3, 4) for _ in range(Q_LEN)],
-                [rng.randrange(-3, 4) for _ in range(p_len)])
+        return ([rng.randrange(-3, 4) for _ in zero.Q],
+                [rng.randrange(-3, 4) for _ in zero.P])
 
-    base = tensor([0] * Q_LEN, [0] * p_len)
+    base = build_tensor(zero)
     failed = None
     for index in range(args.samples):
         q1, p1 = draw()

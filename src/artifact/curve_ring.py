@@ -14,8 +14,10 @@ S = (w1 + w2)/(t1 - t2) and the canonical derivation, off x-coordinates
 of basis monomials in closed form.  The residues of S are proved in
 closed form here.
 
-Curves are numeric: a model keeps Q and P as tuples of their rational
-coefficients in t, and forms the polynomial R only when it is read.  The
+Curves are numeric: a model keeps tau, Q and P of tau x^2 = Q x + P as
+tuples of their rational coefficients in t, tau = (1,) even or (c, 1)
+odd (c is None in the even parity, which has no pole), and forms the
+polynomial R only when it is read.  The
 module owns the shape rules every other module reads: Q_LEN and P_LEN
 count the coefficients of Q and P, and section_slots(parity, k) orders
 the level-k section basis, of size dimension(parity, k), that all its
@@ -79,9 +81,10 @@ class CurveModel:
         if parity == "even":
             if c not in (None, 0):
                 raise ValueError("the even parity has no pole parameter c")
-            self.c = Fraction(0)
+            self.c, self.tau = None, (Fraction(1),)
         else:
             self.c = rat(0 if c is None else c)
+            self.tau = (self.c, Fraction(1))
 
     @classmethod
     def even(cls, k_param: int, Q: Coefficients, P: Coefficients) -> "CurveModel":
@@ -91,19 +94,12 @@ class CurveModel:
     def odd(cls, k_param: int, c: RationalLike, Q: Coefficients, P: Coefficients) -> "CurveModel":
         return cls("odd", k_param, Q, P, c=c)
 
-    def tau_poly(self) -> Poly:
-        """tau of the curve tau x^2 = Q x + P: 1 (even) or the linear
-        factor t + c (odd), whose zero is the pole locus."""
-        if self.parity == "even":
-            return Poly.const(self.tvars, 1)
-        return Poly.var(self.tvars, "t") + Poly.const(self.tvars, self.c)
-
     @property
     def R(self) -> Poly:
         """R = tau P + Q^2/4 of w^2 = R(t), formed when read."""
-        q, p = (Poly(self.tvars, {(i,): v for i, v in enumerate(part)})
-                for part in (self.Q, self.P))
-        return self.tau_poly() * p + q * q * Fraction(1, 4)
+        tau, q, p = (Poly(self.tvars, {(i,): v for i, v in enumerate(part)})
+                     for part in (self.tau, self.Q, self.P))
+        return tau * p + q * q * Fraction(1, 4)
 
     def __repr__(self) -> str:
         return f"CurveModel({self.to_json()})"
@@ -115,7 +111,7 @@ class CurveModel:
             "Q": [rat_str(v) for v in self.Q],
             "P": [rat_str(v) for v in self.P],
         }
-        if self.parity == "odd":
+        if self.c is not None:
             out["c"] = rat_str(self.c)
         return out
 

@@ -166,7 +166,7 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented

@@ -95,7 +95,7 @@ class BiCurveElement:
         d1, d2 = m1 - self.m1, m2 - self.m2
         if d1 < 0 or d2 < 0:
             raise ValueError("cannot lower pole orders")
-        tau = self.model.tau_poly()
+        tau = t_poly(self.model.tau)
         factor = self.slot_poly(tau, "t1") ** d1 * self.slot_poly(tau, "t2") ** d2
         return [p * factor for p in self.coeffs]
 
@@ -191,8 +191,8 @@ def bicurve_x_blocks(bi: BiCurveElement) -> Tuple[Poly, Poly, Poly, Poly]:
     C = bi.c01 - bi.c11 * Q1 * half
     D = bi.c11
     if model.parity == "odd":
-        tau1 = bi.slot_poly(model.tau_poly(), "t1")
-        tau2 = bi.slot_poly(model.tau_poly(), "t2")
+        tau1 = bi.slot_poly(t_poly(model.tau), "t1")
+        tau2 = bi.slot_poly(t_poly(model.tau), "t2")
         B, C, D = B * tau1, C * tau2, D * tau1 * tau2
     return A, B, C, D
 
@@ -202,7 +202,7 @@ def pair_grid(bi: BiCurveElement) -> Tuple[Grid, List[str]]:
     kept, and the nonzero pole remainders.  Each block is divided once by
     (t1+c)^m1 (t2+c)^m2; the (t1, t2) exponents of the quotient are the
     t-powers of the two slots."""
-    root = -bi.model.c
+    root = -(bi.model.c or 0)
     grid: Grid = {}
     problems: List[str] = []
     for ((u, v), tag), block in zip(_BLOCK_TAGS.items(), bicurve_x_blocks(bi)):
@@ -267,7 +267,7 @@ def division_kernel_grid(sa: Slot, sb: Slot, model: CurveModel) -> Grid:
     synthetic division with the Poly root t2."""
     (u, i), (v, j) = sa, sb
     sides = [[with_context(p, _BIVARS, {"t": var})
-              for p in (model.tau_poly(), t_poly(model.Q), t_poly(model.P))]
+              for p in (t_poly(model.tau), t_poly(model.Q), t_poly(model.P))]
              for var in _BIVARS]
     const = (sides[0][1] + sides[1][1]) * Fraction(-1, 2)
     product = {(u, v): Poly(_BIVARS, {(i, j): 1})}
@@ -319,10 +319,7 @@ def own_curve(model: CurveModel) -> Tuple[KernelCurve, Optional[Fraction]]:
     """The lists (tau, Q/2, P) of the model's own curve, tau = 1 (even) or
     t + c (odd) with no recentering, and the assembly's pole: c (odd) or
     None (even)."""
-    half_q, p = [q / 2 for q in model.Q], model.P
-    if model.parity == "even":
-        return ([1], half_q, p), None
-    return ([model.c, 1], half_q, p), model.c
+    return (model.tau, [q / 2 for q in model.Q], model.P), model.c
 
 
 def family_by_subtraction(parity: str, k: int) -> FamilyBasis:

@@ -176,7 +176,7 @@ class CurveElement:
         if alpha.is_zero and beta.is_zero:
             denom_power = 0
         (self.alpha, self.beta), self.denom_power = cancel_poles(
-            [alpha, beta], "t", -model.c, denom_power)
+            [alpha, beta], "t", -(model.c or 0), denom_power)
 
     @property
     def is_zero(self) -> bool:
@@ -189,7 +189,7 @@ class CurveElement:
             raise ValueError("cannot lower a denominator")
         if d == 0:
             return self.alpha, self.beta
-        tau = self.model.tau_poly() ** d
+        tau = t_poly(self.model.tau) ** d
         return self.alpha * tau, self.beta * tau
 
     def _coerce(self, other) -> "CurveElement":
@@ -231,7 +231,7 @@ class CurveElement:
             return NotImplemented
         a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
         # (a1 + b1 z)(a2 + b2 z) with z = tau x, so z^2 = Q z + tau P
-        const = a1 * a2 + b1 * b2 * self.model.tau_poly() * t_poly(self.model.P)
+        const = a1 * a2 + b1 * b2 * t_poly(self.model.tau) * t_poly(self.model.P)
         lin = a1 * b2 + a2 * b1 + b1 * b2 * t_poly(self.model.Q)
         return CurveElement(self.model, const, lin, self.denom_power + other.denom_power)
 
@@ -256,7 +256,7 @@ class CurveElement:
         """(A, B, m) with the element equal to (A + B * x) / (t+c)^m."""
         if self.model.parity == "even":
             return self.alpha, self.beta, 0
-        return self.alpha, self.beta * self.model.tau_poly(), self.denom_power
+        return self.alpha, self.beta * t_poly(self.model.tau), self.denom_power
 
     def __str__(self) -> str:
         gen = "x" if self.model.parity == "even" else "z"
@@ -299,7 +299,7 @@ def defining_poly(model: CurveModel) -> Poly:
     ctx = ("t", "x")
     x = Poly.var(ctx, "x")
     tau, Q, P = (with_context(p, ctx)
-                 for p in (model.tau_poly(), t_poly(model.Q), t_poly(model.P)))
+                 for p in (t_poly(model.tau), t_poly(model.Q), t_poly(model.P)))
     return tau * x * x - Q * x - P
 
 
@@ -366,7 +366,7 @@ def curve_derivation(e: CurveElement) -> CurveElement:
         const = -da * Q + 2 * db * P + b * dP
         lin = 2 * da + db * Q + b * dQ
         return CurveElement(model, const, lin)
-    tau = model.tau_poly()
+    tau = t_poly(model.tau)
     const = tau * (2 * db * tau * P + b * P + b * tau * dP - da * Q) - m * (2 * b * tau * P - a * Q)
     lin = tau * (2 * da + db * Q + b * dQ) - m * (2 * a + b * Q)
     return CurveElement(model, const, lin, m + 1)
@@ -438,7 +438,7 @@ def section_coords(e: CurveElement) -> Tuple[Dict[Slot, Fraction], Optional[str]
     coords: Dict[Slot, Fraction] = {}
     poles = []
     for u, block in ((0, A), (1, B)):
-        q, r = poly_div_linear_power(block, "t", -e.model.c, m)
+        q, r = poly_div_linear_power(block, "t", -(e.model.c or 0), m)
         if not r.is_zero:
             poles.append(f"{'x' if u else '1'} block {r}")
         for (i,), val in q.terms.items():

@@ -328,6 +328,11 @@ def test_residue_degenerate_divisor():
 
 
 def test_residue_random_nondegenerate():
+    """A model keeps tau = (1,) and no c (even) or tau = (c, 1) (odd, c = 0
+    kept as 0), and R = tau P + Q^2/4 read off those lists; every curve
+    with a t^4 term in R has the normalized residues."""
+    assert CurveModel("even", 1, 0, 0, c=0).c is None
+    assert CurveModel.odd(1, 0, 0, 0).tau == (0, 1) and CurveModel.odd(1, 0, 0, 0).c == 0
     rng = random.Random(SEED)
     for parity in ("even", "odd"):
         done = 0
@@ -337,8 +342,12 @@ def test_residue_random_nondegenerate():
             p = [Fraction(rng.randrange(-4, 5)) for _ in range(pdeg)]
             if parity == "even":
                 model = CurveModel.even(2, q, p)
+                assert model.tau == (1,) and model.c is None
             else:
-                model = CurveModel.odd(2, Fraction(rng.randrange(-2, 3)), q, p)
+                c = Fraction(rng.randrange(-2, 3))
+                model = CurveModel.odd(2, c, q, p)
+                assert model.tau == (c, 1) and isinstance(model.c, Fraction)
+            assert model.R == t_poly(model.tau) * t_poly(p) + t_poly(q) ** 2 * Fraction(1, 4)
             if not model.R.coeff((4,)):
                 continue
             cert = verify_szego_residues(model)

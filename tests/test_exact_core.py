@@ -144,10 +144,16 @@ def test_poly_with_context_rename_and_eval():
 
 
 def test_poly_context_mismatch_raises():
+    """Arithmetic across variable contexts raises; comparison answers False,
+    across contexts and against a bool, and reads an int as a constant."""
     a = Poly.var(("t",), "t")
     b = Poly.var(("s",), "s")
     with pytest.raises(VariableContextMismatch):
         a + b
+    assert (a == b) is False and (a != b) is True
+    assert (a == True) is False and (a != True) is True  # noqa: E712
+    assert (Poly.const(("t",), 1) == True) is False  # noqa: E712
+    assert Poly.const(("t",), 1) == 1 and Poly.const(("t",), 0) == 0
 
 
 def test_poly_is_immutable():

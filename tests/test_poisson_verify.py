@@ -26,7 +26,7 @@ from artifact.poisson_verify import (
 
 from chart_route import (all_charts_jacobi_zero, chart_rank, chart_witness, descend_to_chart,
                          euler_tensor, form, jacobiator, rank_at_point, wedge_certificate)
-from curve_route import eval_all
+from curve_route import eval_all, t_poly, with_context
 
 F = Fraction
 
@@ -655,3 +655,53 @@ def test_odd_rank_on_secant_points(k, c):
         min(2 * (p - 1), n - 1) for p in range(1, 5)]
     own_P = _interpolate(points, lambda t, x: (t + c) * x * x - _q_at(t) * x)
     assert _secant_ranks(CurveModel.odd(k, c, SECANT_Q, own_P), points)[0] == 2
+
+
+def _p1_failures(T, tau, Q, P):
+    """Number of triples a < b < c on which E ^ pi of T does not vanish on
+    the curve tau x^2 = Qx + P.  With v = (t^i x^u) in section_slots order,
+    f = v_a pi^bc(v) - v_b pi^ac(v) + v_c pi^ab(v) = f0 + f1 x + f2 x^2 + f3 x^3,
+    and tau^2 f reduces on the curve to A + B x with
+    A = tau^2 f0 + tau P f2 + Q P f3 and B = tau^2 f1 + tau Q f2 + (Q^2 + tau P) f3;
+    the triple passes when A and B vanish in Q[t]."""
+    ctx = ("t", "x")
+    v = [Poly(ctx, {(i, u): 1}) for u, i in section_slots(T.parity, T.k)]
+    pi = {pair: sum((v[a] * v[b] * val for (a, b), val in form.items()), Poly(ctx))
+          for pair, form in T.pi.items()}
+    tau, Q, P = (with_context(t_poly(part), ctx) for part in (tau, Q, P))
+    failed = 0
+    for a, b, c in combinations(range(T.n), 3):
+        f = sum((v[x] * pi[pair] * sign for x, pair, sign in
+                 ((a, (b, c), 1), (b, (a, c), -1), (c, (a, b), 1)) if pair in pi), Poly(ctx))
+        f0, f1, f2, f3 = (Poly(ctx, {(i, 0): val for (i, u), val in f.terms.items() if u == d})
+                          for d in range(4))
+        A = tau * tau * f0 + tau * P * f2 + Q * P * f3
+        B = tau * tau * f1 + tau * Q * f2 + (Q * Q + tau * P) * f3
+        failed += not (A.is_zero and B.is_zero)
+    return failed
+
+
+@pytest.mark.parametrize("k,moved", [(2, 3), (3, 16), (4, 45)])
+def test_even_build_is_rank_zero_on_its_curve(k, moved):
+    """E ^ pi of an even build vanishes on its own curve x^2 = Qx + P, exactly
+    in Q[t] for every triple (p = 1); with P_0 moved by 1, `moved` of the
+    C(2k, 3) triples fail.  k = 1 has no triple, so it certifies nothing."""
+    model = CurveModel.even(k, SECANT_Q, (2, 1, -1, 3, 1))
+    T = build_tensor(model)
+    assert _p1_failures(T, model.tau, model.Q, model.P) == 0
+    assert _p1_failures(T, model.tau, model.Q, (model.P[0] + 1,) + model.P[1:]) == moved
+
+
+@pytest.mark.parametrize("k,own", [(1, 1), (2, 9), (3, 30), (4, 70)])
+@pytest.mark.parametrize("c", [F(0), F(1, 2), F(1)])
+def test_odd_build_is_rank_zero_on_c_prime(k, own, c):
+    """E ^ pi of an odd build vanishes on C'_k: (t + c') x^2 = s (Qx + P),
+    s = (2k+1)/(2k-1), c' = s c + 2/(2k-1), exactly in Q[t] for every
+    triple (p = 1); on its own curve (t + c) x^2 = Qx + P, `own` of the C(2k+1, 3)
+    triples fail."""
+    model = CurveModel.odd(k, c, SECANT_Q, (2, 1, -1, 3))
+    T = build_tensor(model)
+    s = F(2 * k + 1, 2 * k - 1)
+    c_prime = s * c + F(2, 2 * k - 1)
+    assert _p1_failures(T, (c_prime, 1), [s * q for q in model.Q], [s * p for p in model.P]) == 0
+    assert _p1_failures(T, model.tau, model.Q, model.P) == own
