@@ -161,7 +161,7 @@ class BracketTensor:
                 mono = (_json_int(item["u"]), _json_int(item["v"]))
                 if mono in form:
                     raise ValueError(f"pair {pair}: monomial {mono} listed twice")
-                form[mono] = _json_rational(item["val"])
+                form[mono] = rat(item["val"])
             pi[pair] = form
         return cls(data["parity"], _json_int(data["k"]), _json_int(data["n"]), pi,
                    data.get("curve"))
@@ -177,15 +177,6 @@ def _json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"index {value!r} is not an integer")
     return value
-
-
-def _json_rational(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"coefficient {value!r} is neither an integer nor a rational string")
-    try:
-        return rat(value)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"coefficient {value!r} has a zero denominator") from exc
 
 
 class FamilyBasis:

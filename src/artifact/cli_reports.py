@@ -56,7 +56,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
     from .exact_core import rat
     try:
         return rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what}: cannot read {text!r} as a rational") from exc
 
 
@@ -103,31 +103,26 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_json(path: str, what: str) -> dict:
-    """The JSON file at path; ConfigError if it is missing, not JSON, or
-    repeats a key in one object, since the reader would keep only the last."""
+def _load_artifact(path: str, cls, what: str):
+    """cls.from_json of the JSON file at path; ConfigError naming `what`
+    (tensor or family) if it is missing, not JSON or malformed, or repeats
+    a key in one object (the reader would keep only the last)."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
             from collections import Counter
             counts = Counter(key for key, _ in pairs)
             repeated = next(key for key, count in counts.items() if count > 1)
-            raise ConfigError(f"{what} repeats the key {repeated!r}: {path}")
+            raise ConfigError(f"{what} artifact repeats the key {repeated!r}: {path}")
         return obj
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{what} not found: {path}") from exc
+        raise ConfigError(f"{what} artifact not found: {path}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {path} ({exc})") from exc
-
-
-def _load_artifact(path: str, cls, what: str):
-    """cls.from_json of the JSON file at path; ConfigError naming `what`
-    (tensor or family) if it is missing, not JSON or malformed."""
-    data = _load_json(path, f"{what} artifact")
+        raise ConfigError(f"{what} artifact is not valid JSON: {path} ({exc})") from exc
     try:
         return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -269,8 +264,6 @@ def _run_verify_linearity(args) -> int:
 def _run_rank_scan(args) -> int:
     from .bracket_forge import BracketTensor
     from .poisson_verify import rank_scan
-    if args.samples < 1:
-        raise ConfigError("samples must be positive")
     record = {"command": "rank scan", "source": args.source, "seed": args.seed,
               "samples": args.samples, "out": args.out}
     tensor = _load_artifact(args.source, BracketTensor, "tensor")

@@ -23,13 +23,13 @@ class VariableContextMismatch(ValueError):
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
-    ValueError on anything else, a bool included: Fraction would also read
-    bools, floats, Decimals, decimal strings and exponents, the last with
-    10**exp computed with no digit limit."""
+    ValueError on anything else, a bool or a zero denominator included:
+    Fraction would also read bools, floats, Decimals, decimal strings and
+    exponents, the last with 10**exp computed with no digit limit."""
     if isinstance(value, Fraction):
         return value
     if (isinstance(value, int) and not isinstance(value, bool)) or (
-            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value.strip())):
+            isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", value.strip())):
         return Fraction(value)
     raise ValueError(f"cannot read {value!r} as an integer or p/q")
 

@@ -685,6 +685,22 @@ def test_rank_scan_transcript(tmp_path, monkeypatch, capsys):
     check_golden("rank_hist.csv", Path("rank_hist.csv").read_text())
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "scan", "--in", "tensor.json", "--samples", "0"],
+    ["verify", "linearity", "--parity", "even", "--k", "2", "--samples", "0"],
+], ids=["rank-scan", "linearity"])
+def test_sample_count_below_one_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    """Zero samples exits 2 with no report, no traceback and no file
+    written: rank_scan bounds its own samples, linearity checks its loop."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(BUILD_EVEN, capsys)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(argv + ["--json"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("config error: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_szego_check_even_transcript(tmp_path, monkeypatch, capsys):
     """Quartic even curve certifies residues 1 and (1/2, 1/2)."""
     monkeypatch.chdir(tmp_path)

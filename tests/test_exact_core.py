@@ -39,7 +39,8 @@ def test_rational_coercion_and_serialization():
     assert rat_str(Fraction(-1, 2)) == "-1/2"
     assert rat_str(0) == "0/1"
     assert rat(" 7/2 ") == Fraction(7, 2) and rat("+4/6") == Fraction(2, 3) and rat("-3") == -3
-    for text in ("1e3", "3.5", "1/2/3", "0x10", "1_000", "2/-3", ""):
+    assert rat("3/007") == Fraction(3, 7)
+    for text in ("1e3", "3.5", "1/2/3", "0x10", "1_000", "2/-3", "", "1/0", "0/00", "-3/000"):
         with pytest.raises(ValueError):
             rat(text)
     # Fraction would compute 10**4000000 here; rat refuses before any work.
@@ -57,7 +58,7 @@ def test_rat_refuses_inexact_and_symbolic_values():
                   Poly.const(("t",), 1)):
         with pytest.raises(ValueError):
             rat(value)
-    for Q in ([0.1, 0, 0], [True, 0, 0]):
+    for Q in ([0.1, 0, 0], [True, 0, 0], ["1/0", 0, 0]):
         with pytest.raises(ValueError):
             CurveModel.even(2, Q, [1, 0, 0, 0, 1])
 

@@ -17,6 +17,7 @@ from artifact.helix_k0 import generic_poisson_rank
 from artifact.poisson_verify import (
     RatioBracketValue,
     ZeroVector,
+    _lift,
     independence_rank,
     jacobi_check,
     rank_scan,
@@ -705,3 +706,60 @@ def test_odd_build_is_rank_zero_on_c_prime(k, own, c):
     c_prime = s * c + F(2, 2 * k - 1)
     assert _p1_failures(T, (c_prime, 1), [s * q for q in model.Q], [s * p for p in model.P]) == 0
     assert _p1_failures(T, model.tau, model.Q, model.P) == own
+
+
+def _symmetry_rows(members):
+    """Rows of (L_X pi~_i)^{ab} - sum_j C_ij pi~_j^{ab}, one per (member i,
+    pair a < b, quadratic monomial), over the unknowns A in gl_n (column
+    r n + s for A_rs) and C in Q^{9x9} (column n^2 + 9 i + j), where pi~_i
+    is the lift of member i, X^c = sum_j A_cj x_j and
+    (L_X pi)^{ab} = sum_c X^c d_c pi^{ab} - sum_c A_ac pi^{cb} - sum_c A_bc pi^{ac}."""
+    n = members[0].n
+    lifts = [_lift(T)[1] for T in members]
+    rows = {}
+
+    def add(i, pair, u, w, col, val):
+        row = rows.setdefault((i, pair, (min(u, w), max(u, w))), {})
+        row[col] = row.get(col, 0) + val
+
+    def form(forms, a, b):
+        if a < b:
+            return forms.get((a, b), {}).items()
+        return [(mono, -val) for mono, val in forms.get((b, a), {}).items()]
+
+    for i, forms in enumerate(lifts):
+        for a, b in combinations(range(n), 2):
+            for (u, w), val in form(forms, a, b):
+                for j in range(n):
+                    add(i, (a, b), j, w, u * n + j, val)
+                    add(i, (a, b), j, u, w * n + j, val)
+            for c in range(n):
+                for (u, w), val in form(forms, c, b):
+                    add(i, (a, b), u, w, a * n + c, -val)
+                for (u, w), val in form(forms, a, c):
+                    add(i, (a, b), u, w, b * n + c, -val)
+            for j, other in enumerate(lifts):
+                for (u, w), val in form(other, a, b):
+                    add(i, (a, b), u, w, n * n + 9 * i + j, -val)
+    return n * n + 9 * len(lifts), list(rows.values())
+
+
+@pytest.mark.parametrize("parity,k,nullity", [("odd", 1, 7), ("odd", 2, 7),
+                                              ("even", 2, 8), ("even", 3, 8)])
+def test_span_symmetry_algebra_is_aut_plus_euler(parity, k, nullity):
+    """The linear vector fields X with L_X(span) inside the span of the
+    family's lifted members form Lie Aut(S) + <E>: dimension 6 + 1 for the
+    odd span (S = F_1) and 7 + 1 for the even one (S = F_2).  The members
+    are independent, so the solutions (A, C) map one to one onto their A.
+    The Euler field, A = I and C = 0, solves every row."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    members = build_family(parity, k).tensors
+    n = members[0].n
+    cols, rows = _symmetry_rows(members)
+    assert all(sum(row.get(r * n + r, 0) for r in range(n)) == 0 for row in rows)
+    QQ = sympy.QQ
+    entries = [{c: QQ(v) for c, v in row.items() if v} for row in rows]
+    matrix = DomainMatrix(dict(enumerate(filter(None, entries))), (len(rows), cols), QQ)
+    assert cols - matrix.rank() == nullity

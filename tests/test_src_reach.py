@@ -17,8 +17,8 @@ referenced by other src code or imported by the acceptance tests, every
 name a module imports is referenced in it, every parameter is read in its
 function's body, protocol dunders aside, every attribute a src class sets
 on self is loaded by src or the acceptance tests, unless UNREAD_ATTRIBUTES
-names it, only exact_core splits a rational into integers, and the
-assembly does no Poly arithmetic.
+names it, only exact_core splits a rational into integers or names
+ZeroDivisionError, and the assembly does no Poly arithmetic.
 """
 
 import ast
@@ -366,6 +366,16 @@ def test_only_exact_core_splits_rationals():
                 split |= {f"{module}:{node.lineno} import {alias.name}"
                           for alias in node.names if alias.name == "lcm"}
     assert split == set()
+
+
+def test_only_exact_core_names_zero_division():
+    """Outside exact_core no src module names ZeroDivisionError: rat
+    refuses a zero denominator with ValueError, so a reader of outside
+    input has no second error to catch or wrap."""
+    named = {f"{module}:{node.lineno}" for module, _, tree in _modules()
+             if module != "exact_core" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "ZeroDivisionError"}
+    assert named == set()
 
 
 def test_assembly_does_no_poly_arithmetic():
