@@ -34,10 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 ENV_OUT_DIR = "ARTIFACT_OUT_DIR"
 
 
-class ConfigError(ValueError):
-    """Invalid command-line configuration."""
-
-
 def _digest(record: dict) -> str:
     """First 12 hex digits of the SHA-256 of a run's record as sorted JSON,
     None values dropped and rationals written "p/q".  Every record carries
@@ -57,7 +53,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return rat(text)
     except ValueError as exc:
-        raise ConfigError(f"{what}: cannot read {text!r} as a rational") from exc
+        raise ValueError(f"{what}: cannot read {text!r} as a rational") from exc
 
 
 def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fraction, ...]:
@@ -68,7 +64,7 @@ def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fract
         return (Fraction(0),)
     coeffs = tuple(_parse_rational(tok, what) for tok in text.split(","))
     if len(coeffs) > limit:
-        raise ConfigError(f"{what}: got {len(coeffs)} coefficients, at most {limit} allowed")
+        raise ValueError(f"{what}: got {len(coeffs)} coefficients, at most {limit} allowed")
     return coeffs
 
 
@@ -104,7 +100,7 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
 
 
 def _load_artifact(path: str, cls, what: str):
-    """cls.from_json of the JSON file at path; ConfigError naming `what`
+    """cls.from_json of the JSON file at path; ValueError naming `what`
     (tensor or family) if it is missing, not JSON or malformed, or repeats
     a key in one object (the reader would keep only the last)."""
     def unique_keys(pairs):
@@ -113,20 +109,20 @@ def _load_artifact(path: str, cls, what: str):
             from collections import Counter
             counts = Counter(key for key, _ in pairs)
             repeated = next(key for key, count in counts.items() if count > 1)
-            raise ConfigError(f"{what} artifact repeats the key {repeated!r}: {path}")
+            raise ValueError(f"{what} artifact repeats the key {repeated!r}: {path}")
         return obj
 
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
-        raise ConfigError(f"{what} artifact not found: {path}") from exc
+        raise ValueError(f"{what} artifact not found: {path}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{what} artifact is not valid JSON: {path} ({exc})") from exc
+        raise ValueError(f"{what} artifact is not valid JSON: {path} ({exc})") from exc
     try:
         return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} artifact malformed: {path} ({exc})") from exc
+        raise ValueError(f"{what} artifact malformed: {path} ({exc})") from exc
 
 
 def _check(name: str, status: str, witness=None) -> dict:
@@ -235,7 +231,7 @@ def _run_verify_linearity(args) -> int:
     from .bracket_forge import build_tensor
     from .curve_ring import CurveModel
     if args.samples < 1:
-        raise ConfigError("samples must be positive")
+        raise ValueError("samples must be positive")
     zero = CurveModel(args.parity, args.k, 0, 0, c=_parse_rational(args.c, "--c"))
     record = {"command": "verify linearity", "parity": args.parity, "k": args.k,
               "c": zero.c, "seed": args.seed, "samples": args.samples}
@@ -294,13 +290,13 @@ def _run_szego_check(args) -> int:
 def _parse_span(text: str) -> Tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise ConfigError(f"range must look like -5..5, got {text!r}")
+        raise ValueError(f"range must look like -5..5, got {text!r}")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"range bounds must be integers, got {text!r}") from exc
+        raise ValueError(f"range bounds must be integers, got {text!r}") from exc
     if lo > hi:
-        raise ConfigError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -312,8 +308,8 @@ def _run_helix_table(args) -> int:
         # Class fields grow with |n| on each side of 0, and |chi| >= 2^(|n| - 1),
         # which has more than limit digits once |n| > 4 limit.
         if abs(n) > 4 * limit or max(map(abs, helix_class(n))) >= 10 ** limit:
-            raise ConfigError(f"--range reaches n={n}, whose class has more than "
-                              f"{limit} digits, the most an integer may print")
+            raise ValueError(f"--range reaches n={n}, whose class has more than "
+                             f"{limit} digits, the most an integer may print")
     record = {"command": "helix", "span": span, "out": args.out}
     rows = []
     for n in range(span[0], span[1] + 1):
@@ -333,7 +329,7 @@ def _run_helix_solve(args) -> int:
     from .helix_k0 import solve_biham_params
     for option, value in (("--range", args.range), ("--out", args.out)):
         if value is not None:
-            raise ConfigError(f"{option} applies to the helix table, not to helix solve")
+            raise ValueError(f"{option} applies to the helix table, not to helix solve")
     record = {"command": "helix solve", "degree": args.d, "rank": args.r}
     solution = solve_biham_params(args.d, args.r)
     if solution is None:

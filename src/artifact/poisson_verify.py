@@ -225,32 +225,27 @@ def _matrix_rank(matrix: Sequence[Sequence[int]]) -> int:
 def _point_rank(forms: IntForms, n: int, coordinate: Callable[[int], Union[int, Fraction]]) -> int:
     """Rank of the bracket matrix at phi_i = coordinate(i), restricted transverse to phi.
 
-    Evaluates M_ab = pi_ab(phi) on the integer forms of a tensor, restricts
-    the antisymmetric form to the hyperplane of vectors orthogonal to phi
-    (in the pairing sense), and returns the exact rank there; radial
-    directions never contribute.  The restricted entry of two indices in no
-    pair of a form is 0, and that of such a j and an active i is -pt_j M_ip,
-    so those rows and columns are multiples of one: the active indices, plus
-    one inactive index with pt_j != 0, give the same rank.  Coordinates are
-    read on demand, only at the pivot p (the first nonzero one), that index
-    and the indices of the forms, and scaled to ints by their common
-    denominator; the restriction is scaled by pt_p.  Neither changes the
-    rank.  The caller guarantees phi != 0.
+    For M_ab = pi_ab(phi) antisymmetric and phi != 0, the rank of M on the
+    vectors orthogonal to phi is rank [[0, -phi^T], [phi, M]] - 2; radial
+    directions never contribute.  An index in no pair of a form has the
+    bordered row (phi_j, 0, ..., 0), so the active indices, plus one
+    inactive index with phi_j != 0, give the same rank.  Coordinates are
+    read on demand, only at those indices and the indices of the forms, and
+    scaled to ints by their common denominator, which keeps the rank.  The
+    caller guarantees phi != 0.
     """
-    p = next(i for i in range(n) if coordinate(i))
     active = {i for pair in forms for i in pair}
-    idx = sorted(active - {p})
-    border = next((j for j in range(n) if j != p and j not in active and coordinate(j)), None)
-    idx += [] if border is None else [border]
-    read = {p, *idx, *(i for form in forms.values() for uv in form for i in uv)}
+    border = next((j for j in range(n) if j not in active and coordinate(j)), None)
+    idx = sorted(active) + ([] if border is None else [border])
+    read = {*idx, *(i for form in forms.values() for uv in form for i in uv)}
     pt = dict(zip(read, clear_denominators(coordinate(i) for i in read)[1]))
     M: Dict[Tuple[int, int], int] = {}
     for (a, b), form in forms.items():
         M[a, b] = sum(c * pt[u] * pt[v] for (u, v), c in form.items())
         M[b, a] = -M[a, b]
-    restricted = [[pt[p] * M.get((i, j), 0) - pt[j] * M.get((i, p), 0) - pt[i] * M.get((p, j), 0)
-                   for j in idx] for i in idx]
-    return _matrix_rank(restricted)
+    bordered = [[0] + [-pt[j] for j in idx]]
+    bordered += [[pt[i]] + [M.get((i, j), 0) for j in idx] for i in idx]
+    return _matrix_rank(bordered) - 2
 
 
 def _random_point(rng: random.Random, n: int) -> Tuple[Fraction, ...]:

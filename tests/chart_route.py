@@ -216,8 +216,9 @@ def lift_via_euler(T: BracketTensor) -> Tuple[int, IntForms]:
 
 
 def dense_point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> int:
-    """The library's _point_rank on the dense n x n bracket matrix, every
-    index of the hyperplane transverse to phi kept."""
+    """The point rank by the pivot restriction, which the library no longer
+    uses: the dense n x n bracket matrix restricted transverse to phi on the
+    first nonzero coordinate p, every other index kept."""
     point = [rat(x) for x in phi]
     if not any(point):
         raise ZeroVector("rank evaluation needs a nonzero point")

@@ -670,7 +670,7 @@ def test_matrix_rank_matches_fraction_elimination(matrix):
 
 
 def _fraction_rank_at_point(T, phi):
-    """Reference rank_at_point: Fraction evaluation and restriction."""
+    """Reference rank_at_point: Fraction evaluation and the pivot restriction."""
     point = [Fraction(x) for x in phi]
     n = T.n
     M = [[Fraction(0)] * n for _ in range(n)]
@@ -700,7 +700,8 @@ def tensors_with_points(draw):
 @PROPERTY
 @given(case=tensors_with_points())
 def test_rank_at_point_matches_fraction_route(case):
-    """Integer evaluation and pivot-scaled restriction keep the rank."""
+    """The library's bordered integer rank equals the Fraction rank of the
+    pivot restriction, which the library no longer uses."""
     T, phi = case
     assert rank_at_point(T, phi) == _fraction_rank_at_point(T, phi)
 
