@@ -81,22 +81,13 @@ def _curve(args, command: str):
     return dict(record, c=model.c), model
 
 
-def _resolve_out(path: Optional[str], default_name: str) -> str:
-    chosen = path if path is not None else default_name
-    base = os.environ.get(ENV_OUT_DIR, "")
-    if base and not os.path.isabs(chosen):
-        chosen = os.path.join(base, chosen)
-    return chosen
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_lines(path: str, lines: Sequence[str]) -> None:
+def _write(out: Optional[str], default_name: str, lines: Sequence[str]) -> str:
+    """Write lines, newline-terminated, to --out or default_name, joined to
+    $ARTIFACT_OUT_DIR (an absolute path stays as given); return the path."""
+    path = os.path.join(os.environ.get(ENV_OUT_DIR, ""), default_name if out is None else out)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    return path
 
 
 def _load_artifact(path: str, cls, what: str):
@@ -117,7 +108,7 @@ def _load_artifact(path: str, cls, what: str):
             data = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError as exc:
         raise ValueError(f"{what} artifact not found: {path}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{what} artifact is not valid JSON: {path} ({exc})") from exc
     try:
         return cls.from_json(data)
@@ -167,8 +158,7 @@ def _run_bracket_build(args) -> int:
         flipped = tensor.scale(-1)
         flipped.provenance = dict(tensor.provenance, sign="flipped")
         tensor = flipped
-    path = _resolve_out(args.out, "tensor.json")
-    _write_json(path, tensor.to_json())
+    path = _write(args.out, "tensor.json", [json.dumps(tensor.to_json(), indent=2)])
     data = {"dimension": tensor.n,
             "nonzero coefficients": sum(len(f) for f in tensor.pi.values())}
     return _finish(record, args, data, artifacts=[path])
@@ -179,8 +169,7 @@ def _run_bracket_family(args) -> int:
     record = {"command": "bracket family", "parity": args.parity, "k": args.k,
               "out": args.out}
     family = build_family(args.parity, args.k)
-    path = _resolve_out(args.out, "family.json")
-    _write_json(path, family.to_json())
+    path = _write(args.out, "family.json", [json.dumps(family.to_json(), indent=2)])
     data = {"members": len(family.tensors), "dimension": family.tensors[0].n,
             "labels": ",".join(family.labels)}
     return _finish(record, args, data, artifacts=[path])
@@ -264,8 +253,8 @@ def _run_rank_scan(args) -> int:
               "samples": args.samples, "out": args.out}
     tensor = _load_artifact(args.source, BracketTensor, "tensor")
     scan = rank_scan(tensor, args.samples, args.seed)
-    path = _resolve_out(args.out, "rank_hist.csv")
-    _write_lines(path, scan.csv_rows())
+    path = _write(args.out, "rank_hist.csv", ["rank,count"] + [
+        f"{r},{c}" for r, c in sorted(scan.histogram.items())])
     data = {"samples": args.samples,
             "histogram": {str(r): c for r, c in sorted(scan.histogram.items())},
             "generic_rank": scan.generic_rank,
@@ -315,9 +304,8 @@ def _run_helix_table(args) -> int:
     for n in range(span[0], span[1] + 1):
         cls = helix_class(n)
         rows.append({"n": n, "rank": cls.rank, "chi": cls.chi})
-    artifacts = [] if args.out is None else [_resolve_out(args.out, "helix.json")]
-    for path in artifacts:
-        _write_json(path, {"rows": rows})
+    artifacts = [] if args.out is None else [
+        _write(args.out, "helix.json", [json.dumps({"rows": rows}, indent=2)])]
     if not args.json:
         print(f"{'n':>4} {'rank':>10} {'chi':>10}")
         for row in rows:

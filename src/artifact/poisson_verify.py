@@ -50,12 +50,6 @@ class RankReport(NamedTuple):
     flagged: int
     pencil_drops: int
 
-    def csv_rows(self) -> List[str]:
-        rows = ["rank,count"]
-        for r, c in sorted(self.histogram.items()):
-            rows.append(f"{r},{c}")
-        return rows
-
 
 # An integer polynomial is a dict from packed monomials to ints: the
 # monomial prod x_i^e_i is keyed by sum e_i * 8**i, so multiplying two

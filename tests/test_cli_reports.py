@@ -206,6 +206,20 @@ def test_verify_jacobi_malformed_artifact(tmp_path, monkeypatch, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("argv, kind", [(["verify", "jacobi", "--in"], "tensor"),
+                                        (["verify", "independence", "--family"], "family")],
+                         ids=["tensor", "family"])
+def test_non_utf8_artifact_is_not_valid_json(tmp_path, monkeypatch, capsys, argv, kind):
+    """A file that does not decode as UTF-8 is reported as not valid JSON,
+    naming the artifact and its path, not as a bare codec error."""
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(argv + ["bad.json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {kind} artifact is not valid JSON: bad.json (")
+    assert "Traceback" not in err
+
+
 def test_verify_jacobi_empty_artifact_is_quick(tmp_path, monkeypatch, capsys):
     """The certificate walks only indices with a nonzero row, so the empty
     tensor at k = 100 passes at once instead of walking C(200, 3) triples."""
@@ -906,7 +920,8 @@ def test_helix_solve_refuses_the_table_options(tmp_path, monkeypatch, capsys):
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch, capsys):
-    """Relative artifact paths land inside the directory named by the env var."""
+    """Relative artifact paths, the default name and a relative --out, land
+    inside the directory named by the env var; an absolute --out is kept."""
     outdir = tmp_path / "artifacts"
     outdir.mkdir()
     monkeypatch.chdir(tmp_path)
@@ -914,6 +929,43 @@ def test_env_var_output_directory(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(BUILD_EVEN, capsys)
     assert code == 0
     assert (outdir / "tensor.json").exists()
+    code, out, _ = run_cli(BUILD_EVEN + ["--out", "named.json"], capsys)
+    assert code == 0 and out.endswith(f"wrote {outdir / 'named.json'}\n")
+    assert (outdir / "named.json").exists() and not (tmp_path / "named.json").exists()
+    absolute = tmp_path / "absolute.json"
+    code, out, _ = run_cli(BUILD_EVEN + ["--out", str(absolute)], capsys)
+    assert code == 0 and out.endswith(f"wrote {absolute}\n")
+    assert absolute.exists() and not (outdir / "absolute.json").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    BUILD_EVEN,
+    FAMILY_ODD,
+    ["rank", "scan", "--in", "tensor.json"],
+    ["helix", "--range=-1..1"],
+], ids=["build", "family", "rank-scan", "helix"])
+def test_unwritable_out_is_an_io_error(tmp_path, monkeypatch, capsys, argv, mode):
+    """--out naming a directory exits 2 with one io error line, no
+    traceback, and nothing on stdout: every writer writes before it prints."""
+    monkeypatch.chdir(tmp_path)
+    run_cli(BUILD_EVEN, capsys)
+    Path("taken").mkdir()
+    code, out, err = run_cli(argv + ["--out", "taken"] + mode, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ") and "Traceback" not in err
+
+
+def test_rank_scan_csv_lists_ranks_in_ascending_order(tmp_path, monkeypatch, capsys):
+    """On x_0^2 d_1 ^ d_2, of rank 0 exactly on x_0 = 0, 3000 seeded points
+    give two ranks, and the CSV lists them in ascending order."""
+    monkeypatch.chdir(tmp_path)
+    square = BracketTensor("even", 2, 4, {(1, 2): {(0, 0): 1}})
+    Path("square.json").write_text(json.dumps(square.to_json()))
+    code, _, _ = run_cli(["rank", "scan", "--in", "square.json",
+                          "--samples", "3000", "--seed", "0"], capsys)
+    assert code == 0
+    assert Path("rank_hist.csv").read_text() == "rank,count\n0,1\n2,2999\n"
 
 
 def test_artifacts_byte_identical_across_reruns(tmp_path, monkeypatch, capsys):
