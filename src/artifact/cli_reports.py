@@ -56,26 +56,23 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise ValueError(f"{what}: cannot read {text!r} as a rational") from exc
 
 
-def _parse_coeffs(text: str, a0: Fraction, limit: int, what: str) -> Tuple[Fraction, ...]:
-    """Ascending coefficient list, or the constant-curve shorthand."""
+def _parse_coeffs(text: str, a0: Fraction, what: str) -> Tuple[Fraction, ...]:
+    """Ascending coefficient list, or the constant-curve shorthand; its
+    length is CurveModel's to check."""
     if text.strip() == "a0-only":
         return (a0,)
     if not text.strip():
         return (Fraction(0),)
-    coeffs = tuple(_parse_rational(tok, what) for tok in text.split(","))
-    if len(coeffs) > limit:
-        raise ValueError(f"{what}: got {len(coeffs)} coefficients, at most {limit} allowed")
-    return coeffs
+    return tuple(_parse_rational(tok, what) for tok in text.split(","))
 
 
 def _curve(args, command: str):
     """The run's record and the CurveModel of the curve options; the record
     holds the model's c, None in the even parity, which rejects a nonzero --c."""
-    from .curve_ring import P_LEN, Q_LEN, CurveModel
+    from .curve_ring import CurveModel
     a0 = _parse_rational(args.a0, "--a0")
     record = {"command": command, "parity": args.parity, "k": args.k,
-              "q": _parse_coeffs(args.Q, a0, Q_LEN, "--Q"),
-              "p": _parse_coeffs(args.P, a0, P_LEN[args.parity], "--P")}
+              "q": _parse_coeffs(args.Q, a0, "--Q"), "p": _parse_coeffs(args.P, a0, "--P")}
     model = CurveModel(args.parity, args.k, record["q"], record["p"],
                        c=_parse_rational(args.c, "--c"))
     return dict(record, c=model.c), model

@@ -17,11 +17,11 @@ closed form here.
 Curves are numeric: a model keeps tau, Q and P of tau x^2 = Q x + P as
 tuples of their rational coefficients in t, tau = (1,) even or (c, 1)
 odd (c is None in the even parity, which has no pole), and forms the
-polynomial R only when it is read.  The
-module owns the shape rules every other module reads: Q_LEN and P_LEN
-count the coefficients of Q and P, and section_slots(parity, k) orders
-the level-k section basis, of size dimension(parity, k), that all its
-curves share.
+polynomial R only when it is read.  The module owns the shape rules
+every other module reads: Q_LEN and P_LEN bound the coefficients of Q and
+P (only the model checks them: shorter lists are padded with zeros), and
+section_slots(parity, k) orders the level-k section basis, of size
+dimension(parity, k), that all its curves share.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class CurveModel:
     `k_param` selects the section space (see dimension).  Q and P are the
     ascending coefficient tuples of numeric polynomials in t, of lengths
     Q_LEN and P_LEN[parity]: a scalar or a short list is padded with
-    zeros, and a longer list must end in zeros.
+    zeros, and a longer list is refused: the one check of those lengths.
     """
 
     tvars = ("t",)
@@ -72,12 +72,13 @@ class CurveModel:
         self.parity = parity
         self.k_param = k_param
         q, p = ([rat(v) for v in (x if isinstance(x, (list, tuple)) else [x])] for x in (Q, P))
-        if any(q[Q_LEN:]):
-            raise ValueError(f"deg Q must be at most {Q_LEN - 1}")
-        if any(p[P_LEN[parity]:]):
-            raise ValueError(f"deg P must be at most {P_LEN[parity] - 1} in the {parity} parity")
-        self.Q = tuple(q + [Fraction(0)] * Q_LEN)[:Q_LEN]
-        self.P = tuple(p + [Fraction(0)] * P_LEN[parity])[:P_LEN[parity]]
+        for name, coeffs, size, where in (("Q", q, Q_LEN, ""),
+                                          ("P", p, P_LEN[parity], f" in the {parity} parity")):
+            if len(coeffs) > size:
+                raise ValueError(f"deg {name} must be at most {size - 1}{where}: "
+                                 f"got {len(coeffs)} coefficients, at most {size} allowed")
+            coeffs += [Fraction(0)] * (size - len(coeffs))
+        self.Q, self.P = tuple(q), tuple(p)
         if parity == "even":
             if c not in (None, 0):
                 raise ValueError("the even parity has no pole parameter c")

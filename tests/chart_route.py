@@ -8,7 +8,8 @@ u_a = x_a/x_m over Fractions, the chart Jacobiator by the Leibniz rule,
 the E ^ Jac(pi) wedge of the raw tensor on every component a < b < c < d,
 the lift as the Fraction sum pi + E ^ (-div pi/n) of two tensors, the
 point rank on the dense n x n bracket matrix, and the rank scan on it with
-every point formed in full.
+every point formed in full.  It also keeps the test of whether linear
+projection from a point is a Poisson map (projection_failures).
 """
 
 import random
@@ -19,9 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from artifact.bracket_forge import BracketTensor, FormDict
 from artifact.exact_core import Poly, RationalLike, clear_denominators, rat
-from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, _integer_forms,
-                                     _integer_jacobiator, _matrix_rank, _point_rank,
-                                     _random_point)
+from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, _bracket_of_linear,
+                                     _integer_forms, _integer_jacobiator, _linear_poly,
+                                     _matrix_rank, _point_rank, _random_point)
 
 from curve_route import derivative
 
@@ -253,3 +254,31 @@ def reference_rank_scan(T: BracketTensor, samples: int, seed: int) -> RankReport
             if any(probe) and dense_point_rank(forms, T.n, probe) < generic:
                 drops += 1
     return RankReport(histogram, generic, flagged, drops)
+
+
+def projection_failures(T: BracketTensor, p: Sequence[RationalLike]) -> int:
+    """How many basis triples fail the test that projection from p is Poisson.
+
+    The forms xi_i = p_j x_i - p_i x_j, i != j, for j the first nonzero
+    coordinate of p, are a basis of the linear forms vanishing at p.  For
+    xi < eta and any zeta of that basis, {xi/zeta, eta/zeta} = N/zeta^3 with
+    N = {xi, eta} zeta - eta {xi, zeta} - xi {zeta, eta}; radial terms cancel
+    in N.  The bracket of ratios is pulled back from the projection exactly
+    when the derivative of N along p vanishes; a triple fails when it does
+    not.  N is linear in each form, so 0 failures decides the projection.
+    """
+    point = [rat(v) for v in p]
+    ctx = tuple(f"x{i}" for i in range(T.n))
+    j = next(i for i, v in enumerate(point) if v)
+    basis = [[point[j] if m == i else -point[i] if m == j else 0 for m in range(T.n)]
+             for i in range(T.n) if i != j]
+    forms = [_linear_poly(f, ctx) for f in basis]
+    bracket = {(a, b): _bracket_of_linear(T, f, g, ctx)
+               for a, f in enumerate(basis) for b, g in enumerate(basis)}
+    failures = 0
+    for a, b in combinations(range(len(basis)), 2):
+        for c, zeta in enumerate(forms):
+            N = bracket[a, b] * zeta - forms[b] * bracket[a, c] - forms[a] * bracket[c, b]
+            along_p = sum(derivative(N, ctx[i]) * v for i, v in enumerate(point) if v)
+            failures += not along_p.is_zero
+    return failures

@@ -445,8 +445,8 @@ def test_symbolic_model_is_rejected():
     variable, or a nonzero one past deg Q <= 2 or deg P <= 4 (even), 3
     (odd), is refused when the model is constructed.  Q and P are kept as
     tuples of Fractions of lengths 3 and 5 (even) or 4 (odd): a scalar or a
-    short list is padded with zeros, and a longer list with a zero tail is
-    read as its head."""
+    short list is padded with zeros, and a longer list is refused even when
+    its tail is zero."""
     from artifact.exact_core import Poly
     with pytest.raises(ValueError):
         CurveModel.even(1, 0, Poly.var(("t", "a0"), "a0"))
@@ -454,14 +454,16 @@ def test_symbolic_model_is_rejected():
             ("even", 2, F(1, 3), ((2, 0, 0), (F(1, 3), 0, 0, 0, 0))),
             ("even", [1], [1, 2], ((1, 0, 0), (1, 2, 0, 0, 0))),
             ("odd", [], 5, ((0, 0, 0), (5, 0, 0, 0))),
-            ("odd", [1, 2, 3, 0, 0], [1, 0, 0, 4, 0], ((1, 2, 3), (1, 0, 0, 4)))):
+            ("odd", [1, 2, 3], [1, 0, 0, 4], ((1, 2, 3), (1, 0, 0, 4)))):
         model = CurveModel(parity, 1, q, p)
         assert (model.Q, model.P) == kept
         assert all(type(v) is F for v in model.Q + model.P)
     for parity, q, p, message in (
             ("even", [0, 0, 0, 1], 0, "deg Q must be at most 2"),
             ("odd", 0, [0, 0, 0, 0, 1], "deg P must be at most 3 in the odd parity"),
-            ("even", 0, [0, 0, 0, 0, 0, 1, 0], "deg P must be at most 4 in the even parity")):
+            ("even", 0, [0, 0, 0, 0, 0, 1, 0], "deg P must be at most 4 in the even parity"),
+            ("odd", [1, 2, 3, 0, 0], [1, 0, 0, 4], "got 5 coefficients, at most 3 allowed"),
+            ("odd", [1, 2, 3], [1, 0, 0, 4, 0], "got 5 coefficients, at most 4 allowed")):
         with pytest.raises(ValueError, match=message):
             CurveModel(parity, 1, q, p)
 

@@ -90,6 +90,25 @@ def test_bracket_build_rejects_overlong_coeffs(tmp_path, monkeypatch, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("parity,option,value,allowed", [
+    ("even", "--Q", "1,2,3,0", 3), ("odd", "--Q", "1,2,3,0", 3),
+    ("even", "--P", "1,0,0,0,0,0", 5), ("odd", "--P", "1,0,0,0,0", 4)])
+def test_bracket_build_refuses_zero_tails(tmp_path, monkeypatch, capsys, parity, option,
+                                          value, allowed):
+    """CurveModel is the one reader of the coefficient lists: a list one
+    entry longer than its parity allows is refused even when that entry is
+    zero, exit 2 with the count on stderr, no stdout and no artifact."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARTIFACT_OUT_DIR", raising=False)
+    code, out, err = run_cli(["bracket", "build", "--parity", parity, "--k", "2",
+                              f"{option}={value}"], capsys)
+    assert code == 2 and out == ""
+    where = f" in the {parity} parity" if option == "--P" else ""
+    assert err == (f"config error: deg {option[-1]} must be at most {allowed - 1}{where}: "
+                   f"got {allowed + 1} coefficients, at most {allowed} allowed\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_bracket_build_rejects_exponent_coeffs(tmp_path, monkeypatch, capsys):
     """Coefficients are integers or p/q: an exponent is a configuration
     error that writes no artifact."""

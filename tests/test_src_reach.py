@@ -378,6 +378,19 @@ def test_only_exact_core_names_zero_division():
     assert named == set()
 
 
+def test_only_the_model_bounds_coefficient_lists():
+    """cli_reports names neither Q_LEN nor P_LEN, by import, name or
+    attribute: CurveModel is the one reader that bounds the lengths of Q
+    and P, and the command line passes its lists through unchecked."""
+    tree = next(tree for module, _, tree in _modules() if module == "cli_reports")
+    limits = {"Q_LEN", "P_LEN"}
+    named = {f"cli_reports:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in limits)
+             or (isinstance(node, ast.Attribute) and node.attr in limits)
+             or (isinstance(node, ast.alias) and node.name in limits)}
+    assert named == set()
+
+
 def test_assembly_does_no_poly_arithmetic():
     """bracket_forge imports neither Poly nor poly_divmod_linear, reads a
     curve model's Q and P only as plain sequences (no attribute or method
