@@ -16,10 +16,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 RationalLike = Union[Fraction, int, str]
 
 
-class VariableContextMismatch(ValueError):
-    """Arithmetic between polynomials over different variable tuples."""
-
-
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact rational.
 
@@ -53,8 +49,9 @@ class Poly:
 
     Terms live in a dict mapping exponent tuples to nonzero coefficients;
     zero coefficients are never stored.  The variable tuple is part of the
-    identity of the ring: mixing contexts raises VariableContextMismatch
-    rather than guessing an embedding.
+    identity of the ring: mixing contexts raises ValueError rather than
+    guessing an embedding, and an operand that is neither a Poly nor an
+    int or Fraction raises TypeError.
     """
 
     __slots__ = ("vars", "terms")
@@ -118,16 +115,14 @@ class Poly:
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.vars != self.vars:
-                raise VariableContextMismatch(f"{self.vars} vs {other.vars}")
+                raise ValueError(f"variable contexts differ: {self.vars} vs {other.vars}")
             return other
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.vars, other)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"cannot combine a Poly with {type(other).__name__}")
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms = dict(self.terms)
         for expo, c in other.terms.items():
             terms[expo] = terms.get(expo, 0) + c
@@ -140,14 +135,10 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms: Dict[Tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -38,10 +38,6 @@ from .exact_core import Poly, RationalLike, clear_denominators, poly_divmod_line
 from .bracket_forge import BracketTensor, FamilyBasis
 
 
-class ZeroVector(ValueError):
-    """A nonzero coordinate vector was required."""
-
-
 class RankReport(NamedTuple):
     """Outcome of a pointwise rank scan of one bracket tensor."""
 
@@ -334,11 +330,13 @@ def ratio_bracket(T: BracketTensor, f_num: Sequence[RationalLike],
     h = [rat(x) for x in f_den]
     g = [rat(x) for x in g_num]
     e = [rat(x) for x in g_den]
+    for vec, tag in ((f, "first numerator"), (h, "first denominator"),
+                     (g, "second numerator"), (e, "second denominator")):
+        if len(vec) != T.n:
+            raise ValueError(f"{tag} has {len(vec)} coefficients, the tensor needs {T.n}")
     for vec, tag in ((h, "first"), (e, "second")):
-        if len(vec) != T.n or not any(vec):
-            raise ZeroVector(f"{tag} denominator must be a nonzero form")
-    if len(f) != T.n or len(g) != T.n:
-        raise ValueError("numerator forms must match the tensor size")
+        if not any(vec):
+            raise ValueError(f"{tag} denominator must be a nonzero form")
     # f/h = (f/l)/(h/l) for l the last nonzero coefficient of h, so both
     # denominator forms are monic from the start.
     lead_h = next(c for c in reversed(h) if c)

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from artifact.bracket_forge import BracketTensor, FormDict
 from artifact.exact_core import Poly, RationalLike, clear_denominators, rat
-from artifact.poisson_verify import (IntForms, IntPoly, RankReport, ZeroVector, _bracket_of_linear,
+from artifact.poisson_verify import (IntForms, IntPoly, RankReport, _bracket_of_linear,
                                      _integer_forms, _integer_jacobiator, _linear_poly,
                                      _matrix_rank, _point_rank, _random_point)
 
@@ -222,7 +222,7 @@ def dense_point_rank(forms: IntForms, n: int, phi: Sequence[RationalLike]) -> in
     first nonzero coordinate p, every other index kept."""
     point = [rat(x) for x in phi]
     if not any(point):
-        raise ZeroVector("rank evaluation needs a nonzero point")
+        raise ValueError("rank evaluation needs a nonzero point")
     pt = clear_denominators(point)[1]
     M = [[0] * n for _ in range(n)]
     for (a, b), form in forms.items():

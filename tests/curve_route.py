@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from artifact.curve_ring import Coefficients, CurveModel, dimension
-from artifact.exact_core import Poly, RationalLike, VariableContextMismatch, poly_divmod_linear, rat
+from artifact.exact_core import Poly, RationalLike, poly_divmod_linear, rat
 
 Slot = Tuple[int, int]
 
@@ -92,7 +92,7 @@ def with_context(p: Poly, variables: Sequence[str],
             positions.append(variables.index(target))
         else:
             if any(e[slot] for e in p.terms):
-                raise VariableContextMismatch(f"{name} has no target in {variables}")
+                raise ValueError(f"{name} has no target in {variables}")
             positions.append(None)
     terms = {}
     for expo, c in p.terms.items():

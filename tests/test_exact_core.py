@@ -3,6 +3,7 @@ division, the evaluation and the re-embedding that the curve-function
 oracle builds on it."""
 
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -12,7 +13,6 @@ import pytest
 from artifact.curve_ring import CurveModel
 from artifact.exact_core import (
     Poly,
-    VariableContextMismatch,
     poly_divmod_linear,
     rat,
     rat_str,
@@ -139,7 +139,7 @@ def test_poly_with_context_rename_and_eval():
     assert merged == 6 * Poly.var(("t",), "t") ** 3
     assert with_context(t1 - t2, ("t",), {"t1": "t", "t2": "t"}).is_zero
     # c is used and has no target; unused variables are dropped
-    with pytest.raises(VariableContextMismatch):
+    with pytest.raises(ValueError, match=re.escape("c has no target in ('t1', 't2')")):
         with_context(p, bv, {"t": "t1"})
     assert with_context(t ** 2, bv, {"t": "t2"}) == t2 ** 2
 
@@ -149,12 +149,24 @@ def test_poly_context_mismatch_raises():
     across contexts and against a bool, and reads an int as a constant."""
     a = Poly.var(("t",), "t")
     b = Poly.var(("s",), "s")
-    with pytest.raises(VariableContextMismatch):
+    with pytest.raises(ValueError, match=re.escape("variable contexts differ: ('t',) vs ('s',)")):
         a + b
     assert (a == b) is False and (a != b) is True
     assert (a == True) is False and (a != True) is True  # noqa: E712
     assert (Poly.const(("t",), 1) == True) is False  # noqa: E712
     assert Poly.const(("t",), 1) == 1 and Poly.const(("t",), 0) == 0
+
+
+def test_poly_refuses_foreign_operands():
+    """An operand that is neither a Poly nor an int or Fraction raises
+    TypeError on either side of +, - and *, and an int on the left still
+    reaches the reflected operator, so sum() starts from 0."""
+    p = Poly.var(("t",), "t") + 1
+    for combine in (lambda: p + "a", lambda: "a" + p, lambda: None * p, lambda: p - [1],
+                    lambda: p * 2.5):
+        with pytest.raises(TypeError):
+            combine()
+    assert sum([p, p], 0) == 2 * p
 
 
 def test_poly_is_immutable():
@@ -171,7 +183,7 @@ def test_poly_with_context_embedding():
     q = with_context(p, ("t", "x"))
     assert q == Poly.var(("t", "x"), "t") ** 2
     r = Poly.var(("t", "x"), "x")
-    with pytest.raises(VariableContextMismatch):
+    with pytest.raises(ValueError, match=re.escape("x has no target in ('t',)")):
         with_context(r, ("t",))
 
 

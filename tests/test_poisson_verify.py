@@ -16,7 +16,6 @@ from artifact.exact_core import Poly, poly_divmod_linear
 from artifact.helix_k0 import generic_poisson_rank
 from artifact.poisson_verify import (
     RatioBracketValue,
-    ZeroVector,
     _lift,
     independence_rank,
     jacobi_check,
@@ -453,8 +452,26 @@ def test_ratio_bracket_two_denominators(model, f, h, g, e):
 def test_ratio_bracket_rejects_zero_denominator():
     """A vanishing denominator form is refused."""
     T = build_tensor(CurveModel.even(2, 0, [3]))
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="^first denominator must be a nonzero form$"):
         ratio_bracket(T, [1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1])
+
+
+def test_ratio_bracket_refuses_malformed_forms():
+    """A form of the wrong length is refused by its name and both counts,
+    before any denominator is tested for zero; then a zero denominator is
+    refused by its name."""
+    T = build_tensor(CurveModel.even(2, 0, [3]))
+    forms = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    tags = ["first numerator", "first denominator", "second numerator", "second denominator"]
+    ratio_bracket(T, *forms)
+    for slot, tag in enumerate(tags):
+        short = [form[:3] if i == slot else form for i, form in enumerate(forms)]
+        with pytest.raises(ValueError, match=f"^{tag} has 3 coefficients, the tensor needs 4$"):
+            ratio_bracket(T, *short)
+    for slot, tag in ((1, "first"), (3, "second")):
+        zero = [[0] * 4 if i == slot else form for i, form in enumerate(forms)]
+        with pytest.raises(ValueError, match=f"^{tag} denominator must be a nonzero form$"):
+            ratio_bracket(T, *zero)
 
 
 def test_radial_terms_are_invisible():

@@ -18,7 +18,8 @@ name a module imports is referenced in it, every parameter is read in its
 function's body, protocol dunders aside, every attribute a src class sets
 on self is loaded by src or the acceptance tests, unless UNREAD_ATTRIBUTES
 names it, only exact_core splits a rational into integers or names
-ZeroDivisionError, and the assembly does no Poly arithmetic.
+ZeroDivisionError, the assembly does no Poly arithmetic, and every
+exception class src defines is caught by name in src.
 """
 
 import ast
@@ -389,6 +390,21 @@ def test_only_the_model_bounds_coefficient_lists():
              or (isinstance(node, ast.Attribute) and node.attr in limits)
              or (isinstance(node, ast.alias) and node.name in limits)}
     assert named == set()
+
+
+def test_every_exception_class_is_caught_by_src():
+    """Each class src defines on an ...Error base is named in some src
+    except clause: a failure no caller tells apart raises a stock
+    exception where it is found, not a type of its own."""
+    defined, caught = set(), set()
+    for _, _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    name.endswith("Error") for base in node.bases for name in _referenced(base)):
+                defined.add(node.name)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _referenced(node.type)
+    assert defined - caught == set()
 
 
 def test_assembly_does_no_poly_arithmetic():
