@@ -12,22 +12,10 @@ from typing import NamedTuple, Optional
 
 
 class K0Class(NamedTuple):
-    """Lattice class carrying rank, degree, and Euler characteristic."""
+    """Lattice class carrying rank and Euler characteristic."""
 
     rank: int
-    degree: int = 0
-    chi: int = 0
-
-    def __sub__(self, other: "K0Class") -> "K0Class":
-        return K0Class(self.rank - other.rank, self.degree - other.degree,
-                       self.chi - other.chi)
-
-    def scale(self, factor: int) -> "K0Class":
-        return K0Class(factor * self.rank, factor * self.degree, factor * self.chi)
-
-
-LINE_BUNDLE_1 = K0Class(rank=1, degree=1, chi=3)
-LINE_BUNDLE_2 = K0Class(rank=1, degree=2, chi=6)
+    chi: int
 
 
 def fib(n: int) -> int:
@@ -43,23 +31,16 @@ def fib(n: int) -> int:
     return a
 
 
-def _fib_signed(n: int) -> int:
-    # f(-n) = (-1)^(n+1) f(n), the unique extension of the recurrence
-    if n >= 0:
-        return fib(n)
-    value = fib(-n)
-    return value if (-n) % 2 == 1 else -value
-
-
 def helix_class(n: int) -> K0Class:
-    """Class of the n-th helix bundle, seeded by the two line bundles.
+    """Class (f(|2n - 1|), 3 f(|2n + 1|)) of the n-th helix bundle.
 
-    [E_n] = f(2n) [E_1] - f(2n-2) [E_0] with the signed Fibonacci
-    extension, which covers both directions of the helix at once.
+    Seeded by the line bundles E_0 = (rank 1, chi 3) and E_1 = (1, 6), the
+    class is f(2n) E_1 - f(2n - 2) E_0 under the signed extension
+    f(-m) = (-1)^(m+1) f(m): rank f(2n) - f(2n - 2) = f(2n - 1) and chi
+    6 f(2n) - 3 f(2n - 2) = 3 f(2n + 1).  Both indices are odd, and
+    f(-m) = f(m) for odd m, so |index| gives either side of 0.
     """
-    a = _fib_signed(2 * n)
-    b = _fib_signed(2 * (n - 1))
-    return LINE_BUNDLE_2.scale(a) - LINE_BUNDLE_1.scale(b)
+    return K0Class(fib(abs(2 * n - 1)), 3 * fib(abs(2 * n + 1)))
 
 
 def solve_biham_params(d: int, r: int) -> Optional[dict]:
@@ -80,11 +61,8 @@ def solve_biham_params(d: int, r: int) -> Optional[dict]:
         sign = -1
     else:
         return None
-    q = (d - sign) // r
-    if d % 2 == 0:
-        n, k = 0, (q + 1) // 2
-    else:
-        n, k = 1, q // 2 + 1
+    n = d % 2
+    k = ((d - sign) // r + 1 + n) // 2
     return {"m": (r + 1) // 2, "k": k, "sign": sign, "n": n}
 
 

@@ -196,46 +196,31 @@ class CurveElement:
         if isinstance(other, CurveElement):
             check_models(self.model, other.model)
             return other
-        if isinstance(other, Poly):
-            return CurveElement(self.model, other)
         if isinstance(other, (int, Fraction)):
             return CurveElement(self.model, rat(other))
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"cannot combine a CurveElement with {type(other).__name__}")
 
     def __add__(self, other) -> "CurveElement":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         m = max(self.denom_power, other.denom_power)
         a1, b1 = self.lift(m)
         a2, b2 = other.lift(m)
         return CurveElement(self.model, a1 + a2, b1 + b2, m)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "CurveElement":
         return CurveElement(self.model, -self.alpha, -self.beta, self.denom_power)
 
     def __sub__(self, other) -> "CurveElement":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "CurveElement":
-        return (-self) + other
 
     def __mul__(self, other) -> "CurveElement":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
         # (a1 + b1 z)(a2 + b2 z) with z = tau x, so z^2 = Q z + tau P
         const = a1 * a2 + b1 * b2 * t_poly(self.model.tau) * t_poly(self.model.P)
         lin = a1 * b2 + a2 * b1 + b1 * b2 * t_poly(self.model.Q)
         return CurveElement(self.model, const, lin, self.denom_power + other.denom_power)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CurveElement":
         if n < 0:
@@ -246,9 +231,9 @@ class CurveElement:
         return out
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (CurveElement, int, Fraction)):
             return NotImplemented
+        other = self._coerce(other)
         return (self.alpha == other.alpha and self.beta == other.beta
                 and self.denom_power == other.denom_power)
 

@@ -391,11 +391,15 @@ def test_family_builds_no_curve(monkeypatch):
 
 
 def test_tensor_linear_algebra():
-    """Scaling and addition behave like a vector space."""
+    """Scaling and addition behave like a vector space; a tensor adds only
+    to a tensor and equals no other type."""
     T = build_tensor(CurveModel.even(2, 0, [7]))
     assert (T + T) == T.scale(2)
     assert (T - T).is_zero
     assert T.scale(F(1, 2)).scale(2) == T
+    with pytest.raises(TypeError, match="^expected a BracketTensor$"):
+        T + 1
+    assert (T == "x") is False
 
 
 def test_json_roundtrip_and_stability():

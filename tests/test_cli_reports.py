@@ -29,6 +29,7 @@ from artifact.cli_reports import build_parser, main
 from artifact.helix_k0 import helix_class
 
 from chart_route import chart_witness, descend_to_chart, jacobiator
+from test_helix_k0 import seed_combination
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -414,18 +415,24 @@ def _corrupt_pair(entry):
     entry["a"], entry["b"] = entry["b"], entry["a"]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda pi: pi.append({"a": 2, "b": 99, "q": [{"u": 0, "v": 0, "val": "1"}]}),
-    lambda pi: _corrupt_pair(pi[-1]),
-    lambda pi: pi[0]["q"][0].update(val="1/0"),
-    lambda pi: pi[0]["q"][0].update(v=50),
-    lambda pi: pi[0]["q"][0].update(val=0.5),
-    lambda pi: pi.append(dict(pi[0])),
-    lambda pi: pi[0]["q"][0].update(val="1e3"),
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda pi: pi.append({"a": 2, "b": 99, "q": [{"u": 0, "v": 0, "val": "1"}]}),
+     "pair (2, 99) is not 0 <= a < b < 4"),
+    (lambda pi: _corrupt_pair(pi[-1]), "pair (3, 2) is not 0 <= a < b < 4"),
+    (lambda pi: pi[0]["q"][0].update(val="1/0"), "cannot read '1/0' as an integer or p/q"),
+    (lambda pi: pi[0]["q"][0].update(v=50),
+     "pair (0, 1): monomial (0, 50) is not 0 <= u <= v < 4"),
+    (lambda pi: pi[0]["q"][0].update(val=0.5), "cannot read 0.5 as an integer or p/q"),
+    (lambda pi: pi.append(dict(pi[0])), "pair (0, 1) listed twice"),
+    (lambda pi: pi[0]["q"][0].update(val="1e3"), "cannot read '1e3' as an integer or p/q"),
+    (lambda pi: pi[0]["q"].extend([{"u": 0, "v": 0, "val": "1"}] * 2),
+     "pair (0, 1): monomial (0, 0) listed twice"),
 ], ids=["pair-out-of-range", "pair-reversed", "zero-denominator",
-        "monomial-out-of-range", "float-coefficient", "pair-twice", "exponent-coefficient"])
-def test_verify_jacobi_rejects_corrupt_tensor(tmp_path, monkeypatch, capsys, corrupt):
-    """Entries the certifier cannot read exit 2 with no traceback."""
+        "monomial-out-of-range", "float-coefficient", "pair-twice", "exponent-coefficient",
+        "monomial-twice"])
+def test_verify_jacobi_rejects_corrupt_tensor(tmp_path, monkeypatch, capsys, corrupt, reason):
+    """Entries the certifier cannot read exit 2 naming the entry, with no
+    traceback."""
     monkeypatch.chdir(tmp_path)
     run_cli(BUILD_EVEN, capsys)
     data = json.loads(Path("tensor.json").read_text())
@@ -435,7 +442,7 @@ def test_verify_jacobi_rejects_corrupt_tensor(tmp_path, monkeypatch, capsys, cor
                  ["rank", "scan", "--in", "bad.json", "--samples", "2"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
-        assert "tensor artifact malformed" in err and "Traceback" not in err
+        assert err == f"config error: tensor artifact malformed: bad.json ({reason})\n"
         assert "pass" not in out
 
 
@@ -707,6 +714,31 @@ def test_verify_linearity_odd_with_offset(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["checks"][0]["status"] == "pass"
 
 
+def test_verify_linearity_reports_the_failing_sample(tmp_path, monkeypatch, capsys):
+    """A build that doubles every tensor with Q_0 != 0 is not affine: the
+    sweep exits 1 and names the first failing sample's two curves, in
+    both output modes."""
+    real = bracket_forge.build_tensor
+
+    def doubled(model):
+        tensor = real(model)
+        return tensor.scale(2) if model.Q[0] != 0 else tensor
+
+    monkeypatch.setattr(bracket_forge, "build_tensor", doubled)
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "linearity", "--parity", "even", "--k", "2", "--samples", "3",
+            "--seed", "7"]
+    witness = {"sample": 0, "Q": [-1, -2, 0], "P": [2, -3, -3, 3, 1],
+               "Q'": [-3, -1, 1], "P'": [-3, 1, -2, -3, -3]}
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "affine linearity", "status": "fail", "witness": witness}]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert f"affine linearity: fail  [{witness}]\n" in out
+
+
 def test_rank_scan_transcript(tmp_path, monkeypatch, capsys):
     """Rank scan writes the histogram CSV and a frozen JSON report."""
     monkeypatch.chdir(tmp_path)
@@ -798,11 +830,25 @@ def test_helix_table_json_and_artifact(tmp_path, monkeypatch, capsys):
 
 
 def test_helix_bad_range(tmp_path, monkeypatch, capsys):
-    """A malformed range string is a configuration error."""
+    """A malformed range string is a configuration error naming it."""
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(["helix", "--range=5..-5"], capsys)
-    assert code == 2
-    assert "config error" in err
+    for span, reason in (("5..-5", "empty range '5..-5'"),
+                         ("5", "range must look like -5..5, got '5'"),
+                         ("a..b", "range bounds must be integers, got 'a..b'")):
+        code, out, err = run_cli(["helix", f"--range={span}"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {reason}\n"
+
+
+def test_helix_rows_are_the_seed_combination(tmp_path, monkeypatch, capsys):
+    """Each row of the table is the seed combination f(2n) E_1 - f(2n-2) E_0
+    over a window well past the goldens' -5..5."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["helix", "--range=-300..300", "--json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["data"]["rows"]
+    assert rows == [dict(zip(("n", "rank", "chi"), (n, *seed_combination(n))))
+                    for n in range(-300, 301)]
 
 
 def test_helix_range_past_the_print_limit(tmp_path, monkeypatch, capsys):

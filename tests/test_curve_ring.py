@@ -79,6 +79,22 @@ def test_reduce_multiplicative_identity():
     assert reduce(model, _x()) * one(model) == x_elem(model)
 
 
+def test_curve_element_refuses_foreign_operands():
+    """A CurveElement combines only with a CurveElement, an int or a
+    Fraction, on its right: a Poly on either side, a str, or an int on
+    the left raises TypeError, and == with another type is False."""
+    model = _even_model()
+    t = Poly.var(("t",), "t")
+    for combine, message in ((lambda: t * one(model), "cannot combine a Poly with CurveElement"),
+                             (lambda: one(model) * t, "cannot combine a CurveElement with Poly"),
+                             (lambda: one(model) + "a", "cannot combine a CurveElement with str"),
+                             (lambda: 2 * one(model), "unsupported operand")):
+        with pytest.raises(TypeError, match=message):
+            combine()
+    assert one(model) + 1 == CurveElement(model, 2)
+    assert (one(model) == "x") is False
+
+
 def test_reduce_odd_square_has_simple_pole():
     model = CurveModel.odd(1, 0, 0, 5)
     e = reduce(model, _x() ** 2)

@@ -169,6 +169,15 @@ def test_poly_refuses_foreign_operands():
     assert sum([p, p], 0) == 2 * p
 
 
+def test_poly_refuses_bad_exponents():
+    """An exponent tuple of the wrong width and a negative power raise
+    ValueError naming the fault."""
+    with pytest.raises(ValueError, match=re.escape("exponent (1, 2) does not fit variables ('t',)")):
+        Poly(("t",), {(1, 2): 1})
+    with pytest.raises(ValueError, match="^negative power$"):
+        Poly.var(("t",), "t") ** -1
+
+
 def test_poly_is_immutable():
     """Assigning to either slot of a Poly raises, and the Poly keeps its value."""
     p = Poly.var(("t",), "t") ** 2
@@ -234,12 +243,13 @@ def test_poly_divmod_linear():
 
 
 def test_poly_zero_paths_are_the_general_ones():
-    """A zero dividend divides to (0, 0), and the zero Poly has degree -1,
-    through the same code as any other Poly."""
+    """A zero dividend divides to (0, 0), and the zero Poly has degree -1
+    and prints as 0, through the same code as any other Poly."""
     vs = ("t", "c")
     zero = Poly(vs)
     assert poly_divmod_linear(zero, "t", Poly.var(vs, "c")) == (zero, zero)
     assert zero.degree_in("t") == -1 and zero.degree_in("c") == -1
+    assert str(zero) == "0"
 
 
 def test_poly_scalar_product():

@@ -4,13 +4,31 @@ import pytest
 
 from artifact.helix_k0 import (
     K0Class,
-    LINE_BUNDLE_1,
-    LINE_BUNDLE_2,
     fib,
     generic_poisson_rank,
     helix_class,
     solve_biham_params,
 )
+
+# The seed line bundles as (rank, chi).  Their Fibonacci combination,
+# seed_combination, is the oracle for helix_class's closed form.
+E_0 = (1, 3)
+E_1 = (1, 6)
+
+
+def _combine(a, x, b, y):
+    """a x + b y over (rank, chi) tuples."""
+    return tuple(a * u + b * v for u, v in zip(x, y))
+
+
+def seed_combination(n):
+    """[E_n] = f(2n) E_1 - f(2n - 2) E_0 with the signed extension
+    f(-m) = (-1)^(m+1) f(m), from which helix_class's closed form follows."""
+    def signed(m):
+        if m >= 0:
+            return fib(m)
+        return fib(-m) if m % 2 else -fib(-m)
+    return _combine(signed(2 * n), E_1, -signed(2 * n - 2), E_0)
 
 
 def _fib_oracle(n):
@@ -45,13 +63,11 @@ def test_fib_rejects_negative_index():
 
 
 def test_helix_class_spot_values():
-    """Frozen ranks and Euler characteristics at n = 0, -1, -3."""
-    assert helix_class(0) == K0Class(rank=1, degree=1, chi=3)
-    e_minus_1 = helix_class(-1)
-    assert (e_minus_1.rank, e_minus_1.chi) == (2, 3)
-    e_minus_3 = helix_class(-3)
-    assert (e_minus_3.rank, e_minus_3.chi) == (13, 15)
-    assert helix_class(1) == K0Class(rank=1, degree=2, chi=6)
+    """Frozen ranks and Euler characteristics at n = 0, -1, -3, 1."""
+    assert helix_class(0) == K0Class(rank=1, chi=3)
+    assert helix_class(-1) == K0Class(rank=2, chi=3)
+    assert helix_class(-3) == K0Class(rank=13, chi=15)
+    assert helix_class(1) == K0Class(rank=1, chi=6)
 
 
 def test_helix_class_closed_forms_both_directions():
@@ -68,16 +84,16 @@ def test_helix_class_closed_forms_both_directions():
 def test_helix_class_three_term_recurrence():
     """class(n+1) = 3 class(n) - class(n-1) across the whole window."""
     for n in range(-8, 8):
-        lhs = helix_class(n + 1)
-        rhs = helix_class(n).scale(3) - helix_class(n - 1)
-        assert lhs == rhs
+        assert helix_class(n + 1) == _combine(3, helix_class(n), -1, helix_class(n - 1))
 
 
 def test_helix_class_seed_combination():
-    """Backward classes expand as f(2n+2) E0 - f(2n) E1 for n >= 0."""
+    """Both directions match the seed combination f(2n) E_1 - f(2n-2) E_0;
+    backward classes expand as f(2n+2) E_0 - f(2n) E_1 for n >= 0."""
+    for n in range(-300, 301):
+        assert helix_class(n) == seed_combination(n), n
     for n in range(0, 9):
-        expect = LINE_BUNDLE_1.scale(fib(2 * n + 2)) - LINE_BUNDLE_2.scale(fib(2 * n))
-        assert helix_class(-n) == expect
+        assert helix_class(-n) == _combine(fib(2 * n + 2), E_0, -fib(2 * n), E_1)
 
 
 def test_solver_frozen_examples():
